@@ -36,24 +36,32 @@
 // Layer 1 — instance scope. spg.Analysis memoizes everything a heuristic
 // derives from the workload alone: validation, transitive closure, elevation
 // levels, label grids and prefix sums, DPA2D band contexts with
-// rectangle-convexity verdicts, and the interned DPA1D downset space with
-// per-run budget epochs. Each structure hides behind its own sync.Once-style
-// slot, so an expensive first build never blocks cheap getters on concurrent
-// goroutines. core.NewInstance attaches a cache, Instance.WithPeriod
-// re-solves at a new bound without re-analyzing, and every Solve falls back
-// to a private cache when none is attached. This layer applies whenever the
-// same workload is solved more than once — several heuristics, several
-// periods. Riding on it, the core package keys two further structures to the
-// analysis through its Aux hooks: cross-period speed-threshold tables (the
-// minimal period at which each ladder speed can process each DPA2D
-// rectangle, monotone in T and computed once for all period divisions) with
-// per-period rectangle-energy snapshots shared between DPA2D, DPA2D-T and
-// DPA2D1D, and a DPA1D run-outcome memo that replays both recorded
-// state-explosion failures and — keyed additionally by the platform's energy
-// fingerprint, which steers the DP's argmin — successful chunk
-// decompositions (copy-on-return through a fresh mapping build, so callers
-// never alias solutions), instead of re-running enumerations whose outcome
-// is already determined.
+// rectangle-convexity verdicts, and the interned DPA1D downset space. Each
+// structure hides behind its own sync.Once-style slot, so an expensive first
+// build never blocks cheap getters on concurrent goroutines. Every DPA1D
+// Solve opens its own run cursor on the space (DownsetSpace.NewRun): the
+// cursor charges the state budget and numbers the downsets its run touches,
+// so a warmed space fails or succeeds exactly where a fresh one would, and
+// runs on one space proceed concurrently — the space's mutex guards only
+// interning and the expansion memo. core.NewInstance attaches a cache,
+// Instance.WithPeriod re-solves at a new bound without re-analyzing, and
+// every Solve falls back to a private cache when none is attached. This
+// layer applies whenever the same workload is solved more than once —
+// several heuristics, several periods. Riding on it, the core package keys
+// two further structures to the analysis through its Aux hooks:
+// cross-period speed-threshold tables (the minimal period at which each
+// ladder speed can process each DPA2D rectangle, monotone in T and computed
+// once for all period divisions) with per-period rectangle-energy snapshots
+// shared between DPA2D, DPA2D-T and DPA2D1D, and a DPA1D run-outcome memo.
+// The memo replays recorded state-explosion verdicts and — keyed
+// additionally by the core count and the platform's energy fingerprint,
+// which steer the DP's argmin — successful chunk decompositions
+// (copy-on-return through a fresh mapping build, so callers never alias
+// solutions), instead of re-running enumerations whose outcome is already
+// determined. A verdict is keyed by the run's decisions, not by the grid: it
+// records the processor layer the budget ran out in and replays on every
+// chain of at least that many cores, so the 6x6 campaign replays the 4x4
+// campaign's failures.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -63,7 +71,14 @@
 // arithmetic a fresh analysis would use. One analysis effectively serves an
 // application's whole Section 6.1 column. This layer applies whenever
 // volume-rescaled variants of one workload are solved: RunStreamIt derives
-// all four CCR cells of an application from one base analysis.
+// all four CCR cells of an application from one base analysis. DPA1D
+// verdicts reach this scope too. A run reads volumes only through its cut
+// check, so a run whose cut check rejected no state is volume-free: it
+// publishes its verdict to the family, and any member whose total edge
+// volume fits the link capacity (so that no cut check of its own can fire)
+// replays it. Such members also wait for a sibling already running the same
+// verdict key instead of repeating its enumeration alongside it. Verdicts
+// from runs that did reject a state stay with their member.
 //
 // Layer 3 — campaign scope. engine.AnalysisCache (re-exported as
 // experiments.AnalysisCache) is a bounded, workload-identity-keyed LRU

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/platform"
@@ -40,31 +41,83 @@ func (h *DPA1D) Name() string { return "DPA1D" }
 // rather than by infeasibility.
 var ErrBudget = errors.New("state budget exhausted")
 
-// budgetMemoKey identifies one DPA1D run's budget verdict: everything the
+// verdictKey identifies one DPA1D run's budget verdict: everything the
 // run's exploration sequence — and therefore its budget failure point —
-// depends on, besides the member's graph and volumes (the memo lives on the
-// member): the period (chunk cap and link capacity scale with it), both
-// budgets, the chain length, the bandwidth and the speed ladder (chunk-
-// energy finiteness gates which states later layers expand). Energy
-// magnitudes never influence which states are touched, so dynamic powers
-// and leakage stay out of the key.
-type budgetMemoKey struct {
+// depends on besides the graph (and, for member-scoped verdicts, its
+// volumes): the period (chunk cap and link capacity scale with it), both
+// budgets, the bandwidth and the speed ladder (chunk-energy finiteness gates
+// which states later layers expand). The core count is not in the key:
+// solve1D reads it only as its layer bound, so a run that ran out of budget
+// in layer k runs out identically on every chain of at least k cores (see
+// verdict). Energy magnitudes never influence which states are touched, so
+// dynamic powers and leakage stay out of the key.
+type verdictKey struct {
 	T                         float64
 	maxStates, maxTransitions int
-	cores                     int
 	bw                        float64
 	ladder                    string
 }
 
+// verdict is a budget-failed run's outcome: the error it returned and the
+// processor layer it ran out of budget in. Layers 1..layer of the run are
+// the same on any chain of at least layer cores, so the verdict replays for
+// exactly those chains; a shorter chain stops before the failing layer and
+// must run.
+type verdict struct {
+	layer int
+	err   error
+}
+
+// verdictStore holds recorded verdicts.
+type verdictStore struct {
+	mu sync.Mutex
+	m  map[verdictKey]verdict
+}
+
+// lookup returns the recorded error for key if it applies to a chain of
+// cores processors, nil otherwise.
+func (vs *verdictStore) lookup(key verdictKey, cores int) error {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if v, ok := vs.m[key]; ok && v.layer <= cores {
+		return v.err
+	}
+	return nil
+}
+
+func (vs *verdictStore) record(key verdictKey, v verdict) {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if vs.m == nil {
+		vs.m = make(map[verdictKey]verdict)
+	}
+	vs.m[key] = v
+}
+
+// MemoryFootprint implements spg.Footprinter with the flat constants the spg
+// estimates use.
+func (vs *verdictStore) MemoryFootprint() int64 {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	const entryBytes = int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(verdict{})) + auxMapEntryBytes
+	var b int64
+	for k := range vs.m {
+		b += entryBytes + int64(len(k.ladder))
+	}
+	return b
+}
+
 // solutionMemoKey identifies one DPA1D run's optimal chunk sequence. The
-// budget key pins everything the exploration depends on; the chunk sequence
-// additionally depends on the platform's energy model — chunk energies
-// (dynamic powers, leakage) and the communication energy rate steer the DP's
-// argmin even when the explored state set is identical — so the energy
-// fingerprint joins the key. Two platforms sharing a ladder but not powers
-// therefore never share solutions.
+// verdict key pins everything the exploration depends on; the chunk
+// sequence additionally depends on the chain length (the best layer is
+// chosen among the first cores layers) and on the platform's energy model —
+// chunk energies (dynamic powers, leakage) and the communication energy rate
+// steer the DP's argmin even when the explored state set is identical — so
+// both join the key. Two platforms sharing a ladder but not powers therefore
+// never share solutions.
 type solutionMemoKey struct {
-	budgetMemoKey
+	verdictKey
+	cores  int
 	energy string
 }
 
@@ -82,13 +135,12 @@ func dpa1dEnergySig(pl *platform.Platform) string {
 }
 
 // budgetMemo records, per family member, the outcomes of past DPA1D runs:
-// budget-failure verdicts and, since the campaign-engine refactor,
-// successful chunk decompositions. A budget-failed run evicts its
-// half-enumerated downset space (see Solve), so before this memo every
-// identical later run — the same CCR cell in a repeated campaign sweep, say
-// — re-burned the entire enumeration just to fail at the same point; the run
-// is deterministic given the key, so replaying the recorded error is
-// bit-identical and free.
+// budget-failure verdicts and successful chunk decompositions. A
+// budget-failed run evicts its half-enumerated downset space (see Solve), so
+// without this memo every identical later run — the same CCR cell in a
+// repeated campaign sweep, or on the next larger grid — re-burned the entire
+// enumeration just to fail at the same point; the run is deterministic given
+// the key, so replaying the recorded error is bit-identical and free.
 //
 // Successful runs memoize their chunk sequence (not the Solution): a warm
 // sweep replays the chunks through finishSnake, which rebuilds mapping,
@@ -97,8 +149,13 @@ func dpa1dEnergySig(pl *platform.Platform) string {
 // fresh copies (copy-on-return), keeping the cached sequence immutable even
 // if a caller mutates what it received.
 type budgetMemo struct {
+	// cutBound bounds every downset cut of the member (see cutBound);
+	// immutable after construction.
+	cutBound float64
+
+	verdicts verdictStore
+
 	mu  sync.Mutex
-	m   map[budgetMemoKey]error
 	sol map[solutionMemoKey][][]int
 }
 
@@ -107,39 +164,40 @@ type budgetMemoAuxKey struct{}
 func budgetMemoFor(an *spg.Analysis) *budgetMemo {
 	return an.MemberAux(budgetMemoAuxKey{}, func() any {
 		return &budgetMemo{
-			m:   make(map[budgetMemoKey]error),
-			sol: make(map[solutionMemoKey][][]int),
+			cutBound: cutBound(an.Graph()),
+			sol:      make(map[solutionMemoKey][][]int),
 		}
 	}).(*budgetMemo)
 }
 
-func (bm *budgetMemo) lookup(key budgetMemoKey) error {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	return bm.m[key]
-}
-
-func (bm *budgetMemo) record(key budgetMemoKey, err error) {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	bm.m[key] = err
-}
-
-// MemoryFootprint implements spg.Footprinter: both verdict maps count
-// toward Analysis.MemoryFootprint and so toward the campaign cache's byte
-// account (chunk sequences are the only entries of real size).
-func (bm *budgetMemo) MemoryFootprint() int64 {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	const keyBytes = 56 // budgetMemoKey's fixed fields + string header
-	var b int64
-	for k := range bm.m {
-		b += keyBytes + int64(len(k.ladder)) + 48
+// cutBound returns g's total edge volume, summed in edge order exactly as
+// DownsetSpace.Cout sums a cut. With every volume >= 0, floating-point
+// addition is monotone and never decreases a partial sum, so no cut — the
+// same sum over a subset of the edges — exceeds it. A negative or NaN
+// volume voids the bound (+Inf).
+func cutBound(g *spg.Graph) float64 {
+	var total float64
+	for _, e := range g.Edges {
+		if !(e.Volume >= 0) {
+			return math.Inf(1)
+		}
+		total += e.Volume
 	}
+	return total
+}
+
+// MemoryFootprint implements spg.Footprinter: verdicts and chunk sequences
+// count toward Analysis.MemoryFootprint and so toward the campaign cache's
+// byte account (chunk sequences are the only entries of real size).
+func (bm *budgetMemo) MemoryFootprint() int64 {
+	b := bm.verdicts.MemoryFootprint()
+	bm.mu.Lock()
+	defer bm.mu.Unlock()
+	const keyBytes = int64(unsafe.Sizeof(solutionMemoKey{}))
 	for k, chunks := range bm.sol {
-		b += keyBytes + int64(len(k.ladder)+len(k.energy)) + 48 + 24
+		b += keyBytes + int64(len(k.ladder)+len(k.energy)) + auxMapEntryBytes + auxSliceHeaderBytes
 		for _, c := range chunks {
-			b += 24 + int64(len(c))*8
+			b += auxSliceHeaderBytes + int64(len(c))*8
 		}
 	}
 	return b
@@ -173,48 +231,117 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 	bm.sol[key] = copyChunks(chunks)
 }
 
+// familyVerdicts holds the volume-free budget verdicts of a scale family.
+// A run reads edge volumes in two places only: the cut check, which skips a
+// state whose cut exceeds the link capacity, and the communication energy,
+// whose magnitude changes finite DP values but never which states are
+// expanded, the layer's progress or the budget counts. A run whose cut
+// check rejected no state therefore explores exactly what any member would
+// explore if its cut check could not fire — which is guaranteed when the
+// member's cutBound is within the link capacity. Such runs publish their
+// verdicts here, and every member meeting that bound replays them: the CCR
+// variants of a workload stop re-burning one state explosion each.
+//
+// The store also gates identical runs: a member about to run a key that a
+// sibling is already running waits for the sibling's verdict instead of
+// repeating its enumeration alongside it.
+type familyVerdicts struct {
+	verdictStore
+	running map[verdictKey]chan struct{} // closed when the run finishes; under the store's mutex
+}
+
+type familyVerdictsAuxKey struct{}
+
+func familyVerdictsFor(an *spg.Analysis) *familyVerdicts {
+	return an.Aux(familyVerdictsAuxKey{}, func() any {
+		return &familyVerdicts{running: make(map[verdictKey]chan struct{})}
+	}).(*familyVerdicts)
+}
+
+// claim registers the caller as running key and returns nil, or — when a
+// sibling already runs it — returns a channel closed once that run is done.
+// A nil return obliges the caller to release the key.
+func (fv *familyVerdicts) claim(key verdictKey) <-chan struct{} {
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	if done, ok := fv.running[key]; ok {
+		return done
+	}
+	fv.running[key] = make(chan struct{})
+	return nil
+}
+
+func (fv *familyVerdicts) release(key verdictKey) {
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	close(fv.running[key])
+	delete(fv.running, key)
+}
+
 // Solve implements Heuristic.
 func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	inst = inst.Analyzed()
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	// A budget failure recorded for this exact configuration replays
-	// immediately: the run it summarizes would burn the whole enumeration
-	// again only to fail identically (runs are deterministic given the key
-	// and the member's graph).
-	memo := budgetMemoFor(inst.Analysis)
-	key := budgetMemoKey{
-		T:         inst.Period,
+	pl, T := inst.Platform, inst.Period
+	key := verdictKey{
+		T:         T,
 		maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
-		cores:  inst.Platform.NumCores(),
-		bw:     inst.Platform.BW,
-		ladder: speedLadderSig(inst.Platform),
+		bw:     pl.BW,
+		ladder: speedLadderSig(pl),
 	}
-	if err := memo.lookup(key); err != nil {
-		return nil, err
+	cores := pl.NumCores()
+	memo := budgetMemoFor(inst.Analysis)
+	// A member whose every cut fits the link runs volume-free, so it shares
+	// the family's verdicts and its in-flight runs.
+	var family *familyVerdicts
+	if memo.cutBound <= pl.LinkCapacity(T) {
+		family = familyVerdictsFor(inst.Analysis)
 	}
-	// A memoized successful run replays its chunk sequence straight through
-	// finishSnake: the DP is deterministic given the key, the member's graph
-	// and the platform's energy model (all in solKey), so the rebuilt
-	// mapping and its evaluation are bit-identical to re-running it — and
-	// warm sweeps skip the enumeration entirely.
-	solKey := solutionMemoKey{key, dpa1dEnergySig(inst.Platform)}
-	if chunks, ok := memo.solution(solKey); ok {
-		return finishSnake(h.Name(), inst, chunks)
+	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl)}
+	for {
+		// A budget failure recorded for this configuration replays
+		// immediately: the run it summarizes would burn the whole
+		// enumeration again only to fail identically.
+		if err := memo.verdicts.lookup(key, cores); err != nil {
+			return nil, err
+		}
+		if family != nil {
+			if err := family.lookup(key, cores); err != nil {
+				return nil, err
+			}
+		}
+		// A memoized successful run replays its chunk sequence straight
+		// through finishSnake: the DP is deterministic given the key, the
+		// member's graph and the platform's energy model (all in solKey), so
+		// the rebuilt mapping and its evaluation are bit-identical to
+		// re-running it — and warm sweeps skip the enumeration entirely.
+		if chunks, ok := memo.solution(solKey); ok {
+			return finishSnake(h.Name(), inst, chunks)
+		}
+		if family == nil {
+			break
+		}
+		// A sibling running the same key will record its verdict before it
+		// releases the key; wait for it, then look again.
+		done := family.claim(key)
+		if done == nil {
+			defer family.release(key)
+			break
+		}
+		<-done
 	}
 	ds, err := inst.Analysis.DownsetSpace(h.MaxStates)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 	}
-	// The space may be shared through the analysis cache: take the run lock
-	// so concurrent Solves serialize instead of invalidating each other's
-	// run indices, then open one budget epoch — a space warmed by earlier
-	// periods fails (or succeeds) exactly where a freshly built one would.
-	ds.LockRun()
-	defer ds.UnlockRun()
-	ds.BeginRun()
-	chunks, err := solve1D(inst, ds, h.MaxTransitions)
+	// The space may be shared through the analysis cache and with sibling
+	// members; a private run cursor makes it fail (or succeed) exactly where
+	// a freshly built one would, whatever other runs do concurrently.
+	run := ds.NewRun()
+	defer run.Close()
+	chunks, tr, err := solve1D(inst, ds, run, h.MaxTransitions)
 	if err != nil {
 		if errors.Is(err, ErrBudget) {
 			// A partially enumerated space is dead weight for future runs;
@@ -222,7 +349,11 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 			// like the uncached path — and remember the verdict so the next
 			// identical run skips the burn altogether.
 			inst.Analysis.EvictDownsetSpace(h.MaxStates, ds)
-			memo.record(key, err)
+			v := verdict{layer: tr.layer, err: err}
+			memo.verdicts.record(key, v)
+			if !tr.cutRejected {
+				familyVerdictsFor(inst.Analysis).record(key, v)
+			}
 		}
 		return nil, err
 	}
@@ -230,9 +361,19 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	return finishSnake(h.Name(), inst, chunks)
 }
 
+// runTrace is what a DPA1D run reports besides its chunks, for its budget
+// verdict: the processor layer it stopped in and whether its cut check
+// rejected any state.
+type runTrace struct {
+	layer       int
+	cutRejected bool
+}
+
 // solve1D runs the Theorem 1 DP on a uni-directional chain of
-// pl.NumCores() processors and returns the optimal chunk sequence.
-func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, error) {
+// pl.NumCores() processors, charging run's budget, and returns the optimal
+// chunk sequence. The core count is read only as the bound on the number of
+// layers.
+func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions int) ([][]int, runTrace, error) {
 	pl, T := inst.Platform, inst.Period
 	r := pl.NumCores()
 	maxChunk := T * pl.MaxSpeed()
@@ -286,9 +427,8 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	// A state's expansion list, chunk energies and outgoing cut are the same
 	// in every layer, so they are fetched and evaluated once per state and
 	// replayed as pure array math in the remaining r-1 layers. runStates
-	// shadows ds.RunCount() locally: it only grows when an expansion list is
-	// first built (memoized replays touch nothing new), so the hot loop
-	// never takes the space's mutex for already-expanded states.
+	// shadows run.Count() locally: it only grows when an expansion list is
+	// first built (memoized replays touch nothing new).
 	type stateExp struct {
 		exps  []spg.Expansion
 		chunk []float64 // chunkEnergy per expansion
@@ -296,7 +436,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	}
 	memo := []*stateExp{}
 	cuts := []float64{} // per run index; negative = not yet computed
-	runStates := ds.RunCount()
+	runStates := run.Count()
 	growState := func(id int) {
 		for len(memo) <= id {
 			memo = append(memo, nil)
@@ -306,7 +446,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	cutOf := func(id int) float64 {
 		growState(id)
 		if cuts[id] < 0 {
-			cuts[id] = ds.CoutRun(id)
+			cuts[id] = run.Cout(id)
 		}
 		return cuts[id]
 	}
@@ -315,7 +455,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 		if memo[id] != nil {
 			return memo[id], nil
 		}
-		exps, err := ds.ExpansionsInRun(id, maxChunk)
+		exps, err := run.Expansions(id, maxChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -325,16 +465,17 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 		}
 		se.commE = cutOf(id) * pl.EnergyPerGB
 		memo[id] = se
-		runStates = ds.RunCount()
+		runStates = run.Count()
 		return se, nil
 	}
 
 	// Layer k holds E(D, k): minimal energy to run downset D on exactly the
 	// first k processors of the chain.
+	tr := runTrace{layer: 1}
 	prev := newLayer(runStates)
 	first, err := expand(empty)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+		return nil, tr, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 	}
 	transitions += len(first.exps)
 	grow(prev, runStates)
@@ -354,6 +495,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	}
 
 	for k := 2; k <= r; k++ {
+		tr.layer = k
 		cur := newLayer(runStates)
 		progress := false
 		for id := 0; id < len(prev.energy); id++ {
@@ -365,15 +507,16 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 			// over-capacity state is never expanded, so it charges neither
 			// the state nor the transition budget.
 			if cutOf(id) > linkCap {
+				tr.cutRejected = true
 				continue // the link between cores k-1 and k would overflow
 			}
 			se, err := expand(id)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+				return nil, tr, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 			}
 			transitions += len(se.exps)
 			if transitions > maxTransitions {
-				return nil, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
+				return nil, tr, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
 			}
 			grow(cur, runStates)
 			grow(prev, runStates)
@@ -399,7 +542,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	}
 
 	if bestK < 0 {
-		return nil, ErrNoSolution
+		return nil, tr, ErrNoSolution
 	}
 
 	// Reconstruct the chunk of each processor, in chain order (run indices
@@ -408,10 +551,10 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	id := full
 	for k := bestK; k >= 1; k-- {
 		p := int(layers[k].parent[id])
-		chunks[k-1] = ds.Diff(ds.RunID(p), ds.RunID(id))
+		chunks[k-1] = ds.Diff(run.ID(p), run.ID(id))
 		id = p
 	}
-	return chunks, nil
+	return chunks, tr, nil
 }
 
 // finishSnake places consecutive chunks along the snake embedding, pins the

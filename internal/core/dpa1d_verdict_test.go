@@ -1,0 +1,370 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"spgcmp/internal/platform"
+	"spgcmp/internal/spg"
+	"spgcmp/internal/streamit"
+)
+
+// outcome1D summarizes one DPA1D solve for bit-exact comparison: the error
+// text, or the energy bits and the allocation of the mapping.
+type outcome1D struct {
+	err    string
+	budget bool
+	energy uint64
+	alloc  string
+}
+
+func (o outcome1D) String() string {
+	if o.err != "" {
+		return o.err
+	}
+	return fmt.Sprintf("energy %x alloc %s", o.energy, o.alloc)
+}
+
+func solveOutcome(h *DPA1D, inst Instance) outcome1D {
+	sol, err := h.Solve(inst)
+	if err != nil {
+		return outcome1D{err: err.Error(), budget: errors.Is(err, ErrBudget)}
+	}
+	return outcome1D{energy: math.Float64bits(sol.Energy()), alloc: fmt.Sprint(sol.Mapping.Alloc)}
+}
+
+// freshOutcome solves on a private analysis of an independently rescaled
+// graph: no verdict, lattice or solution is shared with anything.
+func freshOutcome(t *testing.T, h *DPA1D, a streamit.App, ccr float64, n int, T float64) outcome1D {
+	t.Helper()
+	g, err := a.GraphWithCCR(ccr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solveOutcome(h, Instance{Graph: g, Platform: platform.XScale(n, n), Period: T, Analysis: spg.NewAnalysis(g)})
+}
+
+var (
+	verdictGrids   = []int{2, 4, 6}
+	verdictPeriods = []float64{1, 0.1, 0.01, 0.001}
+	// Two budget pairs keep the suite fast while reaching both failure
+	// kinds, failures at layers past a 2x2 chain, and a cut-rejected run.
+	verdictBudgets = []DPA1D{
+		{MaxStates: 200, MaxTransitions: 5_000},
+		{MaxStates: 3_000, MaxTransitions: 300_000},
+	}
+)
+
+func streamItCCRs(a streamit.App) []float64 { return []float64{a.CCR, 10, 1, 0.1} }
+
+func reversed[T any](s []T) []T {
+	out := make([]T, len(s))
+	for i, v := range s {
+		out[len(s)-1-i] = v
+	}
+	return out
+}
+
+// TestDPA1DSharedVerdictsMatchFresh: with verdicts shared across grids
+// (layer-keyed) and across CCR siblings (family verdicts), every DPA1D
+// outcome on the 12 StreamIt applications x 4 CCRs x {2x2, 4x4, 6x6} x
+// T in {1, ..., 1e-3} is bit-identical to a fresh per-cell solve — whichever
+// grid and CCR order warms the shared stores.
+func TestDPA1DSharedVerdictsMatchFresh(t *testing.T) {
+	budgets := verdictBudgets
+	if testing.Short() {
+		budgets = budgets[:1]
+	}
+	var replayable, refusedOnSmall, family, fromFamily int
+	for _, a := range streamit.Suite() {
+		base, err := a.BaseGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccrs := streamItCCRs(a)
+		for bi := range budgets {
+			h := &budgets[bi]
+			type cell struct {
+				ccr float64
+				n   int
+				T   float64
+			}
+			want := make(map[cell]outcome1D)
+			for _, ccr := range ccrs {
+				for _, n := range verdictGrids {
+					for _, T := range verdictPeriods {
+						want[cell{ccr, n, T}] = freshOutcome(t, h, a, ccr, n, T)
+					}
+				}
+			}
+			for _, grids := range [][]int{verdictGrids, reversed(verdictGrids)} {
+				for _, order := range [][]float64{ccrs, reversed(ccrs)} {
+					fam := spg.NewAnalysis(base)
+					for _, n := range grids {
+						for _, ccr := range order {
+							an := fam.ScaleToCCR(ccr)
+							for _, T := range verdictPeriods {
+								pl := platform.XScale(n, n)
+								inst := Instance{Graph: an.Graph(), Platform: pl, Period: T, Analysis: an}
+								got, w := solveOutcome(h, inst), want[cell{ccr, n, T}]
+								if got != w {
+									t.Fatalf("%s budget %d grids %v CCRs %v: ccr %g %dx%d T %g: shared %v, fresh %v",
+										a.Name, bi, grids, order, ccr, n, n, T, got, w)
+								}
+								// A budget failure the member never recorded itself
+								// was answered by a sibling's family verdict.
+								key := verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
+									bw: pl.BW, ladder: speedLadderSig(pl)}
+								if _, own := budgetMemoFor(an).verdicts.m[key]; got.budget && !own {
+									fromFamily++
+								}
+							}
+						}
+					}
+					// Tally what the shared stores held, so the suite proves it
+					// exercised each sharing path.
+					for _, ccr := range ccrs {
+						for _, v := range budgetMemoFor(fam.ScaleToCCR(ccr)).verdicts.m {
+							replayable++
+							if v.layer > 4 {
+								refusedOnSmall++
+							}
+						}
+					}
+					family += len(familyVerdictsFor(fam).m)
+				}
+			}
+		}
+	}
+	if replayable == 0 || refusedOnSmall == 0 || family == 0 || fromFamily == 0 {
+		t.Fatalf("suite did not exercise sharing: %d member verdicts, %d past layer 4, %d family verdicts, %d family replays",
+			replayable, refusedOnSmall, family, fromFamily)
+	}
+}
+
+// verdictChain is a 40-stage chain whose transition budget runs out several
+// layers into a 4x4 chain, and which a 2x2 chain cannot cover at all.
+func verdictChain(t *testing.T) *spg.Graph {
+	t.Helper()
+	w := make([]float64, 40)
+	v := make([]float64, 39)
+	for i := range w {
+		w[i] = 0.25
+	}
+	for i := range v {
+		v[i] = 0.01
+	}
+	g, err := spg.Chain(w, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDPA1DLayerVerdictNotReplayedOnShorterChain: a verdict recorded in
+// layer k replays on chains of at least k cores and never on shorter ones,
+// whose run stops before the failing layer.
+func TestDPA1DLayerVerdictNotReplayedOnShorterChain(t *testing.T) {
+	g := verdictChain(t)
+	h := &DPA1D{MaxStates: 1_000, MaxTransitions: 300}
+	an := spg.NewAnalysis(g)
+	const T = 1.0
+	big := Instance{Graph: g, Platform: platform.XScale(4, 4), Period: T, Analysis: an}
+	if got := solveOutcome(h, big); !got.budget {
+		t.Fatalf("4x4 run: %v, want a budget failure", got)
+	}
+	key := verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
+		bw: big.Platform.BW, ladder: speedLadderSig(big.Platform)}
+	v, ok := budgetMemoFor(an).verdicts.m[key]
+	if !ok || v.layer <= 4 || v.layer > 16 {
+		t.Fatalf("recorded verdict %+v (ok %v), want a layer in (4, 16]", v, ok)
+	}
+	memo := budgetMemoFor(an)
+	if memo.verdicts.lookup(key, v.layer-1) != nil {
+		t.Errorf("verdict of layer %d replays on %d cores", v.layer, v.layer-1)
+	}
+	if memo.verdicts.lookup(key, v.layer) == nil {
+		t.Errorf("verdict of layer %d does not replay on %d cores", v.layer, v.layer)
+	}
+
+	for _, n := range []int{2, 6} {
+		pl := platform.XScale(n, n)
+		got := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: an})
+		want := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: spg.NewAnalysis(g)})
+		if got != want {
+			t.Errorf("%dx%d after the 4x4 verdict: %v, fresh %v", n, n, got, want)
+		}
+		if n == 2 && got.budget {
+			t.Errorf("2x2 took the layer-%d verdict: %v", v.layer, got)
+		}
+	}
+}
+
+// verdictForkJoin is a 12-branch fork-join whose in-volumes are as given:
+// with stage weights 0.3 and T = 1 a chunk holds at most three stages, so
+// the first layer interns 81 downsets and the second explodes past a
+// 100-state budget unless the cut check prunes it.
+func verdictForkJoin(t *testing.T, inVol func(i int) float64) *spg.Graph {
+	t.Helper()
+	middle := make([]float64, 12)
+	in := make([]float64, 12)
+	out := make([]float64, 12)
+	for i := range middle {
+		middle[i] = 0.3
+		in[i] = inVol(i)
+		out[i] = 0.1
+	}
+	g, err := spg.ForkJoin(0.3, 0.3, middle, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDPA1DHeavyMemberSkipsFamilyVerdict: a member whose total volume
+// exceeds BW*T never takes a family verdict — its cut check changes the
+// run. Here the light sibling explodes while the heavy one prunes every
+// second-layer state and simply finds no mapping.
+func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
+	g := verdictForkJoin(t, func(int) float64 { return 10 })
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	pl := platform.XScale(4, 4)
+	const T = 1.0
+	fam := spg.NewAnalysis(g)
+	light := fam.ScaleToCCR(10)
+	if cutBound(light.Graph()) > pl.LinkCapacity(T) || cutBound(g) <= pl.LinkCapacity(T) {
+		t.Fatalf("premise: light bound %g, heavy bound %g, link %g",
+			cutBound(light.Graph()), cutBound(g), pl.LinkCapacity(T))
+	}
+	if got := solveOutcome(h, Instance{Graph: light.Graph(), Platform: pl, Period: T, Analysis: light}); !got.budget {
+		t.Fatalf("light member: %v, want a budget failure", got)
+	}
+	if len(familyVerdictsFor(fam).m) != 1 {
+		t.Fatal("the light member's volume-free verdict was not published")
+	}
+	got := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: fam})
+	want := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: spg.NewAnalysis(g)})
+	if got != want {
+		t.Fatalf("heavy member: %v, fresh %v", got, want)
+	}
+	if got.budget {
+		t.Fatalf("heavy member replayed the family verdict: %v", got)
+	}
+}
+
+// TestDPA1DCutRejectingRunNotPublished: a run whose cut check rejected a
+// state records its verdict for its own member only; an eligible sibling
+// then runs (and matches a fresh solve) instead of replaying it.
+func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
+	g := verdictForkJoin(t, func(i int) float64 {
+		if i == 0 {
+			return 100
+		}
+		return 0.1
+	})
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	pl := platform.XScale(4, 4)
+	const T = 1.0
+	fam := spg.NewAnalysis(g)
+	inst := Instance{Graph: g, Platform: pl, Period: T, Analysis: fam}
+
+	// The heavy member's run, traced directly: it rejects states on their
+	// cut before the budget runs out.
+	ds, err := spg.NewDownsetSpace(g, h.MaxStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := ds.NewRun()
+	_, tr, err := solve1D(inst, ds, run, h.MaxTransitions)
+	run.Close()
+	if !errors.Is(err, ErrBudget) || !tr.cutRejected {
+		t.Fatalf("premise: heavy run err %v, cut rejected %v", err, tr.cutRejected)
+	}
+
+	if got := solveOutcome(h, inst); !got.budget {
+		t.Fatalf("heavy member: %v, want a budget failure", got)
+	}
+	if n := len(familyVerdictsFor(fam).m); n != 0 {
+		t.Fatalf("cut-rejecting run published %d family verdicts", n)
+	}
+	light := fam.ScaleToCCR(10)
+	if cutBound(light.Graph()) > pl.LinkCapacity(T) {
+		t.Fatal("premise: the light member must be eligible for family verdicts")
+	}
+	got := solveOutcome(h, Instance{Graph: light.Graph(), Platform: pl, Period: T, Analysis: light})
+	lg := light.Graph().Clone()
+	want := solveOutcome(h, Instance{Graph: lg, Platform: pl, Period: T, Analysis: spg.NewAnalysis(lg)})
+	if got != want {
+		t.Fatalf("light member: %v, fresh %v", got, want)
+	}
+}
+
+// TestDPA1DConcurrentFamilyMatchesSerialFresh: the four CCR members of a
+// family solve DPA1D concurrently, two goroutines each, at one period on
+// one shared lattice; every result is bit-identical to a serial fresh solve.
+// Run under -race, it checks the run cursors and the verdict stores.
+func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
+	h := &verdictBudgets[1]
+	apps := streamit.Suite()
+	periods := verdictPeriods
+	if testing.Short() {
+		apps = []streamit.App{apps[0], apps[2], apps[8]}
+		periods = periods[:2]
+	}
+	for _, a := range apps {
+		base, err := a.BaseGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccrs := streamItCCRs(a)
+		fam := spg.NewAnalysis(base)
+		for _, T := range periods {
+			want := make([]outcome1D, len(ccrs))
+			for i, ccr := range ccrs {
+				want[i] = freshOutcome(t, h, a, ccr, 4, T)
+			}
+			got := make([]outcome1D, 2*len(ccrs))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := range got {
+				an := fam.ScaleToCCR(ccrs[w/2])
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[w] = solveOutcome(h, Instance{Graph: an.Graph(), Platform: platform.XScale(4, 4), Period: T, Analysis: an})
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for w, o := range got {
+				if o != want[w/2] {
+					t.Fatalf("%s T %g ccr %g goroutine %d: %v, fresh %v", a.Name, T, ccrs[w/2], w%2, o, want[w/2])
+				}
+			}
+		}
+	}
+}
+
+// TestDPA1DFamilyVerdictsFootprint: the family verdict store reports its
+// entries, and the analysis footprint — the campaign cache's byte account —
+// counts them.
+func TestDPA1DFamilyVerdictsFootprint(t *testing.T) {
+	fam := spg.NewAnalysis(verdictChain(t))
+	fv := familyVerdictsFor(fam)
+	before := fam.MemoryFootprint()
+	pl := platform.XScale(4, 4)
+	key := verdictKey{T: 1, maxStates: 10, maxTransitions: 10, bw: pl.BW, ladder: speedLadderSig(pl)}
+	fv.record(key, verdict{layer: 3, err: ErrBudget})
+	want := int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(verdict{})) + auxMapEntryBytes + int64(len(key.ladder))
+	if got := fv.MemoryFootprint(); got != want {
+		t.Fatalf("store footprint %d, want %d", got, want)
+	}
+	if got := fam.MemoryFootprint() - before; got != want {
+		t.Fatalf("analysis footprint grew by %d, want %d", got, want)
+	}
+}

@@ -9,8 +9,9 @@ import (
 )
 
 // TestDPA1DConcurrentSharedAnalysis: several goroutines solving through one
-// shared analysis cache must serialize on the downset space's run lock and
-// all produce the solo-run result; run with -race to check the locking.
+// shared analysis cache, each on its own run cursor over the shared downset
+// space, must all produce the solo-run result; run with -race to check the
+// locking.
 func TestDPA1DConcurrentSharedAnalysis(t *testing.T) {
 	g := testRandomSPG(t, 3, 24, 10)
 	inst := NewInstance(g, platform.XScale(4, 4), 0.5)

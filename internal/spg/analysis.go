@@ -420,7 +420,8 @@ func (sh *analysisShared) bandShape(m1, m2 int) *bandShape {
 // campaigns) never observe each other's limits; within one budget the
 // interned lattice persists across runs — and is shared with the scale
 // family's sibling members, which hold their own volume-dependent views over
-// it — while per-run budget accounting is handled by DownsetSpace.BeginRun.
+// it — while per-run budget accounting is handled by Run cursors
+// (DownsetSpace.NewRun).
 func (a *Analysis) DownsetSpace(maxStates int) (*DownsetSpace, error) {
 	maxStates = normalizeStateBudget(maxStates)
 	a.downMu.Lock()
@@ -477,7 +478,7 @@ func (sh *analysisShared) downsetCore(maxStates int, levels [][]int) (*downsetCo
 // table. Dropping it keeps failed runs on exactly the same footing as a
 // fresh space. The family-shared lattice core is evicted alongside the view
 // when the view still wraps it; sibling members that already hold views over
-// the old core keep them (they stay correct — run epochs make the budget
+// the old core keep them (they stay correct — run cursors make the budget
 // accounting history-independent) until their own next eviction.
 func (a *Analysis) EvictDownsetSpace(maxStates int, ds *DownsetSpace) {
 	maxStates = normalizeStateBudget(maxStates)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrStateLimit is returned when enumerating the admissible subgraphs of an
@@ -28,36 +29,41 @@ var ErrStateLimit = errors.New("spg: admissible-subgraph state limit exceeded")
 //
 // A DownsetSpace is a view over a shared structural core. The core holds
 // everything that depends only on the graph's shape and stage weights — the
-// interned states, the expansion enumerations (chunk works are weight sums)
-// and the run-budget accounting — and is shared across every volume scale of
-// a graph family: the CCR variants of a workload enumerate one lattice. The
-// view owns the volume-dependent outgoing-cut cache (Cout), recomputed per
-// scale from its own graph with the same arithmetic a fresh space would use,
-// so scaled views answer bit-identically to freshly built spaces.
+// interned states and the expansion enumerations (chunk works are weight
+// sums) — and is shared across every volume scale of a graph family: the CCR
+// variants of a workload enumerate one lattice. The view owns the
+// volume-dependent outgoing-cut cache (Cout), recomputed per scale from its
+// own graph with the same arithmetic a fresh space would use, so scaled
+// views answer bit-identically to freshly built spaces.
 //
 // A space may be reused across several solver runs (Analysis.DownsetSpace
 // hands the same space to every DPA1D run on a workload): interned states
-// persist, while the state budget is accounted per run. A run is the span
-// between two BeginRun calls; the budget bounds the number of distinct
-// downsets the run touches, so a warmed space fails (or succeeds) exactly
+// persist, while the state budget is accounted per run. A solver opens its
+// own Run cursor (NewRun), which charges the budget for the distinct
+// downsets that run touches, so a warmed space fails (or succeeds) exactly
 // where a freshly built one would, regardless of how many states earlier
-// runs left behind. Without any BeginRun call the whole lifetime is one run,
-// which matches the historical total-cap semantics.
+// runs left behind. Cursors are independent, so runs on one space — or on
+// sibling views of one family lattice — proceed concurrently; they share
+// only the interning and expansion memo, which the core's mutex guards. The
+// id-keyed methods (Expansions, AllDownsets) charge a lifetime run instead,
+// restarted by BeginRun; without any BeginRun call the whole lifetime is one
+// run, which matches the historical total-cap semantics.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use; a Run belongs to one goroutine.
 type DownsetSpace struct {
 	core *downsetCore
 	g    *Graph // this scale's graph: volumes for Cout
 
 	// coutCache memoizes, per downset id, the aggregated volume of the edges
 	// leaving the downset under this scale's volumes (negative = uncomputed).
-	// Guarded by core.mu, like every other per-id table.
+	// Guarded by cutMu: cut sums never wait on another run's interning.
+	cutMu     sync.Mutex
 	coutCache []float64
 }
 
-// downsetCore is the scale-independent half of a DownsetSpace: interning,
-// expansion enumeration and run accounting. Views sharing a core serialize
-// their runs through the core's run lock.
+// downsetCore is the scale-independent half of a DownsetSpace: interning
+// and expansion enumeration. Run accounting lives in Run cursors, so views
+// sharing a core run concurrently.
 //
 // States live in flat arenas addressed by id so the enumeration inner loop
 // touches no per-state allocations and no hashed containers: the per-level
@@ -72,13 +78,6 @@ type downsetCore struct {
 	posInLevel []int   // stage -> position within its level chain
 	preds      [][]int // stage -> distinct predecessors
 
-	// runMu serializes whole runs: per-method locking (mu) keeps the data
-	// structures consistent, but a run's indices are only meaningful within
-	// its own epoch, so BeginRun through the last RunID/CoutRun/
-	// ExpansionsInRun call must not interleave with another run. Solvers
-	// hold it for the duration of a Solve via LockRun/UnlockRun.
-	runMu sync.Mutex
-
 	mu     sync.Mutex
 	stride int     // bytes per state in counts: one per elevation level
 	words  int     // uint64 words per state in bits: (n+63)/64
@@ -86,15 +85,27 @@ type downsetCore struct {
 	bits   []uint64
 	size   []int // id -> number of included stages
 
+	// published is the bits arena, resliced to its capacity and replaced
+	// whenever interning reallocates it, for readers that hold no lock
+	// (Cout). A reader only asks for ids it obtained under mu, after their
+	// bits were written; interned bits never change, and later interning
+	// writes only to other words of the arena or to a new one, so the read
+	// is ordered and race-free.
+	published atomic.Pointer[[]uint64]
+
 	// table is the open-addressed intern index (FNV-1a over the count bytes,
 	// linear probing, power-of-two capacity, -1 = empty slot): it replaces
 	// the old map[string]int and its per-lookup key materialization.
 	table []int32
 
-	lastSeen   []int // id -> epoch that last touched it
-	epoch      int
-	runIDs     []int // run index -> id, in touch order for the current epoch
-	runIndexOf []int // id -> run index (valid only when lastSeen[id] == epoch)
+	// life is the run the id-keyed API charges (restarted by BeginRun).
+	life *Run
+
+	// idle holds closed cursors for reuse, so a run's id-indexed tables are
+	// recycled rather than reallocated per Solve. Guarded by idleMu, so
+	// opening a run never waits on another run's interning.
+	idleMu sync.Mutex
+	idle   []*Run
 
 	// exp memoizes enumerations per source downset (id-indexed; valid marks
 	// computed entries), tagged with the work budget they were computed at. A
@@ -176,8 +187,10 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 		words:      (n + 63) / 64,
 		table:      newInternTable(1 << 8),
 		maxStates:  maxStates,
-		epoch:      1,
 	}
+	// The lifetime run starts here, so the constructor's own visits of the
+	// empty and full sets are charged to it.
+	c.life = &Run{core: c, epoch: 1}
 	for y, lv := range levels {
 		for p, s := range lv {
 			c.levelOf[s] = y
@@ -189,7 +202,7 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	}
 	empty := make([]uint8, len(levels))
 	var err error
-	c.emptyID, err = c.visit(empty)
+	c.emptyID, err = c.visit(c.life, empty)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +210,7 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	for y, lv := range levels {
 		full[y] = uint8(len(lv))
 	}
-	c.fullID, err = c.visit(full)
+	c.fullID, err = c.visit(c.life, full)
 	if err != nil {
 		return nil, err
 	}
@@ -205,60 +218,136 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 }
 
 // viewFor binds the core to one volume scale. The view starts with an empty
-// cut cache; the interned lattice and run accounting are the core's.
+// cut cache; the interned lattice is the core's.
 func (c *downsetCore) viewFor(g *Graph) *DownsetSpace {
 	return &DownsetSpace{core: c, g: g}
 }
 
-// BeginRun opens a fresh budget epoch: the run that follows may touch up to
-// maxStates distinct downsets (the empty and full sets count, as they do for
-// a freshly constructed space). Solvers call it once per Solve so that a
-// space shared across periods — or across the volume scales of a graph
-// family — behaves exactly like a per-run space.
+// Run is one solver run's budget cursor over a space: it charges the state
+// budget for every distinct downset the run touches (the empty and full sets
+// count, as they do for a freshly constructed space) and gives each touched
+// downset a dense run index — its position in touch order, empty = 0,
+// full = 1. Because touches happen in the same order whether the space is
+// fresh or warmed, run indices are history-independent: the DPA1D dynamic
+// program uses them as state keys so that its tables, iteration order and
+// floating-point tie-breaking are identical either way — and sized by this
+// run's states, not by whatever earlier runs left interned.
 //
-// Within an epoch every touched downset also receives a dense run index
-// (its position in touch order, empty = 0, full = 1). Because touches happen
-// in the same order whether the space is fresh or warmed, run indices are
-// history-independent: the DPA1D dynamic program uses them as state keys so
-// that its tables, iteration order and floating-point tie-breaking are
-// identical either way — and sized by this run's states, not by whatever
-// earlier runs left interned.
+// A Run is owned by one goroutine; runs never share accounting, so a space
+// shared across periods, goroutines or the volume scales of a graph family
+// behaves exactly like a per-run space for each of them.
+type Run struct {
+	core *downsetCore
+	ds   *DownsetSpace // the view NewRun was called on (nil for the lifetime run)
+
+	epoch   int
+	ids     []int // run index -> id, in touch order
+	seen    []int // id -> epoch that last touched it
+	indexOf []int // id -> run index (valid only when seen[id] == epoch)
+}
+
+// begin restarts the cursor: a new epoch with only the empty and full sets
+// touched.
+func (r *Run) begin() {
+	c := r.core
+	r.epoch++
+	r.ids = r.ids[:0]
+	// The constructor charges the empty and full sets; mirror that here so
+	// every run's accounting matches a fresh space's.
+	_ = r.touch(c.emptyID)
+	_ = r.touch(c.fullID)
+}
+
+// touch records that the run uses downset id, charging the budget and
+// assigning the run index on the first touch.
+func (r *Run) touch(id int) error {
+	if id >= len(r.seen) {
+		grow := id + 1 - len(r.seen)
+		r.seen = append(r.seen, make([]int, grow)...) // 0 predates every epoch
+		r.indexOf = append(r.indexOf, make([]int, grow)...)
+	}
+	if r.seen[id] == r.epoch {
+		return nil
+	}
+	if len(r.ids) >= r.core.maxStates {
+		return ErrStateLimit
+	}
+	r.seen[id] = r.epoch
+	r.indexOf[id] = len(r.ids)
+	r.ids = append(r.ids, id)
+	return nil
+}
+
+// NewRun opens a run on the space: it may touch up to maxStates distinct
+// downsets. Solvers open one per Solve and Close it when done.
+func (ds *DownsetSpace) NewRun() *Run {
+	c := ds.core
+	c.idleMu.Lock()
+	var r *Run
+	if n := len(c.idle); n > 0 {
+		r, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		r = &Run{core: c}
+	}
+	c.idleMu.Unlock()
+	r.ds = ds
+	r.begin()
+	return r
+}
+
+// Close returns the cursor for reuse by a later run; r must not be used
+// afterwards.
+func (r *Run) Close() {
+	c := r.core
+	r.ds = nil
+	c.idleMu.Lock()
+	c.idle = append(c.idle, r)
+	c.idleMu.Unlock()
+}
+
+// Count returns the number of distinct downsets the run has touched.
+func (r *Run) Count() int { return len(r.ids) }
+
+// ID returns the global id of the downset with run index k.
+func (r *Run) ID(k int) int { return r.ids[k] }
+
+// Cout is DownsetSpace.Cout keyed by the run index of the downset, under the
+// volumes of the view the run was opened on.
+func (r *Run) Cout(k int) float64 { return r.ds.Cout(r.ids[k]) }
+
+// Expansions is DownsetSpace.Expansions keyed by run indices: k is the run
+// index of the source downset, and To in the returned expansions is a run
+// index too. This is the DPA1D entry point: run indices are dense and
+// identical between fresh and warmed spaces, so the DP can key its tables by
+// them directly. The core's mutex is held only while the enumeration is
+// looked up or built; the replay that charges this run happens outside it.
+func (r *Run) Expansions(k int, maxWork float64) ([]Expansion, error) {
+	c := r.core
+	c.mu.Lock()
+	entry, err := c.ensureExpansionsLocked(r, r.ids[k], maxWork)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Expansion, 0, len(entry.exps))
+	err = r.replay(entry, maxWork, func(ex Expansion) {
+		// Every emitted To was just touched, so its run index is current.
+		out = append(out, Expansion{To: r.indexOf[ex.To], ChunkWork: ex.ChunkWork})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// BeginRun restarts the lifetime run the id-keyed methods (Expansions,
+// AllDownsets) charge: the calls that follow may touch up to maxStates
+// distinct downsets, exactly as on a freshly constructed space.
 func (ds *DownsetSpace) BeginRun() {
 	c := ds.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
-	c.runIDs = c.runIDs[:0]
-	// The constructor counts the empty and full sets; mirror that here so a
-	// warmed run's accounting matches a fresh space's.
-	_ = c.touch(c.emptyID)
-	_ = c.touch(c.fullID)
-}
-
-// LockRun gives the caller exclusive use of the run-scoped API — BeginRun,
-// RunCount, RunID, CoutRun, ExpansionsInRun — until UnlockRun. Run indices
-// are only meaningful within their own epoch, so a solver sharing the space
-// with other goroutines (or sharing its core with sibling volume scales)
-// must hold the run lock for its whole Solve; the per-method mutex alone
-// cannot prevent a concurrent BeginRun from invalidating indices mid-run.
-func (ds *DownsetSpace) LockRun() { ds.core.runMu.Lock() }
-
-// UnlockRun releases the exclusivity acquired by LockRun.
-func (ds *DownsetSpace) UnlockRun() { ds.core.runMu.Unlock() }
-
-// RunCount returns the number of distinct downsets touched in the current
-// run (epoch).
-func (ds *DownsetSpace) RunCount() int {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return len(ds.core.runIDs)
-}
-
-// RunID returns the global id of the downset with run index k.
-func (ds *DownsetSpace) RunID(k int) int {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return ds.core.runIDs[k]
+	c.life.begin()
 }
 
 // EmptyID returns the id of the empty downset.
@@ -337,13 +426,12 @@ func (c *downsetCore) growTable() {
 	c.table = nt
 }
 
-// intern appends a new downset to the arenas and charges the run budget.
+// intern appends a new downset to the arenas and charges run r's budget.
 // The budget is checked before any state is written so a rejected downset is
-// not retained; with c.mu held, the touch below then succeeds on the same
-// condition. Callers hold c.mu and have established that counts is not yet
-// interned.
-func (c *downsetCore) intern(counts []uint8) (int, error) {
-	if len(c.runIDs) >= c.maxStates {
+// not retained; the touch below then succeeds on the same condition. Callers
+// hold c.mu and have established that counts is not yet interned.
+func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
+	if len(r.ids) >= c.maxStates {
 		return -1, ErrStateLimit
 	}
 	id := len(c.size)
@@ -359,9 +447,13 @@ func (c *downsetCore) intern(counts []uint8) (int, error) {
 	c.table[i] = int32(id)
 
 	c.counts = append(c.counts, counts...)
-	base := len(c.bits)
+	base, oldCap := len(c.bits), cap(c.bits)
 	for w := 0; w < c.words; w++ {
 		c.bits = append(c.bits, 0)
+	}
+	if cap(c.bits) != oldCap {
+		arena := c.bits[:cap(c.bits)]
+		c.published.Store(&arena)
 	}
 	sz := 0
 	for y, cnt := range counts {
@@ -372,36 +464,19 @@ func (c *downsetCore) intern(counts []uint8) (int, error) {
 		}
 	}
 	c.size = append(c.size, sz)
-	c.lastSeen = append(c.lastSeen, 0) // 0 predates every epoch: untouched
-	c.runIndexOf = append(c.runIndexOf, 0)
 	c.exp = append(c.exp, expEntry{})
 	c.dfsSeen = append(c.dfsSeen, 0)
-	return id, c.touch(id)
-}
-
-// touch records that the current run uses downset id, charging the run
-// budget and assigning the run index on the first touch. Callers hold c.mu.
-func (c *downsetCore) touch(id int) error {
-	if c.lastSeen[id] == c.epoch {
-		return nil
-	}
-	if len(c.runIDs) >= c.maxStates {
-		return ErrStateLimit
-	}
-	c.lastSeen[id] = c.epoch
-	c.runIndexOf[id] = len(c.runIDs)
-	c.runIDs = append(c.runIDs, id)
-	return nil
+	return id, r.touch(id)
 }
 
 // visit returns the id of the downset with the given counts, interning it if
-// new, and charges the run budget (through touch, the single charging path).
-// Callers hold c.mu.
-func (c *downsetCore) visit(counts []uint8) (int, error) {
+// new, and charges run r's budget (through Run.touch, the single charging
+// path). Callers hold c.mu.
+func (c *downsetCore) visit(r *Run, counts []uint8) (int, error) {
 	if id, ok := c.lookup(counts); ok {
-		return id, c.touch(id)
+		return id, r.touch(id)
 	}
-	return c.intern(counts)
+	return c.intern(r, counts)
 }
 
 // Contains reports whether stage s belongs to downset id.
@@ -412,10 +487,14 @@ func (ds *DownsetSpace) Contains(id, s int) bool {
 }
 
 // contains answers membership from the per-state bitset: one word load
-// instead of the level/position translation, which is what the Cout edge
-// loop spends its time on.
+// instead of the level/position translation.
 func (c *downsetCore) contains(id, s int) bool {
-	return c.bits[id*c.words+(s>>6)]>>(uint(s)&63)&1 != 0
+	return hasStage(c.bits[id*c.words:(id+1)*c.words], s)
+}
+
+// hasStage reports whether stage s is set in one state's bitset.
+func hasStage(bits []uint64, s int) bool {
+	return bits[s>>6]>>(uint(s)&63)&1 != 0
 }
 
 // Members returns the stages of downset id in no particular order.
@@ -457,19 +536,8 @@ func (ds *DownsetSpace) Diff(from, to int) []int {
 // is filled by summing that scale's edge volumes in edge order — the same
 // arithmetic a fresh space would use.
 func (ds *DownsetSpace) Cout(id int) float64 {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return ds.coutLocked(id)
-}
-
-// CoutRun is Cout keyed by the run index of the downset.
-func (ds *DownsetSpace) CoutRun(k int) float64 {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return ds.coutLocked(ds.core.runIDs[k])
-}
-
-func (ds *DownsetSpace) coutLocked(id int) float64 {
+	ds.cutMu.Lock()
+	defer ds.cutMu.Unlock()
 	for len(ds.coutCache) <= id {
 		ds.coutCache = append(ds.coutCache, -1)
 	}
@@ -477,9 +545,10 @@ func (ds *DownsetSpace) coutLocked(id int) float64 {
 		return v
 	}
 	c := ds.core
+	bits := (*c.published.Load())[id*c.words : (id+1)*c.words]
 	var total float64
 	for _, e := range ds.g.Edges {
-		if c.contains(id, e.Src) && !c.contains(id, e.Dst) {
+		if hasStage(bits, e.Src) && !hasStage(bits, e.Dst) {
 			total += e.Volume
 		}
 	}
@@ -489,64 +558,35 @@ func (ds *DownsetSpace) coutLocked(id int) float64 {
 
 // Expansions enumerates every downset obtainable from id by adding stages
 // whose total weight does not exceed maxWork (at least one stage is added).
-// The run budget is charged for id and every returned downset, in
+// The lifetime run's budget is charged for id and every returned downset, in
 // enumeration order, so replays and fresh enumerations account identically.
 func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error) {
 	c := ds.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entry, err := c.ensureExpansionsLocked(id, maxWork)
+	entry, err := c.ensureExpansionsLocked(c.life, id, maxWork)
 	if err != nil {
 		return nil, err
 	}
-	if entry.maxWork == maxWork {
-		if err := c.replayLocked(entry, maxWork, func(Expansion) {}); err != nil {
-			return nil, err
-		}
-		return entry.exps, nil
-	}
 	out := make([]Expansion, 0, len(entry.exps))
-	err = c.replayLocked(entry, maxWork, func(ex Expansion) { out = append(out, ex) })
+	err = c.life.replay(entry, maxWork, func(ex Expansion) { out = append(out, ex) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ExpansionsInRun is Expansions keyed by run indices: k is the run index of
-// the source downset, and To in the returned expansions is a run index too.
-// This is the DPA1D entry point: run indices are dense and identical between
-// fresh and warmed spaces, so the DP can key its tables by them directly.
-func (ds *DownsetSpace) ExpansionsInRun(k int, maxWork float64) ([]Expansion, error) {
-	c := ds.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	entry, err := c.ensureExpansionsLocked(c.runIDs[k], maxWork)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Expansion, 0, len(entry.exps))
-	err = c.replayLocked(entry, maxWork, func(ex Expansion) {
-		// Every emitted To was just touched, so its run index is current.
-		out = append(out, Expansion{To: c.runIndexOf[ex.To], ChunkWork: ex.ChunkWork})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// replayLocked replays a cached enumeration at a (possibly smaller) work
-// budget: it charges the run budget for every fitting expansion in
-// enumeration order — the exact accounting a fresh DFS would perform, which
-// is what keeps warmed and fresh spaces bit-identical — and hands each one
-// to emit. Callers hold c.mu.
-func (c *downsetCore) replayLocked(entry expEntry, maxWork float64, emit func(Expansion)) error {
+// replay replays a cached enumeration at a (possibly smaller) work budget:
+// it charges the run's budget for every fitting expansion in enumeration
+// order — the exact accounting a fresh DFS would perform, which is what
+// keeps warmed and fresh spaces bit-identical — and hands each one to emit.
+// Entries are immutable once built, so the replay needs no lock.
+func (r *Run) replay(entry expEntry, maxWork float64, emit func(Expansion)) error {
 	for _, ex := range entry.exps {
 		if ex.ChunkWork > maxWork {
 			continue
 		}
-		if err := c.touch(ex.To); err != nil {
+		if err := r.touch(ex.To); err != nil {
 			return err
 		}
 		emit(ex)
@@ -556,7 +596,7 @@ func (c *downsetCore) replayLocked(entry expEntry, maxWork float64, emit func(Ex
 
 // ensureExpansionsLocked returns the cached enumeration for id, running the
 // depth-first enumeration at maxWork when no entry at that budget (or a
-// larger one) exists. The DFS charges the run budget for every state it
+// larger one) exists. The DFS charges run r's budget for every state it
 // visits — a state already interned by an earlier run is touched without
 // re-interning, a genuinely new one is interned, and a state already seen by
 // this DFS is skipped without a charge, exactly the accounting the old
@@ -566,11 +606,11 @@ func (c *downsetCore) replayLocked(entry expEntry, maxWork float64, emit func(Ex
 // one enumeration serves every volume scale sharing the core. Callers hold
 // c.mu and must not modify entry.exps (the cached slice is returned without
 // copying; every caller in this file only reads or re-filters it).
-func (c *downsetCore) ensureExpansionsLocked(id int, maxWork float64) (expEntry, error) {
+func (c *downsetCore) ensureExpansionsLocked(r *Run, id int, maxWork float64) (expEntry, error) {
 	if e := c.exp[id]; e.valid && e.maxWork >= maxWork {
-		return e, c.touch(id)
+		return e, r.touch(id)
 	}
-	if err := c.touch(id); err != nil {
+	if err := r.touch(id); err != nil {
 		return expEntry{}, err
 	}
 	counts := make([]uint8, c.stride)
@@ -601,9 +641,9 @@ func (c *downsetCore) ensureExpansionsLocked(id int, maxWork float64) (expEntry,
 			to, ok := c.lookup(counts)
 			if !ok || c.dfsSeen[to] != c.dfsEpoch {
 				if ok {
-					err = c.touch(to)
+					err = r.touch(to)
 				} else {
-					to, err = c.intern(counts)
+					to, err = c.intern(r, counts)
 				}
 				if err != nil {
 					counts[y]--
@@ -659,7 +699,7 @@ func (ds *DownsetSpace) AllDownsets() ([]int, error) {
 				continue
 			}
 			counts[y]++
-			to, err := c.visit(counts)
+			to, err := c.visit(c.life, counts)
 			counts[y]--
 			if err != nil {
 				return nil, err

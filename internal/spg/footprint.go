@@ -217,8 +217,8 @@ func (s *bandShape) footprint() int64 {
 }
 
 // footprint estimates the interned lattice: the flat count/bitset arenas,
-// the open-addressed intern table, run accounting and the memoized expansion
-// enumerations. This is the dominant term on large-elevation workloads (a
+// the open-addressed intern table, retained run cursors and the memoized
+// expansion enumerations. This is the dominant term on large-elevation workloads (a
 // 150k-state space with its enumerations runs to hundreds of MB), which is
 // exactly why the campaign cache re-estimates footprints as spaces grow.
 func (c *downsetCore) footprint() int64 {
@@ -228,8 +228,15 @@ func (c *downsetCore) footprint() int64 {
 	var b int64
 	// Flat arenas: counts bytes, membership bitset words, intern table slots.
 	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.table))*4
-	// size, lastSeen, runIndexOf, dfsSeen, runIDs.
-	b += states*4*8 + int64(cap(c.runIDs))*8
+	// size and dfsSeen, plus the id-indexed tables of the retained run
+	// cursors (the lifetime run and the idle ones kept for reuse).
+	b += states * 2 * 8
+	b += c.life.footprint()
+	c.idleMu.Lock()
+	for _, r := range c.idle {
+		b += r.footprint()
+	}
+	c.idleMu.Unlock()
 	// Expansion memo: one fixed entry per state plus the cached enumerations.
 	b += states * (sliceHeaderBytes + 16)
 	for i := range c.exp {
@@ -247,7 +254,13 @@ func (c *downsetCore) footprint() int64 {
 // viewFootprint estimates the per-scale half of a downset view (the cut
 // cache); the shared core is counted by the family.
 func (ds *DownsetSpace) viewFootprint() int64 {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
+	ds.cutMu.Lock()
+	defer ds.cutMu.Unlock()
 	return sliceHeaderBytes + int64(cap(ds.coutCache))*8
+}
+
+// footprint estimates a run cursor's tables: run index -> id, and the
+// id-indexed epoch stamps and run indices.
+func (r *Run) footprint() int64 {
+	return 3*sliceHeaderBytes + int64(cap(r.ids)+cap(r.seen)+cap(r.indexOf))*8
 }

@@ -55,13 +55,10 @@ func TestMemoryFootprintGrowsWithStructures(t *testing.T) {
 
 	// Enumeration keeps interning states: the estimate must track growth,
 	// which is why the cache re-estimates on every hit.
-	ds.LockRun()
 	ds.BeginRun()
 	if _, err := ds.Expansions(ds.EmptyID(), 1e18); err != nil {
-		ds.UnlockRun()
 		t.Fatal(err)
 	}
-	ds.UnlockRun()
 	afterEnum := an.MemoryFootprint()
 	if afterEnum <= afterSpace {
 		t.Errorf("enumeration did not grow the footprint: %d -> %d", afterSpace, afterEnum)
