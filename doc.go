@@ -61,7 +61,8 @@
 // determined. A verdict is keyed by the run's decisions, not by the grid: it
 // records the processor layer the budget ran out in and replays on every
 // chain of at least that many cores, so the 6x6 campaign replays the 4x4
-// campaign's failures.
+// campaign's failures. A run also reports the largest cut it checked,
+// which Layer 2 uses to share its verdict across the family.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -74,11 +75,17 @@
 // all four CCR cells of an application from one base analysis. DPA1D
 // verdicts reach this scope too. A run reads volumes only through its cut
 // check, so a run whose cut check rejected no state is volume-free: it
-// publishes its verdict to the family, and any member whose total edge
-// volume fits the link capacity (so that no cut check of its own can fire)
-// replays it. Such members also wait for a sibling already running the same
-// verdict key instead of repeating its enumeration alongside it. Verdicts
-// from runs that did reject a state stay with their member.
+// publishes its verdict to the family with a max-cut certificate, the
+// largest cut it checked and the recorder's edge volumes. A member replays
+// the verdict when no cut check of its own can fire on those states: its
+// total edge volume fits the link capacity, or the largest cut scaled by ρ,
+// the member's largest per-edge volume ratio to the recorder, still fits it
+// with a rounding margin (the derivation is on core's familyVerdicts). So a
+// heavy CCR variant, whose total volume exceeds BW·T, replays its light
+// sibling's state explosion too. Every member waits for a sibling already
+// running the same verdict key instead of repeating its enumeration
+// alongside it. Verdicts from runs that did reject a state stay with their
+// member.
 //
 // Layer 3 — campaign scope. engine.AnalysisCache (re-exported as
 // experiments.AnalysisCache) is a bounded, workload-identity-keyed LRU
@@ -199,7 +206,11 @@
 // period, heuristic) cell at any worker count, cached or not.
 //
 // Three executors implement the seam. PoolExecutor runs cells on an
-// in-process worker pool. ShardExecutor is the original distributed layer:
+// in-process worker pool. engine.Run hands it the cells family-interleaved,
+// round-robin across workload families in order of first appearance:
+// concurrent workers then solve different applications instead of CCR
+// siblings that would wait on each other's DPA1D verdicts. Results stay
+// indexed by cell, so the schedule changes no byte. ShardExecutor is the original distributed layer:
 // it partitions the cell index space into balanced contiguous ranges, ships
 // each range's specs once, up front, to a static worker list over HTTP/JSON
 // (POST /v1/cells/execute), reassembles the wire results at their absolute

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"spgcmp/internal/mapping"
@@ -231,52 +232,172 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 	bm.sol[key] = copyChunks(chunks)
 }
 
-// familyVerdicts holds the volume-free budget verdicts of a scale family.
-// A run reads edge volumes in two places only: the cut check, which skips a
-// state whose cut exceeds the link capacity, and the communication energy,
-// whose magnitude changes finite DP values but never which states are
-// expanded, the layer's progress or the budget counts. A run whose cut
-// check rejected no state therefore explores exactly what any member would
-// explore if its cut check could not fire — which is guaranteed when the
-// member's cutBound is within the link capacity. Such runs publish their
-// verdicts here, and every member meeting that bound replays them: the CCR
-// variants of a workload stop re-burning one state explosion each.
+// familyVerdicts holds the budget verdicts a scale family shares. A run
+// reads edge volumes in two places only: the cut check, which skips a state
+// whose cut exceeds the link capacity, and the communication energy, whose
+// magnitude changes finite DP values but never which states are expanded,
+// the layer's progress or the budget counts. A run whose cut check rejected
+// no state therefore explores exactly what a member would explore if its
+// own cut check rejected none of the same states. Such runs publish their
+// verdicts here, and a member replays one when either certificate below
+// shows that its cut check cannot fire on those states:
+//
+//   - Its cutBound is within the link capacity: no cut of the member
+//     exceeds it at all (the CCR variants light enough for the link).
+//   - Max-cut: ρ·maxCut·(1+8(|E|+4)u) ≤ LinkCapacity(T), where maxCut is
+//     the largest cut the recorded run computed, u = 2⁻⁵³, and
+//     ρ = max v_m(e)/v_r(e) over the edges with v_m(e) > 0, comparing the
+//     member's volumes v_m with the recorder's v_r (+Inf if some such
+//     v_r(e) is 0; see cutScale).
+//
+// Why the max-cut certificate is sound. The member's run and the recorded
+// one share the key, the stage weights and so the lattice, so the two runs
+// check the same states in the same order until the member's check first
+// rejects a state the recorder's accepted: only a rejection can make them
+// diverge. Every state D checked up to that point was checked by the
+// recorder, so its recorded cut is at most maxCut. Both cuts of D are
+// recursive sums, in edge order, of n ≤ |E| non-negative terms over the
+// same edges, so with γ = (n−1)u/(1−(n−1)u) each computed sum is within a
+// factor 1±γ of its exact value; and per edge v_m(e) ≤ ρ·v_r(e)/(1−u),
+// since ρ holds rounded quotients. Hence
+//
+//	cut_m(D) ≤ (1+γ)/((1−γ)(1−u)) · ρ · cut_r(D) ≤ (1+γ)/((1−γ)(1−u)) · ρ · maxCut.
+//
+// The certificate's two products round down by at most a factor (1−u)²
+// (barring underflow, as throughout), so it bounds cut_m(D) whenever
+// (1+γ)/((1−γ)(1−u)³) ≤ 1+8(|E|+4)u. That holds for every |E| ≤ 2⁴⁹,
+// where the left side stays below 1+3|E|u+5u; the margin itself is an
+// exact double. So the member rejects none of the recorder's states: its
+// run is the recorded run, up to the same budget failure, and its verdict
+// is the recorded verdict.
 //
 // The store also gates identical runs: a member about to run a key that a
 // sibling is already running waits for the sibling's verdict instead of
 // repeating its enumeration alongside it.
 type familyVerdicts struct {
-	verdictStore
-	running map[verdictKey]chan struct{} // closed when the run finishes; under the store's mutex
+	mu       sync.Mutex
+	m        map[verdictKey]familyVerdict
+	running  map[verdictKey]struct{}
+	released sync.Cond // broadcast whenever a running key is released; L is &mu
+}
+
+// familyVerdict is a published verdict with its max-cut certificate: the
+// largest cut the recorded run computed and the recorder's graph, an
+// immutable family member whose edge volumes scale that cut to any other
+// member's.
+type familyVerdict struct {
+	verdict
+	maxCut float64
+	rec    *spg.Graph
 }
 
 type familyVerdictsAuxKey struct{}
 
 func familyVerdictsFor(an *spg.Analysis) *familyVerdicts {
 	return an.Aux(familyVerdictsAuxKey{}, func() any {
-		return &familyVerdicts{running: make(map[verdictKey]chan struct{})}
+		fv := &familyVerdicts{
+			m:       make(map[verdictKey]familyVerdict),
+			running: make(map[verdictKey]struct{}),
+		}
+		fv.released.L = &fv.mu
+		return fv
 	}).(*familyVerdicts)
 }
 
-// claim registers the caller as running key and returns nil, or — when a
-// sibling already runs it — returns a channel closed once that run is done.
-// A nil return obliges the caller to release the key.
-func (fv *familyVerdicts) claim(key verdictKey) <-chan struct{} {
+// lookup returns the recorded error for key if it applies to a chain of
+// cores processors and either certificate (see familyVerdicts) admits
+// member g, whose cutBound is bound, at link capacity linkCap; nil
+// otherwise. ρ is computed only for a heavy member that has a verdict to
+// replay.
+func (fv *familyVerdicts) lookup(key verdictKey, cores int, g *spg.Graph, bound, linkCap float64) error {
+	fv.mu.Lock()
+	v, ok := fv.m[key]
+	fv.mu.Unlock()
+	if !ok || v.layer > cores {
+		return nil
+	}
+	if bound <= linkCap || cutScale(g, v.rec)*v.maxCut*cutMargin(len(g.Edges)) <= linkCap {
+		return v.err
+	}
+	return nil
+}
+
+func (fv *familyVerdicts) record(key verdictKey, v familyVerdict) {
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	if done, ok := fv.running[key]; ok {
-		return done
+	fv.m[key] = v
+}
+
+// MemoryFootprint implements spg.Footprinter with the flat constants the spg
+// estimates use. The recorder's graph belongs to its member analysis and is
+// not counted here.
+func (fv *familyVerdicts) MemoryFootprint() int64 {
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	const entryBytes = int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes
+	var b int64
+	for k := range fv.m {
+		b += entryBytes + int64(len(k.ladder))
 	}
-	fv.running[key] = make(chan struct{})
-	return nil
+	return b
+}
+
+// cutScale returns ρ, the largest ratio of member m's edge volume to the
+// recorder r's over the edges where m's volume is not zero: every cut of m
+// is at most ρ times the same cut of r, up to rounding. It is +Inf when an
+// edge with v_m ≠ 0 has v_r ≤ 0, and NaN — which fails every certificate —
+// when a volume is NaN. m and r are members of one scale family, so their
+// edges correspond index by index.
+func cutScale(m, r *spg.Graph) float64 {
+	rho := 0.0
+	for i, e := range m.Edges {
+		if e.Volume == 0 {
+			continue
+		}
+		vr := r.Edges[i].Volume
+		if !(vr > 0) {
+			return math.Inf(1)
+		}
+		rho = math.Max(rho, e.Volume/vr)
+	}
+	return rho
+}
+
+// cutMargin is the max-cut certificate's rounding factor 1+8(edges+4)·2⁻⁵³.
+func cutMargin(edges int) float64 {
+	return 1 + math.Ldexp(float64(8*(edges+4)), -53)
+}
+
+// claim registers the caller as running key and reports true, or — when a
+// sibling already runs it — waits until no sibling does and reports false,
+// so the caller looks at the stores again. A true return obliges the caller
+// to release the key.
+func (fv *familyVerdicts) claim(key verdictKey) bool {
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	if _, busy := fv.running[key]; !busy {
+		fv.running[key] = struct{}{}
+		return true
+	}
+	for {
+		fv.released.Wait()
+		if _, busy := fv.running[key]; !busy {
+			return false
+		}
+	}
 }
 
 func (fv *familyVerdicts) release(key verdictKey) {
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	close(fv.running[key])
 	delete(fv.running, key)
+	fv.released.Broadcast()
 }
+
+// dpa1dWork counts the DPA1D runs this process executed — Solves that got
+// past every memo and verdict replay — and how many of them ran out of
+// budget. Work-count regression tests read it.
+var dpa1dWork struct{ runs, budgetFailures atomic.Int64 }
 
 // Solve implements Heuristic.
 func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
@@ -292,13 +413,9 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		ladder: speedLadderSig(pl),
 	}
 	cores := pl.NumCores()
-	memo := budgetMemoFor(inst.Analysis)
-	// A member whose every cut fits the link runs volume-free, so it shares
-	// the family's verdicts and its in-flight runs.
-	var family *familyVerdicts
-	if memo.cutBound <= pl.LinkCapacity(T) {
-		family = familyVerdictsFor(inst.Analysis)
-	}
+	an := inst.Analysis
+	memo := budgetMemoFor(an)
+	family := familyVerdictsFor(an)
 	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl)}
 	for {
 		// A budget failure recorded for this configuration replays
@@ -307,10 +424,8 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		if err := memo.verdicts.lookup(key, cores); err != nil {
 			return nil, err
 		}
-		if family != nil {
-			if err := family.lookup(key, cores); err != nil {
-				return nil, err
-			}
+		if err := family.lookup(key, cores, an.Graph(), memo.cutBound, pl.LinkCapacity(T)); err != nil {
+			return nil, err
 		}
 		// A memoized successful run replays its chunk sequence straight
 		// through finishSnake: the DP is deterministic given the key, the
@@ -320,19 +435,14 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		if chunks, ok := memo.solution(solKey); ok {
 			return finishSnake(h.Name(), inst, chunks)
 		}
-		if family == nil {
-			break
-		}
-		// A sibling running the same key will record its verdict before it
+		// A sibling running the same key records its verdict before it
 		// releases the key; wait for it, then look again.
-		done := family.claim(key)
-		if done == nil {
-			defer family.release(key)
+		if family.claim(key) {
 			break
 		}
-		<-done
 	}
-	ds, err := inst.Analysis.DownsetSpace(h.MaxStates)
+	defer family.release(key)
+	ds, err := an.DownsetSpace(h.MaxStates)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 	}
@@ -341,18 +451,20 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	// a freshly built one would, whatever other runs do concurrently.
 	run := ds.NewRun()
 	defer run.Close()
+	dpa1dWork.runs.Add(1)
 	chunks, tr, err := solve1D(inst, ds, run, h.MaxTransitions)
 	if err != nil {
 		if errors.Is(err, ErrBudget) {
+			dpa1dWork.budgetFailures.Add(1)
 			// A partially enumerated space is dead weight for future runs;
 			// drop it so the next period starts from a fresh space, exactly
 			// like the uncached path — and remember the verdict so the next
 			// identical run skips the burn altogether.
-			inst.Analysis.EvictDownsetSpace(h.MaxStates, ds)
+			an.EvictDownsetSpace(h.MaxStates, ds)
 			v := verdict{layer: tr.layer, err: err}
 			memo.verdicts.record(key, v)
 			if !tr.cutRejected {
-				familyVerdictsFor(inst.Analysis).record(key, v)
+				family.record(key, familyVerdict{verdict: v, maxCut: tr.maxCut, rec: an.Graph()})
 			}
 		}
 		return nil, err
@@ -362,11 +474,13 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 }
 
 // runTrace is what a DPA1D run reports besides its chunks, for its budget
-// verdict: the processor layer it stopped in and whether its cut check
-// rejected any state.
+// verdict: the processor layer it stopped in, whether its cut check
+// rejected any state, and the largest cut it computed (the max-cut
+// certificate's maxCut, see familyVerdicts).
 type runTrace struct {
 	layer       int
 	cutRejected bool
+	maxCut      float64
 }
 
 // solve1D runs the Theorem 1 DP on a uni-directional chain of
@@ -443,10 +557,12 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 			cuts = append(cuts, -1)
 		}
 	}
+	tr := runTrace{layer: 1}
 	cutOf := func(id int) float64 {
 		growState(id)
 		if cuts[id] < 0 {
 			cuts[id] = run.Cout(id)
+			tr.maxCut = math.Max(tr.maxCut, cuts[id])
 		}
 		return cuts[id]
 	}
@@ -471,7 +587,6 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 
 	// Layer k holds E(D, k): minimal energy to run downset D on exactly the
 	// first k processors of the chain.
-	tr := runTrace{layer: 1}
 	prev := newLayer(runStates)
 	first, err := expand(empty)
 	if err != nil {

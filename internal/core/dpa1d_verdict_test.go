@@ -117,9 +117,7 @@ func TestDPA1DSharedVerdictsMatchFresh(t *testing.T) {
 								}
 								// A budget failure the member never recorded itself
 								// was answered by a sibling's family verdict.
-								key := verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
-									bw: pl.BW, ladder: speedLadderSig(pl)}
-								if _, own := budgetMemoFor(an).verdicts.m[key]; got.budget && !own {
+								if _, own := budgetMemoFor(an).verdicts.m[solveKey(h, pl, T)]; got.budget && !own {
 									fromFamily++
 								}
 							}
@@ -177,8 +175,7 @@ func TestDPA1DLayerVerdictNotReplayedOnShorterChain(t *testing.T) {
 	if got := solveOutcome(h, big); !got.budget {
 		t.Fatalf("4x4 run: %v, want a budget failure", got)
 	}
-	key := verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
-		bw: big.Platform.BW, ladder: speedLadderSig(big.Platform)}
+	key := solveKey(h, big.Platform, T)
 	v, ok := budgetMemoFor(an).verdicts.m[key]
 	if !ok || v.layer <= 4 || v.layer > 16 {
 		t.Fatalf("recorded verdict %+v (ok %v), want a layer in (4, 16]", v, ok)
@@ -226,9 +223,10 @@ func verdictForkJoin(t *testing.T, inVol func(i int) float64) *spg.Graph {
 }
 
 // TestDPA1DHeavyMemberSkipsFamilyVerdict: a member whose total volume
-// exceeds BW*T never takes a family verdict — its cut check changes the
-// run. Here the light sibling explodes while the heavy one prunes every
-// second-layer state and simply finds no mapping.
+// exceeds BW*T and whose max-cut certificate fails does not take a family
+// verdict — its cut check changes the run. Here the light sibling explodes
+// while the heavy one, a thousand times heavier, prunes every second-layer
+// state and simply finds no mapping.
 func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
 	g := verdictForkJoin(t, func(int) float64 { return 10 })
 	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
@@ -253,6 +251,152 @@ func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
 	}
 	if got.budget {
 		t.Fatalf("heavy member replayed the family verdict: %v", got)
+	}
+}
+
+// solveKey is the verdict key of a Solve by h at period T on pl.
+func solveKey(h *DPA1D, pl *platform.Platform, T float64) verdictKey {
+	return verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
+		bw: pl.BW, ladder: speedLadderSig(pl)}
+}
+
+// solveCounted solves and reports whether the Solve executed a DPA1D run
+// (false: it replayed a verdict or a memoized solution).
+func solveCounted(h *DPA1D, inst Instance) (outcome1D, bool) {
+	before := dpa1dWork.runs.Load()
+	o := solveOutcome(h, inst)
+	return o, dpa1dWork.runs.Load() != before
+}
+
+// freshGraphOutcome solves a private clone of g on a private analysis.
+func freshGraphOutcome(h *DPA1D, g *spg.Graph, pl *platform.Platform, T float64) outcome1D {
+	c := g.Clone()
+	return solveOutcome(h, Instance{Graph: c, Platform: pl, Period: T, Analysis: spg.NewAnalysis(c)})
+}
+
+// TestDPA1DMaxCutCertificate: a heavy member — total volume past the link
+// capacity — replays a light sibling's verdict exactly when
+// ρ·maxCut·margin fits the link. The members are scaled around
+// LinkCapacity(T)/(ρ·maxCut): one just inside the certificate, one inside
+// the rounding margin only, one just past the link capacity. Each matches
+// a fresh solve bit for bit, and only the first replays.
+func TestDPA1DMaxCutCertificate(t *testing.T) {
+	g := verdictForkJoin(t, func(int) float64 { return 0.1 })
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	pl := platform.XScale(4, 4)
+	const T = 1.0
+	linkCap := pl.LinkCapacity(T)
+	fam := spg.NewAnalysis(g)
+	rec := fam.ScaleToCCR(10)
+	if cutBound(rec.Graph()) > linkCap {
+		t.Fatal("premise: the recorder must be light")
+	}
+	if got := solveOutcome(h, Instance{Graph: rec.Graph(), Platform: pl, Period: T, Analysis: rec}); !got.budget {
+		t.Fatalf("recorder: %v, want a budget failure", got)
+	}
+	fv, ok := familyVerdictsFor(fam).m[solveKey(h, pl, T)]
+	if !ok || fv.rec != rec.Graph() || !(fv.maxCut > 0) {
+		t.Fatalf("published verdict %+v (ok %v), want the recorder's with a positive max cut", fv, ok)
+	}
+	margin := cutMargin(len(g.Edges))
+
+	// Volumes scale as 1/CCR, so members near the critical CCR straddle the
+	// certificate's edge; scan them in steps of a few ulps.
+	crit := 10 * fv.maxCut * margin / linkCap
+	var inside, inMargin, outside *spg.Analysis
+	for k := -200; k <= 200; k++ {
+		m := fam.ScaleToCCR(crit * (1 + math.Ldexp(float64(k), -50)))
+		x := cutScale(m.Graph(), rec.Graph()) * fv.maxCut
+		switch {
+		case x*margin <= linkCap:
+			if inside == nil {
+				inside = m
+			}
+		case x <= linkCap:
+			inMargin = m
+		case outside == nil || m.Graph().TotalVolume() < outside.Graph().TotalVolume():
+			outside = m
+		}
+	}
+	if inside == nil || inMargin == nil || outside == nil {
+		t.Fatalf("premise: scan found inside %v, in-margin %v, outside %v", inside != nil, inMargin != nil, outside != nil)
+	}
+	for _, tc := range []struct {
+		name   string
+		an     *spg.Analysis
+		replay bool
+	}{{"inside", inside, true}, {"in-margin", inMargin, false}, {"outside", outside, false}} {
+		mg := tc.an.Graph()
+		if cutBound(mg) <= linkCap {
+			t.Fatalf("%s: premise: the member must be heavy (bound %g, link %g)", tc.name, cutBound(mg), linkCap)
+		}
+		got, ran := solveCounted(h, Instance{Graph: mg, Platform: pl, Period: T, Analysis: tc.an})
+		if want := freshGraphOutcome(h, mg, pl, T); got != want {
+			t.Errorf("%s: %v, fresh %v", tc.name, got, want)
+		}
+		if ran == tc.replay {
+			t.Errorf("%s: ran %v, want a replay %v", tc.name, ran, tc.replay)
+		}
+	}
+}
+
+// TestDPA1DZeroRecorderVolumeBlocksReplay: a recorder edge of volume 0 says
+// nothing about a member whose volume on it is positive (ρ = +Inf), so the
+// member runs even though the other edges alone would certify it. The
+// recorder is scaled so far down that one tiny edge underflows to zero.
+func TestDPA1DZeroRecorderVolumeBlocksReplay(t *testing.T) {
+	// verdictForkJoin's shape, with out-volumes heavy enough to make the
+	// member heavy while its early cuts, mostly in-volumes, fit the link.
+	middle, in, out := make([]float64, 12), make([]float64, 12), make([]float64, 12)
+	for i := range middle {
+		middle[i], in[i], out[i] = 0.3, 1.5, 0.8
+	}
+	in[0] = 1e-300
+	g, err := spg.ForkJoin(0.3, 0.3, middle, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	pl := platform.XScale(4, 4)
+	const T = 1.0
+	linkCap := pl.LinkCapacity(T)
+	fam := spg.NewAnalysis(g)
+	rec := fam.ScaleToCCR(1e30)
+	zero := -1
+	for i, e := range g.Edges {
+		if e.Volume == 1e-300 {
+			zero = i
+		}
+	}
+	if zero < 0 || rec.Graph().Edges[zero].Volume != 0 || cutBound(g) <= linkCap {
+		t.Fatalf("premise: the tiny edge must underflow in the recorder, and the member must be heavy (bound %g, link %g)", cutBound(g), linkCap)
+	}
+	if got := solveOutcome(h, Instance{Graph: rec.Graph(), Platform: pl, Period: T, Analysis: rec}); !got.budget {
+		t.Fatalf("recorder: %v, want a budget failure", got)
+	}
+	fv, ok := familyVerdictsFor(fam).m[solveKey(h, pl, T)]
+	if !ok {
+		t.Fatal("the recorder's verdict was not published")
+	}
+	// ρ over every other edge certifies the member.
+	rho := 0.0
+	for i, e := range g.Edges {
+		if i != zero && e.Volume > 0 {
+			rho = math.Max(rho, e.Volume/rec.Graph().Edges[i].Volume)
+		}
+	}
+	if rho*fv.maxCut*cutMargin(len(g.Edges)) > linkCap {
+		t.Fatalf("premise: the other edges must certify the member (ρ %g, max cut %g, link %g)", rho, fv.maxCut, linkCap)
+	}
+	if !math.IsInf(cutScale(g, rec.Graph()), 1) {
+		t.Fatalf("cutScale %g, want +Inf", cutScale(g, rec.Graph()))
+	}
+	got, ran := solveCounted(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: fam})
+	if want := freshGraphOutcome(h, g, pl, T); got != want {
+		t.Fatalf("member: %v, fresh %v", got, want)
+	}
+	if !ran {
+		t.Fatal("member replayed a verdict its recorder's zero volume cannot certify")
 	}
 }
 
@@ -306,7 +450,10 @@ func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 // TestDPA1DConcurrentFamilyMatchesSerialFresh: the four CCR members of a
 // family solve DPA1D concurrently, two goroutines each, at one period on
 // one shared lattice; every result is bit-identical to a serial fresh solve.
-// Run under -race, it checks the run cursors and the verdict stores.
+// The suite includes keys on which heavy and light members all run out of
+// budget, so they race to record, wait for and replay one family verdict.
+// Run under -race, it checks the run cursors, the verdict stores and the
+// claim gate.
 func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 	h := &verdictBudgets[1]
 	apps := streamit.Suite()
@@ -315,6 +462,7 @@ func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 		apps = []streamit.App{apps[0], apps[2], apps[8]}
 		periods = periods[:2]
 	}
+	mixed := 0 // keys failing on a heavy and a light member alike
 	for _, a := range apps {
 		base, err := a.BaseGraph()
 		if err != nil {
@@ -324,8 +472,15 @@ func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 		fam := spg.NewAnalysis(base)
 		for _, T := range periods {
 			want := make([]outcome1D, len(ccrs))
+			var heavyFails, lightFails bool
 			for i, ccr := range ccrs {
 				want[i] = freshOutcome(t, h, a, ccr, 4, T)
+				heavy := cutBound(fam.ScaleToCCR(ccr).Graph()) > platform.XScale(4, 4).LinkCapacity(T)
+				heavyFails = heavyFails || (heavy && want[i].budget)
+				lightFails = lightFails || (!heavy && want[i].budget)
+			}
+			if heavyFails && lightFails {
+				mixed++
 			}
 			got := make([]outcome1D, 2*len(ccrs))
 			start := make(chan struct{})
@@ -348,6 +503,9 @@ func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 			}
 		}
 	}
+	if mixed == 0 {
+		t.Fatal("no key made heavy and light members race on one budget verdict")
+	}
 }
 
 // TestDPA1DFamilyVerdictsFootprint: the family verdict store reports its
@@ -359,12 +517,61 @@ func TestDPA1DFamilyVerdictsFootprint(t *testing.T) {
 	before := fam.MemoryFootprint()
 	pl := platform.XScale(4, 4)
 	key := verdictKey{T: 1, maxStates: 10, maxTransitions: 10, bw: pl.BW, ladder: speedLadderSig(pl)}
-	fv.record(key, verdict{layer: 3, err: ErrBudget})
-	want := int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(verdict{})) + auxMapEntryBytes + int64(len(key.ladder))
+	fv.record(key, familyVerdict{verdict: verdict{layer: 3, err: ErrBudget}, maxCut: 0.5, rec: fam.Graph()})
+	want := int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes + int64(len(key.ladder))
 	if got := fv.MemoryFootprint(); got != want {
 		t.Fatalf("store footprint %d, want %d", got, want)
 	}
 	if got := fam.MemoryFootprint() - before; got != want {
 		t.Fatalf("analysis footprint grew by %d, want %d", got, want)
+	}
+}
+
+// TestDPA1DSolveAllocs: a Solve that neither replays nor waits allocates no
+// more than before every member went through the claim gate and the
+// max-cut certificate (281 and 42 allocations at that commit, go1.24 on
+// amd64): the gate and the certificate allocate nothing.
+func TestDPA1DSolveAllocs(t *testing.T) {
+	pl := platform.XScale(4, 4)
+	const T = 1.0
+	sc := NewScratch()
+
+	// A light member whose run succeeds; clearing the solution memo before
+	// every Solve makes each one run the DP.
+	h := NewDPA1D()
+	chain := spg.NewAnalysis(verdictChain(t))
+	inst := Instance{Graph: chain.Graph(), Platform: pl, Period: T, Analysis: chain, Scratch: sc}
+	memo := budgetMemoFor(chain)
+	key := solutionMemoKey{solveKey(h, pl, T), pl.NumCores(), dpa1dEnergySig(pl)}
+	light := testing.AllocsPerRun(50, func() {
+		delete(memo.sol, key)
+		if _, err := h.Solve(inst); err != nil {
+			t.Fatal(err)
+		}
+		sc.Reset()
+	})
+	if light > 281 {
+		t.Errorf("light member Solve: %v allocations, want at most 281", light)
+	}
+
+	// A heavy member whose certificate fails against a published verdict
+	// (see TestDPA1DHeavyMemberSkipsFamilyVerdict): its run finds no
+	// mapping, which records nothing, so every Solve computes ρ and runs.
+	hb := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	g := verdictForkJoin(t, func(int) float64 { return 10 })
+	fam := spg.NewAnalysis(g)
+	lm := fam.ScaleToCCR(10)
+	if got := solveOutcome(hb, Instance{Graph: lm.Graph(), Platform: pl, Period: T, Analysis: lm}); !got.budget {
+		t.Fatalf("light sibling: %v, want a budget failure", got)
+	}
+	hinst := Instance{Graph: g, Platform: pl, Period: T, Analysis: fam, Scratch: sc}
+	heavy := testing.AllocsPerRun(50, func() {
+		if _, err := hb.Solve(hinst); err == nil {
+			t.Fatal("heavy member found a mapping")
+		}
+		sc.Reset()
+	})
+	if heavy > 42 {
+		t.Errorf("heavy member Solve: %v allocations, want at most 42", heavy)
 	}
 }

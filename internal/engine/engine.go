@@ -106,6 +106,10 @@ type Campaign struct {
 // cancellation the indexed slice is returned alongside the context error
 // with the unstarted cells zero-valued (Key empty).
 //
+// A local executor (Execute or ExecuteScratch) starts the cells in family-
+// interleaved order (see familyInterleave); a CampaignExecutor schedules
+// them itself.
+//
 // With an enabled Campaign.Store, every wire-codable cell is first looked up
 // by its canonical content hash: hits are recorded immediately (OnCell fires
 // as usual) and never reach the executor, and the misses that do run
@@ -180,18 +184,56 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 	if ce, ok := ex.(CampaignExecutor); ok {
 		return results, ce.ExecuteCampaign(ctx, run, solve, rec)
 	}
+	order := familyInterleave(run)
 	if se, ok := ex.(ScratchExecutor); ok {
 		// Worker-owned arenas: each pool worker keeps one Scratch for its
 		// lifetime and the executor resets it between cells, so a warmed
 		// worker solves cells without kernel allocations. Results are
 		// identical to the plain path (Scratch's determinism contract).
 		err := se.ExecuteScratch(ctx, len(run), func(i int, sc *core.Scratch) {
-			rec(solveCellScratch(i, run[i], resolve, sc))
+			j := order[i]
+			rec(solveCellScratch(j, run[j], resolve, sc))
 		})
 		return results, err
 	}
-	err := ex.Execute(ctx, len(run), func(i int) { rec(solve(i)) })
+	err := ex.Execute(ctx, len(run), func(i int) { rec(solve(order[i])) })
 	return results, err
+}
+
+// familyInterleave returns the order in which a local executor starts the
+// cells: round-robin across CacheKey groups, taken in order of first
+// appearance, each group's cells in index order; a cell with an empty
+// CacheKey is a group of its own. The CCR siblings of one application share
+// a lattice and its DPA1D verdicts, and a sibling about to repeat a DPA1D
+// run another is executing waits for that run's verdict. Index order would
+// hand concurrent workers siblings of one application, which then idle on
+// each other; interleaving hands them different applications. Every result
+// keeps its cell index, so the order changes no byte.
+func familyInterleave(cells []Cell) []int {
+	var groups [][]int
+	groupOf := make(map[string]int)
+	for i, c := range cells {
+		key := c.Spec.CacheKey
+		g, ok := groupOf[key]
+		if !ok || key == "" {
+			g = len(groups)
+			groups = append(groups, nil)
+			groupOf[key] = g
+		}
+		groups[g] = append(groups[g], i)
+	}
+	order := make([]int, 0, len(cells))
+	for len(groups) > 0 {
+		live := groups[:0]
+		for _, g := range groups {
+			order = append(order, g[0])
+			if len(g) > 1 {
+				live = append(live, g[1:])
+			}
+		}
+		groups = live
+	}
+	return order
 }
 
 // Solve executes one cell against the given cache — the single-workload
