@@ -108,12 +108,18 @@
 // which provably cannot — and engine.Run consults the store before
 // dispatching a cell, so a spec solved once anywhere (a /v1/map request, a
 // batch item, a campaign cell, a shard worker's range) never solves again
-// while it stays resident. Entries hold the result's JSON wire form and
-// decode to fresh copies on every hit, so served results are byte-identical
-// to fresh solves (the store-equivalence suite proves it over the full
-// StreamIt suite and the seeded random panel, cold and warm, at 1 and 4
-// workers) and callers never alias store memory. Retention is LRU under an
-// entry bound and a byte account. Cells whose workloads are in-process
+// while it stays resident. Each entry is the outcome's encoded answer
+// (engine.Answer: verdict, per-heuristic result, winner and placement) held
+// as an immutable string, so a /v1/map hit is a byte copy: the service
+// splices the cell's key in front of the stored answer, indents it once and
+// writes it, never decoding. Only campaign and batch hits, which need a
+// CellResult, decode the answer, to a fresh copy each time. Served results
+// are byte-identical to fresh solves (the store-equivalence suite proves it
+// over the full StreamIt suite and the seeded random panel, cold and warm,
+// at 1 and 4 workers; the service's rendering oracle proves it for every
+// /v1/map path) and callers never alias store memory. Retention is LRU
+// under an entry bound and a byte account; an answer larger than the byte
+// bound is not stored. Cells whose workloads are in-process
 // closures have no wire form, no content key, and always solve. Where the
 // analysis cache makes re-solving cheap, this layer makes it free — the
 // high-QPS serving pattern.

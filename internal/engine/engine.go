@@ -151,11 +151,15 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 			if cell.WireCodable() {
 				if k, err := cell.Spec.ContentKey(); err == nil {
 					key = k
-					if r, ok := c.Store.Get(k); ok {
-						r.Index = i
-						r.Key = cell.Spec.Key
-						record(r)
-						continue
+					// A stored answer that fails to decode (unreachable
+					// for answers EncodeAnswer wrote) solves again.
+					if a, ok := c.Store.Get(k); ok {
+						if r, err := a.Decode(); err == nil {
+							r.Index = i
+							r.Key = cell.Spec.Key
+							record(r)
+							continue
+						}
 					}
 				}
 			}
@@ -174,7 +178,9 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 		rec = func(r CellResult) {
 			if r.Index >= 0 && r.Index < len(missIdx) {
 				if key := missKey[r.Index]; key != "" {
-					c.Store.Put(key, r)
+					if a, err := EncodeAnswer(r); err == nil {
+						c.Store.Put(key, a)
+					}
 				}
 				r.Index = missIdx[r.Index]
 			}

@@ -5,19 +5,75 @@ import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
+
+	"spgcmp/internal/mapping"
 )
 
-// WireStoredResult is the stored (and wire) form of one cell outcome in the
-// ResultStore: the result-bearing fields of a CellResult without its
-// campaign-local addressing (Index and Key are stamped by the reader from
-// the requesting cell). Entries are retained as their JSON encoding, so a
-// Get decodes a fresh copy and cached outcomes can never alias a caller's
-// mutation — and because float64s round-trip bit-exactly through
-// encoding/json, a stored outcome re-serializes byte-identically to the
-// solve that produced it.
-type WireStoredResult struct {
+// Answer is one cell outcome in the shape the mapping service answers it:
+// the period protocol's verdict, the full per-heuristic result and, when
+// feasible, the winning heuristic's name and placement. It carries no
+// campaign-local addressing (Index, Key), so one encoding answers every
+// request for the same content key; a /v1/map body is the cell's key spliced
+// in front of these fields.
+type Answer struct {
 	Feasible bool           `json:"feasible"`
 	Result   InstanceResult `json:"result"`
+	Best     string         `json:"best,omitempty"`
+	// Mapping is the winning heuristic's placement (the wire form of
+	// mapping.Mapping): stage allocation, per-core DVFS speeds and any
+	// pinned routes — the actionable half of the answer.
+	Mapping *mapping.WireMapping `json:"mapping,omitempty"`
+}
+
+// AnswerFor folds one solved cell into its Answer: the first successful
+// outcome at the best energy names the winner.
+func AnswerFor(r CellResult) Answer {
+	a := Answer{Feasible: r.Feasible, Result: r.Result}
+	if !r.Feasible {
+		return a
+	}
+	best := r.Result.BestEnergy()
+	for _, o := range r.Result.Outcomes {
+		if o.OK && o.Energy == best {
+			a.Best = o.Heuristic
+			a.Mapping = o.Mapping
+			break
+		}
+	}
+	return a
+}
+
+// StoredAnswer is an Answer in the ResultStore's form: its compact
+// encoding/json encoding, immutable as a string, plus the feasible bit a
+// server needs for its status line without decoding. float64s round-trip
+// bit-exactly through encoding/json, so the bytes equal an encoding of the
+// solve that produced them.
+type StoredAnswer struct {
+	JSON     string
+	Feasible bool
+}
+
+// EncodeAnswer encodes AnswerFor(r). A failed cell (Err set) has no answer:
+// its error is returned.
+func EncodeAnswer(r CellResult) (StoredAnswer, error) {
+	if r.Err != nil {
+		return StoredAnswer{}, r.Err
+	}
+	b, err := json.Marshal(AnswerFor(r))
+	if err != nil {
+		return StoredAnswer{}, err
+	}
+	return StoredAnswer{JSON: string(b), Feasible: r.Feasible}, nil
+}
+
+// Decode rebuilds the answer's cell result, with Index 0 and an empty Key
+// for the caller to stamp. Each call decodes a fresh copy.
+func (a StoredAnswer) Decode() (CellResult, error) {
+	var w Answer
+	if err := json.Unmarshal([]byte(a.JSON), &w); err != nil {
+		return CellResult{}, err
+	}
+	return CellResult{Feasible: w.Feasible, Result: w.Result}, nil
 }
 
 // ResultStore is a bounded, concurrency-safe, content-addressed store of
@@ -27,9 +83,11 @@ type WireStoredResult struct {
 // equivalence suites, so a stored outcome is safe to serve byte-identically
 // in place of a re-solve.
 //
-// Entries are retained with least-recently-used eviction under two
-// independent bounds, an entry count and a byte account (the encoded entry
-// sizes), mirroring the AnalysisCache. The nil store and a store with no
+// Each entry is a StoredAnswer, so a hit hands out the stored bytes without
+// decoding them. Entries are retained with least-recently-used eviction under
+// two independent bounds, an entry count and a byte account (the encoded
+// entry sizes), mirroring the AnalysisCache; an entry larger than the whole
+// byte bound is never stored. The nil store and a store with no
 // positive bound are both disabled: Get always misses and Put is a no-op.
 // Unlike the AnalysisCache the store does not deduplicate concurrent builds
 // of one key — in-flight dedup is the service coalescer's job — so Put is a
@@ -48,9 +106,9 @@ type ResultStore struct {
 }
 
 type storeEntry struct {
-	key  string
-	elem *list.Element
-	data []byte // immutable once inserted; read outside mu by Get
+	key    string
+	elem   *list.Element
+	answer StoredAnswer
 }
 
 // NewResultStore returns a store retaining at most capacity outcomes and at
@@ -95,59 +153,51 @@ func (s *ResultStore) Purge() {
 	s.totalBytes = 0
 }
 
-// Get returns a fresh copy of the outcome stored under key. The returned
-// result carries Index 0 and an empty Key — the caller stamps both from the
-// cell it is answering. A disabled store always misses without counting.
-func (s *ResultStore) Get(key string) (CellResult, bool) {
+// Get returns the answer stored under key, as stored: callers share its
+// immutable bytes. A disabled store always misses without counting.
+func (s *ResultStore) Get(key string) (StoredAnswer, bool) {
 	if !s.enabled() || key == "" {
-		return CellResult{}, false
+		return StoredAnswer{}, false
 	}
 	s.mu.Lock()
 	e := s.entries[key]
 	if e == nil {
 		s.mu.Unlock()
 		s.misses.Add(1)
-		return CellResult{}, false
+		return StoredAnswer{}, false
 	}
 	s.lru.MoveToFront(e.elem)
-	data := e.data
+	a := e.answer
 	s.mu.Unlock()
-	var w WireStoredResult
-	if err := json.Unmarshal(data, &w); err != nil {
-		// Unreachable for entries this store encoded; treated as a miss so a
-		// corrupted entry degrades to a re-solve, never a wrong answer.
-		s.misses.Add(1)
-		return CellResult{}, false
-	}
 	s.hits.Add(1)
-	return CellResult{Feasible: w.Feasible, Result: w.Result}, true
+	return a, true
 }
 
-// Put stores the outcome under key. Failed cells (Err set) are never
-// retained — a build failure may be environmental and must stay retryable.
-// Disabled stores and the empty key no-op.
-func (s *ResultStore) Put(key string, r CellResult) {
-	if !s.enabled() || key == "" || r.Err != nil {
+// Put stores the answer under key. Disabled stores, the empty key and the
+// empty answer no-op, and so does an answer larger than the byte bound:
+// storing it would evict every resident entry and then itself.
+func (s *ResultStore) Put(key string, a StoredAnswer) {
+	if !s.enabled() || key == "" || a.JSON == "" {
 		return
 	}
-	data, err := json.Marshal(WireStoredResult{Feasible: r.Feasible, Result: r.Result})
-	if err != nil {
-		return // InstanceResult is wire-codable by construction; defensive only
+	size := int64(len(a.JSON))
+	if s.maxBytes > 0 && size > s.maxBytes {
+		return
 	}
 	s.puts.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.entries[key]; e != nil {
-		s.totalBytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
+		s.totalBytes += size - int64(len(e.answer.JSON))
+		e.answer = a
 		s.lru.MoveToFront(e.elem)
 		s.evictLocked()
 		return
 	}
-	e := &storeEntry{key: key, data: data}
+	e := &storeEntry{key: key, answer: a}
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
-	s.totalBytes += int64(len(data))
+	s.totalBytes += size
 	s.evictLocked()
 }
 
@@ -163,7 +213,7 @@ func (s *ResultStore) evictLocked() {
 		old := el.Value.(*storeEntry)
 		s.lru.Remove(el)
 		delete(s.entries, old.key)
-		s.totalBytes -= int64(len(old.data))
+		s.totalBytes -= int64(len(old.answer.JSON))
 		s.evictions.Add(1)
 		el = prev
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spgcmp/internal/core"
+	"spgcmp/internal/mapping"
 	"spgcmp/internal/spg"
 )
 
@@ -24,16 +25,36 @@ func storedResult(index int, key string, energy float64) CellResult {
 	}
 }
 
+// storedAnswer is storedResult in the store's form.
+func storedAnswer(energy float64) StoredAnswer {
+	a, err := EncodeAnswer(storedResult(0, "", energy))
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func TestResultStoreRoundTrip(t *testing.T) {
 	st := NewResultStore(4, 0)
 	if _, ok := st.Get("k"); ok {
 		t.Fatal("empty store hit")
 	}
 	put := storedResult(7, "cell-key", 42.5)
-	st.Put("k", put)
-	got, ok := st.Get("k")
+	stored, err := EncodeAnswer(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("k", stored)
+	hit, ok := st.Get("k")
 	if !ok {
 		t.Fatal("stored key missed")
+	}
+	if hit != stored {
+		t.Fatalf("hit is not the stored answer:\n%+v\n%+v", hit, stored)
+	}
+	got, err := hit.Decode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Addressing is stripped: the caller stamps Index/Key from the
 	// requesting cell.
@@ -46,11 +67,31 @@ func TestResultStoreRoundTrip(t *testing.T) {
 	if string(g) != string(w) {
 		t.Fatalf("round trip not byte-identical:\n%s\n%s", g, w)
 	}
-	// Copies are fresh: mutating one hit must not leak into the next.
+	// Decodes are fresh: mutating one must not leak into the next.
 	got.Result.Outcomes[0].Energy = -1
-	again, _ := st.Get("k")
+	again, _ := hit.Decode()
 	if again.Result.Outcomes[0].Energy != 42.5 {
-		t.Fatal("stored entry aliased a caller's mutation")
+		t.Fatal("decoded answer aliased a caller's mutation")
+	}
+}
+
+// TestAnswerForNamesWinner: the answer names the first successful outcome
+// at the best energy and carries its placement; an infeasible cell names
+// none.
+func TestAnswerForNamesWinner(t *testing.T) {
+	m1, m2 := &mapping.WireMapping{Alloc: [][2]int{{0, 0}}}, &mapping.WireMapping{Alloc: [][2]int{{0, 1}}}
+	r := CellResult{Feasible: true, Result: InstanceResult{Period: 1, Outcomes: []Outcome{
+		{Heuristic: "A", OK: true, Energy: 3, Mapping: m1},
+		{Heuristic: "B", OK: false},
+		{Heuristic: "C", OK: true, Energy: 2, Mapping: m2},
+		{Heuristic: "D", OK: true, Energy: 2, Mapping: m1},
+	}}}
+	if a := AnswerFor(r); a.Best != "C" || a.Mapping != m2 || !a.Feasible {
+		t.Fatalf("winner: %+v", a)
+	}
+	r.Feasible = false
+	if a := AnswerFor(r); a.Best != "" || a.Mapping != nil || len(a.Result.Outcomes) != 4 {
+		t.Fatalf("infeasible answer: %+v", a)
 	}
 }
 
@@ -59,7 +100,7 @@ func TestResultStoreDisabledAndErrors(t *testing.T) {
 		if st.Enabled() {
 			t.Fatal("store should be disabled")
 		}
-		st.Put("k", storedResult(0, "x", 1))
+		st.Put("k", storedAnswer(1))
 		if _, ok := st.Get("k"); ok {
 			t.Fatal("disabled store served a hit")
 		}
@@ -67,9 +108,13 @@ func TestResultStoreDisabledAndErrors(t *testing.T) {
 			t.Fatal("disabled store retained an entry")
 		}
 	}
+	// A failed cell has no answer to store.
+	if _, err := EncodeAnswer(CellResult{Err: fmt.Errorf("build failed")}); err == nil {
+		t.Fatal("a failed cell encoded an answer")
+	}
 	st := NewResultStore(4, 0)
-	st.Put("", storedResult(0, "x", 1)) // empty key opts out
-	st.Put("bad", CellResult{Err: fmt.Errorf("build failed")})
+	st.Put("", storedAnswer(1)) // empty key opts out
+	st.Put("bad", StoredAnswer{})
 	if st.Len() != 0 {
 		t.Fatalf("unstorable results were retained: %d entries", st.Len())
 	}
@@ -77,12 +122,12 @@ func TestResultStoreDisabledAndErrors(t *testing.T) {
 
 func TestResultStoreLRUEviction(t *testing.T) {
 	st := NewResultStore(2, 0)
-	st.Put("a", storedResult(0, "a", 1))
-	st.Put("b", storedResult(1, "b", 2))
+	st.Put("a", storedAnswer(1))
+	st.Put("b", storedAnswer(2))
 	if _, ok := st.Get("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missed")
 	}
-	st.Put("c", storedResult(2, "c", 3))
+	st.Put("c", storedAnswer(3))
 	if _, ok := st.Get("b"); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
@@ -98,12 +143,11 @@ func TestResultStoreLRUEviction(t *testing.T) {
 }
 
 func TestResultStoreByteBound(t *testing.T) {
-	probe, _ := json.Marshal(WireStoredResult{Feasible: true, Result: storedResult(0, "", 1).Result})
-	entry := int64(len(probe))
+	entry := int64(len(storedAnswer(1).JSON))
 	st := NewResultStore(0, 2*entry) // room for two entries, not three
-	st.Put("a", storedResult(0, "a", 1))
-	st.Put("b", storedResult(1, "b", 1))
-	st.Put("c", storedResult(2, "c", 1))
+	st.Put("a", storedAnswer(1))
+	st.Put("b", storedAnswer(1))
+	st.Put("c", storedAnswer(1))
 	s := st.Stats()
 	if s.Entries != 2 || s.Evictions != 1 {
 		t.Fatalf("byte bound not enforced: %+v", s)
@@ -112,9 +156,42 @@ func TestResultStoreByteBound(t *testing.T) {
 		t.Fatalf("bytes %d over bound %d", s.Bytes, s.MaxBytes)
 	}
 	// Replacing an entry adjusts the account instead of double-counting.
-	st.Put("b", storedResult(1, "b", 2))
+	st.Put("b", storedAnswer(2))
 	if got := st.Stats().Bytes; got > s.MaxBytes {
 		t.Fatalf("replace leaked bytes: %d", got)
+	}
+}
+
+// TestResultStoreOversizedPutKeepsResidents: an answer larger than the whole
+// byte bound is not stored, and the resident entries stay.
+func TestResultStoreOversizedPutKeepsResidents(t *testing.T) {
+	st := NewResultStore(0, 2000)
+	st.Put("a", storedAnswer(1))
+	st.Put("b", storedAnswer(2))
+	big := storedResult(0, "", 1)
+	for i := 0; i < 200; i++ {
+		big.Result.Outcomes = append(big.Result.Outcomes, Outcome{Heuristic: fmt.Sprintf("H%d", i), OK: true, Energy: float64(i), ActiveCores: 2})
+	}
+	oversized, err := EncodeAnswer(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oversized.JSON) <= 2000 {
+		t.Fatalf("probe of %d bytes fits the bound", len(oversized.JSON))
+	}
+	st.Put("big", oversized)
+	st.Put("a", oversized) // a replacement too large keeps the old entry
+	s := st.Stats()
+	if s.Entries != 2 || s.Evictions != 0 || s.Puts != 2 {
+		t.Fatalf("oversized put disturbed the store: %+v", s)
+	}
+	for k, want := range map[string]StoredAnswer{"a": storedAnswer(1), "b": storedAnswer(2)} {
+		if got, ok := st.Get(k); !ok || got != want {
+			t.Fatalf("resident %s lost or changed: %+v", k, got)
+		}
+	}
+	if _, ok := st.Get("big"); ok {
+		t.Fatal("oversized answer was stored")
 	}
 }
 
@@ -130,13 +207,14 @@ func TestResultStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (w+i)%16)
-				if r, ok := st.Get(key); ok {
-					if !r.Feasible || len(r.Result.Outcomes) != 1 {
-						t.Errorf("torn read: %+v", r)
+				if a, ok := st.Get(key); ok {
+					r, err := a.Decode()
+					if err != nil || !r.Feasible || len(r.Result.Outcomes) != 1 {
+						t.Errorf("torn read: %+v %v", r, err)
 						return
 					}
 				} else {
-					st.Put(key, storedResult(i, key, float64(i)))
+					st.Put(key, storedAnswer(float64(i)))
 				}
 				if i%17 == 0 {
 					_ = st.Stats()

@@ -50,7 +50,6 @@ import (
 
 	"spgcmp/internal/engine"
 	"spgcmp/internal/experiments"
-	"spgcmp/internal/mapping"
 	"spgcmp/internal/streamit"
 )
 
@@ -391,14 +390,8 @@ type mapRequest struct {
 }
 
 type mapResponse struct {
-	Key      string                     `json:"key"`
-	Feasible bool                       `json:"feasible"`
-	Result   experiments.InstanceResult `json:"result"`
-	Best     string                     `json:"best,omitempty"`
-	// Mapping is the winning heuristic's placement (the wire form of
-	// mapping.Mapping): stage allocation, per-core DVFS speeds and any
-	// pinned routes — the actionable half of the answer.
-	Mapping *mapping.WireMapping `json:"mapping,omitempty"`
+	Key string `json:"key"`
+	engine.Answer
 	// Error is set only inside a batch response, where one failed item must
 	// not fail its siblings; the single-request path answers 500 instead.
 	Error string `json:"error,omitempty"`
@@ -479,14 +472,6 @@ type campaignStatusResponse struct {
 }
 
 // --- handlers ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})

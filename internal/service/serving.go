@@ -83,8 +83,9 @@ func (g *admitGate) capacity() int { return cap(g.active) }
 // waiters read them without further locking.
 type flight struct {
 	done chan struct{}
-	res  engine.CellResult // set before done closes
-	shed bool              // set before done closes: the solve never ran, admission was saturated
+	ans  engine.StoredAnswer // set before done closes
+	err  error               // set before done closes: the workload failed to build
+	shed bool                // set before done closes: the solve never ran, admission was saturated
 }
 
 // coalescer deduplicates identical in-flight /v1/map workloads: the first
@@ -154,10 +155,33 @@ func (c *coalescer) stats() coalesceStats {
 
 // --- /v1/map ---
 
+// maxMapBodyBytes bounds /v1/map and /v1/map/batch request bodies. A map
+// request is under 1 KiB and a 256-item batch under 64 KiB.
+const maxMapBodyBytes = 1 << 20
+
+// decodeMapBody decodes a map or batch request body into v, rejecting
+// unknown fields. It answers 413 past maxMapBodyBytes and 400 for any other
+// decode failure, and reports whether v is ready.
+func decodeMapBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMapBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	}
+	return false
+}
+
 // handleMap answers one workload synchronously, through three layers that
 // keep repeat traffic off the solver pool: the content-addressed ResultStore
-// (a prior identical solve answers in O(1), byte-identical by per-cell
-// determinism), singleflight coalescing (N concurrent identical requests
+// (a prior identical solve answers in O(1) from its stored encoded answer,
+// byte-identical by per-cell determinism), singleflight coalescing (N concurrent identical requests
 // share one solve), and only then an admitted full period-selection solve —
 // bounded by MaxActiveMaps with a MaxQueuedMaps wait queue, beyond which 429
 // + Retry-After sheds. Infeasible workloads — no heuristic succeeds even at
@@ -172,10 +196,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mapRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeMapBody(w, r, &req) {
 		return
 	}
 	if err := s.checkGrid(req.P, req.Q); err != nil {
@@ -202,9 +223,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	// Fast path: a previously solved identical workload answers from the
 	// store without touching the coalescer or the admission gate.
-	if res, ok := s.store.Get(key); ok {
-		res.Key = cell.Spec.Key
-		s.writeMapResult(w, res)
+	if a, ok := s.store.Get(key); ok {
+		writeMapAnswer(w, cell.Spec.Key, a)
 		return
 	}
 	ctx := r.Context()
@@ -231,17 +251,20 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeShedError(w, http.StatusTooManyRequests, 1, "%d map requests already executing; retry later", s.maps.capacity())
 		return
 	}
-	res := f.res
-	res.Key = cell.Spec.Key
-	s.writeMapResult(w, res)
+	if f.err != nil {
+		writeError(w, http.StatusInternalServerError, "workload build failed: %v", f.err)
+		return
+	}
+	writeMapAnswer(w, cell.Spec.Key, f.ans)
 }
 
 // solveFlight is the leader half of one coalesced solve: admit, re-check the
 // store (another flight may have stored the key while this request was being
-// admitted), solve, store, publish.
+// admitted), solve, store, publish. The answer is encoded once: the store
+// and every waiter share the same bytes.
 func (s *Server) solveFlight(cell engine.Cell, key string, f *flight) {
-	if res, ok := s.store.Get(key); ok {
-		f.res = res
+	if a, ok := s.store.Get(key); ok {
+		f.ans = a
 		s.flights.finish(key, f)
 		return
 	}
@@ -251,44 +274,11 @@ func (s *Server) solveFlight(cell engine.Cell, key string, f *flight) {
 		return
 	}
 	defer s.maps.release()
-	res := engine.Solve(cell, s.cache)
-	if res.Err == nil {
-		s.store.Put(key, res)
+	f.ans, f.err = engine.EncodeAnswer(engine.Solve(cell, s.cache))
+	if f.err == nil {
+		s.store.Put(key, f.ans)
 	}
-	f.res = res
 	s.flights.finish(key, f)
-}
-
-// writeMapResult renders one solved cell as the /v1/map response.
-func (s *Server) writeMapResult(w http.ResponseWriter, res engine.CellResult) {
-	if res.Err != nil {
-		writeError(w, http.StatusInternalServerError, "workload build failed: %v", res.Err)
-		return
-	}
-	resp := mapResponseFor(res)
-	if !res.Feasible {
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// mapResponseFor folds one solved cell into the map response shape: the full
-// per-heuristic result plus the winning heuristic's name and placement.
-func mapResponseFor(res engine.CellResult) mapResponse {
-	resp := mapResponse{Key: res.Key, Feasible: res.Feasible, Result: res.Result}
-	if !res.Feasible {
-		return resp
-	}
-	best := res.Result.BestEnergy()
-	for _, o := range res.Result.Outcomes {
-		if o.OK && o.Energy == best {
-			resp.Best = o.Heuristic
-			resp.Mapping = o.Mapping
-			break
-		}
-	}
-	return resp
 }
 
 // --- /v1/map/batch ---
@@ -336,10 +326,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchMapRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeMapBody(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -405,7 +392,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = mapResponse{Key: res.Key, Error: res.Err.Error()}
 			continue
 		}
-		resp.Results[i] = mapResponseFor(res)
+		resp.Results[i] = mapResponse{Key: res.Key, Answer: engine.AnswerFor(res)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
