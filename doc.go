@@ -98,7 +98,14 @@
 // run). RunStreamIt and RunRandom consult the process-wide default cache
 // (or one supplied by the caller; nil disables the layer). This layer
 // applies across calls: the 6x6 campaign reuses the 4x4 campaign's
-// analyses, and a re-run reuses everything.
+// analyses, and a re-run reuses everything. Campaign cells admit a family
+// on first use. A single-cell request (engine.Solve, the /v1/map path)
+// gets window admission instead: a first-seen family is built into a FIFO
+// probation window of engine.ProbationWindow entries, outside the LRU, and
+// only a second request for the family — single-cell or campaign — promotes
+// it. The result store already answers a one-off request's repeats, so its
+// lattice is not pinned in the LRU. Window entries count toward the cache's
+// entry and byte bounds and are evicted before LRU entries.
 //
 // Layer 4 — outcome scope. engine.ResultStore memoizes finished cell
 // outcomes themselves, keyed by content: every wire-codable CellSpec has a

@@ -202,15 +202,17 @@ func (a *arena[T]) reset() {
 	a.cur, a.off = 0, 0
 }
 
-// resetClear is reset plus a zeroing sweep over the retained block, for
-// arenas whose element type contains pointers.
+// resetClear is reset plus zeroing of the retained block, for arenas whose
+// element type contains pointers. Between calls cur is always the last
+// block (alloc appends only once cur has passed every block, and reset
+// keeps just the last), so the retained block is the one being carved:
+// blocks are zero when made, and [0, off) is all it has written since the
+// last clear.
 func (a *arena[T]) resetClear() {
+	written := a.off
 	a.reset()
-	var zero T
-	for _, blk := range a.blocks {
-		for i := range blk {
-			blk[i] = zero
-		}
+	if len(a.blocks) == 1 {
+		clear(a.blocks[0][:written])
 	}
 }
 

@@ -117,6 +117,42 @@ func TestScratchResetClearsRowHeaders(t *testing.T) {
 	}
 }
 
+// TestArenaResetClearZeroesRetained: after allocations spread over several
+// blocks and a resetClear, every element of the retained block is zero, and
+// it stays so over further cycles that carve only part of it.
+func TestArenaResetClearZeroesRetained(t *testing.T) {
+	var a arena[[]float64]
+	row := []float64{1}
+	fill := func(n int) {
+		for i, blk := 0, a.alloc(n); i < len(blk); i++ {
+			blk[i] = row
+		}
+	}
+	check := func(cycle int) {
+		t.Helper()
+		if len(a.blocks) != 1 {
+			t.Fatalf("cycle %d: %d retained blocks, want 1", cycle, len(a.blocks))
+		}
+		for i, h := range a.blocks[0] {
+			if h != nil {
+				t.Fatalf("cycle %d: retained element %d not cleared", cycle, i)
+			}
+		}
+	}
+	for _, n := range []int{700, 500, 3000, 9} { // spills into three blocks
+		fill(n)
+	}
+	a.resetClear()
+	check(0)
+	for cycle, sizes := range [][]int{{5, 17, 100}, {2000}, {1}, {4096, 4096}} {
+		for _, n := range sizes {
+			fill(n)
+		}
+		a.resetClear()
+		check(cycle + 1)
+	}
+}
+
 // TestScratchChildren: children are distinct, created on demand, and reset
 // with the parent.
 func TestScratchChildren(t *testing.T) {

@@ -243,11 +243,13 @@ func familyInterleave(cells []Cell) []int {
 }
 
 // Solve executes one cell against the given cache — the single-workload
-// entry point the mapping service's /v1/map handler shares with campaign
-// runs.
+// entry point of the mapping service's /v1/map handler. It resolves the
+// family base through AnalysisCache.GetSingle, so a family no request has
+// asked for before waits in the cache's probation window and is admitted
+// only when asked for again; campaign runs (Run) admit on first use.
 func Solve(cell Cell, cache *AnalysisCache) CellResult {
 	return solveCell(0, cell, func(c Cell) (*spg.Analysis, error) {
-		return cache.Get(c.Spec.CacheKey, c.build)
+		return cache.GetSingle(c.Spec.CacheKey, c.build)
 	})
 }
 

@@ -516,6 +516,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxWorkerBodyBytes bounds worker register and deregister bodies, which
+// carry one URL.
+const maxWorkerBodyBytes = 64 << 10
+
 // handleWorkerRegister adds a worker to the registry — how workers started
 // with -register-with announce themselves, and how an operator promotes any
 // running instance to coordinator. Registration is idempotent (workers
@@ -523,10 +527,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // entries, so a restarted worker rejoins ahead of the next health probe.
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	var req workerRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxWorkerBodyBytes, &req) {
 		return
 	}
 	if err := s.registry.Register(req.URL); err != nil {
@@ -547,10 +548,7 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
 	var req workerRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxWorkerBodyBytes, &req) {
 		return
 	}
 	if !s.registry.Deregister(req.URL) {

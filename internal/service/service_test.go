@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -139,6 +140,28 @@ func TestMapRandomWorkload(t *testing.T) {
 	}
 	if !mr.Feasible {
 		t.Fatalf("random workload infeasible: %+v", mr)
+	}
+}
+
+// TestMapMissesDoNotPinAnalyses: one-off /v1/map workloads wait in the
+// analysis cache's probation window and never enter its LRU.
+func TestMapMissesDoNotPinAnalyses(t *testing.T) {
+	ts, cache := newTestServer(t)
+	for seed := 1; seed <= 40; seed++ {
+		body := fmt.Sprintf(`{"workload":{"random":{"n":10,"elevation":2,"seed":%d,"ccr":1}},"p":2,"q":2,"seed":1}`, seed)
+		if resp, data := postJSON(t, ts.URL+"/v1/map", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, data)
+		}
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("%d one-off analyses resident, want 0", n)
+	}
+	var hz healthzResponse
+	if code := getJSON(t, ts.URL+"/v1/healthz", &hz); code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
+	}
+	if hz.Cache.Probation > engine.ProbationWindow || hz.Cache.Misses != 40 || hz.Cache.Promotions != 0 {
+		t.Errorf("cache after 40 one-off requests: %+v", hz.Cache)
 	}
 }
 
@@ -620,6 +643,15 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if code := del(`{"url":"` + worker.URL + `"}`); code != http.StatusNotFound {
 		t.Errorf("double deregister: %d, want 404", code)
+	}
+
+	// Both bodies carry one URL: past 64 KiB they answer 413.
+	huge := `{"url":"http://` + strings.Repeat("w", maxWorkerBodyBytes) + `"}`
+	if resp, data := postJSON(t, ts.URL+"/v1/workers", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized register: %d (%s), want 413", resp.StatusCode, data)
+	}
+	if code := del(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized deregister: %d, want 413", code)
 	}
 }
 

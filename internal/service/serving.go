@@ -159,11 +159,11 @@ func (c *coalescer) stats() coalesceStats {
 // request is under 1 KiB and a 256-item batch under 64 KiB.
 const maxMapBodyBytes = 1 << 20
 
-// decodeMapBody decodes a map or batch request body into v, rejecting
-// unknown fields. It answers 413 past maxMapBodyBytes and 400 for any other
+// decodeBody decodes a request body of at most limit bytes into v,
+// rejecting unknown fields. It answers 413 past limit and 400 for any other
 // decode failure, and reports whether v is ready.
-func decodeMapBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMapBodyBytes))
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
@@ -196,7 +196,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mapRequest
-	if !decodeMapBody(w, r, &req) {
+	if !decodeBody(w, r, maxMapBodyBytes, &req) {
 		return
 	}
 	if err := s.checkGrid(req.P, req.Q); err != nil {
@@ -326,7 +326,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchMapRequest
-	if !decodeMapBody(w, r, &req) {
+	if !decodeBody(w, r, maxMapBodyBytes, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {
