@@ -126,6 +126,27 @@ func BenchmarkFigure11Random50_6x6(b *testing.B) { benchRandom(b, 50, 6, 6, 8) }
 // BenchmarkFigure12Random150_4x4 regenerates Figure 12 (n=150 on 4x4).
 func BenchmarkFigure12Random150_4x4(b *testing.B) { benchRandom(b, 150, 4, 4, 10) }
 
+// BenchmarkDPA1DRandom150Slice is a CI-sized slice of Figure 12 that the
+// DPA1D expansion kernel dominates: one n=150, elevation-8 random SPG on 4x4
+// at each of the panel's three CCRs, solved through the full period
+// protocol on a fresh analysis cache every op, so each op enumerates its
+// downset lattices from scratch.
+func BenchmarkDPA1DRandom150Slice(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cache := experiments.NewAnalysisCache(4)
+		for _, ccr := range []float64{10, 1, 0.1} {
+			_, err := experiments.RunRandom(experiments.RandomConfig{
+				N: 150, P: 4, Q: 4, CCR: ccr,
+				MinElevation: 8, MaxElevation: 8, GraphsPerElev: 1, Seed: 1,
+				Cache: cache,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFigure13Random150_6x6 regenerates Figure 13 (n=150 on 6x6).
 func BenchmarkFigure13Random150_6x6(b *testing.B) { benchRandom(b, 150, 6, 6, 10) }
 

@@ -138,33 +138,39 @@
 // downset of a chain once: per-downset element counts live in a flat stride
 // arena, membership in packed bitsets, identity in an open-addressed FNV
 // table, and successor expansion in id-indexed entries with epoch-stamped
-// DFS marks — so DPA1D's enumeration walks integer ids, never hashing a
-// map. The DP tables of DPA2D, DPA1D and DPA2D1D are run-indexed slices
-// carved from a core.Scratch: a bump arena of doubling blocks handing out
-// float64/int32 windows, row matrices sliced from one flat block, and
-// distribution buffers, all recycled by a reset that retains the largest
-// block. Scratch ownership follows three rules: one goroutine uses a
-// Scratch at a time; long-lived pool workers own one for life — the
-// engine's ExecuteScratch seam threads it through solveCell and resets it
-// between cells and between period divisions — and solvers accept a nil
-// Scratch (falling back to plain allocation), so the arenas are an
-// optimization, never an API obligation. Buffers come back dirty; kernels
-// fully initialize what they use. Nothing arena-backed escapes a cell:
-// outcomes carry scalars and wire-form copies, and shared per-period
-// tables are seeded into arena memory by copying (snapshotInto) and
-// published back by copying (publish), an idiom pinned by the memoalias
-// golden fixture. Options.SweepParallelism additionally fans the
-// independent per-state sweeps inside one DPA2D layer across goroutines
+// DFS marks. The DFS walks the lattice by its covering edges: an int32
+// table, one slot per (downset, level), caches the downset one stage up or
+// marks the step blocked, filled the first time a walk takes that step, so
+// only a first traversal checks predecessors and probes the intern table,
+// and every repeat step is a single load. DPA1D reads the memoized lists
+// through spg.Run.Expand, which replays a list straight into scratch-arena
+// slices (successor run index as int32, chunk work turned into chunk energy
+// in place) instead of copying it into a fresh heap slice per run. The DP
+// tables of DPA2D, DPA1D and DPA2D1D are run-indexed slices carved from a
+// core.Scratch: a bump arena of doubling blocks handing out float64/int32
+// windows, row matrices sliced from one flat block, and distribution
+// buffers, all recycled by a reset that retains the largest block. Scratch
+// ownership follows three rules: one goroutine uses a Scratch at a time;
+// long-lived pool workers own one for life — the engine's ExecuteScratch
+// seam threads it through solveCell and resets it between cells and between
+// period divisions — and solvers accept a nil Scratch (falling back to plain
+// allocation), so the arenas are an optimization, never an API obligation.
+// Buffers come back dirty; kernels fully initialize what they use. Nothing
+// arena-backed escapes a cell: outcomes carry scalars and wire-form copies,
+// and shared per-period tables are seeded into arena memory by copying
+// (snapshotInto) and published back by copying (publish), an idiom pinned by
+// the memoalias golden fixture. Options.SweepParallelism additionally fans
+// the independent per-state sweeps inside one DPA2D layer across goroutines
 // on child arenas — writes are disjoint per state, shared memos are
 // mutex-guarded pure caches, and the barrier between layers makes the
-// reduction deterministic, so the knob is proven bit-identical (it pays
-// off on large cells only and defaults off). The kernel golden suite
-// replays every StreamIt cell and a seeded random panel against
-// pre-refactor outputs in cold, warm, serial and parallel-sweep variants;
-// BenchmarkCellKernel measures the result (DPA2D single cell ~1.6x with
-// ~79x fewer allocations, DPA1D ~1.8x, full engine campaign ~1.35x), with
-// testing.AllocsPerRun tests bounding steady-state allocation counts and
-// a benchstat old-vs-new comparison in the bench CI job.
+// reduction deterministic, so the knob is proven bit-identical (it pays off
+// on large cells only and defaults off). The kernel golden suite replays
+// every StreamIt cell and a seeded random panel against pre-refactor outputs
+// in cold, warm, serial and parallel-sweep variants; BenchmarkCellKernel
+// measures the result (DPA2D single cell ~1.6x with ~79x fewer allocations,
+// DPA1D ~1.8x, full engine campaign ~1.35x), with testing.AllocsPerRun tests
+// bounding steady-state allocation counts and a benchstat old-vs-new
+// comparison in the bench CI job.
 //
 // # The exact-solver layer
 //

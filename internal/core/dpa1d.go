@@ -540,23 +540,28 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 
 	// A state's expansion list, chunk energies and outgoing cut are the same
 	// in every layer, so they are fetched and evaluated once per state and
-	// replayed as pure array math in the remaining r-1 layers. runStates
-	// shadows run.Count() locally: it only grows when an expansion list is
-	// first built (memoized replays touch nothing new).
+	// replayed as pure array math in the remaining r-1 layers. The lists are
+	// replayed straight into scratch memory: run.Expand writes each
+	// successor's run index and chunk work there, and the work is turned
+	// into its chunk energy in place. runStates shadows run.Count() locally:
+	// it only grows when an expansion list is first built (memoized replays
+	// touch nothing new).
 	type stateExp struct {
-		exps  []spg.Expansion
+		to    []int32   // successor run index per expansion
 		chunk []float64 // chunkEnergy per expansion
 		commE float64   // cut * EnergyPerGB
+		done  bool
 	}
-	memo := []*stateExp{}
+	memo := []stateExp{}
 	cuts := []float64{} // per run index; negative = not yet computed
 	runStates := run.Count()
 	growState := func(id int) {
 		for len(memo) <= id {
-			memo = append(memo, nil)
+			memo = append(memo, stateExp{})
 			cuts = append(cuts, -1)
 		}
 	}
+	scratchLists := func(n int) ([]int32, []float64) { return sc.I32(n), sc.F64(n) }
 	tr := runTrace{layer: 1}
 	cutOf := func(id int) float64 {
 		growState(id)
@@ -568,21 +573,20 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 	}
 	expand := func(id int) (*stateExp, error) {
 		growState(id)
-		if memo[id] != nil {
-			return memo[id], nil
+		if memo[id].done {
+			return &memo[id], nil
 		}
-		exps, err := run.Expansions(id, maxChunk)
+		to, chunk, err := run.Expand(id, maxChunk, scratchLists)
 		if err != nil {
 			return nil, err
 		}
-		se := &stateExp{exps: exps, chunk: sc.F64(len(exps))}
-		for j, ex := range exps {
-			se.chunk[j] = chunkEnergy(ex.ChunkWork)
+		for j, w := range chunk {
+			chunk[j] = chunkEnergy(w)
 		}
-		se.commE = cutOf(id) * pl.EnergyPerGB
-		memo[id] = se
+		commE := cutOf(id) * pl.EnergyPerGB
+		memo[id] = stateExp{to: to, chunk: chunk, commE: commE, done: true}
 		runStates = run.Count()
-		return se, nil
+		return &memo[id], nil
 	}
 
 	// Layer k holds E(D, k): minimal energy to run downset D on exactly the
@@ -592,12 +596,12 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 	if err != nil {
 		return nil, tr, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 	}
-	transitions += len(first.exps)
+	transitions += len(first.to)
 	grow(prev, runStates)
-	for j, ex := range first.exps {
-		if e := first.chunk[j]; e < prev.energy[ex.To] {
-			prev.energy[ex.To] = e
-			prev.parent[ex.To] = int32(empty)
+	for j, to := range first.to {
+		if e := first.chunk[j]; e < prev.energy[to] {
+			prev.energy[to] = e
+			prev.parent[to] = int32(empty)
 		}
 	}
 
@@ -629,17 +633,17 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, run *spg.Run, maxTransitions i
 			if err != nil {
 				return nil, tr, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 			}
-			transitions += len(se.exps)
+			transitions += len(se.to)
 			if transitions > maxTransitions {
 				return nil, tr, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
 			}
 			grow(cur, runStates)
 			grow(prev, runStates)
-			for j, ex := range se.exps {
+			for j, to := range se.to {
 				cand := base + se.commE + se.chunk[j]
-				if cand < cur.energy[ex.To] {
-					cur.energy[ex.To] = cand
-					cur.parent[ex.To] = int32(id)
+				if cand < cur.energy[to] {
+					cur.energy[to] = cand
+					cur.parent[to] = int32(id)
 					progress = true
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -44,10 +45,12 @@ var ErrStateLimit = errors.New("spg: admissible-subgraph state limit exceeded")
 // where a freshly built one would, regardless of how many states earlier
 // runs left behind. Cursors are independent, so runs on one space — or on
 // sibling views of one family lattice — proceed concurrently; they share
-// only the interning and expansion memo, which the core's mutex guards. The
-// id-keyed methods (Expansions, AllDownsets) charge a lifetime run instead,
-// restarted by BeginRun; without any BeginRun call the whole lifetime is one
-// run, which matches the historical total-cap semantics.
+// only the interning and expansion memo, which the core's mutex guards, and
+// replay cached enumerations outside it (Run.Expand writes each run's
+// expansions straight into caller-supplied buffers, never copying the
+// memo). The id-keyed methods (Expansions, AllDownsets) charge a lifetime
+// run instead, restarted by BeginRun; without any BeginRun call the whole
+// lifetime is one run, which matches the historical total-cap semantics.
 //
 // All methods are safe for concurrent use; a Run belongs to one goroutine.
 type DownsetSpace struct {
@@ -63,27 +66,38 @@ type DownsetSpace struct {
 
 // downsetCore is the scale-independent half of a DownsetSpace: interning
 // and expansion enumeration. Run accounting lives in Run cursors, so views
-// sharing a core run concurrently.
+// sharing a core run concurrently; Run.Expand and DownsetSpace.Expansions
+// replay the enumerations memoized here.
 //
 // States live in flat arenas addressed by id so the enumeration inner loop
 // touches no per-state allocations and no hashed containers: the per-level
 // count vectors sit back to back in one []uint8 (stride bytes each), the
-// stage-membership bitsets in one []uint64 (words words each), and interning
-// goes through an open-addressed table that probes the counts arena directly
-// instead of materializing string keys.
+// stage-membership bitsets in one []uint64 (words words each), the covering
+// edges in one []int32 (stride slots each), and interning goes through an
+// open-addressed table that probes the counts arena directly instead of
+// materializing string keys. Ids are int32 throughout (the intern table's
+// width), which newDownsetCore's budget check and intern's id cap enforce.
 type downsetCore struct {
-	g          *Graph  // structure/weight authority (any family member)
-	levels     [][]int // stages per elevation level, in chain (x) order
-	levelOf    []int   // stage -> level index (y-1)
-	posInLevel []int   // stage -> position within its level chain
-	preds      [][]int // stage -> distinct predecessors
+	levels     [][]int     // stages per elevation level, in chain (x) order
+	weights    [][]float64 // stage weights, laid out like levels (shared by the family)
+	levelOf    []int       // stage -> level index (y-1)
+	posInLevel []int       // stage -> position within its level chain
+	preds      [][]int     // stage -> distinct predecessors
 
 	mu     sync.Mutex
 	stride int     // bytes per state in counts: one per elevation level
 	words  int     // uint64 words per state in bits: (n+63)/64
 	counts []uint8 // flat id-indexed per-level inclusion counts (stride each)
 	bits   []uint64
-	size   []int // id -> number of included stages
+	size   []int32 // id -> number of included stages
+
+	// succ caches the lattice's covering edges: succ[id*stride+y] is the
+	// downset one stage up from id at level y, succUnknown until a DFS
+	// first steps there, or succBlocked when level y is full in id or its
+	// next stage has a predecessor outside id. Edges depend only on the
+	// graph's structure, so once resolved they hold for every budget, run
+	// and volume scale: a repeat step is one load instead of a hash probe.
+	succ []int32
 
 	// published is the bits arena, resliced to its capacity and replaced
 	// whenever interning reallocates it, for readers that hold no lock
@@ -114,14 +128,17 @@ type downsetCore struct {
 	// prefixes), so the smaller-budget DFS tree is a prefix-closed subtree of
 	// the larger one and the filtered list preserves both membership and
 	// order. SelectPeriod descends from the largest period, so one
-	// enumeration per downset serves every later period.
-	exp []expEntry
+	// enumeration per downset serves every later period. Each list is
+	// packed at its exact length out of dfsBuf, the DFS's reused working
+	// buffer.
+	exp    []expEntry
+	dfsBuf []Expansion
 
 	// dfsSeen deduplicates states within one expansion DFS (stamped with
 	// dfsEpoch, so clearing between enumerations is a counter bump, not a
 	// sweep). It replaces the per-DFS map[string]bool.
-	dfsSeen  []int
-	dfsEpoch int
+	dfsSeen  []int32
+	dfsEpoch int32
 
 	maxStates int
 	emptyID   int
@@ -130,9 +147,36 @@ type downsetCore struct {
 
 type expEntry struct {
 	maxWork float64
-	exps    []Expansion
-	valid   bool
+	// packed holds the n expansions in one pointer-free allocation of 12
+	// bytes each: n words of chunk-work bits, then the n superset ids as
+	// int32s, two to a word.
+	packed []uint64
+	n      int32
+	valid  bool
 }
+
+// newExpEntry packs an enumeration at its exact length.
+func newExpEntry(maxWork float64, exps []Expansion) expEntry {
+	n := len(exps)
+	packed := make([]uint64, n+(n+1)/2)
+	for j, ex := range exps {
+		packed[j] = math.Float64bits(ex.ChunkWork)
+		packed[n+j/2] |= uint64(uint32(ex.To)) << (32 * (j & 1))
+	}
+	return expEntry{maxWork: maxWork, packed: packed, n: int32(n), valid: true}
+}
+
+// at unpacks expansion j.
+func (e *expEntry) at(j int) Expansion {
+	to := int32(e.packed[int(e.n)+j/2] >> (32 * (j & 1)))
+	return Expansion{To: int(to), ChunkWork: math.Float64frombits(e.packed[j])}
+}
+
+// Covering-edge sentinels in downsetCore.succ.
+const (
+	succUnknown int32 = -1
+	succBlocked int32 = -2
+)
 
 // normalizeStateBudget maps the "use the default cap" sentinel to its value;
 // every consumer of a state budget (space construction, the Analysis memo
@@ -171,6 +215,9 @@ func newDownsetSpace(g *Graph, levels [][]int, maxStates int) (*DownsetSpace, er
 
 func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, error) {
 	maxStates = normalizeStateBudget(maxStates)
+	if maxStates > math.MaxInt32 {
+		return nil, fmt.Errorf("spg: state budget %d exceeds the int32 id range", maxStates)
+	}
 	for _, lv := range levels {
 		if len(lv) > 255 {
 			return nil, fmt.Errorf("spg: elevation level with %d stages exceeds uint8 count encoding", len(lv))
@@ -178,7 +225,6 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	}
 	n := g.N()
 	c := &downsetCore{
-		g:          g,
 		levels:     levels,
 		levelOf:    make([]int, n),
 		posInLevel: make([]int, n),
@@ -191,10 +237,13 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	// The lifetime run starts here, so the constructor's own visits of the
 	// empty and full sets are charged to it.
 	c.life = &Run{core: c, epoch: 1}
+	c.weights = make([][]float64, len(levels))
 	for y, lv := range levels {
+		c.weights[y] = make([]float64, len(lv))
 		for p, s := range lv {
 			c.levelOf[s] = y
 			c.posInLevel[s] = p
+			c.weights[y][p] = g.Stages[s].Weight
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -240,16 +289,21 @@ type Run struct {
 	core *downsetCore
 	ds   *DownsetSpace // the view NewRun was called on (nil for the lifetime run)
 
-	epoch   int
-	ids     []int // run index -> id, in touch order
-	seen    []int // id -> epoch that last touched it
-	indexOf []int // id -> run index (valid only when seen[id] == epoch)
+	epoch   int32
+	ids     []int   // run index -> id, in touch order
+	seen    []int32 // id -> epoch that last touched it
+	indexOf []int32 // id -> run index (valid only when seen[id] == epoch)
 }
 
 // begin restarts the cursor: a new epoch with only the empty and full sets
-// touched.
+// touched. When the epoch counter would wrap, the stamps are cleared and
+// numbering restarts, so no stale stamp can match a later epoch.
 func (r *Run) begin() {
 	c := r.core
+	if r.epoch == math.MaxInt32 {
+		clear(r.seen)
+		r.epoch = 0
+	}
 	r.epoch++
 	r.ids = r.ids[:0]
 	// The constructor charges the empty and full sets; mirror that here so
@@ -263,8 +317,8 @@ func (r *Run) begin() {
 func (r *Run) touch(id int) error {
 	if id >= len(r.seen) {
 		grow := id + 1 - len(r.seen)
-		r.seen = append(r.seen, make([]int, grow)...) // 0 predates every epoch
-		r.indexOf = append(r.indexOf, make([]int, grow)...)
+		r.seen = append(r.seen, make([]int32, grow)...) // 0 predates every epoch
+		r.indexOf = append(r.indexOf, make([]int32, grow)...)
 	}
 	if r.seen[id] == r.epoch {
 		return nil
@@ -273,7 +327,7 @@ func (r *Run) touch(id int) error {
 		return ErrStateLimit
 	}
 	r.seen[id] = r.epoch
-	r.indexOf[id] = len(r.ids)
+	r.indexOf[id] = int32(len(r.ids))
 	r.ids = append(r.ids, id)
 	return nil
 }
@@ -315,29 +369,35 @@ func (r *Run) ID(k int) int { return r.ids[k] }
 // volumes of the view the run was opened on.
 func (r *Run) Cout(k int) float64 { return r.ds.Cout(r.ids[k]) }
 
-// Expansions is DownsetSpace.Expansions keyed by run indices: k is the run
-// index of the source downset, and To in the returned expansions is a run
-// index too. This is the DPA1D entry point: run indices are dense and
-// identical between fresh and warmed spaces, so the DP can key its tables by
-// them directly. The core's mutex is held only while the enumeration is
-// looked up or built; the replay that charges this run happens outside it.
-func (r *Run) Expansions(k int, maxWork float64) ([]Expansion, error) {
+// Expand is DownsetSpace.Expansions keyed by run indices, replayed into the
+// caller's memory: k is the run index of the source downset; buf(n) must
+// return two slices of length at least n, where n bounds the number of
+// expansions; and Expand returns their prefixes filled in enumeration order
+// with each superset's run index and chunk work. This is the DPA1D entry
+// point: run indices are dense and identical between fresh and warmed
+// spaces, so the DP can key its tables by them directly, and buf lets it
+// carve the lists from its scratch arena instead of the heap. The core's
+// mutex is held only while the enumeration is looked up or built; the
+// replay that charges this run happens outside it.
+func (r *Run) Expand(k int, maxWork float64, buf func(n int) ([]int32, []float64)) ([]int32, []float64, error) {
 	c := r.core
 	c.mu.Lock()
 	entry, err := c.ensureExpansionsLocked(r, r.ids[k], maxWork)
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]Expansion, 0, len(entry.exps))
+	to, work := buf(int(entry.n))
+	n := 0
 	err = r.replay(entry, maxWork, func(ex Expansion) {
 		// Every emitted To was just touched, so its run index is current.
-		out = append(out, Expansion{To: r.indexOf[ex.To], ChunkWork: ex.ChunkWork})
+		to[n], work[n] = r.indexOf[ex.To], ex.ChunkWork
+		n++
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return to[:n], work[:n], nil
 }
 
 // BeginRun restarts the lifetime run the id-keyed methods (Expansions,
@@ -367,7 +427,7 @@ func (ds *DownsetSpace) NumStates() int {
 func (ds *DownsetSpace) Size(id int) int {
 	ds.core.mu.Lock()
 	defer ds.core.mu.Unlock()
-	return ds.core.size[id]
+	return int(ds.core.size[id])
 }
 
 // countsOf returns downset id's per-level count vector as a window into the
@@ -428,13 +488,15 @@ func (c *downsetCore) growTable() {
 
 // intern appends a new downset to the arenas and charges run r's budget.
 // The budget is checked before any state is written so a rejected downset is
-// not retained; the touch below then succeeds on the same condition. Callers
+// not retained; the touch below then succeeds on the same condition. The
+// int32 id range is a hard cap on the lattice too: runs charge their own
+// budgets, so many runs could otherwise intern past it together. Callers
 // hold c.mu and have established that counts is not yet interned.
 func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
-	if len(r.ids) >= c.maxStates {
+	id := len(c.size)
+	if len(r.ids) >= c.maxStates || id == math.MaxInt32 {
 		return -1, ErrStateLimit
 	}
-	id := len(c.size)
 	// Keep the open-addressed table below 75% load.
 	if (id+1)*4 > len(c.table)*3 {
 		c.growTable()
@@ -455,15 +517,18 @@ func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
 		arena := c.bits[:cap(c.bits)]
 		c.published.Store(&arena)
 	}
-	sz := 0
+	var sz int32
 	for y, cnt := range counts {
-		sz += int(cnt)
+		sz += int32(cnt)
 		for p := 0; p < int(cnt); p++ {
 			s := c.levels[y][p]
 			c.bits[base+(s>>6)] |= 1 << (uint(s) & 63)
 		}
 	}
 	c.size = append(c.size, sz)
+	for range c.stride {
+		c.succ = append(c.succ, succUnknown)
+	}
 	c.exp = append(c.exp, expEntry{})
 	c.dfsSeen = append(c.dfsSeen, 0)
 	return id, r.touch(id)
@@ -568,7 +633,7 @@ func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Expansion, 0, len(entry.exps))
+	out := make([]Expansion, 0, entry.n)
 	err = c.life.replay(entry, maxWork, func(ex Expansion) { out = append(out, ex) })
 	if err != nil {
 		return nil, err
@@ -582,7 +647,8 @@ func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error)
 // keeps warmed and fresh spaces bit-identical — and hands each one to emit.
 // Entries are immutable once built, so the replay needs no lock.
 func (r *Run) replay(entry expEntry, maxWork float64, emit func(Expansion)) error {
-	for _, ex := range entry.exps {
+	for j := range int(entry.n) {
+		ex := entry.at(j)
 		if ex.ChunkWork > maxWork {
 			continue
 		}
@@ -604,8 +670,16 @@ func (r *Run) replay(entry expEntry, maxWork float64, emit func(Expansion)) erro
 // the per-expansion touches to the caller's filter loop so the accounting
 // order matches a fresh enumeration. Chunk works are stage-weight sums, so
 // one enumeration serves every volume scale sharing the core. Callers hold
-// c.mu and must not modify entry.exps (the cached slice is returned without
+// c.mu and must not modify entry.packed (the cached list is returned without
 // copying; every caller in this file only reads or re-filters it).
+//
+// The DFS walks covering edges through c.succ: only the first step through
+// an edge checks predecessors and probes the intern table, at exactly the
+// point the re-hashing walk did, so ids, intern order and touch order are
+// those of a walk without the table. The walk stops at its first failure:
+// a walk that carried on could let a later touch of an already-charged
+// state overwrite the error and memoize a truncated list, after which a
+// warmed space would answer differently from a fresh one.
 func (c *downsetCore) ensureExpansionsLocked(r *Run, id int, maxWork float64) (expEntry, error) {
 	if e := c.exp[id]; e.valid && e.maxWork >= maxWork {
 		return e, r.touch(id)
@@ -613,54 +687,77 @@ func (c *downsetCore) ensureExpansionsLocked(r *Run, id int, maxWork float64) (e
 	if err := r.touch(id); err != nil {
 		return expEntry{}, err
 	}
-	counts := make([]uint8, c.stride)
+	counts := make([]uint8, c.stride) // the current state's counts
 	copy(counts, c.countsOf(id))
+	if c.dfsEpoch == math.MaxInt32 {
+		// Restart the stamps rather than wrap, so no stale one can match.
+		clear(c.dfsSeen)
+		c.dfsEpoch = 0
+	}
 	c.dfsEpoch++
 	c.dfsSeen[id] = c.dfsEpoch
-	var res []Expansion
+	res := c.dfsBuf[:0]
 	var err error
-	var dfs func(work float64)
-	dfs = func(work float64) {
-		if err != nil {
-			return
-		}
+	var dfs func(cur int, work float64)
+	dfs = func(cur int, work float64) {
+		// c.succ and c.dfsSeen are re-read after every intern, which may
+		// reallocate them.
+		edges := cur * c.stride
 		for y := range counts {
-			p := int(counts[y])
-			if p >= len(c.levels[y]) {
+			to := c.succ[edges+y]
+			if to == succBlocked {
 				continue
 			}
-			s := c.levels[y][p]
-			w := work + c.g.Stages[s].Weight
+			p := int(counts[y])
+			if to == succUnknown && p >= len(c.levels[y]) {
+				c.succ[edges+y] = succBlocked
+				continue
+			}
+			w := work + c.weights[y][p]
 			if w > maxWork {
 				continue
 			}
-			if !c.predsIncluded(counts, s) {
-				continue
-			}
-			counts[y]++
-			to, ok := c.lookup(counts)
-			if !ok || c.dfsSeen[to] != c.dfsEpoch {
-				if ok {
-					err = r.touch(to)
-				} else {
-					to, err = c.intern(r, counts)
+			if to == succUnknown {
+				if !c.predsIncluded(counts, c.levels[y][p]) {
+					c.succ[edges+y] = succBlocked
+					continue
 				}
+				counts[y]++
+				next, ok := c.lookup(counts)
+				if !ok {
+					next, err = c.intern(r, counts)
+				}
+				counts[y]--
 				if err != nil {
-					counts[y]--
 					return
 				}
-				c.dfsSeen[to] = c.dfsEpoch
-				res = append(res, Expansion{To: to, ChunkWork: w})
-				dfs(w)
+				to = int32(next)
+				c.succ[edges+y] = to
 			}
+			if c.dfsSeen[to] == c.dfsEpoch {
+				continue
+			}
+			// A state interned just above is already charged; this touch
+			// is then a no-op.
+			if err = r.touch(int(to)); err != nil {
+				return
+			}
+			c.dfsSeen[to] = c.dfsEpoch
+			res = append(res, Expansion{To: int(to), ChunkWork: w})
+			counts[y]++
+			dfs(int(to), w)
 			counts[y]--
+			if err != nil {
+				return
+			}
 		}
 	}
-	dfs(0)
+	dfs(id, 0)
+	c.dfsBuf = res[:0]
 	if err != nil {
 		return expEntry{}, err
 	}
-	e := expEntry{maxWork: maxWork, exps: res, valid: true}
+	e := newExpEntry(maxWork, res)
 	c.exp[id] = e
 	return e, nil
 }

@@ -217,8 +217,8 @@ func (s *bandShape) footprint() int64 {
 }
 
 // footprint estimates the interned lattice: the flat count/bitset arenas,
-// the open-addressed intern table, retained run cursors and the memoized
-// expansion enumerations. This is the dominant term on large-elevation workloads (a
+// the covering-edge table, the open-addressed intern table, retained run
+// cursors and the memoized expansion enumerations. This is the dominant term on large-elevation workloads (a
 // 150k-state space with its enumerations runs to hundreds of MB), which is
 // exactly why the campaign cache re-estimates footprints as spaces grow.
 func (c *downsetCore) footprint() int64 {
@@ -226,25 +226,29 @@ func (c *downsetCore) footprint() int64 {
 	defer c.mu.Unlock()
 	states := int64(len(c.size))
 	var b int64
-	// Flat arenas: counts bytes, membership bitset words, intern table slots.
-	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.table))*4
-	// size and dfsSeen, plus the id-indexed tables of the retained run
-	// cursors (the lifetime run and the idle ones kept for reuse).
-	b += states * 2 * 8
+	// Flat arenas: counts bytes, membership bitset words, covering edges,
+	// intern table slots.
+	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.succ))*4 + int64(cap(c.table))*4
+	// size and dfsSeen (int32 each), plus the id-indexed tables of the
+	// retained run cursors (the lifetime run and the idle ones kept for
+	// reuse).
+	b += states * 2 * 4
 	b += c.life.footprint()
 	c.idleMu.Lock()
 	for _, r := range c.idle {
 		b += r.footprint()
 	}
 	c.idleMu.Unlock()
-	// Expansion memo: one fixed entry per state plus the cached enumerations.
+	// Expansion memo: one fixed entry per state plus the cached enumerations
+	// (packed at their exact length) and the DFS's reused working buffer.
 	b += states * (sliceHeaderBytes + 16)
 	for i := range c.exp {
-		b += int64(len(c.exp[i].exps)) * 16
+		b += int64(len(c.exp[i].packed)) * 8
 	}
-	// Static per-stage tables: levelOf, posInLevel, preds.
+	b += int64(cap(c.dfsBuf)) * 16
+	// Static per-stage tables: levelOf, posInLevel, weights, preds.
 	nStages := int64(len(c.levelOf))
-	b += nStages * 2 * 8
+	b += nStages * 3 * 8
 	for _, p := range c.preds {
 		b += sliceHeaderBytes + int64(len(p))*8
 	}
@@ -260,7 +264,7 @@ func (ds *DownsetSpace) viewFootprint() int64 {
 }
 
 // footprint estimates a run cursor's tables: run index -> id, and the
-// id-indexed epoch stamps and run indices.
+// id-indexed int32 epoch stamps and run indices.
 func (r *Run) footprint() int64 {
-	return 3*sliceHeaderBytes + int64(cap(r.ids)+cap(r.seen)+cap(r.indexOf))*8
+	return 3*sliceHeaderBytes + int64(cap(r.ids))*8 + int64(cap(r.seen)+cap(r.indexOf))*4
 }

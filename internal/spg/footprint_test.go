@@ -63,6 +63,10 @@ func TestMemoryFootprintGrowsWithStructures(t *testing.T) {
 	if afterEnum <= afterSpace {
 		t.Errorf("enumeration did not grow the footprint: %d -> %d", afterSpace, afterEnum)
 	}
+	// Each interned state carries one covering-edge slot per level.
+	if edges := int64(4 * ds.core.stride * ds.NumStates()); afterEnum-afterSpace < edges {
+		t.Errorf("enumeration grew the footprint by %d, less than its %d bytes of covering edges", afterEnum-afterSpace, edges)
+	}
 }
 
 // TestMemoryFootprintScaleFamily: a scaled member's volume-dependent half is
