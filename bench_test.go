@@ -366,8 +366,10 @@ func BenchmarkSelectPeriod(b *testing.B) {
 
 // BenchmarkSelectPeriodUncached replicates the protocol without the shared
 // cache — a fresh cache-free instance per (heuristic, period) call, which is
-// what every Solve did before the analysis cache existed. The ratio to
-// BenchmarkSelectPeriod is the cache's speedup.
+// what every Solve did before the analysis cache existed — solving every
+// heuristic at every division, as the protocol did before it stopped
+// intermediate divisions at their first success. The ratio to
+// BenchmarkSelectPeriod is the speedup of both.
 func BenchmarkSelectPeriodUncached(b *testing.B) {
 	g := selectPeriodWorkload(b)
 	pl := platform.XScale(4, 4)
@@ -391,6 +393,21 @@ func BenchmarkSelectPeriodUncached(b *testing.B) {
 				break
 			}
 			T /= 10
+		}
+	}
+}
+
+// BenchmarkSelectPeriodRandomMiss times the /v1/map miss path's solve: each
+// op is one never-seen random SPG of the map-mixed shape (n=20, elevation 3,
+// CCR 1) on 4x4, built into a fresh analysis and run through the period
+// protocol with placements kept, as engine.Solve does for the service.
+func BenchmarkSelectPeriodRandomMiss(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := experiments.NewRandomCell(20, 3, int64(i), 1, 4, 4)
+		c.Spec.Opts.KeepMappings = true
+		if r := engine.Solve(c, nil); r.Err != nil {
+			b.Fatal(r.Err)
 		}
 	}
 }

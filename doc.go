@@ -47,12 +47,17 @@
 // Instance.WithPeriod re-solves at a new bound without re-analyzing, and
 // every Solve falls back to a private cache when none is attached. This
 // layer applies whenever the same workload is solved more than once —
-// several heuristics, several periods. Riding on it, the core package keys
-// two further structures to the analysis through its Aux hooks:
-// cross-period speed-threshold tables (the minimal period at which each
-// ladder speed can process each DPA2D rectangle, monotone in T and computed
-// once for all period divisions) with per-period rectangle-energy snapshots
-// shared between DPA2D, DPA2D-T and DPA2D1D, and a DPA1D run-outcome memo.
+// several heuristics, several periods. The protocol (engine.SelectPeriod)
+// needs all five outcomes only at the period it returns: it solves each
+// other period cheapest first — Random, Greedy, DPA2D1D, DPA2D, DPA1D
+// (core.CellSolver) — and stops at the first success, so a structure the
+// costlier heuristics build may first be built at the failing, tighter
+// period. Riding on the analysis, the core package keys two further
+// structures to it through its Aux hooks: cross-period speed-threshold
+// tables (the minimal period at which each ladder speed can process each
+// DPA2D rectangle, monotone in T and computed once for all period
+// divisions) with per-period rectangle-energy snapshots shared between
+// DPA2D, DPA2D-T and DPA2D1D, and a DPA1D run-outcome memo.
 // The memo replays recorded state-explosion verdicts and — keyed
 // additionally by the core count and the platform's energy fingerprint,
 // which steer the DP's argmin — successful chunk decompositions

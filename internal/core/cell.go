@@ -20,33 +20,84 @@ type CellOutcome struct {
 	Mapping *mapping.WireMapping `json:"mapping,omitempty"`
 }
 
-// SolveCell runs every heuristic of AllWith(o) on the instance, in the
-// paper's presentation order, and returns one outcome per heuristic. It is
-// the cell-level solve entry point shared by the campaign engine's executor
-// and the period-selection protocol: an analysis cache attached to inst is
-// reused by all heuristics (callers that solve a workload more than once
-// should attach one with NewInstance or Instance.Analyzed).
+// SolveCell runs every heuristic of AllWith(o) on the instance and returns
+// one outcome per heuristic, in the paper's presentation order. It is the
+// eager form of CellSolver: an analysis cache attached to inst is reused by
+// all heuristics (callers that solve a workload more than once should attach
+// one with NewInstance or Instance.Analyzed).
 func SolveCell(inst Instance, o Options) []CellOutcome {
+	return NewCellSolver(inst, o).Complete()
+}
+
+// costOrder is the order in which a CellSolver runs the heuristics of
+// AllWith, as indexes into that list: Random, Greedy, DPA2D1D, DPA2D, DPA1D,
+// cheapest first. Every heuristic is a pure function of (instance, options),
+// so the order changes only how soon a first success is found, never an
+// outcome.
+var costOrder = [...]int{0, 1, 4, 2, 3}
+
+// CellSolver solves one instance's heuristics lazily — the cell-level solve
+// entry point of the period-selection protocol. FirstOK runs them cheapest
+// first and stops at the first success, which is all an intermediate period
+// division needs to know; Complete runs whatever is left, for the period the
+// protocol returns.
+type CellSolver struct {
+	inst Instance
+	keep bool
+	hs   []Heuristic
+	out  []CellOutcome
+	// solved is how many heuristics of costOrder have run; ok records
+	// whether one of them succeeded.
+	solved int
+	ok     bool
+}
+
+// NewCellSolver prepares the heuristics of AllWith(o) on inst; nothing is
+// solved until FirstOK or Complete.
+func NewCellSolver(inst Instance, o Options) *CellSolver {
 	hs := AllWith(o)
-	out := make([]CellOutcome, len(hs))
-	for i, h := range hs {
-		out[i].Heuristic = h.Name()
-		sol, err := h.Solve(inst)
-		if err != nil {
-			continue
-		}
-		out[i].OK = true
-		out[i].Energy = sol.Energy()
-		out[i].ActiveCores = sol.Result.ActiveCores
-		if o.KeepMappings {
-			out[i].Mapping = sol.Mapping.Wire(inst.Platform)
-		}
+	return &CellSolver{inst: inst, keep: o.KeepMappings, hs: hs, out: make([]CellOutcome, len(hs))}
+}
+
+// FirstOK solves heuristics in cost order until one succeeds and reports
+// whether any has. When it reports false, every heuristic has run.
+func (c *CellSolver) FirstOK() bool {
+	for !c.ok && c.solved < len(costOrder) {
+		c.solve()
 	}
-	return out
+	return c.ok
+}
+
+// Complete solves every heuristic not yet run and returns all outcomes in
+// the paper's presentation order.
+func (c *CellSolver) Complete() []CellOutcome {
+	for c.solved < len(costOrder) {
+		c.solve()
+	}
+	return c.out
+}
+
+// solve runs the next heuristic in cost order and fills its outcome.
+func (c *CellSolver) solve() {
+	i := costOrder[c.solved]
+	c.solved++
+	h, o := c.hs[i], &c.out[i]
+	o.Heuristic = h.Name()
+	sol, err := h.Solve(c.inst)
+	if err != nil {
+		return
+	}
+	c.ok, o.OK = true, true
+	o.Energy = sol.Energy()
+	o.ActiveCores = sol.Result.ActiveCores
+	if c.keep {
+		o.Mapping = sol.Mapping.Wire(c.inst.Platform)
+	}
 }
 
 // AnyOK reports whether at least one outcome succeeded — the per-period
-// continuation test of the Section 6.1.3 protocol.
+// continuation test of the Section 6.1.3 protocol over eagerly solved
+// outcomes (CellSolver.FirstOK answers it without solving them all).
 func AnyOK(outcomes []CellOutcome) bool {
 	for _, o := range outcomes {
 		if o.OK {

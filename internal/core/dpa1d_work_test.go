@@ -10,7 +10,7 @@ import (
 )
 
 // TestDPA1DCampaignWorkCount pins how much DPA1D work one Fig 8 + Fig 9
-// pair does on a fresh campaign cache: at most 162 executed runs, at most
+// pair does on a fresh campaign cache: at most 131 executed runs, at most
 // 11 of them budget failures. Every other Solve replays a verdict or a
 // memoized solution. The count is a property of each family's cell order,
 // which a serial pool fixes, so it repeats exactly.
@@ -32,7 +32,7 @@ func TestDPA1DCampaignWorkCount(t *testing.T) {
 	runs1, fails1 := core.DPA1DWork()
 	runs, fails := runs1-runs0, fails1-fails0
 	t.Logf("one pair: %d DPA1D runs executed, %d budget failures", runs, fails)
-	if runs > 162 || fails > 11 {
-		t.Fatalf("one pair executed %d DPA1D runs with %d budget failures, want at most 162 and 11", runs, fails)
+	if runs > 131 || fails > 11 {
+		t.Fatalf("one pair executed %d DPA1D runs with %d budget failures, want at most 131 and 11", runs, fails)
 	}
 }

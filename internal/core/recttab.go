@@ -31,12 +31,13 @@ import (
 //   - Rectangle-energy snapshots (per period). The full ecal entry adds the
 //     T-dependent leakage and dynamic terms, so energies are shared only
 //     between engines probing the same period: DPA2D, DPA2D-T and DPA2D1D
-//     all run at each division of SelectPeriod and probe overlapping band
-//     rectangles. Engines copy the shared snapshot into a private table
-//     (keeping the DP's hot loop lock-free), and publish their additions
-//     back when the solve finishes. Entries are pure functions of
-//     (weights, energy ladder, T, rectangle), so merging is conflict-free
-//     and bit-identical to local recomputation.
+//     all run at the period SelectPeriod returns and at the division that
+//     fails after it (an intermediate division stops at its first success,
+//     cheapest first) and probe overlapping band rectangles. Engines copy
+//     the shared snapshot into a private table (keeping the DP's hot loop
+//     lock-free), and publish their additions back when the solve finishes.
+//     Entries are pure functions of (weights, energy ladder, T, rectangle),
+//     so merging is conflict-free and bit-identical to local recomputation.
 //
 // Both caches key by the platform's energy signature (speeds, dynamic
 // powers, leakage), not by platform identity: the transposed and uni-line
@@ -60,9 +61,10 @@ type sigTables struct {
 	// allocated on first touch.
 	thr map[int][][]float64
 	// periods is a tiny most-recently-used list of per-period energy
-	// snapshot tables; SelectPeriod probes at most ten periods and revisits
-	// each one for every heuristic, so a small cap bounds memory without
-	// evicting anything a sweep still wants.
+	// snapshot tables; SelectPeriod probes at most ten periods, and
+	// returns to the last successful one to complete it after the next
+	// division fails, so a small cap bounds memory without evicting
+	// anything a sweep still wants.
 	periods []*periodTables
 }
 

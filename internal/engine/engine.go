@@ -5,16 +5,17 @@
 // replaced (see the equivalence tests in internal/experiments).
 //
 // A cell is one (workload identity x CCR x platform x solver options) point:
-// solving it runs the Section 6.1.3 period-selection protocol over all five
-// heuristics, so every (app, CCR, period division, heuristic) outcome of the
-// paper's figures is addressable as (cell key, period, heuristic) in the
-// cell's result. Cells are self-contained — a declarative, JSON-serializable
-// CellSpec from which the workload registry regenerates the seeded instance —
-// which is what lets an executor place them anywhere: the in-process
-// PoolExecutor, or the ShardExecutor, which ships spec ranges to remote
-// worker processes over HTTP/JSON and reassembles their wire results,
-// bit-identical to a local run at any shard count (cells are deterministic,
-// so retries after worker failures are safe).
+// solving it runs the Section 6.1.3 period-selection protocol, which reports
+// all five heuristics at the period it selects, so every (app, CCR,
+// heuristic) outcome of the paper's figures is addressable as (cell key,
+// heuristic) in the cell's result. Cells are self-contained — a
+// declarative, JSON-serializable CellSpec from which the workload registry
+// regenerates the seeded instance — which is what lets an executor place
+// them anywhere: the in-process PoolExecutor, or the ShardExecutor, which
+// ships spec ranges to remote worker processes over HTTP/JSON and
+// reassembles their wire results, bit-identical to a local run at any shard
+// count (cells are deterministic, so retries after worker failures are
+// safe).
 //
 // The engine threads the campaign-scope AnalysisCache through the executor:
 // cells sharing a workload family (the CCR variants of one application)

@@ -30,14 +30,18 @@ func (ir InstanceResult) BestEnergy() float64 {
 	return best
 }
 
-// AnyOK reports whether at least one outcome succeeded.
-func AnyOK(outcomes []Outcome) bool { return core.AnyOK(outcomes) }
-
 // SelectPeriod implements the protocol of Section 6.1.3 over a pre-built
 // (possibly shared) analysis: start at T = 1 s, iteratively divide the period
 // by 10 while at least one heuristic still succeeds, and retain the last
 // period before total failure together with the heuristic outcomes at that
 // period. ok is false when every heuristic already fails at 1 s.
+//
+// Only the returned period needs all five outcomes. Every other period
+// asks whether any heuristic succeeds, so the protocol solves it cheapest
+// first and stops at the first success (core.CellSolver), and completes the
+// returned period once the next division has failed or the cap is reached.
+// Heuristics are pure functions of (instance, options), so the result is the
+// one solving every heuristic at every division would give.
 //
 // opts configures the heuristic set (core.AllWith); opts.Seed drives the
 // Random heuristic. The analysis is only read through its concurrency-safe
@@ -62,25 +66,28 @@ func SelectPeriodDivisions(an *spg.Analysis, pl *platform.Platform, opts core.Op
 
 // selectPeriodDivisionsScratch is the protocol with a caller-owned solver
 // arena threaded through every period's instance (nil allocates normally).
-// The arena is reset between periods: a period's outcomes carry only scalars
-// and wire-form copies, so nothing handed to the caller is arena-backed.
+// The arena is reset between periods and before the returned period is
+// completed: outcomes carry only scalars and wire-form copies, so nothing
+// handed to the caller is arena-backed.
 func selectPeriodDivisionsScratch(an *spg.Analysis, pl *platform.Platform, opts core.Options, maxDivisions int, sc *core.Scratch) (InstanceResult, bool) {
 	if maxDivisions <= 0 {
 		maxDivisions = DefaultMaxDivisions
 	}
 	inst := core.Instance{Graph: an.Graph(), Platform: pl, Period: 1.0, Analysis: an, Scratch: sc}
-	outcomes := core.SolveCell(inst, opts)
-	if !core.AnyOK(outcomes) {
-		return InstanceResult{Period: inst.Period, Outcomes: outcomes}, false
+	cell := core.NewCellSolver(inst, opts)
+	if !cell.FirstOK() {
+		// Every heuristic has run: the outcomes are complete.
+		return InstanceResult{Period: inst.Period, Outcomes: cell.Complete()}, false
 	}
 	for i := 0; i < maxDivisions; i++ {
 		sc.Reset()
 		tighter := inst.WithPeriod(inst.Period / 10)
-		next := core.SolveCell(tighter, opts)
-		if !core.AnyOK(next) {
+		next := core.NewCellSolver(tighter, opts)
+		if !next.FirstOK() {
 			break
 		}
-		inst, outcomes = tighter, next
+		inst, cell = tighter, next
 	}
-	return InstanceResult{Period: inst.Period, Outcomes: outcomes}, true
+	sc.Reset()
+	return InstanceResult{Period: inst.Period, Outcomes: cell.Complete()}, true
 }

@@ -55,15 +55,6 @@ type Outcome = engine.Outcome
 // period selected by the Section 6.1.3 protocol.
 type InstanceResult = engine.InstanceResult
 
-// runAll executes every heuristic on the instance with the campaign
-// configuration. The instance's analysis cache (when attached) is shared by
-// all five heuristics.
-func runAll(inst core.Instance, seed int64) []Outcome {
-	return core.SolveCell(inst, campaignOptions(seed))
-}
-
-func anyOK(outcomes []Outcome) bool { return engine.AnyOK(outcomes) }
-
 // SelectPeriod implements the protocol of Section 6.1.3: start at T = 1 s,
 // iteratively divide the period by 10 while at least one heuristic still
 // succeeds, and retain the last period before total failure, together with

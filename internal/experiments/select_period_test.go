@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spgcmp/internal/core"
 	"spgcmp/internal/platform"
 	"spgcmp/internal/spg"
 )
@@ -55,7 +56,7 @@ func TestSelectPeriodMaxDivisions(t *testing.T) {
 	if ir.Period != want {
 		t.Errorf("period = %g, want %g after exactly 9 divisions", ir.Period, want)
 	}
-	if !anyOK(ir.Outcomes) {
+	if !core.AnyOK(ir.Outcomes) {
 		t.Error("selected period has no successful heuristic")
 	}
 }

@@ -127,8 +127,11 @@ type downsetCore struct {
 	// chunks heavier than the budget (every path to a light chunk has light
 	// prefixes), so the smaller-budget DFS tree is a prefix-closed subtree of
 	// the larger one and the filtered list preserves both membership and
-	// order. SelectPeriod descends from the largest period, so one
-	// enumeration per downset serves every later period. Each list is
+	// order. SelectPeriod descends from the largest period, so an
+	// enumeration per downset serves every later period — except that it
+	// solves DPA1D only where the cheaper heuristics fail, so DPA1D may
+	// first enumerate at the failing, tighter period and then once more at
+	// the larger budget of the period the protocol returns. Each list is
 	// packed at its exact length out of dfsBuf, the DFS's reused working
 	// buffer.
 	exp    []expEntry
