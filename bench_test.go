@@ -9,7 +9,6 @@ package spgcmp_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -771,7 +770,7 @@ func BenchmarkAblationDPA2DTranspose(b *testing.B) {
 	benchHeuristic(b, &core.DPA2D{Transpose: true}, fmRadioInstance(b))
 }
 
-// --- Campaign engine: cells + pluggable executor vs the legacy inline loop ---
+// --- Campaign engine: cells through the pool executor and the dispatcher ---
 
 // benchEngineCache returns a campaign cache pre-warmed with one full pass of
 // the reduced suite, modelling the steady state of a long-running service.
@@ -786,9 +785,7 @@ func benchEngineCache(b *testing.B, apps []streamit.App) *engine.AnalysisCache {
 
 // BenchmarkEngineCampaign measures a warm StreamIt campaign through the
 // engine path: cell enumeration, the pool executor, and the indexed
-// order-independent reducer. Compare with BenchmarkEngineCampaignLegacy —
-// the pre-engine monolithic loop over the same warm cache — to see what the
-// cell/executor indirection costs (it should be noise next to the solves).
+// order-independent reducer.
 func BenchmarkEngineCampaign(b *testing.B) {
 	apps := benchApps(b)
 	cache := benchEngineCache(b, apps)
@@ -807,127 +804,13 @@ func BenchmarkEngineCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCampaignLegacy reproduces the pre-engine campaign loop over
-// the same warm cache: serial base-analysis resolution per application, an
-// inline worker pool over the CCR variants, and direct writes into the
-// result table — the shape RunStreamItWith had before it became an engine
-// adapter.
-func BenchmarkEngineCampaignLegacy(b *testing.B) {
-	apps := benchApps(b)
-	cache := benchEngineCache(b, apps)
-	pl := platform.XScale(4, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bases := make([]*spg.Analysis, len(apps))
-		for ai, a := range apps {
-			a := a
-			an, err := cache.Get(
-				fmt.Sprintf("streamit/%s/n=%d/y=%d/x=%d", a.Name, a.N, a.YMax, a.XMax),
-				func() (*spg.Analysis, error) {
-					g, err := a.BaseGraph()
-					if err != nil {
-						return nil, err
-					}
-					return spg.NewAnalysis(g), nil
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bases[ai] = an
-		}
-		type variant struct {
-			appIdx int
-			ccr    float64
-		}
-		var variants []variant
-		for ai, a := range apps {
-			variants = append(variants,
-				variant{ai, a.CCR}, variant{ai, 10}, variant{ai, 1}, variant{ai, 0.1})
-		}
-		type cellOut struct {
-			res experiments.InstanceResult
-		}
-		outs := make([]cellOut, len(variants))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(variants) {
-			workers = len(variants)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for vi := range next {
-					v := variants[vi]
-					an := bases[v.appIdx].ScaleToCCR(v.ccr)
-					ir, _ := experiments.SelectPeriodAnalyzed(an, pl, 1+int64(vi))
-					outs[vi] = cellOut{res: ir}
-				}
-			}()
-		}
-		for vi := range variants {
-			next <- vi
-		}
-		close(next)
-		wg.Wait()
-	}
-}
-
-// BenchmarkShardExecutor measures a warm StreamIt campaign through the
-// distributed path: specs serialized over HTTP/JSON to two in-process
-// workers (httptest servers sharing the campaign cache), wire results
-// reassembled by index. Compare with BenchmarkEngineCampaign — the same
-// campaign on the in-process pool — to see what the wire crossing costs;
-// results are bit-identical by the shard-equivalence suite.
-func BenchmarkShardExecutor(b *testing.B) {
-	apps := benchApps(b)
-	cache := benchEngineCache(b, apps)
-	worker := func() *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var req engine.ExecuteCellsRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			results, err := engine.ExecuteSpecs(r.Context(), nil, req.Cells, cache, nil)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			_ = json.NewEncoder(w).Encode(engine.ExecuteCellsResponse{Results: results})
-		}))
-	}
-	w1, w2 := worker(), worker()
-	defer w1.Close()
-	defer w2.Close()
-	ex := &engine.ShardExecutor{Workers: []string{w1.URL, w2.URL}, Shards: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := engine.Run(context.Background(), ex, engine.Campaign{
-			Cells: experiments.StreamItCells(4, 4, apps, 1),
-			Cache: cache,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.ReduceStreamIt(4, 4, apps, results); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if ex.Fallbacks() > 0 {
-		b.Fatalf("%d shard ranges fell back locally", ex.Fallbacks())
-	}
-}
-
-// BenchmarkDispatcherSteal measures the cluster scheduler's point on a
-// heterogeneous cluster: one worker is artificially slow (a per-cell stall
-// modelling an overloaded host), the other fast. Under the work-stealing
-// Dispatcher the fast worker pulls (and steals) most chunks, so the
-// campaign finishes near the fast worker's pace; under the ShardExecutor's
-// static up-front ranges the slow worker serializes its whole half. Both
-// sub-benchmarks run the identical campaign over the same warm cache, and
-// results stay bit-identical either way.
+// BenchmarkDispatcherSteal measures the cluster scheduler on a
+// heterogeneous cluster: two in-process workers (httptest servers sharing
+// the warm campaign cache), one artificially slow (a per-cell stall
+// modelling an overloaded host). The fast worker pulls, and steals, most
+// one-cell chunks, so the campaign should finish near the fast worker's
+// pace; BenchmarkEngineCampaign runs the same campaign on the in-process
+// pool. Results are bit-identical by the dispatcher equivalence suite.
 func BenchmarkDispatcherSteal(b *testing.B) {
 	apps := benchApps(b)
 	cache := benchEngineCache(b, apps)
@@ -957,9 +840,13 @@ func BenchmarkDispatcherSteal(b *testing.B) {
 	slow, fast := worker(true), worker(false)
 	defer slow.Close()
 	defer fast.Close()
-	campaign := func(b *testing.B, ex engine.Executor) {
-		b.Helper()
-		results, err := engine.Run(context.Background(), ex, engine.Campaign{
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &engine.Dispatcher{
+			Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, slow.URL, fast.URL),
+			ChunkCells: 1,
+		}
+		results, err := engine.Run(context.Background(), d, engine.Campaign{
 			Cells: experiments.StreamItCells(4, 4, apps, 1),
 			Cache: cache,
 		})
@@ -969,26 +856,8 @@ func BenchmarkDispatcherSteal(b *testing.B) {
 		if _, err := experiments.ReduceStreamIt(4, 4, apps, results); err != nil {
 			b.Fatal(err)
 		}
+		if st := d.Stats(); st.LocalFallbacks > 0 {
+			b.Fatalf("%d chunks fell back locally", st.LocalFallbacks)
+		}
 	}
-	b.Run("WorkSteal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := &engine.Dispatcher{
-				Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, slow.URL, fast.URL),
-				ChunkCells: 1,
-			}
-			campaign(b, d)
-			if st := d.Stats(); st.LocalFallbacks > 0 {
-				b.Fatalf("%d chunks fell back locally", st.LocalFallbacks)
-			}
-		}
-	})
-	b.Run("StaticRanges", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ex := &engine.ShardExecutor{Workers: []string{slow.URL, fast.URL}, Shards: 2}
-			campaign(b, ex)
-			if ex.Fallbacks() > 0 {
-				b.Fatalf("%d shard ranges fell back locally", ex.Fallbacks())
-			}
-		}
-	})
 }

@@ -3,7 +3,7 @@
 // campaign engine and the campaign-scope analysis cache (see
 // internal/service and the README next to this file).
 //
-// Every spgserve process also answers the shard-worker endpoint
+// Every spgserve process also answers the worker endpoint
 // POST /v1/cells/execute, so a cluster is just N ordinary instances plus a
 // coordinator that knows them: either seed the coordinator with -worker
 // flags, or start each worker with -register-with pointing at the
@@ -198,7 +198,7 @@ func main() {
 		chaosSeed     = flag.Int64("chaos-seed", 1, "seed for the -chaos probability gates (same seed, same faults)")
 		quickstart    = flag.Bool("h-examples", false, "print example requests and exit")
 	)
-	flag.Func("worker", "shard-worker base URL, repeatable and/or comma-separated; seeds the coordinator's worker registry", func(v string) error {
+	flag.Func("worker", "worker base URL, repeatable and/or comma-separated; seeds the coordinator's worker registry", func(v string) error {
 		return addWorkerURLs(&workerURLs, v)
 	})
 	flag.Parse()

@@ -113,13 +113,13 @@
 // entry and byte bounds and are evicted before LRU entries.
 //
 // Layer 4 — outcome scope. engine.ResultStore memoizes finished cell
-// outcomes themselves, keyed by content: every wire-codable CellSpec has a
+// outcomes themselves, keyed by content: every CellSpec has a
 // canonical content key (CellSpec.ContentKey) — a versioned hash over the
 // workload identity, grid, and each solver option that can steer the
 // outcome, excluding campaign-local addressing and the parallelism knob,
 // which provably cannot — and engine.Run consults the store before
 // dispatching a cell, so a spec solved once anywhere (a /v1/map request, a
-// batch item, a campaign cell, a shard worker's range) never solves again
+// batch item, a campaign cell, a worker's dispatched range) never solves again
 // while it stays resident. Each entry is the outcome's encoded answer
 // (engine.Answer: verdict, per-heuristic result, winner and placement) held
 // as an immutable string, so a /v1/map hit is a byte copy: the service
@@ -131,10 +131,8 @@
 // at 1 and 4 workers; the service's rendering oracle proves it for every
 // /v1/map path) and callers never alias store memory. Retention is LRU
 // under an entry bound and a byte account; an answer larger than the byte
-// bound is not stored. Cells whose workloads are in-process
-// closures have no wire form, no content key, and always solve. Where the
-// analysis cache makes re-solving cheap, this layer makes it free — the
-// high-QPS serving pattern.
+// bound is not stored. Where the analysis cache makes re-solving cheap,
+// this layer makes it free — the high-QPS serving pattern.
 //
 // # The flattened DP kernels
 //
@@ -229,18 +227,16 @@
 // campaigns bit-identical to the pre-engine loops for every (app, CCR,
 // period, heuristic) cell at any worker count, cached or not.
 //
-// Three executors implement the seam. PoolExecutor runs cells on an
-// in-process worker pool. engine.Run hands it the cells family-interleaved,
-// round-robin across workload families in order of first appearance:
-// concurrent workers then solve different applications instead of CCR
-// siblings that would wait on each other's DPA1D verdicts. Results stay
-// indexed by cell, so the schedule changes no byte. ShardExecutor is the original distributed layer:
-// it partitions the cell index space into balanced contiguous ranges, ships
-// each range's specs once, up front, to a static worker list over HTTP/JSON
-// (POST /v1/cells/execute), reassembles the wire results at their absolute
-// indexes, and re-executes failed ranges on the local fallback pool.
-// Dispatcher is the cluster scheduler that supersedes it for real clusters:
-// a WorkerRegistry tracks cluster membership (static -worker seeds plus
+// Two executors implement the seam. PoolExecutor runs cells on an
+// in-process worker pool, one solver arena per worker. engine.Run hands it
+// the cells family-interleaved, round-robin across workload families in
+// order of first appearance: concurrent workers then solve different
+// applications instead of CCR siblings that would wait on each other's
+// DPA1D verdicts. Results stay indexed by cell, so the schedule changes no
+// byte. Dispatcher is the cluster scheduler, shipping cell specs to worker
+// processes over HTTP/JSON (POST /v1/cells/execute) and reassembling the
+// wire results at their absolute indexes: a WorkerRegistry tracks cluster
+// membership (static -worker seeds plus
 // POST /v1/workers self-registrations) and worker health (periodic
 // /v1/healthz probes plus dispatch outcomes drive a
 // healthy -> suspect -> dead machine with rejoin on recovery), and the
@@ -256,8 +252,8 @@
 // whose dispatch fails or times out is re-dispatched to a different healthy
 // worker, falling back to the local pool only when no healthy worker
 // remains that hasn't already failed it. Because cells are pure functions
-// of their specs, every re-placement is free: the dispatcher- and
-// shard-equivalence suites prove campaign results bit-identical to the
+// of their specs, every re-placement is free: the dispatcher-equivalence
+// suites prove campaign results bit-identical to the
 // PoolExecutor at any worker count, chunk size and failure schedule
 // (dead workers, slow workers, workers that die mid-campaign and rejoin).
 // Results cross the wire losslessly: CellOutcome (float64 energies
@@ -282,8 +278,8 @@
 // finished jobs are retained under TTL and count bounds), and
 // GET /v1/healthz reports the shared cache's and result store's statistics
 // and the coalescing counters plus, on a coordinator, the worker registry
-// snapshot and lifetime dispatcher counters. Every instance answers the shard-worker endpoint
-// POST /v1/cells/execute and the registry endpoints
+// snapshot and lifetime dispatcher counters. Every instance answers the
+// worker endpoint POST /v1/cells/execute and the registry endpoints
 // POST/GET/DELETE /v1/workers, so a cluster is N ordinary spgserve
 // processes plus a coordinator that either names them with -worker flags or
 // lets them self-register with -register-with; registering a worker
@@ -338,9 +334,7 @@
 // workloads), cmd/ilpgen (emit the ILP). Runnable walkthroughs live under examples/ —
 // examples/period-sweep documents the cache layers from a user's
 // perspective. The benchmarks in bench_test.go regenerate each table and
-// figure at reduced scale; BenchmarkEngineCampaign vs
-// BenchmarkEngineCampaignLegacy isolates the engine indirection's cost,
-// BenchmarkShardExecutor the wire crossing of the distributed path, and
-// BenchmarkDispatcherSteal the work-stealing scheduler's win over static
-// ranges on a cluster with one slow worker.
+// figure at reduced scale; BenchmarkEngineCampaign times a warm campaign
+// on the in-process pool and BenchmarkDispatcherSteal the same campaign
+// through the dispatcher on a cluster with one slow worker.
 package spgcmp

@@ -164,6 +164,19 @@ func chunkCampaign(cells []Cell, size int) []*chunk {
 	return chunks
 }
 
+// shardRange returns the half-open index range of piece k when n cells are
+// split into `shards` balanced contiguous pieces (the first n%shards pieces
+// hold one extra cell).
+func shardRange(n, shards, k int) (start, end int) {
+	size, rem := n/shards, n%shards
+	start = k*size + min(k, rem)
+	end = start + size
+	if k < rem {
+		end++
+	}
+	return start, end
+}
+
 // DispatcherStats is a point-in-time snapshot of a dispatcher's (or the
 // process-lifetime DispatcherTotals') scheduling counters.
 type DispatcherStats struct {
@@ -297,13 +310,13 @@ func (t *DispatcherTotals) Stats() DispatcherStats {
 	return t.stats()
 }
 
-// Dispatcher is the cluster scheduler: a pull-based, work-stealing
-// CampaignExecutor that replaces the ShardExecutor's fire-once range
-// shipping. The cell index space is split into small family-aligned chunks
-// (chunkCampaign) and workers pull chunks as they free up — a fast worker
-// simply pulls more often, so heterogeneous workers even out without any
-// up-front balancing. Placement is cache-affine: each chunk's workload
-// family has a rendezvous-hash owner among the currently-healthy workers
+// Dispatcher is the cluster scheduler: a pull-based, work-stealing executor
+// that engine.Run hands whole campaigns (ExecuteCampaign). The cell index
+// space is split into small family-aligned chunks (chunkCampaign) and
+// workers pull chunks as they free up — a fast worker simply pulls more
+// often, so heterogeneous workers even out without any up-front balancing.
+// Placement is cache-affine: each chunk's workload family has a
+// rendezvous-hash owner among the currently-healthy workers
 // (rendezvousOwner), and a worker prefers chunks it owns, so one family's
 // analyses warm one worker's AnalysisCache; an idle worker steals foreign
 // chunks (after StealDelay, immediately by default) so affinity never
@@ -363,7 +376,7 @@ type Dispatcher struct {
 	// has no service-time sample yet, bypass the gate.
 	StealMinBenefit time.Duration
 	// LocalFallback configures the in-process pool executing local-fallback
-	// chunks and non-wire-codable campaigns; its zero value runs at
+	// chunks and campaigns without workers; its zero value runs at
 	// GOMAXPROCS.
 	LocalFallback PoolExecutor
 	// OnFallback, when set, observes every chunk that fell back to local
@@ -420,20 +433,17 @@ func (d *Dispatcher) Execute(ctx context.Context, n int, run func(i int)) error 
 // wake them immediately.
 const schedulerPoll = 15 * time.Millisecond
 
-// ExecuteCampaign implements CampaignExecutor: chunk, dispatch pull-based
-// with affinity and stealing, re-dispatch failures, fall back locally only
-// when no healthy worker can take a chunk.
+// ExecuteCampaign runs the campaign's cells: chunk, dispatch pull-based with
+// affinity and stealing, re-dispatch failures, fall back locally only when
+// no healthy worker can take a chunk. solve executes cell i locally and
+// record is the concurrency-safe result sink; exactly one result per started
+// cell is recorded, either record(solve(i)) or a remotely computed
+// CellResult carrying the cell's absolute index. A cancelled context stops
+// further dispatch, and ExecuteCampaign returns its error after draining
+// in-flight work, leaving unstarted cells unrecorded.
 func (d *Dispatcher) ExecuteCampaign(ctx context.Context, cells []Cell, solve func(i int) CellResult, record func(CellResult)) error {
-	n := len(cells)
-	remote := d.Registry.Len() > 0
-	for _, c := range cells {
-		if !c.WireCodable() {
-			remote = false
-			break
-		}
-	}
-	if !remote {
-		return d.LocalFallback.Execute(ctx, n, func(i int) { record(solve(i)) })
+	if d.Registry.Len() == 0 {
+		return d.LocalFallback.Execute(ctx, len(cells), func(i int) { record(solve(i)) })
 	}
 	run := &dispatchRun{
 		d:      d,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"spgcmp/internal/core"
-	"spgcmp/internal/spg"
 	"spgcmp/internal/streamit"
 )
 
@@ -189,6 +188,26 @@ func TestChunkCampaign(t *testing.T) {
 	}
 }
 
+// TestShardRange: the partition is balanced, contiguous and exhaustive.
+func TestShardRange(t *testing.T) {
+	for _, tc := range []struct{ n, shards int }{{10, 3}, {4, 4}, {7, 2}, {1, 1}, {100, 16}} {
+		prevEnd := 0
+		for k := 0; k < tc.shards; k++ {
+			start, end := shardRange(tc.n, tc.shards, k)
+			if start != prevEnd {
+				t.Fatalf("n=%d shards=%d: range %d starts at %d, want %d", tc.n, tc.shards, k, start, prevEnd)
+			}
+			if size := end - start; size < tc.n/tc.shards || size > tc.n/tc.shards+1 {
+				t.Fatalf("n=%d shards=%d: range %d unbalanced (%d cells)", tc.n, tc.shards, k, size)
+			}
+			prevEnd = end
+		}
+		if prevEnd != tc.n {
+			t.Fatalf("n=%d shards=%d: ranges end at %d", tc.n, tc.shards, prevEnd)
+		}
+	}
+}
+
 // TestDispatcherMatchesPool is the acceptance bar's engine half: dispatcher
 // campaigns must be bit-identical to the PoolExecutor at every worker count
 // and chunk size — 1, the default, and the whole range.
@@ -277,9 +296,11 @@ func TestDispatcherAffinity(t *testing.T) {
 	}
 }
 
-// TestDispatcherRedispatch: a dead worker's chunks are re-dispatched to the
-// surviving worker — never to the local pool while a healthy worker remains
-// — and the registry demotes the dead one.
+// TestDispatcherRedispatch: a dead worker's chunks, and a mis-keyed
+// worker's (answers whose keys do not match the cells sent, rejected by
+// postCellRange), are re-dispatched to the surviving worker — never to the
+// local pool while a healthy worker remains — and the registry demotes the
+// broken one.
 func TestDispatcherRedispatch(t *testing.T) {
 	cells := testCells(t)
 	cache := NewAnalysisCache(16)
@@ -290,28 +311,43 @@ func TestDispatcherRedispatch(t *testing.T) {
 	good := newClusterWorker(t, cache)
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from now on
+	wrongKeys := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ExecuteCellsRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		resp := ExecuteCellsResponse{Results: make([]WireCellResult, len(req.Cells))}
+		for i := range resp.Results {
+			resp.Results[i].Key = "imposter"
+		}
+		_ = json.NewEncoder(w).Encode(resp)
+	}))
+	t.Cleanup(wrongKeys.Close)
 
-	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{DeadAfter: 2}, good.URL(), dead.URL),
-		ChunkCells: 1,
-	}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "redispatch", got, want)
-	st := d.Stats()
-	if st.LocalFallbacks != 0 {
-		t.Errorf("%d local fallbacks despite a healthy worker", st.LocalFallbacks)
-	}
-	if st.Redispatches == 0 {
-		t.Error("dead worker's chunks were never re-dispatched")
-	}
-	if st.WorkerChunks[good.URL()] != int64(len(cells)) {
-		t.Errorf("surviving worker served %d of %d chunks", st.WorkerChunks[good.URL()], len(cells))
-	}
-	if s := workerState(t, d.Registry, dead.URL); s == WorkerHealthy {
-		t.Error("dead worker still marked healthy after failed dispatches")
+	for _, tc := range []struct{ name, broken string }{
+		{"dead", dead.URL},
+		{"wrong-keys", wrongKeys.URL},
+	} {
+		d := &Dispatcher{
+			Registry:   NewWorkerRegistry(RegistryConfig{DeadAfter: 2}, good.URL(), tc.broken),
+			ChunkCells: 1,
+		}
+		got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireSameResults(t, tc.name, got, want)
+		st := d.Stats()
+		if st.LocalFallbacks != 0 {
+			t.Errorf("%s: %d local fallbacks despite a healthy worker", tc.name, st.LocalFallbacks)
+		}
+		if st.Redispatches == 0 {
+			t.Errorf("%s: broken worker's chunks were never re-dispatched", tc.name)
+		}
+		if st.WorkerChunks[good.URL()] != int64(len(cells)) {
+			t.Errorf("%s: surviving worker served %d of %d chunks", tc.name, st.WorkerChunks[good.URL()], len(cells))
+		}
+		if s := workerState(t, d.Registry, tc.broken); s == WorkerHealthy {
+			t.Errorf("%s: broken worker still marked healthy after failed dispatches", tc.name)
+		}
 	}
 }
 
@@ -614,39 +650,23 @@ func TestDispatcherLateRegistration(t *testing.T) {
 	}
 }
 
-// TestDispatcherLocalPaths: closure-backed campaigns and empty registries
-// run entirely on the local pool, and the plain Execute contract holds.
+// TestDispatcherLocalPaths: empty and nil registries run the campaign
+// entirely on the local pool, and the plain Execute contract holds.
 func TestDispatcherLocalPaths(t *testing.T) {
 	cells := testCells(t)
-	closure := Cell{
-		Spec:  cells[0].Spec,
-		Build: func() (*spg.Analysis, error) { return streamitBase(cells[0].Spec.Workload.StreamIt) },
-	}
-	mixed := append([]Cell{closure}, cells[1:]...)
-	want, err := Run(context.Background(), &PoolExecutor{}, Campaign{Cells: mixed})
+	want, err := Run(context.Background(), &PoolExecutor{}, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refuse := newClusterWorker(t, nil)
-	d := &Dispatcher{Registry: NewWorkerRegistry(RegistryConfig{}, refuse.URL())}
-	got, err := Run(context.Background(), d, Campaign{Cells: mixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "closure-cells", got, want)
-	if refuse.servedCount() != 0 {
-		t.Error("closure-backed campaign was dispatched remotely")
-	}
-
 	noWorkers := &Dispatcher{Registry: NewWorkerRegistry(RegistryConfig{})}
-	got, err = Run(context.Background(), noWorkers, Campaign{Cells: mixed})
+	got, err := Run(context.Background(), noWorkers, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResults(t, "empty-registry", got, want)
 
 	nilRegistry := &Dispatcher{}
-	got, err = Run(context.Background(), nilRegistry, Campaign{Cells: mixed})
+	got, err = Run(context.Background(), nilRegistry, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,13 @@
 // solving it runs the Section 6.1.3 period-selection protocol, which reports
 // all five heuristics at the period it selects, so every (app, CCR,
 // heuristic) outcome of the paper's figures is addressable as (cell key,
-// heuristic) in the cell's result. Cells are self-contained — a
-// declarative, JSON-serializable CellSpec from which the workload registry
-// regenerates the seeded instance — which is what lets an executor place
-// them anywhere: the in-process PoolExecutor, or the ShardExecutor, which
-// ships spec ranges to remote worker processes over HTTP/JSON and
-// reassembles their wire results, bit-identical to a local run at any shard
-// count (cells are deterministic, so retries after worker failures are
-// safe).
+// heuristic) in the cell's result. A cell is its declarative,
+// JSON-serializable CellSpec, from which the workload registry regenerates
+// the seeded instance — which is what lets an executor place cells anywhere:
+// the in-process PoolExecutor, or the Dispatcher, which ships family-aligned
+// spec chunks to remote worker processes over HTTP/JSON and reassembles
+// their wire results, bit-identical to a local run at any worker count
+// (cells are deterministic, so retries after worker failures are safe).
 //
 // The engine threads the campaign-scope AnalysisCache through the executor:
 // cells sharing a workload family (the CCR variants of one application)
@@ -36,36 +35,16 @@ import (
 )
 
 // Cell is one deterministic, individually-addressable unit of campaign work:
-// a declarative CellSpec, optionally overridden by a builder closure. The
-// spec alone describes the work — workload identity, CCR, grid, period
-// divisions, heuristic options — and the workload registry rebuilds the
-// seeded instance from it, so a spec-only cell can be re-executed anywhere
-// (any process, any number of times) with bit-identical results; that is the
-// property the ShardExecutor ships over the wire. The closure path remains
-// for cells whose workload cannot be named declaratively (tests, ad-hoc
-// graphs): Build, when set, replaces the registry synthesis and is required
-// to be a pure function of the cell's identity, but pins the cell to this
-// process.
+// its declarative CellSpec. The spec describes the work — workload identity,
+// CCR, grid, period divisions, heuristic options — and the workload registry
+// rebuilds the seeded instance from it, so a cell can be re-executed
+// anywhere (any process, any number of times) with bit-identical results;
+// that is the property the Dispatcher relies on to ship cells over the wire.
+// Workloads without a generative identity travel as the inline kind, and
+// custom kinds register with RegisterWorkload.
 type Cell struct {
 	// Spec is the cell's declarative identity and wire form.
 	Spec CellSpec
-	// Build, when non-nil, overrides the registry synthesis of the family-
-	// base analysis (the legacy closure path). Cells with a Build are not
-	// wire-codable: a shard run executes them locally.
-	Build func() (*spg.Analysis, error)
-}
-
-// WireCodable reports whether the cell can be shipped to a remote worker as
-// its spec alone.
-func (c Cell) WireCodable() bool { return c.Build == nil }
-
-// build synthesizes the family-base analysis: the closure override when set,
-// the workload registry otherwise.
-func (c Cell) build() (*spg.Analysis, error) {
-	if c.Build != nil {
-		return c.Build()
-	}
-	return c.Spec.Workload.Build()
 }
 
 // CellResult is one solved cell. Err is a workload build failure; Feasible
@@ -93,30 +72,26 @@ type Campaign struct {
 	// cell reaches the executor and populated as cells complete: a stored
 	// outcome is served in place of a re-solve (byte-identical, by per-cell
 	// determinism), so only the genuinely novel cells are dispatched. nil or
-	// disabled solves every cell. Cells with a Build override are not
-	// content-addressable and always solve (see Run).
+	// disabled solves every cell.
 	Store *ResultStore
 }
 
 // Run executes every cell of the campaign through ex (nil selects an
 // in-process PoolExecutor at GOMAXPROCS) and returns the results indexed by
 // cell, so any fold over them is deterministic and order-independent
-// regardless of worker count or completion order. A CampaignExecutor (the
-// ShardExecutor) receives the cells themselves so it can ship their specs to
-// remote workers; a plain Executor receives the index space. On context
-// cancellation the indexed slice is returned alongside the context error
-// with the unstarted cells zero-valued (Key empty).
+// regardless of worker count or completion order. A Dispatcher receives the
+// cells themselves so it can ship their specs to remote workers and
+// schedules them itself; a PoolExecutor runs them with worker-owned solver
+// arenas, and any other Executor receives the index space. Local executors
+// start the cells in family-interleaved order (see familyInterleave). On
+// context cancellation the indexed slice is returned alongside the context
+// error with the unstarted cells zero-valued (Key empty).
 //
-// A local executor (Execute or ExecuteScratch) starts the cells in family-
-// interleaved order (see familyInterleave); a CampaignExecutor schedules
-// them itself.
-//
-// With an enabled Campaign.Store, every wire-codable cell is first looked up
-// by its canonical content hash: hits are recorded immediately (OnCell fires
-// as usual) and never reach the executor, and the misses that do run
-// populate the store on completion. Cells with a Build override — whose work
-// a spec cannot describe — and cells whose spec fails to hash bypass the
-// store entirely and always solve.
+// With an enabled Campaign.Store, every cell is first looked up by its
+// canonical content hash: hits are recorded immediately (OnCell fires as
+// usual) and never reach the executor, and the misses that do run populate
+// the store on completion. Cells whose spec fails to hash bypass the store
+// and always solve.
 func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 	if ctx == nil {
 		//spglint:ignore ctxflow nil-ctx compatibility default for library callers; request paths always pass a real context
@@ -149,18 +124,16 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 		missKey = make([]string, 0, len(c.Cells))
 		for i, cell := range c.Cells {
 			key := ""
-			if cell.WireCodable() {
-				if k, err := cell.Spec.ContentKey(); err == nil {
-					key = k
-					// A stored answer that fails to decode (unreachable
-					// for answers EncodeAnswer wrote) solves again.
-					if a, ok := c.Store.Get(k); ok {
-						if r, err := a.Decode(); err == nil {
-							r.Index = i
-							r.Key = cell.Spec.Key
-							record(r)
-							continue
-						}
+			if k, err := cell.Spec.ContentKey(); err == nil {
+				key = k
+				// A stored answer that fails to decode (unreachable for
+				// answers EncodeAnswer wrote) solves again.
+				if a, ok := c.Store.Get(k); ok {
+					if r, err := a.Decode(); err == nil {
+						r.Index = i
+						r.Key = cell.Spec.Key
+						record(r)
+						continue
 					}
 				}
 			}
@@ -188,16 +161,16 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 			record(r)
 		}
 	}
-	if ce, ok := ex.(CampaignExecutor); ok {
-		return results, ce.ExecuteCampaign(ctx, run, solve, rec)
+	if d, ok := ex.(*Dispatcher); ok {
+		return results, d.ExecuteCampaign(ctx, run, solve, rec)
 	}
 	order := familyInterleave(run)
-	if se, ok := ex.(ScratchExecutor); ok {
+	if p, ok := ex.(*PoolExecutor); ok {
 		// Worker-owned arenas: each pool worker keeps one Scratch for its
 		// lifetime and the executor resets it between cells, so a warmed
 		// worker solves cells without kernel allocations. Results are
 		// identical to the plain path (Scratch's determinism contract).
-		err := se.ExecuteScratch(ctx, len(run), func(i int, sc *core.Scratch) {
+		err := p.ExecuteScratch(ctx, len(run), func(i int, sc *core.Scratch) {
 			j := order[i]
 			rec(solveCellScratch(j, run[j], resolve, sc))
 		})
@@ -250,13 +223,13 @@ func familyInterleave(cells []Cell) []int {
 // only when asked for again; campaign runs (Run) admit on first use.
 func Solve(cell Cell, cache *AnalysisCache) CellResult {
 	return solveCell(0, cell, func(c Cell) (*spg.Analysis, error) {
-		return cache.GetSingle(c.Spec.CacheKey, c.build)
+		return cache.GetSingle(c.Spec.CacheKey, c.Spec.Workload.Build)
 	})
 }
 
 // solveCell solves one cell with a borrowed arena from the package scratch
-// pool — the path for executors without worker-owned arenas (remote shards,
-// custom executors, single-cell Solve calls).
+// pool — the path for executors without worker-owned arenas (the
+// Dispatcher's local fallback, other Executors, single-cell Solve calls).
 func solveCell(i int, cell Cell, resolve func(Cell) (*spg.Analysis, error)) CellResult {
 	sc := core.GetScratch()
 	defer core.PutScratch(sc)
@@ -292,7 +265,7 @@ func solveCellScratch(i int, cell Cell, resolve func(Cell) (*spg.Analysis, error
 func newResolver(cells []Cell, cache *AnalysisCache) func(Cell) (*spg.Analysis, error) {
 	if cache.enabled() {
 		return func(c Cell) (*spg.Analysis, error) {
-			return cache.Get(c.Spec.CacheKey, c.build)
+			return cache.Get(c.Spec.CacheKey, c.Spec.Workload.Build)
 		}
 	}
 	counts := make(map[string]int)
@@ -308,13 +281,13 @@ func newResolver(cells []Cell, cache *AnalysisCache) func(Cell) (*spg.Analysis, 
 		}
 	}
 	if shared == 0 {
-		return func(c Cell) (*spg.Analysis, error) { return c.build() }
+		return func(c Cell) (*spg.Analysis, error) { return c.Spec.Workload.Build() }
 	}
 	run := NewAnalysisCache(shared)
 	return func(c Cell) (*spg.Analysis, error) {
 		if counts[c.Spec.CacheKey] > 1 {
-			return run.Get(c.Spec.CacheKey, c.build)
+			return run.Get(c.Spec.CacheKey, c.Spec.Workload.Build)
 		}
-		return c.build()
+		return c.Spec.Workload.Build()
 	}
 }

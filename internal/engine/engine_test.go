@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -96,47 +97,56 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// countingBuilds counts builds of the "test-counting" workload kind, a
+// fixed two-stage chain whose params only distinguish cells.
+var countingBuilds atomic.Int64
+
+func init() {
+	RegisterWorkload("test-counting", func(json.RawMessage) (*spg.Analysis, error) {
+		countingBuilds.Add(1)
+		g, err := spg.Chain([]float64{0.01, 0.01}, []float64{0.01})
+		if err != nil {
+			return nil, err
+		}
+		return spg.NewAnalysis(g), nil
+	})
+}
+
 // TestRunSharesFamilyBasesWithoutCache: with the campaign layer disabled,
 // cells sharing a CacheKey must still resolve one base per family within the
 // run (the legacy loops' intrinsic sharing), while uniquely-keyed cells are
 // built directly.
 func TestRunSharesFamilyBasesWithoutCache(t *testing.T) {
-	var builds atomic.Int64
-	mk := func(key string) Cell {
-		return Cell{
-			Spec: CellSpec{Key: key + "/cell", CacheKey: key, P: 2, Q: 2},
-			Build: func() (*spg.Analysis, error) {
-				builds.Add(1)
-				g, _ := spg.Chain([]float64{0.01, 0.01}, []float64{0.01})
-				return spg.NewAnalysis(g), nil
-			},
-		}
+	mk := func(key, cell string) Cell {
+		return CellSpec{
+			Key:      key + "/" + cell,
+			CacheKey: key,
+			Workload: WorkloadSpec{Kind: "test-counting", Params: json.RawMessage(`"` + key + `"`)},
+			P:        2, Q: 2,
+		}.Cell()
 	}
-	shared1, shared2 := mk("fam"), mk("fam")
-	shared2.Spec.Key = "fam/cell2"
-	unique := mk("solo")
-	if _, err := Run(context.Background(), &PoolExecutor{Workers: 1}, Campaign{Cells: []Cell{shared1, shared2, unique}}); err != nil {
+	cells := []Cell{mk("fam", "cell1"), mk("fam", "cell2"), mk("solo", "cell1")}
+	countingBuilds.Store(0)
+	if _, err := Run(context.Background(), &PoolExecutor{Workers: 1}, Campaign{Cells: cells}); err != nil {
 		t.Fatal(err)
 	}
-	if got := builds.Load(); got != 2 {
+	if got := countingBuilds.Load(); got != 2 {
 		t.Errorf("disabled-cache run built %d analyses, want 2 (one shared family + one unique)", got)
 	}
 }
 
-// TestRunBuildErrors: a failing builder surfaces as the cell's Err without
-// aborting sibling cells.
+// TestRunBuildErrors: a failing workload build surfaces as the cell's Err
+// without aborting sibling cells.
 func TestRunBuildErrors(t *testing.T) {
-	boom := errors.New("boom")
-	cells := []Cell{
-		{Spec: CellSpec{Key: "bad", P: 2, Q: 2}, Build: func() (*spg.Analysis, error) { return nil, boom }},
-		testCells(t)[0],
-	}
+	// Elevation 30 on 8 stages is unsatisfiable: generation fails.
+	bad := CellSpec{Key: "bad", Workload: WorkloadSpec{Random: &RandomWorkload{N: 8, Elevation: 30, Seed: 3}}, P: 2, Q: 2}
+	cells := []Cell{bad.Cell(), testCells(t)[0]}
 	results, err := Run(context.Background(), &PoolExecutor{Workers: 2}, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(results[0].Err, boom) {
-		t.Errorf("bad cell error = %v, want boom", results[0].Err)
+	if _, want := bad.Workload.Build(); want == nil || results[0].Err == nil || results[0].Err.Error() != want.Error() {
+		t.Errorf("bad cell error = %v, want %v", results[0].Err, want)
 	}
 	if results[1].Err != nil || !results[1].Feasible {
 		t.Errorf("sibling cell was disturbed: %+v", results[1])

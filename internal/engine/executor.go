@@ -15,42 +15,12 @@ import (
 // from starting further cells; Execute then returns the context's error after
 // draining the in-flight ones, leaving unstarted cells untouched.
 //
-// The interface is the distribution seam of the engine: the in-process
-// PoolExecutor implements it directly, and the ShardExecutor implements the
-// richer CampaignExecutor below — the cells themselves are self-contained
-// (deterministic workload identities and builders), so where run(i) executes
-// never affects the result.
+// engine.Run recognizes its two implementations — the in-process
+// PoolExecutor and the cluster Dispatcher — and hands any other Executor the
+// plain index space; the cells are self-contained specs, so where run(i)
+// executes never affects the result.
 type Executor interface {
 	Execute(ctx context.Context, n int, run func(i int)) error
-}
-
-// CampaignExecutor is an Executor that schedules whole cells rather than an
-// opaque index space — the distributed seam. engine.Run hands a
-// CampaignExecutor the campaign's cells (so it can ship wire-codable specs
-// to remote workers), a solve function executing cell i locally, and a
-// record sink. The executor must deliver exactly one result per cell it
-// starts — either record(solve(i)) computed locally or a remotely-computed
-// CellResult carrying the cell's absolute index — and return once every
-// started cell's result is recorded. record is safe for concurrent use. A
-// cancelled context stops the executor from starting further cells;
-// ExecuteCampaign then returns the context's error after draining in-flight
-// work, leaving unstarted cells unrecorded.
-type CampaignExecutor interface {
-	Executor
-	ExecuteCampaign(ctx context.Context, cells []Cell, solve func(i int) CellResult, record func(CellResult)) error
-}
-
-// ScratchExecutor is an Executor whose workers are long-lived enough to own a
-// per-worker solver arena: ExecuteScratch is Execute with a core.Scratch
-// threaded into each run call, owned by the calling worker for its lifetime
-// and reset between cells (the executor performs the reset, so run must not
-// let arena-backed memory outlive its return). engine.Run prefers this seam
-// when the executor offers it; plain executors fall back to the package
-// scratch pool. Scratch placement never affects results — the arenas only
-// move allocations, Scratch's documented determinism contract.
-type ScratchExecutor interface {
-	Executor
-	ExecuteScratch(ctx context.Context, n int, run func(i int, sc *core.Scratch)) error
 }
 
 // PoolExecutor runs cells on an in-process worker pool.
@@ -61,50 +31,17 @@ type PoolExecutor struct {
 	Workers int
 }
 
-// Execute implements Executor.
+// Execute implements Executor: ExecuteScratch without the arena.
 func (p *PoolExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			run(i)
-		}
-		return ctx.Err()
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
+	return p.ExecuteScratch(ctx, n, func(i int, _ *core.Scratch) { run(i) })
 }
 
-// ExecuteScratch implements ScratchExecutor: identical scheduling to Execute,
-// with one arena per worker goroutine, reset after every cell.
+// ExecuteScratch is Execute with a per-worker solver arena threaded into
+// each run call: every worker goroutine owns one core.Scratch for its
+// lifetime and resets it after every cell, so run must not let arena-backed
+// memory outlive its return. An arena nobody allocates from stays empty.
+// Scratch placement never affects results — the arenas only move
+// allocations, Scratch's documented determinism contract.
 func (p *PoolExecutor) ExecuteScratch(ctx context.Context, n int, run func(i int, sc *core.Scratch)) error {
 	workers := p.Workers
 	if workers <= 0 {

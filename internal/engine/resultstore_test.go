@@ -10,7 +10,6 @@ import (
 
 	"spgcmp/internal/core"
 	"spgcmp/internal/mapping"
-	"spgcmp/internal/spg"
 )
 
 func storedResult(index int, key string, energy float64) CellResult {
@@ -298,25 +297,4 @@ func (e *countingExecutor) Execute(ctx context.Context, n int, fn func(int)) err
 		fn(i)
 	}
 	return nil
-}
-
-// TestRunStoreSkipsBuildCells: closure-backed cells have no wire identity,
-// so they must bypass the store entirely — solved every run, never stored.
-func TestRunStoreSkipsBuildCells(t *testing.T) {
-	cells := testCells(t)
-	spec := cells[0].Spec
-	built := 0
-	cells[0].Build = func() (*spg.Analysis, error) { built++; return spec.Workload.Build() }
-	st := NewResultStore(64, 0)
-	for run := 0; run < 2; run++ {
-		if _, err := Run(context.Background(), &PoolExecutor{Workers: 1}, Campaign{Cells: cells, Store: st}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if built != 2 {
-		t.Fatalf("Build cell built %d times, want 2 (one per run)", built)
-	}
-	if st.Len() != len(cells)-1 {
-		t.Fatalf("store holds %d entries; the Build cell must not be one of %d", st.Len(), len(cells))
-	}
 }

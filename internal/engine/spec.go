@@ -17,9 +17,9 @@ import (
 // cell: everything solveCell needs — workload identity, CCR, grid, period
 // divisions, heuristic options — as plain data. Two equal specs describe the
 // same work and, because workload synthesis is seeded, produce bit-identical
-// results wherever they execute; that is what lets the ShardExecutor ship
+// results wherever they execute; that is what lets the Dispatcher ship
 // specs to remote workers and treat retries as free. CellSpec is the wire
-// form of a Cell; a Cell without a closure override is exactly its spec.
+// form of a Cell, and a Cell is exactly its spec.
 type CellSpec struct {
 	// Key addresses the cell within its campaign (unique per campaign).
 	Key string `json:"key"`
@@ -153,7 +153,7 @@ func (w WorkloadSpec) kindParams() (string, json.RawMessage, error) {
 // FFT's key while naming DCT would otherwise poison every later FFT solve
 // on that worker). It is the single key authority: the experiment
 // enumerators delegate here, so a process serving both campaign traffic and
-// shard ranges warms exactly one cache entry per family.
+// dispatched ranges warms exactly one cache entry per family.
 func (w WorkloadSpec) FamilyKey() (string, error) {
 	kind, params, err := w.kindParams()
 	if err != nil {
@@ -212,7 +212,7 @@ const (
 // WorkloadBuilder synthesizes the family-base analysis of one workload kind
 // from its JSON parameters. Builders must be pure: the same parameters must
 // always produce a bit-identical graph, because a spec may be rebuilt on any
-// worker of a shard run, several times (retries after worker failures).
+// worker of a dispatched run, several times (retries after worker failures).
 type WorkloadBuilder func(params json.RawMessage) (*spg.Analysis, error)
 
 var workloadRegistry = struct {
@@ -224,10 +224,10 @@ var workloadRegistry = struct {
 	KindInline:   buildInline,
 }}
 
-// RegisterWorkload adds a custom workload kind to the registry, making cells
-// naming it wire-codable. Registering an empty kind, a nil builder or a
-// duplicate kind panics — kinds are program wiring, not data. For a kind to
-// work across a shard cluster every worker process must register it too.
+// RegisterWorkload adds a custom workload kind to the registry, so cells can
+// name it. Registering an empty kind, a nil builder or a duplicate kind
+// panics — kinds are program wiring, not data. For a kind to work across a
+// cluster every worker process must register it too.
 func RegisterWorkload(kind string, b WorkloadBuilder) {
 	if kind == "" || b == nil {
 		panic("engine: RegisterWorkload with empty kind or nil builder")

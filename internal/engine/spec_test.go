@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 )
 
 // TestCellSpecJSONRoundTrip: every workload variant must survive the wire
-// bit-exactly — the spec is the shard protocol's unit of work.
+// bit-exactly — the spec is the cell-range protocol's unit of work.
 func TestCellSpecJSONRoundTrip(t *testing.T) {
 	inline, err := spg.Chain([]float64{0.02, 0.03, 0.04}, []float64{0.5, 0.25})
 	if err != nil {
@@ -74,24 +75,6 @@ func stripInline(s CellSpec) CellSpec {
 	return s
 }
 
-// TestSpecMatchesClosure: a registry-resolved spec cell must solve
-// bit-identically to the legacy closure cell describing the same work.
-func TestSpecMatchesClosure(t *testing.T) {
-	for _, cell := range testCells(t) {
-		name := cell.Spec.Workload.StreamIt
-		legacy := Cell{Spec: cell.Spec, Build: func() (*spg.Analysis, error) { return streamitBase(name) }}
-		got := Solve(cell, nil)
-		want := Solve(legacy, nil)
-		requireSameResults(t, "spec-vs-closure/"+name, []CellResult{got}, []CellResult{want})
-	}
-}
-
-// streamitBase rebuilds a StreamIt family base the way the pre-spec closures
-// did, bypassing the registry.
-func streamitBase(name string) (*spg.Analysis, error) {
-	return buildStreamIt(json.RawMessage(`"` + name + `"`))
-}
-
 // TestSpecValidate: malformed specs are rejected without building anything.
 func TestSpecValidate(t *testing.T) {
 	ok := CellSpec{Key: "k", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2}
@@ -114,8 +97,8 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestRegisterWorkload: custom kinds resolve through the registry and make
-// their cells wire-codable; re-registration panics.
+// TestRegisterWorkload: custom kinds resolve through the registry, so their
+// specs validate and solve; re-registration panics.
 func TestRegisterWorkload(t *testing.T) {
 	RegisterWorkload("test-chain", func(params json.RawMessage) (*spg.Analysis, error) {
 		var n int
@@ -143,8 +126,8 @@ func TestRegisterWorkload(t *testing.T) {
 		P:        2, Q: 2,
 		Opts: core.Options{Seed: 3},
 	}.Cell()
-	if !cell.WireCodable() {
-		t.Fatal("custom-kind cell not wire-codable")
+	if err := cell.Spec.Validate(); err != nil {
+		t.Fatalf("custom-kind spec invalid: %v", err)
 	}
 	res := Solve(cell, nil)
 	if res.Err != nil || !res.Feasible {
@@ -204,10 +187,12 @@ func TestWireCellResultRoundTrip(t *testing.T) {
 	got := w.CellResult(want.Index)
 	requireSameResults(t, "wire-round-trip", []CellResult{got}, []CellResult{want})
 
-	bad := Cell{Spec: CellSpec{Key: "bad", P: 2, Q: 2}, Build: func() (*spg.Analysis, error) {
-		return nil, errTest
-	}}
+	// Elevation 30 on 8 stages is unsatisfiable: generation fails.
+	bad := CellSpec{Key: "bad", Workload: WorkloadSpec{Random: &RandomWorkload{N: 8, Elevation: 30, Seed: 3}}, P: 2, Q: 2}.Cell()
 	res := Solve(bad, nil)
+	if res.Err == nil {
+		t.Fatal("unsatisfiable workload built")
+	}
 	wireBad := res.Wire()
 	data, err = json.Marshal(wireBad)
 	if err != nil {
@@ -218,16 +203,10 @@ func TestWireCellResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := wb.CellResult(0)
-	if back.Err == nil || back.Err.Error() != "test build failure" {
-		t.Errorf("error crossed the wire as %v", back.Err)
+	if back.Err == nil || back.Err.Error() != res.Err.Error() {
+		t.Errorf("error crossed the wire as %v, want %v", back.Err, res.Err)
 	}
 }
-
-var errTest = errInline("test build failure")
-
-type errInline string
-
-func (e errInline) Error() string { return string(e) }
 
 // TestKeepMappingsWire: with KeepMappings the outcomes carry placements that
 // survive the wire and rebuild into valid mappings; without it the outcome
@@ -266,5 +245,49 @@ func TestKeepMappingsWire(t *testing.T) {
 		if o.Mapping != nil {
 			t.Errorf("%s: mapping retained without KeepMappings", o.Heuristic)
 		}
+	}
+}
+
+// TestExecuteSpecsSanitizesCacheKeys: a wire spec claiming another family's
+// cache key must not poison the shared cache — the worker path re-derives
+// the key from the workload content, so the later honest FFT solve still
+// sees FFT, bit-identically to a cache-free run.
+func TestExecuteSpecsSanitizesCacheKeys(t *testing.T) {
+	cache := NewAnalysisCache(8)
+	poison := CellSpec{
+		Key:      "poison",
+		CacheKey: "streamit/FFT",                // claims FFT's family...
+		Workload: WorkloadSpec{StreamIt: "DCT"}, // ...but names DCT
+		ScaleCCR: true, CCR: 1,
+		P: 2, Q: 2,
+		Opts: core.Options{Seed: 1},
+	}
+	if _, err := ExecuteSpecs(context.Background(), nil, []CellSpec{poison}, cache, nil); err != nil {
+		t.Fatal(err)
+	}
+	fft := CellSpec{
+		Key:      "fft",
+		CacheKey: "streamit/FFT",
+		Workload: WorkloadSpec{StreamIt: "FFT"},
+		ScaleCCR: true, CCR: 1,
+		P: 2, Q: 2,
+		Opts: core.Options{Seed: 2},
+	}.Cell()
+	got := Solve(fft, cache)
+	want := Solve(fft, nil)
+	requireSameResults(t, "post-poison-fft", []CellResult{got}, []CellResult{want})
+
+	// Equal workloads still share one derived key (sharing is preserved).
+	k1, err := (WorkloadSpec{StreamIt: "DCT"}).FamilyKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := (WorkloadSpec{StreamIt: "DCT"}).FamilyKey()
+	if err != nil || k1 != k2 {
+		t.Fatalf("family keys not stable: %q vs %q (%v)", k1, k2, err)
+	}
+	k3, err := (WorkloadSpec{Random: &RandomWorkload{N: 10, Elevation: 2, Seed: 5}}).FamilyKey()
+	if err != nil || k3 == k1 {
+		t.Fatalf("distinct workloads share key %q (%v)", k3, err)
 	}
 }

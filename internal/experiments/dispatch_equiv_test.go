@@ -217,3 +217,121 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 		t.Errorf("rejoining worker served %d chunks, want pre-death and post-rejoin service", servedByFlaky)
 	}
 }
+
+// TestDispatcherEquivalenceRandom: the same property over a random-SPG
+// panel, where cells are uniquely keyed (no family sharing, so one chunk per
+// cell) and the reducer owns the aggregation arithmetic.
+func TestDispatcherEquivalenceRandom(t *testing.T) {
+	cfg := RandomConfig{
+		N: 25, P: 2, Q: 2, CCR: 1,
+		MinElevation: 1, MaxElevation: 3, GraphsPerElev: 3, Seed: 29,
+	}
+	cells, err := RandomCells(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewAnalysisCache(16)
+	results, err := engine.Run(context.Background(), &engine.PoolExecutor{},
+		engine.Campaign{Cells: cells, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReduceRandom(cfg, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := newDispatchWorker(t, cache)
+	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(engine.RegistryConfig{}, worker.srv.URL)}
+	results, err = engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReduceRandom(cfg, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range got.Points {
+		wpt := want.Points[i]
+		for _, name := range HeuristicNames {
+			if pt.MeanInvNorm[name] != wpt.MeanInvNorm[name] || pt.Failures[name] != wpt.Failures[name] {
+				t.Errorf("elevation %d, %s: dispatch (%v, %d) vs pool (%v, %d)",
+					pt.Elevation, name, pt.MeanInvNorm[name], pt.Failures[name],
+					wpt.MeanInvNorm[name], wpt.Failures[name])
+			}
+		}
+	}
+	if st := d.Stats(); st.LocalFallbacks != 0 || st.RemoteChunks != st.Chunks {
+		t.Errorf("stats %+v, want every chunk served remotely", st)
+	}
+}
+
+// TestDispatcherBuildErrorPropagation: a deterministic workload build
+// failure is a result, not a worker failure — it must cross the wire as the
+// cell's error (message preserved), served remotely, without a re-dispatch
+// or a local fallback.
+func TestDispatcherBuildErrorPropagation(t *testing.T) {
+	// Elevation 30 on 8 stages is unsatisfiable: generation fails.
+	bad := NewRandomCell(8, 30, 3, 1, 2, 2)
+	good := NewRandomCell(8, 2, 3, 1, 2, 2)
+	cells := []engine.Cell{bad, good}
+	cache := NewAnalysisCache(4)
+	want, err := engine.Run(context.Background(), nil, engine.Campaign{Cells: cells, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[0].Err == nil {
+		t.Fatal("expected a build failure for the unsatisfiable cell")
+	}
+	worker := newDispatchWorker(t, cache)
+	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(engine.RegistryConfig{}, worker.srv.URL)}
+	got, err := engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker.mu.Lock()
+	served := worker.served
+	worker.mu.Unlock()
+	if served == 0 {
+		t.Fatal("cells were not served remotely")
+	}
+	if st := d.Stats(); st.LocalFallbacks != 0 || st.Redispatches != 0 {
+		t.Errorf("build failure triggered %d local fallbacks, %d redispatches", st.LocalFallbacks, st.Redispatches)
+	}
+	if got[0].Err == nil || got[0].Err.Error() != want[0].Err.Error() {
+		t.Errorf("build error crossed the wire as %v, want %v", got[0].Err, want[0].Err)
+	}
+	if fmt.Sprint(got[1].Result) != fmt.Sprint(want[1].Result) {
+		t.Errorf("sibling cell drifted across the wire")
+	}
+}
+
+// TestCellCacheKeysAreCanonical: the enumerators' cache keys are exactly
+// the engine's FamilyKey, so the worker-side key sanitization of
+// ExecuteSpecs is a no-op for honest coordinators — a process serving both
+// campaign traffic and shard ranges warms one cache entry per family, and
+// the legacy key formats are preserved.
+func TestCellCacheKeysAreCanonical(t *testing.T) {
+	a, err := streamit.ByName("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := NewStreamItCell(a, 1, 2, 2, 1)
+	key, err := cell.Spec.Workload.FamilyKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Spec.CacheKey != key {
+		t.Errorf("streamit cache key %q != family key %q", cell.Spec.CacheKey, key)
+	}
+	if want := "streamit/FFT/n=17/y=1/x=17"; key != want {
+		t.Errorf("streamit family key %q, want legacy format %q", key, want)
+	}
+	rcell := NewRandomCell(20, 3, 5, 0.1, 2, 2)
+	rkey, err := rcell.Spec.Workload.FamilyKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcell.Spec.CacheKey != rkey {
+		t.Errorf("random cache key %q != family key %q", rcell.Spec.CacheKey, rkey)
+	}
+}

@@ -66,8 +66,8 @@ type RandomResult struct {
 // key always regenerates the identical graph), and the generation seed also
 // drives the cell's Random heuristic, exactly as in the legacy loop. The
 // CCR is baked into generation, so the cell solves its base analysis as-is.
-// The cell is purely declarative (a wire-codable CellSpec), so a shard run
-// can ship it to any worker.
+// The cell is its declarative CellSpec, so a dispatched run can ship it to
+// any worker.
 func NewRandomCell(n, elevation int, seed int64, ccr float64, p, q int) engine.Cell {
 	key := randomKey(n, elevation, seed, ccr)
 	return engine.CellSpec{

@@ -44,8 +44,8 @@ type StreamItResult struct {
 // a p x q grid: the application's base analysis is keyed in the campaign
 // cache and the CCR variant derived as a scale-family member, so every cell
 // of the application resolves one shared base. seed drives the cell's Random
-// heuristic. The cell is purely declarative (a wire-codable CellSpec), so a
-// shard run can ship it to any worker.
+// heuristic. The cell is its declarative CellSpec, so a dispatched run can
+// ship it to any worker.
 func NewStreamItCell(a streamit.App, ccr float64, p, q int, seed int64) engine.Cell {
 	key := streamItKey(a)
 	return engine.CellSpec{

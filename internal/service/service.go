@@ -38,7 +38,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -59,12 +58,14 @@ type Config struct {
 	// Cache is the campaign-scope analysis cache shared by every request;
 	// nil selects experiments.DefaultAnalysisCache().
 	Cache *engine.AnalysisCache
-	// Executor runs campaign cells; nil selects an engine.PoolExecutor at
-	// GOMAXPROCS. When the worker registry is non-empty at submission time,
-	// campaigns run through a per-job clone of the cluster dispatcher
-	// instead.
+	// Executor is the in-process executor running campaign cells and
+	// /v1/cells/execute ranges; nil selects an engine.PoolExecutor at
+	// GOMAXPROCS, whose worker count the dispatcher's local fallback pool
+	// inherits. The worker registry is the only route to the cluster: when
+	// it is non-empty at submission time, campaigns run through a per-job
+	// clone of the cluster dispatcher instead.
 	Executor engine.Executor
-	// Registry tracks this process's shard workers (seeds from -worker
+	// Registry tracks this process's cluster workers (seeds from -worker
 	// flags plus POST /v1/workers self-registrations). nil creates an empty
 	// registry, so any instance can be promoted to coordinator at runtime
 	// by registering workers; the caller owns probing (Start/Stop).
@@ -92,9 +93,9 @@ type Config struct {
 	MaxActiveCampaigns int
 	// MaxActiveRanges bounds concurrently executing /v1/cells/execute
 	// ranges (default 4); requests beyond it answer 429, which the sending
-	// coordinator treats as a worker failure and absorbs via its fallback
-	// pool — the worker-side counterpart of MaxActiveCampaigns, so a
-	// coordinator with an absurd shard count cannot oversubscribe a worker.
+	// coordinator treats as a worker failure and re-dispatches — the
+	// worker-side counterpart of MaxActiveCampaigns, so a busy coordinator
+	// cannot oversubscribe a worker.
 	MaxActiveRanges int
 	// MaxActiveMaps bounds concurrently executing /v1/map solves (default
 	// 4); requests beyond it answer 429 with a Retry-After, mirroring
@@ -141,9 +142,7 @@ type Config struct {
 // Server implements the mapping service over a shared engine and cache.
 type Server struct {
 	cache       *engine.AnalysisCache
-	exec        engine.Executor
-	local       engine.Executor     // worker-endpoint executor, always in-process
-	pool        engine.PoolExecutor // pool config for per-request shard fallbacks
+	exec        engine.Executor // in-process: campaigns without workers and /v1/cells/execute ranges
 	registry    *engine.WorkerRegistry
 	disp        *engine.Dispatcher       // prototype, cloned per registry-scheduled job
 	dispTotals  *engine.DispatcherTotals // process-lifetime scheduling counters
@@ -176,8 +175,7 @@ type job struct {
 	total  int
 	done   atomic.Int64
 	cancel context.CancelFunc
-	shard  *engine.ShardExecutor // non-nil when the job runs on the legacy static sharder
-	disp   *engine.Dispatcher    // non-nil when the job runs on the cluster dispatcher
+	disp   *engine.Dispatcher // non-nil when the job runs on the cluster dispatcher
 
 	// finishedAt is set (under Server.mu) when the campaign stops running;
 	// retention reads it under the same lock.
@@ -241,32 +239,16 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = engine.NewWorkerRegistry(engine.RegistryConfig{})
 	}
-	// The worker endpoint always solves on an in-process pool: handing it a
-	// distributing executor would bounce a received range straight back onto
-	// the cluster (at worst, onto this very process). The pool keeps the
-	// operator's worker-count configuration — a coordinator's comes from its
-	// dispatcher's LocalFallback — so no path silently escalates to
-	// GOMAXPROCS.
+	// The dispatcher's local fallback keeps the operator's pool worker count,
+	// so no path silently escalates to GOMAXPROCS.
 	var pool engine.PoolExecutor
-	local := cfg.Executor
-	switch ex := cfg.Executor.(type) {
-	case *engine.PoolExecutor:
-		pool = *ex
-	case *engine.ShardExecutor:
-		pool = ex.LocalFallback
-		local = &pool
-	case *engine.Dispatcher:
-		pool = ex.LocalFallback
-		local = &pool
-	case engine.CampaignExecutor:
-		local = &pool
+	if p, ok := cfg.Executor.(*engine.PoolExecutor); ok {
+		pool = *p
 	}
 	totals := &engine.DispatcherTotals{}
 	return &Server{
 		cache:    cfg.Cache,
 		exec:     cfg.Executor,
-		local:    local,
-		pool:     pool,
 		registry: cfg.Registry,
 		disp: &engine.Dispatcher{
 			Registry:      cfg.Registry,
@@ -404,10 +386,8 @@ type campaignRequest struct {
 	// list (base URLs) through an ephemeral dispatcher, ignoring the
 	// process registry; empty uses the registry (when it has workers) or
 	// this process's executor. ChunkCells overrides the dispatcher chunk
-	// size for this campaign; the legacy Shards field is honored as "split
-	// into this many chunks".
+	// size for this campaign.
 	Workers    []string `json:"workers,omitempty"`
-	Shards     int      `json:"shards,omitempty"`
 	ChunkCells int      `json:"chunk_cells,omitempty"`
 	// DeadlineMS bounds the whole campaign in milliseconds: the budget
 	// flows through the dispatcher into every worker request (workers
@@ -450,9 +430,9 @@ type campaignStatusResponse struct {
 	// Redispatches counts chunks that failed on one worker and were served
 	// by a different one — recovered inside the cluster, not locally.
 	Redispatches int64 `json:"redispatches,omitempty"`
-	// LocalFallbacks counts chunks (dispatcher jobs) or ranges (legacy
-	// static-shard jobs) re-executed on the coordinator's local pool after
-	// every healthy worker failed them. Bit-identical results either way.
+	// LocalFallbacks counts chunks re-executed on the coordinator's local
+	// pool after every healthy worker failed them. Bit-identical results
+	// either way.
 	LocalFallbacks int64 `json:"local_fallbacks,omitempty"`
 	// Steals counts chunks served by a worker other than their
 	// cache-affinity owner (idle workers evening out load).
@@ -464,11 +444,8 @@ type campaignStatusResponse struct {
 	// WorkerChunks attributes this campaign's chunks to the workers that
 	// served them.
 	WorkerChunks map[string]int64 `json:"worker_chunks,omitempty"`
-	// Fallbacks is the deprecated alias of LocalFallbacks, kept for
-	// pre-scheduler clients.
-	Fallbacks int64  `json:"fallbacks,omitempty"`
-	Result    any    `json:"result,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Result       any              `json:"result,omitempty"`
+	Error        string           `json:"error,omitempty"`
 }
 
 // --- handlers ---
@@ -600,12 +577,18 @@ func (s *Server) cellFor(spec workloadRef, p, q int, seed int64) (engine.Cell, e
 	}
 }
 
-// handleCellsExecute is the shard-worker endpoint: a coordinator's
-// ShardExecutor POSTs a range of cell specs, this process solves them on its
-// local pool against the shared campaign cache, and answers one wire result
-// per cell in request order. Specs are validated up front so a malformed
-// range is rejected whole (the coordinator falls back to local execution)
-// rather than half-executed. A propagated DeadlineHeader budget is honored
+// maxSpecBytes is the per-spec allowance of a /v1/cells/execute body: the
+// body may hold MaxCampaignCells specs of this size. StreamIt and random
+// specs measure under 300 bytes; the bound is on the whole body, so a short
+// range of larger specs (inline graphs) still fits.
+const maxSpecBytes = 1 << 10
+
+// handleCellsExecute is the worker endpoint: a coordinator's Dispatcher
+// POSTs a range of cell specs, this process solves them on its local pool
+// against the shared campaign cache, and answers one wire result per cell in
+// request order. Specs are validated up front so a malformed range is
+// rejected whole (the coordinator re-dispatches it) rather than
+// half-executed. A propagated DeadlineHeader budget is honored
 // two ways: a range that cannot plausibly finish (budget below
 // MinRangeBudget) is refused outright with 503, and an admitted range solves
 // under a context bounded by the budget so an overrun stops at the deadline
@@ -625,10 +608,7 @@ func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req engine.ExecuteCellsRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, int64(s.maxCells)*maxSpecBytes, &req) {
 		return
 	}
 	if len(req.Cells) == 0 {
@@ -652,8 +632,8 @@ func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
 	// Admission control: each range runs a full local pool, so unbounded
 	// concurrent ranges would oversubscribe the worker the same way
 	// unbounded campaigns would the coordinator. The sender treats 429 as a
-	// worker failure and absorbs the range in its fallback pool (the range
-	// gate has no queue — a queued range would burn its sender's deadline).
+	// worker failure and re-dispatches the range (the range gate has no
+	// queue — a queued range would burn its sender's deadline).
 	if err := s.ranges.acquire(nil); err != nil {
 		writeShedError(w, http.StatusTooManyRequests, 1, "%d cell ranges already executing; retry later", s.ranges.capacity())
 		return
@@ -665,7 +645,7 @@ func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	results, err := engine.ExecuteSpecs(ctx, s.local, req.Cells, s.cache, s.store)
+	results, err := engine.ExecuteSpecs(ctx, s.exec, req.Cells, s.cache, s.store)
 	if errors.Is(err, context.DeadlineExceeded) {
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the range finished")
 		return
@@ -685,10 +665,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req campaignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, maxMapBodyBytes, &req) {
 		return
 	}
 	budget, hasBudget, err := resolveDeadline(r.Header, req.DeadlineMS)
@@ -771,22 +748,11 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: campaign has %d cells, limit %d", len(cells), s.maxCells)
 		return
 	}
-	if req.Shards < 0 || req.ChunkCells < 0 {
-		writeError(w, http.StatusBadRequest, "bad request: shards=%d chunk_cells=%d must not be negative", req.Shards, req.ChunkCells)
+	if req.ChunkCells < 0 {
+		writeError(w, http.StatusBadRequest, "bad request: chunk_cells=%d must not be negative", req.ChunkCells)
 		return
-	}
-	if req.Shards > 0 && len(req.Workers) == 0 && s.registry.Len() == 0 {
-		writeError(w, http.StatusBadRequest, "bad request: shards=%d needs a non-empty worker list", req.Shards)
-		return
-	}
-	// The dispatcher chunk size for this job: an explicit chunk_cells wins;
-	// the legacy shards field translates to "split into that many chunks".
-	chunk := req.ChunkCells
-	if chunk == 0 && req.Shards > 0 {
-		chunk = (len(cells) + req.Shards - 1) / req.Shards
 	}
 	ex := s.exec
-	var shard *engine.ShardExecutor
 	var disp *engine.Dispatcher
 	switch {
 	case len(req.Workers) > 0:
@@ -806,20 +772,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		// the job's status reports its own counters while the shared Totals
 		// keep the process-lifetime view for /v1/healthz.
 		disp = s.disp.Clone()
-	default:
-		switch e := s.exec.(type) {
-		case *engine.Dispatcher:
-			disp = e.Clone()
-		case *engine.ShardExecutor:
-			// Legacy static sharder: each job still runs on a fresh clone so
-			// its fallback count is per-campaign.
-			shard = e.Clone()
-			ex = shard
-		}
 	}
 	if disp != nil {
-		if chunk > 0 {
-			disp.ChunkCells = chunk
+		if req.ChunkCells > 0 {
+			disp.ChunkCells = req.ChunkCells
 		}
 		ex = disp
 	}
@@ -844,7 +800,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.running++
 	s.nextID++
-	j := &job{id: fmt.Sprintf("c%d", s.nextID), seq: s.nextID, kind: kind, total: len(cells), status: "running", cancel: cancel, shard: shard, disp: disp}
+	j := &job{id: fmt.Sprintf("c%d", s.nextID), seq: s.nextID, kind: kind, total: len(cells), status: "running", cancel: cancel, disp: disp}
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 
@@ -954,10 +910,6 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 		resp.Retries = st.Retries
 		resp.RetryBudget = st.RetryBudget
 		resp.WorkerChunks = st.WorkerChunks
-		resp.Fallbacks = st.LocalFallbacks
-	} else if j.shard != nil {
-		resp.LocalFallbacks = j.shard.Fallbacks()
-		resp.Fallbacks = j.shard.Fallbacks()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

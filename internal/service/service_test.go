@@ -537,8 +537,8 @@ func TestCampaignSharded(t *testing.T) {
 	}
 
 	local := run("")
-	sharded := run(`,"workers":["` + worker.URL + `"],"shards":2`)
-	degraded := run(`,"workers":["` + worker.URL + `","` + broken.URL + `"],"shards":4`)
+	sharded := run(`,"workers":["` + worker.URL + `"],"chunk_cells":4`)
+	degraded := run(`,"workers":["` + worker.URL + `","` + broken.URL + `"],"chunk_cells":2`)
 
 	localJSON, err := json.Marshal(local.Result)
 	if err != nil {
@@ -565,20 +565,33 @@ func TestCampaignSharded(t *testing.T) {
 	if degraded.Redispatches == 0 {
 		t.Error("degraded run reported no redispatches")
 	}
-	if degraded.LocalFallbacks != 0 || degraded.Fallbacks != 0 {
+	if degraded.LocalFallbacks != 0 {
 		t.Errorf("degraded run fell back locally (%d) despite a healthy worker", degraded.LocalFallbacks)
 	}
-	if st := run(`,"workers":["` + broken.URL + `"]`); st.LocalFallbacks == 0 || st.Fallbacks != st.LocalFallbacks {
-		t.Errorf("all-broken run reported local_fallbacks=%d fallbacks=%d, want equal and non-zero",
-			st.LocalFallbacks, st.Fallbacks)
-	} else if st.Redispatches != 0 {
-		t.Errorf("all-broken run reported %d redispatches with no worker to re-dispatch to", st.Redispatches)
+	allBroken := run(`,"workers":["` + broken.URL + `"]`)
+	if allBroken.Redispatches != 0 {
+		t.Errorf("all-broken run reported %d redispatches with no worker to re-dispatch to", allBroken.Redispatches)
+	}
+	// The raw status carries local_fallbacks only: the pre-dispatcher
+	// "fallbacks" alias is gone.
+	var raw map[string]json.RawMessage
+	if code := getJSON(t, ts.URL+"/v1/campaign/"+allBroken.ID, &raw); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	var localFallbacks int64
+	if err := json.Unmarshal(raw["local_fallbacks"], &localFallbacks); err != nil || localFallbacks == 0 {
+		t.Errorf("all-broken run reported local_fallbacks=%s, want non-zero", raw["local_fallbacks"])
+	}
+	if alias, ok := raw["fallbacks"]; ok {
+		t.Errorf("status still carries the fallbacks alias (%s)", alias)
 	}
 
+	// The static-sharder "shards" field is gone: the decoder rejects it as
+	// an unknown field, with or without workers.
 	resp, data := postJSON(t, ts.URL+"/v1/campaign",
-		`{"streamit":{"p":2,"q":2,"apps":["DCT"],"seed":3},"shards":2}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("shards without workers: %d, want 400 (%s)", resp.StatusCode, data)
+		`{"streamit":{"p":2,"q":2,"apps":["DCT"],"seed":3},"workers":["`+worker.URL+`"],"shards":2}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "shards") {
+		t.Errorf("shards field: %d, want 400 naming the field (%s)", resp.StatusCode, data)
 	}
 }
 
@@ -932,8 +945,8 @@ func (g *signalingExecutor) Execute(ctx context.Context, n int, run func(i int))
 }
 
 // TestCellsExecuteRangeLimit: concurrent ranges beyond MaxActiveRanges
-// answer 429 (the sender's fallback absorbs them); capacity frees when a
-// range finishes.
+// answer 429 (the sender re-dispatches them); capacity frees when a range
+// finishes.
 func TestCellsExecuteRangeLimit(t *testing.T) {
 	gate := &signalingExecutor{started: make(chan struct{}, 1), release: make(chan struct{})}
 	srv := New(Config{Cache: engine.NewAnalysisCache(8), Executor: gate, MaxActiveRanges: 1})
@@ -982,5 +995,55 @@ func TestCellsExecuteRangeLimit(t *testing.T) {
 	resp3, data3 := postJSON(t, ts.URL+"/v1/cells/execute", string(body))
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-release range: %d (%s)", resp3.StatusCode, data3)
+	}
+}
+
+// skipExecutor starts no cell, so a test can drive request decoding and
+// validation without solving anything.
+type skipExecutor struct{}
+
+func (skipExecutor) Execute(context.Context, int, func(int)) error { return nil }
+
+// TestCampaignAndRangeBodiesBounded: a /v1/campaign body past 1 MiB and a
+// /v1/cells/execute body past MaxCampaignCells KiB answer 413, while a range
+// of MaxCampaignCells real specs is still accepted.
+func TestCampaignAndRangeBodiesBounded(t *testing.T) {
+	const maxCells = 512
+	srv := New(Config{Cache: engine.NewAnalysisCache(8), Executor: skipExecutor{}, MaxCampaignCells: maxCells})
+	h := srv.Handler()
+
+	campaign := `{"streamit":{"p":2,"q":2,"apps":["` + strings.Repeat("A", maxMapBodyBytes) + `"]}}`
+	if got := serve(h, "/v1/campaign", campaign); got.code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(got.body, "exceeds 1048576 bytes") {
+		t.Errorf("oversized campaign: status %d: %s", got.code, got.body)
+	}
+	rangeBody := `{"cells":[{"key":"` + strings.Repeat("k", maxCells*maxSpecBytes) + `"}]}`
+	if got := serve(h, "/v1/cells/execute", rangeBody); got.code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(got.body, fmt.Sprintf("exceeds %d bytes", maxCells*maxSpecBytes)) {
+		t.Errorf("oversized range: status %d: %s", got.code, got.body)
+	}
+
+	// The largest real specs: n=150 random SPGs on the largest grid, with
+	// campaign-sized seeds and keys.
+	cells, err := experiments.RandomCells(experiments.RandomConfig{
+		N: 150, P: 16, Q: 16, CCR: 10,
+		MinElevation: 1, MaxElevation: 16, GraphsPerElev: maxCells / 16, Seed: 1 << 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]engine.CellSpec, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
+	}
+	body, err := json.Marshal(engine.ExecuteCellsRequest{Cells: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != maxCells {
+		t.Fatalf("built %d specs, want %d", len(specs), maxCells)
+	}
+	if got := serve(h, "/v1/cells/execute", string(body)); got.code != http.StatusOK {
+		t.Errorf("%d-spec range (%d bytes): status %d: %s", len(specs), len(body), got.code, got.body)
 	}
 }
