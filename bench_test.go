@@ -411,6 +411,31 @@ func BenchmarkSelectPeriodRandomMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectPeriodBudgetFamily times the period protocol on a family
+// whose DPA1D explodes: each op runs FMRadio's four CCR cells on 4x4 through
+// a serial pool on a fresh campaign cache. DPA1D first runs out of budget at
+// the first all-fail division; the returned period's DPA1D and the
+// siblings' replay that verdict instead of exploding again.
+func BenchmarkSelectPeriodBudgetFamily(b *testing.B) {
+	app, err := streamit.ByName("FMRadio")
+	if err != nil {
+		b.Fatal(err)
+	}
+	apps := []streamit.App{app}
+	for i := 0; i < b.N; i++ {
+		results, err := engine.Run(context.Background(), &engine.PoolExecutor{Workers: 1}, engine.Campaign{
+			Cells: experiments.StreamItCells(4, 4, apps, 1),
+			Cache: experiments.NewAnalysisCache(4),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.ReduceStreamIt(4, 4, apps, results); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Per-structure micro-benchmarks: fresh build vs cached reuse ---
 
 func analysisBenchGraph(b *testing.B) *spg.Graph {

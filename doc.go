@@ -66,8 +66,14 @@
 // determined. A verdict is keyed by the run's decisions, not by the grid: it
 // records the processor layer the budget ran out in and replays on every
 // chain of at least that many cores, so the 6x6 campaign replays the 4x4
-// campaign's failures. A run also reports the largest cut it checked,
-// which Layer 2 uses to share its verdict across the family.
+// campaign's failures. Nor is it pinned to its period: a looser period only
+// admits more chunks and more cuts, so a run there touches at least the
+// failed run's states and transitions, layer by layer, and runs out of
+// budget by the same layer. A verdict therefore also replays at every
+// period at least a rounding margin looser than its own, and the period the
+// protocol returns replays the explosion the first all-fail division
+// showed instead of re-running it. A run also reports the largest cut it
+// checked, which Layer 2 uses to share its verdict across the family.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -82,12 +88,15 @@
 // check, so a run whose cut check rejected no state is volume-free: it
 // publishes its verdict to the family with a max-cut certificate, the
 // largest cut it checked and the recorder's edge volumes. A member replays
-// the verdict when no cut check of its own can fire on those states: its
-// total edge volume fits the link capacity, or the largest cut scaled by ρ,
-// the member's largest per-edge volume ratio to the recorder, still fits it
-// with a rounding margin (the derivation is on core's familyVerdicts). So a
-// heavy CCR variant, whose total volume exceeds BW·T, replays its light
-// sibling's state explosion too. Every member waits for a sibling already
+// the verdict, at the recorder's period or a looser one, when no cut check
+// of its own can fire on those states at the member's own period: its
+// total edge volume fits that period's link capacity, or the largest cut
+// scaled by ρ, the member's largest per-edge volume ratio to the recorder,
+// still fits it with a rounding margin (the derivation is on core's
+// familyVerdicts). So a heavy CCR variant, whose total volume exceeds BW·T,
+// replays its light sibling's state explosion too, and at the returned
+// period, whose link carries ten times more, even a variant too heavy to
+// replay it at the failing one. Every member waits for a sibling already
 // running the same verdict key instead of repeating its enumeration
 // alongside it. Verdicts from runs that did reject a state stay with their
 // member.

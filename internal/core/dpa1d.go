@@ -42,57 +42,117 @@ func (h *DPA1D) Name() string { return "DPA1D" }
 // rather than by infeasibility.
 var ErrBudget = errors.New("state budget exhausted")
 
-// verdictKey identifies one DPA1D run's budget verdict: everything the
-// run's exploration sequence — and therefore its budget failure point —
-// depends on besides the graph (and, for member-scoped verdicts, its
-// volumes): the period (chunk cap and link capacity scale with it), both
-// budgets, the bandwidth and the speed ladder (chunk-energy finiteness gates
-// which states later layers expand). The core count is not in the key:
-// solve1D reads it only as its layer bound, so a run that ran out of budget
-// in layer k runs out identically on every chain of at least k cores (see
-// verdict). Energy magnitudes never influence which states are touched, so
-// dynamic powers and leakage stay out of the key.
+// verdictKey identifies one DPA1D run: the period, which scales the chunk
+// cap and the link capacity, and the verdictClass the run shares with runs
+// at other periods. solutionMemoKey and the family's claim gate pin it
+// exactly; a budget verdict replays at its own period and at every looser
+// one (see verdict).
 type verdictKey struct {
-	T                         float64
+	T float64
+	verdictClass
+}
+
+// verdictClass is everything a run's exploration sequence — and therefore
+// its budget failure point — depends on besides the period and the graph
+// (and, for member-scoped verdicts, its volumes): both budgets, the
+// bandwidth and the speed ladder (chunk-energy finiteness gates which states
+// later layers expand). A recorded verdict replays only for an exactly equal
+// class. The core count is not in it: solve1D reads it only as its layer
+// bound, so a run that ran out of budget in layer k runs out identically on
+// every chain of at least k cores (see verdict). Energy magnitudes never
+// influence which states are touched, so dynamic powers and leakage stay
+// out of it.
+type verdictClass struct {
 	maxStates, maxTransitions int
 	bw                        float64
 	ladder                    string
 }
 
-// verdict is a budget-failed run's outcome: the error it returned and the
-// processor layer it ran out of budget in. Layers 1..layer of the run are
-// the same on any chain of at least layer cores, so the verdict replays for
-// exactly those chains; a shorter chain stops before the failing layer and
-// must run.
+// verdict is a budget-failed run's outcome: the period T it ran at, the
+// processor layer it ran out of budget in, and the error it returned.
+// Layers 1..layer of the run are the same on any chain of at least layer
+// cores, so the verdict replays at T for exactly those chains; a shorter
+// chain stops before the failing layer and must run.
+//
+// It also replays on those chains at every period T′ ≥ lifted, where lifted
+// is T·sumMargin(n) rounded, for a graph of n stages. The run at T′ admits
+// a superset at each of the three places the period enters a run:
+//
+//   - The DFS prune (chunk cap T·MaxSpeed). Every chunk the run at T
+//     enumerated fits the larger cap: the two DFS trees may reach a downset
+//     along different paths, but both path sums add the weights of the same
+//     stages, so they agree up to the rounding the margin covers.
+//   - MinFeasibleSpeed, whose tolerance 1+1e-12 already admits every chunk
+//     the prune lets through at the top speed: chunk energies stay finite.
+//   - The cut check (link capacity BW·T), which grows with T.
+//
+// So, layer by layer, every downset with a finite energy in the run at T
+// has one in the run at T′, every downset the run at T expanded is expanded
+// at T′, and each expansion list at T′ contains the one at T. The run at T′
+// therefore touches at least as many states and transitions, makes progress
+// in every layer the run at T did, and runs out of budget by the same layer
+// at the latest: it cannot succeed, and a budget failure is what it
+// returns. The replayed error is the recorded one, which may name the
+// other budget than the run at T′ would trip first; callers only test
+// errors.Is(err, ErrBudget), and campaign outcomes record OK false either
+// way.
+//
+// The margin follows the max-cut certificate's derivation (see
+// familyVerdicts) with the stages in the role of the edges: a chunk sum adds
+// at most n non-negative weights, so two path sums of one chunk are within
+// (1+γ)/(1−γ) of each other, and the chunk caps and T·sumMargin(n) round
+// by a factor 1±u each; the product stays below sumMargin(n) = 1+8(n+4)u.
+// The protocol's tenfold period steps sit far above it.
 type verdict struct {
-	layer int
-	err   error
+	T, lifted float64
+	layer     int
+	err       error
 }
 
-// verdictStore holds recorded verdicts.
+// newVerdict is the verdict of a run at period T on a graph of n stages.
+func newVerdict(T float64, n, layer int, err error) verdict {
+	return verdict{T: T, lifted: T * sumMargin(n), layer: layer, err: err}
+}
+
+// replaysAt reports whether v answers a run at period T on a chain of cores
+// processors.
+func (v *verdict) replaysAt(T float64, cores int) bool {
+	return v.layer <= cores && (T == v.T || T >= v.lifted)
+}
+
+// verdictStore holds recorded verdicts by class.
 type verdictStore struct {
 	mu sync.Mutex
-	m  map[verdictKey]verdict
+	m  map[verdictClass][]verdict
 }
 
-// lookup returns the recorded error for key if it applies to a chain of
-// cores processors, nil otherwise.
+// lookup returns the recorded error that answers a run of key on a chain of
+// cores processors, nil if none does. Of several, the one recorded at the
+// largest period answers, whatever order they were recorded in; verdicts
+// recorded at one period by runs of one member are identical.
 func (vs *verdictStore) lookup(key verdictKey, cores int) error {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	if v, ok := vs.m[key]; ok && v.layer <= cores {
-		return v.err
+	list := vs.m[key.verdictClass]
+	var best *verdict
+	for i := range list {
+		if v := &list[i]; v.replaysAt(key.T, cores) && (best == nil || v.T > best.T) {
+			best = v
+		}
 	}
-	return nil
+	if best == nil {
+		return nil
+	}
+	return best.err
 }
 
-func (vs *verdictStore) record(key verdictKey, v verdict) {
+func (vs *verdictStore) record(key verdictClass, v verdict) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	if vs.m == nil {
-		vs.m = make(map[verdictKey]verdict)
+		vs.m = make(map[verdictClass][]verdict)
 	}
-	vs.m[key] = v
+	vs.m[key] = append(vs.m[key], v)
 }
 
 // MemoryFootprint implements spg.Footprinter with the flat constants the spg
@@ -100,10 +160,10 @@ func (vs *verdictStore) record(key verdictKey, v verdict) {
 func (vs *verdictStore) MemoryFootprint() int64 {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	const entryBytes = int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(verdict{})) + auxMapEntryBytes
+	const classBytes = int64(unsafe.Sizeof(verdictClass{})) + auxMapEntryBytes + auxSliceHeaderBytes
 	var b int64
-	for k := range vs.m {
-		b += entryBytes + int64(len(k.ladder))
+	for k, list := range vs.m {
+		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(verdict{}))
 	}
 	return b
 }
@@ -239,12 +299,14 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 // the layer's progress or the budget counts. A run whose cut check rejected
 // no state therefore explores exactly what a member would explore if its
 // own cut check rejected none of the same states. Such runs publish their
-// verdicts here, and a member replays one when either certificate below
-// shows that its cut check cannot fire on those states:
+// verdicts here, and a member replays one at its own period T′ — the
+// verdict's period or a looser one (see verdict) — when either certificate
+// below shows that its cut check at T′ cannot fire on those states:
 //
-//   - Its cutBound is within the link capacity: no cut of the member
-//     exceeds it at all (the CCR variants light enough for the link).
-//   - Max-cut: ρ·maxCut·(1+8(|E|+4)u) ≤ LinkCapacity(T), where maxCut is
+//   - Its cutBound is within the link capacity LinkCapacity(T′): no cut of
+//     the member exceeds it at all (the CCR variants light enough for the
+//     link).
+//   - Max-cut: ρ·maxCut·(1+8(|E|+4)u) ≤ LinkCapacity(T′), where maxCut is
 //     the largest cut the recorded run computed, u = 2⁻⁵³, and
 //     ρ = max v_m(e)/v_r(e) over the edges with v_m(e) > 0, comparing the
 //     member's volumes v_m with the recorder's v_r (+Inf if some such
@@ -271,12 +333,23 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 // run is the recorded run, up to the same budget failure, and its verdict
 // is the recorded verdict.
 //
+// At a looser period the runs no longer coincide, but the recorded run,
+// rejecting nothing, is the run at T with no cut check at all. The member's
+// run at T′ prunes chunks against a larger cap and, by the certificate at
+// LinkCapacity(T′), accepts every state the recorded run checked, so the
+// argument on verdict applies unchanged: layer by layer it expands every
+// state the recorded run expanded, with lists containing the recorded ones,
+// and runs out of budget by the same layer. The certificate must be checked
+// at the querying period's capacity: the recorder's capacity is smaller and
+// certifies less, so checking it instead would turn away the heavy members
+// the lift exists for.
+//
 // The store also gates identical runs: a member about to run a key that a
 // sibling is already running waits for the sibling's verdict instead of
 // repeating its enumeration alongside it.
 type familyVerdicts struct {
 	mu       sync.Mutex
-	m        map[verdictKey]familyVerdict
+	m        map[verdictClass][]familyVerdict // append-only
 	running  map[verdictKey]struct{}
 	released sync.Cond // broadcast whenever a running key is released; L is &mu
 }
@@ -296,7 +369,7 @@ type familyVerdictsAuxKey struct{}
 func familyVerdictsFor(an *spg.Analysis) *familyVerdicts {
 	return an.Aux(familyVerdictsAuxKey{}, func() any {
 		fv := &familyVerdicts{
-			m:       make(map[verdictKey]familyVerdict),
+			m:       make(map[verdictClass][]familyVerdict),
 			running: make(map[verdictKey]struct{}),
 		}
 		fv.released.L = &fv.mu
@@ -304,28 +377,41 @@ func familyVerdictsFor(an *spg.Analysis) *familyVerdicts {
 	}).(*familyVerdicts)
 }
 
-// lookup returns the recorded error for key if it applies to a chain of
-// cores processors and either certificate (see familyVerdicts) admits
-// member g, whose cutBound is bound, at link capacity linkCap; nil
-// otherwise. ρ is computed only for a heavy member that has a verdict to
-// replay.
+// lookup returns the recorded error that answers a run of key on a chain
+// of cores processors by member g, whose cutBound is bound, at link
+// capacity linkCap — LinkCapacity(key.T), the querying period's — and nil
+// if none does. A verdict answers when it replays at key.T and either
+// certificate (see familyVerdicts) admits g; of several, the one recorded at
+// the largest period answers, whatever order they were recorded in. Two
+// verdicts published at one period come from runs that rejected no state,
+// so both are the run with no cut check, and carry the same error. ρ is
+// computed only for a heavy member that has a verdict to replay.
 func (fv *familyVerdicts) lookup(key verdictKey, cores int, g *spg.Graph, bound, linkCap float64) error {
 	fv.mu.Lock()
-	v, ok := fv.m[key]
+	list := fv.m[key.verdictClass]
 	fv.mu.Unlock()
-	if !ok || v.layer > cores {
+	var best *familyVerdict
+	for i := range list {
+		v := &list[i]
+		if !v.replaysAt(key.T, cores) || (best != nil && v.T <= best.T) {
+			continue
+		}
+		if bound <= linkCap || cutScale(g, v.rec)*v.maxCut*sumMargin(len(g.Edges)) <= linkCap {
+			best = v
+		}
+	}
+	if best == nil {
 		return nil
 	}
-	if bound <= linkCap || cutScale(g, v.rec)*v.maxCut*cutMargin(len(g.Edges)) <= linkCap {
-		return v.err
-	}
-	return nil
+	return best.err
 }
 
-func (fv *familyVerdicts) record(key verdictKey, v familyVerdict) {
+// record appends v to its class's list. Lists are only ever appended to,
+// so lookup iterates the prefix it loaded without holding the lock.
+func (fv *familyVerdicts) record(key verdictClass, v familyVerdict) {
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	fv.m[key] = v
+	fv.m[key] = append(fv.m[key], v)
 }
 
 // MemoryFootprint implements spg.Footprinter with the flat constants the spg
@@ -334,10 +420,10 @@ func (fv *familyVerdicts) record(key verdictKey, v familyVerdict) {
 func (fv *familyVerdicts) MemoryFootprint() int64 {
 	fv.mu.Lock()
 	defer fv.mu.Unlock()
-	const entryBytes = int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes
+	const classBytes = int64(unsafe.Sizeof(verdictClass{})) + auxMapEntryBytes + auxSliceHeaderBytes
 	var b int64
-	for k := range fv.m {
-		b += entryBytes + int64(len(k.ladder))
+	for k, list := range fv.m {
+		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(familyVerdict{}))
 	}
 	return b
 }
@@ -363,9 +449,12 @@ func cutScale(m, r *spg.Graph) float64 {
 	return rho
 }
 
-// cutMargin is the max-cut certificate's rounding factor 1+8(edges+4)·2⁻⁵³.
-func cutMargin(edges int) float64 {
-	return 1 + math.Ldexp(float64(8*(edges+4)), -53)
+// sumMargin is the rounding factor 1+8(terms+4)·2⁻⁵³ that bounds how far
+// apart two computations comparing recursive sums of at most terms
+// non-negative values can land: the max-cut certificate's (terms = edges)
+// and the period lift's (terms = stages, see verdict).
+func sumMargin(terms int) float64 {
+	return 1 + math.Ldexp(float64(8*(terms+4)), -53)
 }
 
 // claim registers the caller as running key and reports true, or — when a
@@ -406,21 +495,21 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		return nil, err
 	}
 	pl, T := inst.Platform, inst.Period
-	key := verdictKey{
-		T:         T,
+	key := verdictKey{T: T, verdictClass: verdictClass{
 		maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
 		bw:     pl.BW,
 		ladder: speedLadderSig(pl),
-	}
+	}}
 	cores := pl.NumCores()
 	an := inst.Analysis
 	memo := budgetMemoFor(an)
 	family := familyVerdictsFor(an)
 	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl)}
 	for {
-		// A budget failure recorded for this configuration replays
-		// immediately: the run it summarizes would burn the whole
-		// enumeration again only to fail identically.
+		// A budget failure recorded for this configuration, at this period
+		// or a tighter one, replays immediately: the run it summarizes would
+		// burn the whole enumeration again only to fail identically, and a
+		// run at a looser period would fail by the same layer (see verdict).
 		if err := memo.verdicts.lookup(key, cores); err != nil {
 			return nil, err
 		}
@@ -461,10 +550,10 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 			// like the uncached path — and remember the verdict so the next
 			// identical run skips the burn altogether.
 			an.EvictDownsetSpace(h.MaxStates, ds)
-			v := verdict{layer: tr.layer, err: err}
-			memo.verdicts.record(key, v)
+			v := newVerdict(T, an.Graph().N(), tr.layer, err)
+			memo.verdicts.record(key.verdictClass, v)
 			if !tr.cutRejected {
-				family.record(key, familyVerdict{verdict: v, maxCut: tr.maxCut, rec: an.Graph()})
+				family.record(key.verdictClass, familyVerdict{verdict: v, maxCut: tr.maxCut, rec: an.Graph()})
 			}
 		}
 		return nil, err

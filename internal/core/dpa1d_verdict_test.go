@@ -115,9 +115,10 @@ func TestDPA1DSharedVerdictsMatchFresh(t *testing.T) {
 									t.Fatalf("%s budget %d grids %v CCRs %v: ccr %g %dx%d T %g: shared %v, fresh %v",
 										a.Name, bi, grids, order, ccr, n, n, T, got, w)
 								}
-								// A budget failure the member never recorded itself
-								// was answered by a sibling's family verdict.
-								if _, own := budgetMemoFor(an).verdicts.m[solveKey(h, pl, T)]; got.budget && !own {
+								// A budget failure no verdict of the member's own
+								// answers was answered by a sibling's family verdict.
+								own := budgetMemoFor(an).verdicts.lookup(solveKey(h, pl, T), pl.NumCores()) != nil
+								if got.budget && !own {
 									fromFamily++
 								}
 							}
@@ -126,14 +127,16 @@ func TestDPA1DSharedVerdictsMatchFresh(t *testing.T) {
 					// Tally what the shared stores held, so the suite proves it
 					// exercised each sharing path.
 					for _, ccr := range ccrs {
-						for _, v := range budgetMemoFor(fam.ScaleToCCR(ccr)).verdicts.m {
-							replayable++
-							if v.layer > 4 {
-								refusedOnSmall++
+						for _, list := range budgetMemoFor(fam.ScaleToCCR(ccr)).verdicts.m {
+							for _, v := range list {
+								replayable++
+								if v.layer > 4 {
+									refusedOnSmall++
+								}
 							}
 						}
 					}
-					family += len(familyVerdictsFor(fam).m)
+					family += len(familyVerdictsAt(fam))
 				}
 			}
 		}
@@ -176,7 +179,7 @@ func TestDPA1DLayerVerdictNotReplayedOnShorterChain(t *testing.T) {
 		t.Fatalf("4x4 run: %v, want a budget failure", got)
 	}
 	key := solveKey(h, big.Platform, T)
-	v, ok := budgetMemoFor(an).verdicts.m[key]
+	v, ok := memberVerdict(an, key)
 	if !ok || v.layer <= 4 || v.layer > 16 {
 		t.Fatalf("recorded verdict %+v (ok %v), want a layer in (4, 16]", v, ok)
 	}
@@ -241,7 +244,7 @@ func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
 	if got := solveOutcome(h, Instance{Graph: light.Graph(), Platform: pl, Period: T, Analysis: light}); !got.budget {
 		t.Fatalf("light member: %v, want a budget failure", got)
 	}
-	if len(familyVerdictsFor(fam).m) != 1 {
+	if len(familyVerdictsAt(fam)) != 1 {
 		t.Fatal("the light member's volume-free verdict was not published")
 	}
 	got := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: fam})
@@ -256,8 +259,49 @@ func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
 
 // solveKey is the verdict key of a Solve by h at period T on pl.
 func solveKey(h *DPA1D, pl *platform.Platform, T float64) verdictKey {
-	return verdictKey{T: T, maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
-		bw: pl.BW, ladder: speedLadderSig(pl)}
+	return verdictKey{T: T, verdictClass: verdictClass{maxStates: h.MaxStates, maxTransitions: h.MaxTransitions,
+		bw: pl.BW, ladder: speedLadderSig(pl)}}
+}
+
+// memberVerdict returns the verdict an's member store recorded for key at
+// exactly key.T.
+func memberVerdict(an *spg.Analysis, key verdictKey) (verdict, bool) {
+	vs := &budgetMemoFor(an).verdicts
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	for _, v := range vs.m[key.verdictClass] {
+		if v.T == key.T {
+			return v, true
+		}
+	}
+	return verdict{}, false
+}
+
+// publishedVerdict returns the verdict fam's family store holds for key at
+// exactly key.T.
+func publishedVerdict(fam *spg.Analysis, key verdictKey) (familyVerdict, bool) {
+	fv := familyVerdictsFor(fam)
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	for _, v := range fv.m[key.verdictClass] {
+		if v.T == key.T {
+			return v, true
+		}
+	}
+	return familyVerdict{}, false
+}
+
+// familyVerdictsAt lists every verdict fam's family store holds, of any
+// class and period.
+func familyVerdictsAt(fam *spg.Analysis) []familyVerdict {
+	fv := familyVerdictsFor(fam)
+	fv.mu.Lock()
+	defer fv.mu.Unlock()
+	var out []familyVerdict
+	for _, list := range fv.m {
+		out = append(out, list...)
+	}
+	return out
 }
 
 // solveCounted solves and reports whether the Solve executed a DPA1D run
@@ -294,11 +338,11 @@ func TestDPA1DMaxCutCertificate(t *testing.T) {
 	if got := solveOutcome(h, Instance{Graph: rec.Graph(), Platform: pl, Period: T, Analysis: rec}); !got.budget {
 		t.Fatalf("recorder: %v, want a budget failure", got)
 	}
-	fv, ok := familyVerdictsFor(fam).m[solveKey(h, pl, T)]
+	fv, ok := publishedVerdict(fam, solveKey(h, pl, T))
 	if !ok || fv.rec != rec.Graph() || !(fv.maxCut > 0) {
 		t.Fatalf("published verdict %+v (ok %v), want the recorder's with a positive max cut", fv, ok)
 	}
-	margin := cutMargin(len(g.Edges))
+	margin := sumMargin(len(g.Edges))
 
 	// Volumes scale as 1/CCR, so members near the critical CCR straddle the
 	// certificate's edge; scan them in steps of a few ulps.
@@ -374,7 +418,7 @@ func TestDPA1DZeroRecorderVolumeBlocksReplay(t *testing.T) {
 	if got := solveOutcome(h, Instance{Graph: rec.Graph(), Platform: pl, Period: T, Analysis: rec}); !got.budget {
 		t.Fatalf("recorder: %v, want a budget failure", got)
 	}
-	fv, ok := familyVerdictsFor(fam).m[solveKey(h, pl, T)]
+	fv, ok := publishedVerdict(fam, solveKey(h, pl, T))
 	if !ok {
 		t.Fatal("the recorder's verdict was not published")
 	}
@@ -385,7 +429,7 @@ func TestDPA1DZeroRecorderVolumeBlocksReplay(t *testing.T) {
 			rho = math.Max(rho, e.Volume/rec.Graph().Edges[i].Volume)
 		}
 	}
-	if rho*fv.maxCut*cutMargin(len(g.Edges)) > linkCap {
+	if rho*fv.maxCut*sumMargin(len(g.Edges)) > linkCap {
 		t.Fatalf("premise: the other edges must certify the member (ρ %g, max cut %g, link %g)", rho, fv.maxCut, linkCap)
 	}
 	if !math.IsInf(cutScale(g, rec.Graph()), 1) {
@@ -432,7 +476,7 @@ func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 	if got := solveOutcome(h, inst); !got.budget {
 		t.Fatalf("heavy member: %v, want a budget failure", got)
 	}
-	if n := len(familyVerdictsFor(fam).m); n != 0 {
+	if n := len(familyVerdictsAt(fam)); n != 0 {
 		t.Fatalf("cut-rejecting run published %d family verdicts", n)
 	}
 	light := fam.ScaleToCCR(10)
@@ -508,6 +552,73 @@ func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 	}
 }
 
+// TestDPA1DConcurrentLiftMatchesFresh: the four CCR members of a family
+// solve DPA1D at a period and at ten times it, all at once on one shared
+// lattice, so lifted lookups read the verdict lists while siblings append
+// to them. Every result agrees with a serial fresh solve (sameResult: a
+// lifted replay may carry the tighter run's error text). Run under -race,
+// it checks the unlocked reads of the family store.
+func TestDPA1DConcurrentLiftMatchesFresh(t *testing.T) {
+	h := &verdictBudgets[1]
+	apps := streamit.Suite()
+	if testing.Short() {
+		apps = []streamit.App{apps[0], apps[2], apps[8]}
+	}
+	pl := platform.XScale(4, 4)
+	liftable := 0 // batches that recorded a verdict at T a 10T solve could lift
+	for _, a := range apps {
+		base, err := a.BaseGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccrs := streamItCCRs(a)
+		for _, T := range []float64{0.1, 0.01} {
+			periods := []float64{T, 10 * T}
+			type cell struct {
+				ccr, T float64
+			}
+			want := make(map[cell]outcome1D)
+			for _, ccr := range ccrs {
+				for _, p := range periods {
+					want[cell{ccr, p}] = freshOutcome(t, h, a, ccr, 4, p)
+				}
+			}
+			fam := spg.NewAnalysis(base)
+			cells := make([]cell, 0, 2*len(want))
+			for _, ccr := range ccrs {
+				for _, p := range periods {
+					cells = append(cells, cell{ccr, p}, cell{ccr, p})
+				}
+			}
+			got := make([]outcome1D, len(cells))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w, c := range cells {
+				an := fam.ScaleToCCR(c.ccr)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[w] = solveOutcome(h, Instance{Graph: an.Graph(), Platform: pl, Period: c.T, Analysis: an})
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for w, c := range cells {
+				if !sameResult(got[w], want[c]) {
+					t.Fatalf("%s ccr %g T %g goroutine %d: %v, fresh %v", a.Name, c.ccr, c.T, w, got[w], want[c])
+				}
+			}
+			if _, ok := publishedVerdict(fam, solveKey(h, pl, T)); ok {
+				liftable++
+			}
+		}
+	}
+	if liftable == 0 {
+		t.Fatal("no batch published a verdict at its tighter period")
+	}
+}
+
 // TestDPA1DFamilyVerdictsFootprint: the family verdict store reports its
 // entries, and the analysis footprint — the campaign cache's byte account —
 // counts them.
@@ -516,9 +627,9 @@ func TestDPA1DFamilyVerdictsFootprint(t *testing.T) {
 	fv := familyVerdictsFor(fam)
 	before := fam.MemoryFootprint()
 	pl := platform.XScale(4, 4)
-	key := verdictKey{T: 1, maxStates: 10, maxTransitions: 10, bw: pl.BW, ladder: speedLadderSig(pl)}
-	fv.record(key, familyVerdict{verdict: verdict{layer: 3, err: ErrBudget}, maxCut: 0.5, rec: fam.Graph()})
-	want := int64(unsafe.Sizeof(verdictKey{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes + int64(len(key.ladder))
+	key := verdictClass{maxStates: 10, maxTransitions: 10, bw: pl.BW, ladder: speedLadderSig(pl)}
+	fv.record(key, familyVerdict{verdict: newVerdict(1, fam.Graph().N(), 3, ErrBudget), maxCut: 0.5, rec: fam.Graph()})
+	want := int64(unsafe.Sizeof(verdictClass{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes + auxSliceHeaderBytes + int64(len(key.ladder))
 	if got := fv.MemoryFootprint(); got != want {
 		t.Fatalf("store footprint %d, want %d", got, want)
 	}
@@ -573,5 +684,151 @@ func TestDPA1DSolveAllocs(t *testing.T) {
 	})
 	if heavy > 42 {
 		t.Errorf("heavy member Solve: %v allocations, want at most 42", heavy)
+	}
+}
+
+// sameResult reports whether two outcomes agree in what a campaign cell
+// records of them: success, the energy bits, and for a failure whether it
+// ran out of budget. A replayed verdict carries the error of the run it
+// records, which may name the other budget than a fresh run at a looser
+// period trips first.
+func sameResult(a, b outcome1D) bool {
+	return (a.err == "") == (b.err == "") && a.energy == b.energy && a.budget == b.budget
+}
+
+// TestDPA1DLiftedMemberVerdictMatchesFresh: a member-scoped verdict — from
+// a run whose cut check rejected a state, so nothing reaches the family
+// store — replays at the lifted period, 2T and 10T on 4x4 and 6x6, and each
+// replay agrees with a fresh solve.
+func TestDPA1DLiftedMemberVerdictMatchesFresh(t *testing.T) {
+	g := verdictForkJoin(t, func(i int) float64 {
+		if i == 0 {
+			return 100
+		}
+		return 0.1
+	})
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	const T = 1.0
+	an := spg.NewAnalysis(g)
+	if got := solveOutcome(h, Instance{Graph: g, Platform: platform.XScale(4, 4), Period: T, Analysis: an}); !got.budget {
+		t.Fatalf("premise: %v, want a budget failure", got)
+	}
+	v, ok := memberVerdict(an, solveKey(h, platform.XScale(4, 4), T))
+	if !ok || v.layer > 16 || len(familyVerdictsAt(an)) != 0 {
+		t.Fatalf("premise: member verdict %+v (ok %v) within 16 layers and no family verdict (%d)", v, ok, len(familyVerdictsAt(an)))
+	}
+	for _, n := range []int{4, 6} {
+		pl := platform.XScale(n, n)
+		for _, loose := range []float64{v.lifted, 2 * T, 10 * T} {
+			got, ran := solveCounted(h, Instance{Graph: g, Platform: pl, Period: loose, Analysis: an})
+			if ran {
+				t.Errorf("%dx%d T %g: ran, want the lifted verdict replayed", n, n, loose)
+			}
+			if want := freshGraphOutcome(h, g, pl, loose); !sameResult(got, want) {
+				t.Errorf("%dx%d T %g: replayed %v, fresh %v", n, n, loose, got, want)
+			}
+		}
+	}
+}
+
+// liftChainFamily is verdictChain's scale family with a verdict published
+// from a 4x4 run at T = 1 by the chain itself, which is light (its cut
+// check rejects nothing). It returns the family and the published verdict.
+func liftChainFamily(t *testing.T, h *DPA1D) (*spg.Analysis, familyVerdict) {
+	t.Helper()
+	fam := spg.NewAnalysis(verdictChain(t))
+	pl := platform.XScale(4, 4)
+	if got := solveOutcome(h, Instance{Graph: fam.Graph(), Platform: pl, Period: 1, Analysis: fam}); !got.budget {
+		t.Fatalf("premise: recorder %v, want a budget failure", got)
+	}
+	fv, ok := publishedVerdict(fam, solveKey(h, pl, 1))
+	if !ok || fv.layer <= 4 || fv.layer > 16 || !(fv.maxCut > 0) {
+		t.Fatalf("premise: published verdict %+v (ok %v), want a layer in (4, 16] and a positive max cut", fv, ok)
+	}
+	return fam, fv
+}
+
+// TestDPA1DLiftedFamilyVerdictCertifiedAtQueryPeriod: a heavy CCR member
+// replays a lifted family verdict when the max-cut certificate holds at the
+// querying period's link capacity, though it fails at the recording
+// period's; a heavier member, whose certificate fails at the querying
+// period too, runs — and, its cut check pruning every split, finds the
+// one-core mapping the verdict would have hidden. Both agree with fresh
+// solves.
+func TestDPA1DLiftedFamilyVerdictCertifiedAtQueryPeriod(t *testing.T) {
+	h := &DPA1D{MaxStates: 1_000, MaxTransitions: 300}
+	fam, fv := liftChainFamily(t, h)
+	pl := platform.XScale(4, 4)
+	const loose = 10.0
+	margin := sumMargin(len(fam.Graph().Edges))
+	for _, tc := range []struct {
+		name   string
+		x      float64 // ρ·maxCut, in units of LinkCapacity(1)
+		replay bool
+	}{{"heavy", 3, true}, {"heavier", 30, false}} {
+		m := fam.ScaleToCCR(fam.CCR() * fv.maxCut / (tc.x * pl.LinkCapacity(1)))
+		mg := m.Graph()
+		cert := cutScale(mg, fv.rec) * fv.maxCut * margin
+		if cutBound(mg) <= pl.LinkCapacity(loose) || cert <= pl.LinkCapacity(1) || (cert <= pl.LinkCapacity(loose)) != tc.replay {
+			t.Fatalf("%s: premise: bound %g, certificate %g, link %g at T 1 and %g at T %g",
+				tc.name, cutBound(mg), cert, pl.LinkCapacity(1), pl.LinkCapacity(loose), loose)
+		}
+		got, ran := solveCounted(h, Instance{Graph: mg, Platform: pl, Period: loose, Analysis: m})
+		if ran == tc.replay {
+			t.Errorf("%s: ran %v, want a replay %v", tc.name, ran, tc.replay)
+		}
+		want := freshGraphOutcome(h, mg, pl, loose)
+		if !sameResult(got, want) {
+			t.Errorf("%s: %v, fresh %v", tc.name, got, want)
+		}
+		if !tc.replay && want.err != "" {
+			t.Errorf("%s: premise: fresh %v, want the one-core mapping", tc.name, want)
+		}
+	}
+}
+
+// TestDPA1DVerdictLiftBoundaries: a verdict recorded at T = 1 on 4x4
+// replays at its lifted period and beyond, on chains of at least its layer,
+// and nowhere else: not inside the lift's margin, not at a tighter period,
+// not on a 2x2 chain, and not under a different bandwidth, speed ladder or
+// budget. Every case matches a fresh solve; each refusal runs on a freshly
+// warmed family, so no verdict a refused case records can answer another.
+func TestDPA1DVerdictLiftBoundaries(t *testing.T) {
+	h := &DPA1D{MaxStates: 1_000, MaxTransitions: 300}
+	pl := platform.XScale(4, 4)
+	otherBW := *platform.XScale(4, 4)
+	otherBW.BW *= 2
+	otherLadder := *platform.XScale(4, 4)
+	otherLadder.Speeds, otherLadder.DynPower = otherLadder.Speeds[1:], otherLadder.DynPower[1:]
+	_, fv := liftChainFamily(t, h)
+	for _, tc := range []struct {
+		name   string
+		h      *DPA1D
+		pl     *platform.Platform
+		T      float64
+		replay bool
+	}{
+		{"same period", h, pl, 1, true},
+		{"lifted period", h, pl, fv.lifted, true},
+		{"2T", h, pl, 2, true},
+		{"10T on 6x6", h, platform.XScale(6, 6), 10, true},
+		{"inside the margin", h, pl, math.Nextafter(fv.lifted, 0), false},
+		{"one ulp looser", h, pl, math.Nextafter(1, 2), false},
+		{"tighter period", h, pl, 0.5, false},
+		{"2x2 chain", h, platform.XScale(2, 2), 10, false},
+		{"other bandwidth", h, &otherBW, 10, false},
+		{"other ladder", h, &otherLadder, 10, false},
+		{"other state budget", &DPA1D{MaxStates: 1_001, MaxTransitions: 300}, pl, 10, false},
+		{"other transition budget", &DPA1D{MaxStates: 1_000, MaxTransitions: 301}, pl, 10, false},
+	} {
+		fam, _ := liftChainFamily(t, h)
+		g := fam.Graph()
+		got, ran := solveCounted(tc.h, Instance{Graph: g, Platform: tc.pl, Period: tc.T, Analysis: fam})
+		if ran == tc.replay {
+			t.Errorf("%s (T %g): ran %v, want a replay %v", tc.name, tc.T, ran, tc.replay)
+		}
+		if want := freshGraphOutcome(tc.h, g, tc.pl, tc.T); !sameResult(got, want) || (ran && got != want) {
+			t.Errorf("%s (T %g): %v, fresh %v", tc.name, tc.T, got, want)
+		}
 	}
 }

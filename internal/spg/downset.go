@@ -131,9 +131,12 @@ type downsetCore struct {
 	// enumeration per downset serves every later period — except that it
 	// solves DPA1D only where the cheaper heuristics fail, so DPA1D may
 	// first enumerate at the failing, tighter period and then once more at
-	// the larger budget of the period the protocol returns. Each list is
-	// packed at its exact length out of dfsBuf, the DFS's reused working
-	// buffer.
+	// the larger budget of the period the protocol returns. That second
+	// enumeration now happens only when the failing period's run did not
+	// exhaust the state budget: a budget failure replays at every looser
+	// period (core's DPA1D verdicts), and its space is evicted anyway. Each
+	// list is packed at its exact length out of dfsBuf, the DFS's reused
+	// working buffer.
 	exp    []expEntry
 	dfsBuf []Expansion
 
