@@ -87,6 +87,7 @@ type bnbShared struct {
 	// aggregated lower adjacency (earlier-stage neighbours with volumes),
 	// and the constant base (comm leakage + all solo floors).
 	floors    *core.EnergyFloors
+	hops      []float64 // mapping.HopExcess table, read-only
 	soloFloor []float64
 	lowerAdj  [][]stageVol
 	egb       float64
@@ -169,6 +170,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*
 	// exactly as the exhaustive engine does (its generator can never place
 	// the stage).
 	sh.floors = core.FloorsFor(inst.Analysis, pl)
+	sh.hops = mapping.HopExcess(pl)
 	sh.soloFloor = make([]float64, n)
 	base := pl.CommLeakPower * T
 	for i := 0; i < n; i++ {
@@ -189,20 +191,22 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*
 		sh.lowerAdj[i] = append(sh.lowerAdj[i], stageVol{j: int32(j), vol: e.Volume})
 	}
 
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+
 	// Incumbent seeding: best heuristic mapping, path-stripped back into the
 	// solver's XY-routed search space and re-evaluated, so its energy upper-
-	// bounds the in-space optimum.
+	// bounds the in-space optimum. The heuristics run concurrently on the
+	// worker budget; their minimum energy is schedule-independent.
 	if !s.NoSeed {
-		if e, ok := s.seedEnergy(inst); ok {
+		if e, ok := s.seedEnergy(inst, workers); ok {
 			sh.offer(e, seedUnit)
 			st.Seeded, st.SeedEnergy = true, e
 		}
 	}
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	target := 8 * workers
 	if target < 16 {
 		target = 16
@@ -262,13 +266,15 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*
 	return best, nil
 }
 
-// seedEnergy runs the cheap heuristics and returns the best energy whose
-// mapping, stripped of pinned paths, is valid under the solver's own
-// evaluator. Stripping matters for soundness: DPA1D pins snake paths and
-// DPA2D pins YX paths, which lie outside the XY-routed search space; the
-// stripped twin is exactly the mapping the search could itself produce, so
-// its energy can never undercut the in-space optimum.
-func (s *Solver) seedEnergy(inst core.Instance) (float64, bool) {
+// seedEnergy runs the cheap heuristics, at most workers at a time, and
+// returns the least energy whose mapping, stripped of pinned paths, is valid
+// under the solver's own evaluator. Stripping matters for soundness: DPA1D
+// pins snake paths and DPA2D pins YX paths, which lie outside the XY-routed
+// search space; the stripped twin is exactly the mapping the search could
+// itself produce, so its energy can never undercut the in-space optimum.
+// A minimum does not depend on which heuristic finishes first, so the seed
+// is the same at every worker count.
+func (s *Solver) seedEnergy(inst core.Instance, workers int) (float64, bool) {
 	eval := mapping.Evaluate
 	if s.General {
 		eval = mapping.EvaluateGeneral
@@ -277,26 +283,48 @@ func (s *Solver) seedEnergy(inst core.Instance) (float64, bool) {
 	if seed == 0 {
 		seed = 1
 	}
-	best, found := math.Inf(1), false
-	for _, h := range core.AllWith(core.Options{Seed: seed}) {
-		sol, err := h.Solve(inst)
-		if err != nil || sol == nil || sol.Mapping == nil {
-			continue
-		}
-		m := sol.Mapping
-		if len(m.Paths) > 0 {
-			m = m.Clone()
-			m.Paths = nil
-		}
-		res, err := eval(inst.Graph, inst.Platform, m, inst.Period)
-		if err != nil {
-			continue
-		}
-		if res.Energy < best {
-			best, found = res.Energy, true
+	hs := core.AllWith(core.Options{Seed: seed})
+	energies := make([]float64, len(hs))
+	workers = min(workers, len(hs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		// As for the search workers, child arenas are carved here in the
+		// coordinator, one per goroutine for its whole life.
+		wi := inst
+		wi.Scratch = inst.Scratch.Child(w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(hs) {
+					return
+				}
+				energies[i] = math.Inf(1)
+				sol, err := hs[i].Solve(wi)
+				if err != nil || sol == nil || sol.Mapping == nil {
+					continue
+				}
+				m := sol.Mapping
+				if len(m.Paths) > 0 {
+					m = m.Clone()
+					m.Paths = nil
+				}
+				if res, err := eval(wi.Graph, wi.Platform, m, wi.Period); err == nil {
+					energies[i] = res.Energy
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	best := math.Inf(1)
+	for _, e := range energies {
+		if e < best {
+			best = e
 		}
 	}
-	return best, found
+	return best, !math.IsInf(best, 1)
 }
 
 // buildUnits splits the partition tree into lexicographically ordered units:
@@ -381,7 +409,7 @@ func newBnbWorker(sh *bnbShared, sc *core.Scratch) *bnbWorker {
 	if cores < maxK {
 		maxK = cores
 	}
-	w.account = mapping.NewPrefixAccount(maxK)
+	w.account = mapping.NewPrefixAccount(maxK, sh.hops)
 	for i := range w.used {
 		w.used[i] = 0
 	}

@@ -3,6 +3,7 @@ package exact
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -155,8 +156,9 @@ func TestBnBMatchesExhaustiveBitIdentical(t *testing.T) {
 }
 
 // TestBnBSeedAndScratchInvariance pins the remaining determinism knobs: the
-// seeding RNG seed and an attached scratch arena change nothing about the
-// result.
+// seeding RNG seed, the worker count (which also bounds the concurrent
+// seeding pass) and an attached scratch arena change nothing about the
+// result, and at a fixed seed nothing about the seed energy's bits.
 func TestBnBSeedAndScratchInvariance(t *testing.T) {
 	g := randomSPG(42, 8, 0.01, 0.05, 0.0005, 0.002)
 	pl := platform.XScale(2, 3)
@@ -165,16 +167,32 @@ func TestBnBSeedAndScratchInvariance(t *testing.T) {
 		t.Fatal(refErr)
 	}
 	for _, seed := range []int64{0, 1, 7, 12345} {
-		for _, workers := range []int{1, 3} {
+		var seedBits uint64
+		for run, cfg := range []struct {
+			workers int
+			scratch bool
+		}{{1, false}, {1, true}, {2, false}, {2, true}, {3, false}, {3, true}} {
 			s := NewSolver()
 			s.Seed = seed
-			s.Workers = workers
-			sc := core.NewScratch()
-			sol, err := s.Solve(core.Instance{Graph: g, Platform: pl, Period: 0.08, Scratch: sc})
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			s.Workers = cfg.workers
+			var sc *core.Scratch
+			if cfg.scratch {
+				sc = core.NewScratch()
 			}
-			requireIdentical(t, "seed-scratch", ref, refErr, sol, err)
+			label := fmt.Sprintf("seed %d workers %d scratch %v", seed, cfg.workers, cfg.scratch)
+			sol, st, err := s.SolveStats(context.Background(), core.Instance{Graph: g, Platform: pl, Period: 0.08, Scratch: sc})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireIdentical(t, label, ref, refErr, sol, err)
+			if !st.Seeded {
+				t.Fatalf("%s: no seed", label)
+			}
+			if bits := math.Float64bits(st.SeedEnergy); run == 0 {
+				seedBits = bits
+			} else if bits != seedBits {
+				t.Fatalf("%s: seed energy %.17g, want %.17g", label, st.SeedEnergy, math.Float64frombits(seedBits))
+			}
 		}
 	}
 }

@@ -54,8 +54,9 @@ type Solver struct {
 	// baseline the equivalence tests and benchmarks diff the default engine
 	// against.
 	Exhaustive bool
-	// Workers is the branch-and-bound worker-pool size; 0 uses GOMAXPROCS.
-	// Results are bit-identical at any setting.
+	// Workers is the branch-and-bound worker-pool size, and the number of
+	// seeding heuristics run at once; 0 uses GOMAXPROCS. Results are
+	// bit-identical at any setting.
 	Workers int
 	// NoSeed disables the heuristic incumbent seeding pass. Seeding only
 	// strengthens pruning — the seed mapping is never returned — so this is

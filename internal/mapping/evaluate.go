@@ -3,7 +3,6 @@ package mapping
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"spgcmp/internal/platform"
 	"spgcmp/internal/spg"
@@ -31,12 +30,8 @@ type Result struct {
 	MaxCycleTime float64
 	// ActiveCores is |A|, the number of cores hosting at least one stage.
 	ActiveCores int
-	// UsedLinks is the number of directed links carrying traffic.
+	// UsedLinks is the number of directed links carrying a positive volume.
 	UsedLinks int
-	// LinkLoads maps each loaded directed link to its volume per period (GB).
-	LinkLoads map[platform.Link]float64
-	// CoreTimes maps each active core to its computation cycle-time (s).
-	CoreTimes map[platform.Core]float64
 }
 
 // Evaluate validates m against the DAG-partition mapping rules and the period
@@ -81,81 +76,76 @@ func evaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64, requir
 		}
 	}
 
-	res := &Result{
-		LinkLoads: make(map[platform.Link]float64),
-		CoreTimes: make(map[platform.Core]float64),
-	}
+	// Dense per-core and per-link tables, carved from one float and one
+	// flag block: work and used are indexed u*Q+v, load and touched by
+	// linkSlot. Both are visited in index order, so the floating-point
+	// accumulation (and the violation reported first) is deterministic: the
+	// same mapping always evaluates to the bit-identical energy.
+	cores := pl.NumCores()
+	vals := make([]float64, 5*cores)
+	flags := make([]bool, 5*cores)
+	work, used := vals[:cores], flags[:cores]
+	links := linkTable{load: vals[cores:], touched: flags[cores:]}
+	res := &Result{}
 
-	// Computation cycle-times and energy. Active cores are visited in
-	// row-major order — not map order — so the floating-point accumulation
-	// (and the violation reported first) is deterministic: the same mapping
-	// always evaluates to the bit-identical energy. Sorting just the active
-	// cores keeps the cost proportional to the mapping, which matters in the
-	// exact solver's enumeration loop.
-	work := m.CoreWork(g)
-	active := make([]platform.Core, 0, len(work))
-	for c := range work {
-		active = append(active, c)
+	// Computation cycle-times and energy, cores in row-major order.
+	for i, c := range m.Alloc {
+		ci := CoreIndex(pl, c)
+		work[ci] += g.Stages[i].Weight
+		used[ci] = true
 	}
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].U != active[j].U {
-			return active[i].U < active[j].U
+	for ci, w := range work {
+		if !used[ci] {
+			continue
 		}
-		return active[i].V < active[j].V
-	})
-	for _, c := range active {
-		w := work[c]
-		idx := m.SpeedOf(pl, c)
+		idx := m.SpeedIdx[ci]
 		if idx < 0 || idx >= len(pl.Speeds) {
-			return nil, fmt.Errorf("mapping: core %v hosts stages but has speed index %d", c, idx)
+			return nil, fmt.Errorf("mapping: core %v hosts stages but has speed index %d", coreAt(pl, ci), idx)
 		}
 		ct := w / pl.Speeds[idx]
 		if ct > T*(1+relTol) {
-			return nil, fmt.Errorf("mapping: core %v cycle-time %.6g exceeds period %.6g", c, ct, T)
+			return nil, fmt.Errorf("mapping: core %v cycle-time %.6g exceeds period %.6g", coreAt(pl, ci), ct, T)
 		}
-		res.CoreTimes[c] = ct
 		if ct > res.MaxCycleTime {
 			res.MaxCycleTime = ct
 		}
 		res.CompLeakEnergy += pl.LeakPower * T
 		res.CompDynEnergy += w / pl.Speeds[idx] * pl.DynPower[idx]
+		res.ActiveCores++
 	}
-	res.ActiveCores = len(work)
 
-	// Communication routing, link loads and cycle-times.
+	// Communication routing: each link's volume adds in edge order, then
+	// path order. XY routes are walked in place; pinned paths are validated
+	// first.
 	for e, edge := range g.Edges {
 		a, b := m.Alloc[edge.Src], m.Alloc[edge.Dst]
+		path, pinned := m.Paths[e]
 		if a == b {
-			if _, ok := m.Paths[e]; ok {
+			if pinned {
 				return nil, fmt.Errorf("mapping: edge %d is intra-core but has a path", e)
 			}
 			continue
 		}
-		path := m.PathFor(pl, e, a, b)
+		if !pinned {
+			links.addXY(pl.Q, a, b, edge.Volume)
+			continue
+		}
 		if err := pl.ValidatePath(a, b, path); err != nil {
 			return nil, fmt.Errorf("mapping: edge %d: %w", e, err)
 		}
 		for _, l := range path {
-			res.LinkLoads[l] += edge.Volume
+			links.add(linkSlot(pl, l), edge.Volume)
 		}
 	}
-	// Loaded links are visited in a canonical sorted order for the same
-	// determinism reasons as the core loop above; sorting just the loaded
-	// links keeps the cost proportional to the mapping, which matters in the
-	// exact solver's enumeration loop.
+	// Link loads and cycle-times, links in ascending (from, to) row-major
+	// order; exactly the links some route touched are checked and summed.
 	capacity := pl.LinkCapacity(T)
-	loaded := make([]platform.Link, 0, len(res.LinkLoads))
-	for l := range res.LinkLoads {
-		loaded = append(loaded, l)
-	}
-	linkKey := func(l platform.Link) int {
-		return (l.From.U*pl.Q+l.From.V)*pl.NumCores() + l.To.U*pl.Q + l.To.V
-	}
-	sort.Slice(loaded, func(i, j int) bool { return linkKey(loaded[i]) < linkKey(loaded[j]) })
-	for _, l := range loaded {
-		load := res.LinkLoads[l]
+	for slot, load := range links.load {
+		if !links.touched[slot] {
+			continue
+		}
 		if load > capacity*(1+relTol) {
-			return nil, fmt.Errorf("mapping: link %v load %.6g GB exceeds capacity %.6g GB", l, load, capacity)
+			return nil, fmt.Errorf("mapping: link %v load %.6g GB exceeds capacity %.6g GB", slotLink(pl, slot), load, capacity)
 		}
 		if load > 0 {
 			res.UsedLinks++
@@ -171,6 +161,86 @@ func evaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64, requir
 	return res, nil
 }
 
+// Directions of the four links leaving a core, ordered so that for one
+// from-core the slot from*4+dir ascends with the to-core's row-major index:
+// slot order is (from, to) row-major order.
+const (
+	dirUp = iota
+	dirLeft
+	dirRight
+	dirDown
+)
+
+// linkTable accumulates per-link volumes in a dense table of 4*NumCores
+// slots; touched marks the slots some route crossed, even at zero volume.
+type linkTable struct {
+	load    []float64
+	touched []bool
+}
+
+func (t linkTable) add(slot int, vol float64) {
+	t.load[slot] += vol
+	t.touched[slot] = true
+}
+
+// addXY adds vol to every link of the XY route from a to b, walking it in
+// place: along a's row to b's column, then along that column, exactly the
+// links XYPath lists.
+func (t linkTable) addXY(q int, a, b platform.Core, vol float64) {
+	ci := a.U*q + a.V
+	for v := a.V; v < b.V; v++ {
+		t.add(ci*4+dirRight, vol)
+		ci++
+	}
+	for v := a.V; v > b.V; v-- {
+		t.add(ci*4+dirLeft, vol)
+		ci--
+	}
+	for u := a.U; u < b.U; u++ {
+		t.add(ci*4+dirDown, vol)
+		ci += q
+	}
+	for u := a.U; u > b.U; u-- {
+		t.add(ci*4+dirUp, vol)
+		ci -= q
+	}
+}
+
+// linkSlot returns the dense slot of a grid link (From and To adjacent).
+func linkSlot(pl *platform.Platform, l platform.Link) int {
+	from := CoreIndex(pl, l.From) * 4
+	switch {
+	case l.To.U < l.From.U:
+		return from + dirUp
+	case l.To.V < l.From.V:
+		return from + dirLeft
+	case l.To.V > l.From.V:
+		return from + dirRight
+	}
+	return from + dirDown
+}
+
+// slotLink is the inverse of linkSlot.
+func slotLink(pl *platform.Platform, slot int) platform.Link {
+	from := coreAt(pl, slot/4)
+	to := from
+	switch slot % 4 {
+	case dirUp:
+		to.U--
+	case dirLeft:
+		to.V--
+	case dirRight:
+		to.V++
+	default:
+		to.U++
+	}
+	return platform.Link{From: from, To: to}
+}
+
+func coreAt(pl *platform.Platform, ci int) platform.Core {
+	return platform.Core{U: ci / pl.Q, V: ci % pl.Q}
+}
+
 // checkDAGPartition verifies the mapping rule of Section 3.3: the quotient
 // graph whose nodes are the per-core stage clusters must be acyclic. The
 // paper states the rule through the convexity closure property (any stage
@@ -178,45 +248,63 @@ func evaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64, requir
 // quotient is the property the proofs and the streaming semantics actually
 // rely on, and it implies convexity.
 func checkDAGPartition(g *spg.Graph, pl *platform.Platform, m *Mapping) error {
-	// Assign dense cluster ids per used core.
-	id := make(map[platform.Core]int)
+	// One int32 block holds every table: the dense cluster id of each core
+	// (-1 when it hosts nothing, ids in first-use order), then, for the k
+	// clusters, the quotient's adjacency in compressed rows (start, adj),
+	// in-degrees and Kahn's queue. Parallel quotient edges stay in: Kahn's
+	// algorithm counts each copy in and out, so acyclicity is unchanged.
+	cores := pl.NumCores()
+	maxK := min(cores, len(m.Alloc))
+	buf := make([]int32, cores+3*maxK+1+len(g.Edges))
+	id := buf[:cores]
+	for i := range id {
+		id[i] = -1
+	}
+	k := int32(0)
 	for _, c := range m.Alloc {
-		if _, ok := id[c]; !ok {
-			id[c] = len(id)
+		if ci := CoreIndex(pl, c); id[ci] < 0 {
+			id[ci] = k
+			k++
 		}
 	}
-	k := len(id)
-	adj := make(map[int][]int, k)
-	indeg := make([]int, k)
-	seen := make(map[[2]int]bool)
+	rest := buf[cores:]
+	start, indeg, queue, adj := rest[:k+1], rest[k+1:2*k+1], rest[2*k+1:3*k+1], rest[3*k+1:]
+	cluster := func(stage int) int32 { return id[CoreIndex(pl, m.Alloc[stage])] }
+	// start[a] first counts a's out-edges, then the prefix sums make it
+	// a's row end, and filling backwards leaves it at a's row start.
 	for _, e := range g.Edges {
-		a, b := id[m.Alloc[e.Src]], id[m.Alloc[e.Dst]]
-		if a == b || seen[[2]int{a, b}] {
-			continue
-		}
-		seen[[2]int{a, b}] = true
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	queue := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+		if a, b := cluster(e.Src), cluster(e.Dst); a != b {
+			start[a]++
+			indeg[b]++
 		}
 	}
-	processed := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		processed++
-		for _, w := range adj[v] {
+	for a := int32(1); a <= k; a++ {
+		start[a] += start[a-1]
+	}
+	for _, e := range g.Edges {
+		if a, b := cluster(e.Src), cluster(e.Dst); a != b {
+			start[a]--
+			adj[start[a]] = b
+		}
+	}
+	tail := 0
+	for a := int32(0); a < k; a++ {
+		if indeg[a] == 0 {
+			queue[tail] = a
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		v := queue[head]
+		for _, w := range adj[start[v]:start[v+1]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				queue[tail] = w
+				tail++
 			}
 		}
 	}
-	if processed != k {
+	if int32(tail) != k {
 		return errors.New("mapping: cluster quotient graph is cyclic (DAG-partition rule violated)")
 	}
 	return nil

@@ -101,16 +101,27 @@ func (m *Mapping) CoreWork(g *spg.Graph) map[platform.Core]float64 {
 // increases energy. It returns false if some core cannot meet the period even
 // at maximum speed.
 func (m *Mapping) DowngradeSpeeds(g *spg.Graph, pl *platform.Platform, T float64) bool {
-	work := m.CoreWork(g)
+	// Per-core work is dense, indexed like SpeedIdx; a used core is marked
+	// by a provisional speed index 0 until its real speed is chosen, in
+	// row-major order.
+	work := make([]float64, len(m.SpeedIdx))
 	for i := range m.SpeedIdx {
 		m.SpeedIdx[i] = -1
 	}
-	for c, w := range work {
+	for i, c := range m.Alloc {
+		ci := CoreIndex(pl, c)
+		work[ci] += g.Stages[i].Weight
+		m.SpeedIdx[ci] = 0
+	}
+	for ci, w := range work {
+		if m.SpeedIdx[ci] < 0 {
+			continue
+		}
 		_, idx, ok := pl.MinFeasibleSpeed(w, T)
 		if !ok {
 			return false
 		}
-		m.SetSpeed(pl, c, idx)
+		m.SpeedIdx[ci] = idx
 	}
 	return true
 }

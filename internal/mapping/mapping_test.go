@@ -137,33 +137,63 @@ func TestEvaluateRejectsCyclicQuotient(t *testing.T) {
 	}
 }
 
+// TestEvaluateExplicitPaths proves a pinned route is what Evaluate loads: a
+// fork-join whose pinned edge shares both of its links with other traffic,
+// at a period where only those shared links overflow, is rejected with the
+// pin and accepted as its XY twin.
 func TestEvaluateExplicitPaths(t *testing.T) {
 	pl := platform.XScale(2, 2)
-	g := chain(t, []float64{0.1, 0.1}, []float64{1})
-	m := New(2, pl)
-	a, b := platform.Core{U: 0, V: 0}, platform.Core{U: 1, V: 1}
-	m.Alloc[0], m.Alloc[1] = a, b
-	m.SetSpeed(pl, a, 0)
-	m.SetSpeed(pl, b, 0)
-	// Route vertical-first instead of XY.
-	mid := platform.Core{U: 1, V: 0}
+	// Stages: 0 source, 1 and 3 middle, 2 sink. Edges: 0->1, 1->2, 0->3,
+	// 3->2, every volume 1 GB.
+	g, err := spg.ForkJoin(0.01, 0.01, []float64{0.01, 0.01}, []float64{1, 1}, []float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, mid, b := platform.Core{U: 0, V: 0}, platform.Core{U: 1, V: 0}, platform.Core{U: 1, V: 1}
+	m := New(g.N(), pl)
+	m.Alloc[0], m.Alloc[1], m.Alloc[2], m.Alloc[3] = a, b, b, mid
+	for _, c := range []platform.Core{a, mid, b} {
+		m.SetSpeed(pl, c, 4)
+	}
+	// Edge 0 (a to b) routed vertical-first: over a->mid, which edge 2
+	// also loads, and mid->b, which edge 3 also loads. Its XY twin goes
+	// over a->(0,1)->b instead, leaving every link at 1 GB.
 	m.Paths = map[int][]platform.Link{0: {{From: a, To: mid}, {From: mid, To: b}}}
+	twin := m.Clone()
+	twin.Paths = nil
+
 	res, err := Evaluate(g, pl, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.LinkLoads[platform.Link{From: a, To: mid}]; !ok {
-		t.Error("explicit path not used")
+	if res.UsedLinks != 2 {
+		t.Errorf("pinned mapping loads %d links, want 2", res.UsedLinks)
 	}
+	// At T = 0.1 s a link carries 1.92 GB: the shared links (2 GB) overflow
+	// only when the pin is used.
+	const T = 0.1
+	_, err = Evaluate(g, pl, m, T)
+	if err == nil || !strings.Contains(err.Error(), "link C(1,1)->C(2,1) load 2 GB exceeds capacity") {
+		t.Errorf("pinned route not loaded: got %v", err)
+	}
+	res, err = Evaluate(g, pl, twin, T)
+	if err != nil {
+		t.Fatalf("XY twin rejected: %v", err)
+	}
+	if res.UsedLinks != 4 {
+		t.Errorf("XY twin loads %d links, want 4", res.UsedLinks)
+	}
+
 	// A broken explicit path must be rejected.
 	m.Paths[0] = m.Paths[0][:1]
 	if _, err := Evaluate(g, pl, m, 1); err == nil {
 		t.Error("truncated path accepted")
 	}
 	// An intra-core edge with a path must be rejected.
-	m2 := singleCore(g, pl, 1)
+	g2 := chain(t, []float64{0.1, 0.1}, []float64{1})
+	m2 := singleCore(g2, pl, 1)
 	m2.Paths = map[int][]platform.Link{0: {{From: a, To: mid}}}
-	if _, err := Evaluate(g, pl, m2, 1); err == nil {
+	if _, err := Evaluate(g2, pl, m2, 1); err == nil {
 		t.Error("intra-core path accepted")
 	}
 }

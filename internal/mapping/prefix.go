@@ -26,7 +26,9 @@ import (
 //
 // The account is rebuilt per partition with Reset and queried per placement
 // step with PlaceExtra; all storage is reused across partitions so the hot
-// enumeration loop stays allocation-free.
+// enumeration loop stays allocation-free. PlaceExtra reads hop counts from
+// a HopExcess table built once per solve and shared read-only by every
+// worker's account.
 type PrefixAccount struct {
 	// Floor is the placement-independent energy floor of the current
 	// partition: sum of exact per-cluster core energies, the platform's
@@ -45,12 +47,32 @@ type PrefixAccount struct {
 	// peers[c] lists the clusters d < c that exchange volume with c,
 	// precisely the pairs PlaceExtra(c, ...) must price.
 	peers [][]int32
+	// hops is the HopExcess table of the platform being solved.
+	hops []float64
+}
+
+// HopExcess returns the per-solve hop table of pl: entry a*NumCores+b is
+// float64(Manhattan(a, b)-1), the hops a volume between cores a and b pays
+// beyond the one-hop floor. The conversion is exact, so pricing from the
+// table is bit-identical to pricing from the distance.
+func HopExcess(pl *platform.Platform) []float64 {
+	cores := pl.NumCores()
+	hops := make([]float64, cores*cores)
+	for a := 0; a < cores; a++ {
+		ca := platform.Core{U: a / pl.Q, V: a % pl.Q}
+		for b := 0; b < cores; b++ {
+			hops[a*cores+b] = float64(platform.Manhattan(ca, platform.Core{U: b / pl.Q, V: b % pl.Q}) - 1)
+		}
+	}
+	return hops
 }
 
 // NewPrefixAccount returns an account sized for partitions of at most
-// maxClusters clusters.
-func NewPrefixAccount(maxClusters int) *PrefixAccount {
+// maxClusters clusters, pricing placements from hops, the platform's
+// HopExcess table (read, never written).
+func NewPrefixAccount(maxClusters int, hops []float64) *PrefixAccount {
 	a := &PrefixAccount{
+		hops:  hops,
 		works: make([]float64, maxClusters),
 		vol:   make([]float64, maxClusters*maxClusters),
 		touch: make([]int32, 0, maxClusters*maxClusters),
@@ -115,21 +137,12 @@ func (a *PrefixAccount) Reset(g *spg.Graph, pl *platform.Platform, T float64, pa
 // on pairwise Manhattan distances, so it is identical across all grid-
 // automorphism images of the prefix.
 func (a *PrefixAccount) PlaceExtra(pl *platform.Platform, c, coreIdx int, placed []int) float64 {
-	cu, cv := coreIdx/pl.Q, coreIdx%pl.Q
+	cores := pl.NumCores()
+	row := a.hops[coreIdx*cores : (coreIdx+1)*cores]
 	var extra float64
 	for _, d32 := range a.peers[c] {
 		d := int(d32)
-		du, dv := placed[d]/pl.Q, placed[d]%pl.Q
-		dist := cu - du
-		if dist < 0 {
-			dist = -dist
-		}
-		if dv > cv {
-			dist += dv - cv
-		} else {
-			dist += cv - dv
-		}
-		extra += a.vol[d*a.k+c] * float64(dist-1) * pl.EnergyPerGB
+		extra += a.vol[d*a.k+c] * row[placed[d]] * pl.EnergyPerGB
 	}
 	return extra
 }

@@ -33,7 +33,7 @@ func TestPrefixAccountAdmissibleAndTight(t *testing.T) {
 	T := 0.5 * total
 	rng := rand.New(rand.NewSource(71))
 	cores := pl.NumCores()
-	account := NewPrefixAccount(g.N())
+	account := NewPrefixAccount(g.N(), HopExcess(pl))
 
 	checked := 0
 	for trial := 0; trial < 400; trial++ {
@@ -113,7 +113,7 @@ func TestPrefixAccountSymmetryInvariant(t *testing.T) {
 	for i := range part {
 		part[i] = i % 4
 	}
-	account := NewPrefixAccount(g.N())
+	account := NewPrefixAccount(g.N(), HopExcess(pl))
 	if !account.Reset(g, pl, T, part, 4) {
 		t.Fatal("partition infeasible")
 	}

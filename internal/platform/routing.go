@@ -89,7 +89,9 @@ func (pl *Platform) ValidatePath(a, b Core, path []Link) error {
 	if len(path) == 0 {
 		return fmt.Errorf("platform: empty path between distinct cores %v and %v", a, b)
 	}
-	visited := map[Core]bool{a: true}
+	// visited is indexed u*Q+v; a itself is matched by value, since only
+	// hops that passed the adjacency check are known to be on the grid.
+	visited := make([]bool, pl.NumCores())
 	cur := a
 	for i, l := range path {
 		if l.From != cur {
@@ -98,10 +100,11 @@ func (pl *Platform) ValidatePath(a, b Core, path []Link) error {
 		if !pl.Adjacent(l.From, l.To) {
 			return fmt.Errorf("platform: path hop %d is not a grid link: %v", i, l)
 		}
-		if visited[l.To] {
+		to := l.To.U*pl.Q + l.To.V
+		if l.To == a || visited[to] {
 			return fmt.Errorf("platform: path revisits core %v", l.To)
 		}
-		visited[l.To] = true
+		visited[to] = true
 		cur = l.To
 	}
 	if cur != b {
