@@ -11,8 +11,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -174,8 +172,7 @@ func BenchmarkTable3RandomFailures(b *testing.B) {
 // three reuse layers: per-instance analyses, scale-family sharing across the
 // CCR variants, and a warm campaign cache (one warming sweep runs before the
 // timer starts, modelling the long-running mapping-service pattern the
-// campaign cache exists for). Compare with BenchmarkCampaignUncached for the
-// end-to-end speedup of the reuse architecture.
+// campaign cache exists for).
 func BenchmarkCampaign(b *testing.B) {
 	cache := experiments.NewAnalysisCache(64)
 	if _, err := experiments.RunStreamItWith(4, 4, nil, 1, cache); err != nil {
@@ -186,75 +183,6 @@ func BenchmarkCampaign(b *testing.B) {
 		if _, err := experiments.RunStreamItWith(4, 4, nil, 1, cache); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCampaignUncached answers the identical campaign with every reuse
-// layer off: a fresh graph synthesis per (app, CCR) cell and a fresh,
-// cache-free instance per (heuristic, period) call — what each Solve cost
-// before the analysis cache existed. The per-cell seeds and the worker-pool
-// parallelism match BenchmarkCampaign, so the ratio between the two isolates
-// the reuse architecture rather than scheduling differences.
-func BenchmarkCampaignUncached(b *testing.B) {
-	apps := streamit.Suite()
-	pl := platform.XScale(4, 4)
-	type cellSpec struct {
-		app  streamit.App
-		ccr  float64
-		seed int64
-	}
-	var cells []cellSpec
-	for _, a := range apps {
-		for _, ccr := range []float64{a.CCR, 10, 1, 0.1} {
-			cells = append(cells, cellSpec{a, ccr, int64(1 + len(cells))})
-		}
-	}
-	runAllFresh := func(g *spg.Graph, T float64, seed int64) bool {
-		any := false
-		for _, h := range core.AllWith(core.Options{Seed: seed, DPA1DMaxStates: 60_000}) {
-			if _, err := h.Solve(core.Instance{Graph: g, Platform: pl, Period: T}); err == nil {
-				any = true
-			}
-		}
-		return any
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(cells) {
-			workers = len(cells)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range next {
-					c := cells[ci]
-					g, err := c.app.GraphWithCCR(c.ccr)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if !runAllFresh(g, 1, c.seed) {
-						continue
-					}
-					T := 1.0
-					for d := 0; d < 9; d++ {
-						if !runAllFresh(g, T/10, c.seed) {
-							break
-						}
-						T /= 10
-					}
-				}
-			}()
-		}
-		for ci := range cells {
-			next <- ci
-		}
-		close(next)
-		wg.Wait()
 	}
 }
 
@@ -283,47 +211,7 @@ func BenchmarkSelectPeriodSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectPeriodSweepUncached is the same CCR sweep with every layer
-// off: a fresh synthesis per variant and a fresh instance per (heuristic,
-// period) call.
-func BenchmarkSelectPeriodSweepUncached(b *testing.B) {
-	a, err := streamit.ByName("DES")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := platform.XScale(4, 4)
-	runAllFresh := func(g *spg.Graph, T float64, seed int64) bool {
-		any := false
-		for _, h := range core.AllWith(core.Options{Seed: seed, DPA1DMaxStates: 60_000}) {
-			if _, err := h.Solve(core.Instance{Graph: g, Platform: pl, Period: T}); err == nil {
-				any = true
-			}
-		}
-		return any
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ci, ccr := range []float64{a.CCR, 10, 1, 0.1} {
-			g, err := a.GraphWithCCR(ccr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seed := int64(1 + ci)
-			if !runAllFresh(g, 1, seed) {
-				continue
-			}
-			T := 1.0
-			for d := 0; d < 9; d++ {
-				if !runAllFresh(g, T/10, seed) {
-					break
-				}
-				T /= 10
-			}
-		}
-	}
-}
-
-// --- Period-selection protocol: shared analysis cache vs naive rebuild ---
+// --- Period-selection protocol ---
 
 // selectPeriodWorkload is the workload the SelectPeriod benchmarks run: DES
 // at CCR 1 with stage weights and volumes scaled down 100x — a fine-grained
@@ -360,39 +248,6 @@ func BenchmarkSelectPeriod(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.SelectPeriod(g, pl, 1)
-	}
-}
-
-// BenchmarkSelectPeriodUncached replicates the protocol without the shared
-// cache — a fresh cache-free instance per (heuristic, period) call, which is
-// what every Solve did before the analysis cache existed — solving every
-// heuristic at every division, as the protocol did before it stopped
-// intermediate divisions at their first success. The ratio to
-// BenchmarkSelectPeriod is the speedup of both.
-func BenchmarkSelectPeriodUncached(b *testing.B) {
-	g := selectPeriodWorkload(b)
-	pl := platform.XScale(4, 4)
-	runAllFresh := func(T float64) bool {
-		any := false
-		for _, h := range core.AllWith(core.Options{Seed: 1, DPA1DMaxStates: 60_000}) {
-			if _, err := h.Solve(core.Instance{Graph: g, Platform: pl, Period: T}); err == nil {
-				any = true
-			}
-		}
-		return any
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		T := 1.0
-		if !runAllFresh(T) {
-			continue
-		}
-		for d := 0; d < 9; d++ {
-			if !runAllFresh(T / 10) {
-				break
-			}
-			T /= 10
-		}
 	}
 }
 
@@ -611,15 +466,12 @@ func benchCellKernel(b *testing.B, h core.Heuristic, inst core.Instance) {
 }
 
 func BenchmarkCellKernel(b *testing.B) {
-	dpa2dSweep4 := core.NewDPA2D()
-	dpa2dSweep4.Sweeps = 4
 	cases := []struct {
 		name string
 		h    core.Heuristic
 		inst func(*testing.B) core.Instance
 	}{
 		{"DPA2D/FMRadio", core.NewDPA2D(), fmRadioInstance},
-		{"DPA2DSweep4/FMRadio", dpa2dSweep4, fmRadioInstance},
 		{"DPA2D1D/FMRadio", core.NewDPA2D1D(), fmRadioInstance},
 		{"Greedy/FMRadio", core.NewGreedy(), fmRadioInstance},
 		{"Random/FMRadio", core.NewRandom(1), fmRadioInstance},
@@ -662,7 +514,7 @@ func BenchmarkAblationRandomTrials10(b *testing.B) {
 }
 
 // BenchmarkAblationExactDAGPartition and ...ExactGeneral compare the
-// exhaustive search with and without the DAG-partition rule (the paper's
+// exact search with and without the DAG-partition rule (the paper's
 // future-work question) on a tiny instance.
 func BenchmarkAblationExactDAGPartition(b *testing.B) {
 	g, err := randspg.Generate(randspg.Params{N: 7, Elevation: 2, Seed: 1, CCR: 10})
@@ -689,68 +541,6 @@ func BenchmarkAblationExactGeneral(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = s.Solve(inst)
 	}
-}
-
-// BenchmarkExactSolver is the bench-exact CI family: the branch-and-bound
-// engine against the exhaustive baseline on seeded random instances both
-// engines complete (2x2, 2x3), plus the 3x3 frontier row only
-// branch-and-bound finishes — the exhaustive engine burns its whole default
-// budget there (see TestBnBFrontierExhaustiveDefaultBudget). CI renames the
-// engine prefixes onto a common benchmark name and diffs the two with
-// benchstat, gating on a >=5x branch-and-bound speedup at 2x3.
-func BenchmarkExactSolver(b *testing.B) {
-	rows := []struct {
-		name       string
-		params     randspg.Params
-		p, q       int
-		frac       float64 // period as a fraction of total work
-		exhaustive bool    // baseline engine completes this row
-	}{
-		{"2x2", randspg.Params{N: 7, Elevation: 2, Seed: 1, CCR: 10}, 2, 2, 0.30, true},
-		{"2x3", randspg.Params{N: 9, Elevation: 3, Seed: 1, CCR: 10}, 2, 3, 0.25, true},
-		{"3x3", randspg.Params{N: 10, Elevation: 4, Seed: 9, CCR: 10}, 3, 3, 0.20, false},
-	}
-	instance := func(b *testing.B, i int) core.Instance {
-		g, err := randspg.Generate(rows[i].params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var w float64
-		for _, st := range g.Stages {
-			w += st.Weight
-		}
-		return core.Instance{Graph: g, Platform: platform.XScale(rows[i].p, rows[i].q), Period: rows[i].frac * w}
-	}
-	b.Run("bnb", func(b *testing.B) {
-		for i := range rows {
-			inst := instance(b, i)
-			b.Run(rows[i].name, func(b *testing.B) {
-				s := exact.NewSolver()
-				for n := 0; n < b.N; n++ {
-					if _, err := s.Solve(inst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := range rows {
-			if !rows[i].exhaustive {
-				continue
-			}
-			inst := instance(b, i)
-			b.Run(rows[i].name, func(b *testing.B) {
-				s := exact.NewSolver()
-				s.Exhaustive = true
-				for n := 0; n < b.N; n++ {
-					if _, err := s.Solve(inst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
 }
 
 // BenchmarkSimulator measures the pipeline simulator on a mapped StreamIt

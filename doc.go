@@ -13,8 +13,7 @@
 //	internal/core        the five heuristics: Random, Greedy, DPA2D, DPA1D, DPA2D1D
 //	internal/exact       branch-and-bound optimal solver (admissible energy
 //	                     bounds, heuristic incumbent seeding, parallel subtree
-//	                     search), its exhaustive baseline, and the Section 4.4
-//	                     ILP emitter
+//	                     search) and the Section 4.4 ILP emitter
 //	internal/sim         steady-state pipeline simulator
 //	internal/streamit    the 12 StreamIt workflows of Table 1
 //	internal/randspg     random SPG generation with exact elevation
@@ -171,14 +170,11 @@
 // arena-backed escapes a cell: outcomes carry scalars and wire-form copies,
 // and shared per-period tables are seeded into arena memory by copying
 // (snapshotInto) and published back by copying (publish), an idiom pinned by
-// the memoalias golden fixture. Options.SweepParallelism additionally fans
-// the independent per-state sweeps inside one DPA2D layer across goroutines
-// on child arenas — writes are disjoint per state, shared memos are
-// mutex-guarded pure caches, and the barrier between layers makes the
-// reduction deterministic, so the knob is proven bit-identical (it pays off
-// on large cells only and defaults off). The kernel golden suite replays
-// every StreamIt cell and a seeded random panel against pre-refactor outputs
-// in cold, warm, serial and parallel-sweep variants; BenchmarkCellKernel
+// the memoalias golden fixture. One DPA2D solve runs on one goroutine:
+// campaigns already keep every core busy with whole cells, so fanning a
+// cell's band sweeps out would only shorten a lone solve. The kernel golden
+// suite replays every StreamIt cell and a seeded random panel against
+// pre-refactor outputs in cold, warm and serial variants; BenchmarkCellKernel
 // measures the result (DPA2D single cell ~1.6x with ~79x fewer allocations,
 // DPA1D ~1.8x, full engine campaign ~1.35x), with testing.AllocsPerRun tests
 // bounding steady-state allocation counts and a benchstat old-vs-new
@@ -187,40 +183,42 @@
 // # The exact-solver layer
 //
 // internal/exact plays the role of the paper's Section 4.4 ILP, which CPLEX
-// could only solve on grids up to 2x2. The default engine is a
-// branch-and-bound search over the same space the original exhaustive
-// enumeration walks — restricted-growth-string set partitions with an
-// acyclic cluster quotient, injective placements reduced to grid-symmetry
-// orbit representatives, slowest feasible speed per core — pruned by two
-// admissible lower bounds. The partition-side bound prices a partial
-// partition from below using suffix-minimal dynamic-power ratios (the
-// cheapest energy-per-work any feasible speed at or above a cluster's
-// minimum can achieve; P(s)/s is not monotone on the XScale ladder, so the
-// suffix minimum matters), solo floors for unassigned stages, and one hop
-// of link energy per cross-cluster edge. The placement-side bound
-// (mapping.PrefixAccount) is exact on computation once the partition is
-// complete — cluster works determine core energies before any cluster is
-// placed — and charges each placed pair its Manhattan-distance hop excess;
-// both terms are invariant under grid automorphisms, so pruning composes
-// soundly with the orbit canonicity check. The incumbent is seeded from the
-// cheap heuristics (pinned paths stripped, so the seed is re-evaluated
-// inside the solver's own XY search space) and only ever strengthens
-// pruning — the seed mapping is never returned. Search fans out over
-// lexicographic partition prefixes on a worker pool (per-worker state on
-// core.Scratch child arenas) with a shared atomic incumbent; bounds prune
-// strictly (with a 1e-12 slack so last-ulp float noise cannot flip a
-// verdict), per-unit winners tie-break by exhaustive visit order, and the
-// final reduction walks units in order — so results are proven bit-identical
-// (energy bits and mapping bytes) to the exhaustive engine at any worker
-// count, seeded or not, with or without arenas. SolveContext threads
-// cancellation through every enumeration loop (the ctxflow analyzer pins
-// it), and the placement budget is per search unit: a truncated unit
-// surfaces ErrTooLarge rather than passing off an unproven mapping as
-// optimal. Measured (bench-exact CI job, BenchmarkExactSolver): ~80-100x
-// over the exhaustive engine on a 2x3 instance both complete, and proven
-// optima on 3x3/4x3 frontier instances (in milliseconds, a few dozen
-// placements evaluated) where the exhaustive engine cannot finish its full
-// 30M-placement default budget — past the paper's 2x2 wall.
+// could only solve on grids up to 2x2. The solver is a branch-and-bound
+// search over the same space a plain exhaustive enumeration walks —
+// restricted-growth-string set partitions with an acyclic cluster quotient,
+// injective placements reduced to grid-symmetry orbit representatives,
+// slowest feasible speed per core — pruned by two admissible lower bounds.
+// The partition-side bound prices a partial partition from below using
+// suffix-minimal dynamic-power ratios (the cheapest energy-per-work any
+// feasible speed at or above a cluster's minimum can achieve; P(s)/s is not
+// monotone on the XScale ladder, so the suffix minimum matters), solo floors
+// for unassigned stages, and one hop of link energy per cross-cluster edge.
+// The placement-side bound (mapping.PrefixAccount) is exact on computation
+// once the partition is complete — cluster works determine core energies
+// before any cluster is placed — and charges each placed pair its
+// Manhattan-distance hop excess; both terms are invariant under grid
+// automorphisms, so pruning composes soundly with the orbit canonicity
+// check. The incumbent is seeded from the cheap heuristics (pinned paths
+// stripped, so the seed is re-evaluated inside the solver's own XY search
+// space) and only ever strengthens pruning — the seed mapping is never
+// returned. Search fans out over lexicographic partition prefixes on a
+// worker pool (per-worker state on core.Scratch child arenas) with a shared
+// atomic incumbent; bounds prune strictly (with a 1e-12 slack so last-ulp
+// float noise cannot flip a verdict), per-unit winners tie-break by
+// exhaustive visit order, and the final reduction walks units in order — so
+// results are proven bit-identical (energy bits and mapping bytes) to the
+// exhaustive enumeration at any worker count, seeded or not, with or without
+// arenas. That enumeration is kept in the package's tests only, as the
+// oracle the search is diffed against. SolveContext threads cancellation
+// through every enumeration loop (the ctxflow analyzer pins it), and the
+// placement budget is per search unit: a truncated unit surfaces ErrTooLarge
+// rather than passing off an unproven mapping as optimal. Measured
+// (bench-exact CI job, BenchmarkExactSolver): tens of times faster than the
+// exhaustive enumeration on a 2x3 instance, and proven optima on 3x3/4x3
+// frontier instances in milliseconds, with 16 and about 50 placements
+// evaluated. The enumeration needs about 4.7M placements (about 9 s) for the
+// 3x3 row and cannot finish the 4x3 row inside its whole 30M-placement
+// default budget — past the paper's 2x2 wall.
 //
 // # The campaign engine and the mapping service
 //
@@ -316,12 +314,11 @@
 // budget and breaker transitions observed. Same seed, same faults — a
 // chaos failure replays exactly.
 //
-// BenchmarkCampaign vs BenchmarkCampaignUncached quantifies the end-to-end
-// effect on the full StreamIt suite (all CCR variants, warm cache; >20x on a
-// multicore host), BenchmarkSelectPeriodSweep isolates the scale-family
-// layer (~1.8x for one application's CCR sweep), and the cache-equivalence
-// tests prove bit-identical energies for every (app, CCR, period, heuristic)
-// cell with and without each layer.
+// BenchmarkCampaign times the full StreamIt suite (all CCR variants, warm
+// cache), BenchmarkSelectPeriodSweep one application's CCR sweep over the
+// scale-family layer, and the cache-equivalence tests prove bit-identical
+// energies for every (app, CCR, period, heuristic) cell with and without
+// each layer.
 //
 // # Machine-checked invariants
 //

@@ -1,9 +1,9 @@
 // Custom-platform example: the library is not tied to the paper's Intel
 // XScale model. This example defines a hypothetical 8-mode near-threshold
 // CMP, maps the same workflow on it and on the XScale reference, compares
-// the winners, and cross-checks a tiny instance against the exhaustive
-// optimal solver (the role played by CPLEX in Section 4.4). It also emits
-// the instance's ILP in LP format to stdout-compatible sizing stats.
+// the winners, and cross-checks a tiny instance against the exact
+// branch-and-bound solver (the role played by CPLEX in Section 4.4). It also
+// emits the instance's ILP in LP format to stdout-compatible sizing stats.
 package main
 
 import (

@@ -18,7 +18,7 @@ func TestDPA2DPredictionMatchesEvaluator(t *testing.T) {
 		g := testRandomSPG(t, seed, 40, 1)
 		an := spg.NewAnalysis(g)
 		for _, T := range []float64{1, 0.3, 0.1} {
-			plan, err := solve2D(an, pl, T, nil, 0)
+			plan, err := solve2D(an, pl, T, nil)
 			if err != nil {
 				continue
 			}

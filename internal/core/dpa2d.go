@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/platform"
@@ -28,10 +27,6 @@ import (
 // grid is much taller than it is deep.
 type DPA2D struct {
 	Transpose bool
-	// Sweeps caps the goroutines the outer DP uses for the independent
-	// per-band-end sweeps of one solve (Options.SweepParallelism); <= 1 runs
-	// serially. Any setting is bit-identical: see solve2D.
-	Sweeps int
 }
 
 // NewDPA2D returns the paper's orientation.
@@ -60,7 +55,7 @@ func (h *DPA2D) Solve(inst Instance) (*Solution, error) {
 			BW: inst.Platform.BW, EnergyPerGB: inst.Platform.EnergyPerGB,
 		}
 	}
-	plan, err := solve2D(inst.Analysis, pl, inst.Period, inst.Scratch, h.Sweeps)
+	plan, err := solve2D(inst.Analysis, pl, inst.Period, inst.Scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -229,8 +224,7 @@ func (e *engine2D) band(m1, m2 int) *spg.Band {
 // it on first use from the shared per-period snapshot (warm after any
 // earlier engine at this period probed the band). The table may live in sc:
 // publishEcal copies entries out on exit, so nothing shared outlives the
-// arena. Parallel sweeps never collide here — a band's key is determined by
-// its last level M2, and each sweep goroutine owns distinct band ends.
+// arena.
 func (e *engine2D) bandEcal(b *spg.Band, sc *Scratch) []float64 {
 	key := b.M1*(e.xmax+1) + b.M2
 	if ec := e.ecal[key]; ec != nil {
@@ -421,18 +415,8 @@ func (e *engine2D) outDistribution(b *spg.Band, arrivals []distEntry, cuts []int
 
 // solve2D runs the nested DP on the label grid of an's graph against pl and
 // returns the best plan over all numbers of used columns. Tables are carved
-// from sc (nil allocates normally); sweeps > 1 computes the independent
-// band-end states of each outer layer in parallel.
-//
-// Parallelism is bit-identical by construction: within one layer v, the state
-// of band end m reads only layer v-1 and writes only rows[v][m]; the shared
-// structures it touches are either keyed by m (the engine's ecal tables, band
-// key M2 = m) or mutex-guarded pure memos whose values don't depend on which
-// goroutine fills them first (band contexts, speed thresholds, period
-// snapshots). The per-m work-budget skip replaces the serial loop's early
-// break: rectWork grows monotonically with the band, so the skipped set is
-// the same.
-func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch, sweeps int) (*plan2D, error) {
+// from sc (nil allocates normally).
+func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch) (*plan2D, error) {
 	e := newEngine2D(an, pl, T)
 	defer e.publishEcal()
 	xmax := e.xmax
@@ -460,65 +444,32 @@ func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch, sw
 	rows := make([][]outerState, vmax+1)
 	rows[0] = newRow() // unused; bands are 1-based in v
 
-	// sweep runs fn(m, w) for every m in [lo..hi], striding the range across
-	// up to `sweeps` goroutines, each with its own Scratch child so arena
-	// allocation stays lock-free. fn owns rows[·][m] exclusively; the
-	// wg.Wait barrier publishes every write before the next layer reads it.
-	sweep := func(lo, hi int, fn func(m int, w *Scratch)) {
-		n := hi - lo + 1
-		if n <= 0 {
-			return
-		}
-		workers := sweeps
-		if workers > n {
-			workers = n
-		}
-		if workers <= 1 {
-			for m := lo; m <= hi; m++ {
-				fn(m, sc)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ws := sc.Child(w)
-				for m := lo + w; m <= hi; m += workers {
-					fn(m, ws)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	// v = 1: a single band of levels [1..m]. Overweight bands are skipped
 	// per-m (wider bands only grow heavier).
 	rows[1] = newRow()
-	sweep(1, xmax, func(m int, w *Scratch) {
+	for m := 1; m <= xmax; m++ {
 		if e.rectWork(1, m, 1, e.ymax) > colBudget {
-			return
+			continue
 		}
 		b := e.band(1, m)
-		ir, ok := e.inner(b, nil, w)
+		ir, ok := e.inner(b, nil, sc)
 		if !ok {
-			return
+			continue
 		}
 		rows[1][m] = outerState{
 			energy: ir.energy,
 			prevM:  0,
 			cuts:   ir.cuts,
-			dist:   e.outDistribution(b, nil, ir.cuts, w),
+			dist:   e.outDistribution(b, nil, ir.cuts, sc),
 		}
-	})
+	}
 
+	rowLoad := sc.F64(pl.P)
 	for v := 2; v <= vmax; v++ {
 		rows[v] = newRow()
 		prevRow := rows[v-1]
-		sweep(v, xmax, func(m int, w *Scratch) {
+		for m := v; m <= xmax; m++ {
 			best := &rows[v][m]
-			rowLoad := w.F64(pl.P)
 			for mp := m - 1; mp >= v-1; mp-- {
 				if e.rectWork(mp+1, m, 1, e.ymax) > colBudget {
 					break
@@ -552,7 +503,7 @@ func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch, sw
 					continue
 				}
 				b := e.band(mp+1, m)
-				ir, ok := e.inner(b, prev.dist, w)
+				ir, ok := e.inner(b, prev.dist, sc)
 				if !ok {
 					continue
 				}
@@ -564,9 +515,9 @@ func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch, sw
 			}
 			if best.prevM >= 0 {
 				b := e.band(best.prevM+1, m)
-				best.dist = e.outDistribution(b, prevRow[best.prevM].dist, best.cuts, w)
+				best.dist = e.outDistribution(b, prevRow[best.prevM].dist, best.cuts, sc)
 			}
-		})
+		}
 	}
 
 	bestV, bestE := -1, math.Inf(1)

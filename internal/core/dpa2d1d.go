@@ -12,11 +12,7 @@ import (
 // every admissible split, at exponential cost in the elevation) for the
 // polynomial cost of x-level cuts, and is designed for graphs with low
 // communication weights or low elevation.
-type DPA2D1D struct {
-	// Sweeps caps the goroutines of the outer-DP band sweeps, exactly as
-	// DPA2D.Sweeps (Options.SweepParallelism); <= 1 runs serially.
-	Sweeps int
-}
+type DPA2D1D struct{}
 
 // NewDPA2D1D returns the heuristic.
 func NewDPA2D1D() *DPA2D1D { return &DPA2D1D{} }
@@ -43,7 +39,7 @@ func (h *DPA2D1D) Solve(inst Instance) (*Solution, error) {
 	}
 	// The virtual uni-line shares the instance's analysis: band contexts are
 	// platform-independent, so DPA2D1D reuses whatever DPA2D already built.
-	plan, err := solve2D(inst.Analysis, uniline, inst.Period, inst.Scratch, h.Sweeps)
+	plan, err := solve2D(inst.Analysis, uniline, inst.Period, inst.Scratch)
 	if err != nil {
 		return nil, fmt.Errorf("%w: DPA2D1D found no 1D plan", ErrNoSolution)
 	}

@@ -172,12 +172,6 @@ type Options struct {
 	DPA1DMaxStates int `json:"dpa1d_max_states,omitempty"`
 	// DPA1DMaxTransitions overrides the DPA1D transition budget.
 	DPA1DMaxTransitions int `json:"dpa1d_max_transitions,omitempty"`
-	// SweepParallelism caps the goroutines the DPA2D-family solvers may use
-	// for the independent band sweeps inside one cell; 0 or 1 keeps the
-	// sweeps serial. Every band state is computed by exactly one goroutine
-	// and reduced in a fixed order, so results are bit-identical at any
-	// setting — the knob trades cores for single-cell latency only.
-	SweepParallelism int `json:"sweep_parallelism,omitempty"`
 	// KeepMappings attaches each successful heuristic's placement to its
 	// outcome (CellOutcome.Mapping) instead of dropping it after evaluation.
 	// It never changes what is solved or reported — only whether the winning
@@ -210,15 +204,11 @@ func AllWith(o Options) []Heuristic {
 	if o.DPA1DMaxTransitions > 0 {
 		dpa1d.MaxTransitions = o.DPA1DMaxTransitions
 	}
-	dpa2d := NewDPA2D()
-	dpa2d.Sweeps = o.SweepParallelism
-	dpa2d1d := NewDPA2D1D()
-	dpa2d1d.Sweeps = o.SweepParallelism
 	return []Heuristic{
 		random,
 		NewGreedy(),
-		dpa2d,
+		NewDPA2D(),
 		dpa1d,
-		dpa2d1d,
+		NewDPA2D1D(),
 	}
 }

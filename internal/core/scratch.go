@@ -34,7 +34,8 @@ type Scratch struct {
 	f64rows arena[[]float64]
 	introws arena[[]int]
 
-	// children are sub-arenas for intra-cell parallel sweeps: each sweep
+	// children are sub-arenas for solvers that fan one instance across
+	// goroutines (the exact solver's search workers and seeding pass): each
 	// goroutine gets its own child so concurrent allocation needs no locks.
 	// Children reset with their parent.
 	children []*Scratch
@@ -65,7 +66,7 @@ func (s *Scratch) Reset() {
 }
 
 // Child returns the i-th sub-arena, creating it on first use. Parallel
-// sweeps hand child i to goroutine i; the parent must not allocate while
+// solvers hand child i to goroutine i; the parent must not allocate while
 // children are live (the children's memory is independent, but the rule
 // keeps ownership trivially auditable). Child of a nil Scratch is nil,
 // which every alloc method accepts.

@@ -29,8 +29,6 @@ const contentKeyVersion = "spgcell/v1"
 // Excluded on purpose:
 //   - Key and CacheKey — campaign-local addressing; hashing them would stop
 //     identical work from ever deduplicating across campaigns.
-//   - Opts.SweepParallelism — documented bit-identical at any setting; it
-//     trades cores for latency, never bits.
 //
 // Every field is written length- or width-framed (no delimiter ambiguity):
 // strings and raw params as u32 length + bytes, integers as fixed 8-byte

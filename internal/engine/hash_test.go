@@ -47,11 +47,10 @@ func TestContentKeyGolden(t *testing.T) {
 	}
 }
 
-// TestContentKeyExclusions: the addressing fields (Key, CacheKey) and the
-// latency-only SweepParallelism knob must not reach the hash, so identical
-// work deduplicates across campaigns regardless of how it was addressed or
-// parallelized; MaxDivisions hashes resolved, so 0 and the explicit default
-// describe the same work.
+// TestContentKeyExclusions: the addressing fields (Key, CacheKey) must not
+// reach the hash, so identical work deduplicates across campaigns regardless
+// of how it was addressed; MaxDivisions hashes resolved, so 0 and the
+// explicit default describe the same work.
 func TestContentKeyExclusions(t *testing.T) {
 	base := CellSpec{Key: "k1", CacheKey: "c1", Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 2, P: 4, Q: 4, MaxDivisions: DefaultMaxDivisions, Opts: core.Options{DPA1DMaxStates: 100}}
 	want, err := base.ContentKey()
@@ -62,7 +61,6 @@ func TestContentKeyExclusions(t *testing.T) {
 	same.Key = "k2"
 	same.CacheKey = "c2"
 	same.MaxDivisions = 0
-	same.Opts.SweepParallelism = 8
 	if got, err := same.ContentKey(); err != nil || got != want {
 		t.Fatalf("excluded fields changed the key: %q vs %q (err %v)", got, want, err)
 	}
@@ -108,12 +106,11 @@ func TestContentKeySensitivity(t *testing.T) {
 // result store.
 func TestContentKeyCoversOptions(t *testing.T) {
 	known := map[string]bool{
-		"Seed":                true,  // hashed
-		"RandomTrials":        true,  // hashed
-		"DPA1DMaxStates":      true,  // hashed
-		"DPA1DMaxTransitions": true,  // hashed
-		"SweepParallelism":    false, // excluded: bit-identical at any setting
-		"KeepMappings":        true,  // hashed: changes the result payload
+		"Seed":                true, // hashed
+		"RandomTrials":        true, // hashed
+		"DPA1DMaxStates":      true, // hashed
+		"DPA1DMaxTransitions": true, // hashed
+		"KeepMappings":        true, // hashed: changes the result payload
 	}
 	rt := reflect.TypeOf(core.Options{})
 	for i := 0; i < rt.NumField(); i++ {

@@ -14,7 +14,8 @@ import (
 )
 
 // Branch-and-bound engine. The search space and evaluation are identical to
-// the exhaustive enumeration (same restricted-growth-string partition order,
+// the exhaustive enumeration the tests keep as its oracle
+// (exhaustive_oracle_test.go: same restricted-growth-string partition order,
 // same symmetry-reduced placement recursion, same evaluator); the engine
 // only ever removes subtrees whose admissible lower bound strictly exceeds
 // the incumbent energy, so the optimum — and, with the tie rules below, the
@@ -133,7 +134,10 @@ func (sh *bnbShared) threshold() float64 {
 	return cur.energy * (1 + pruneSlack)
 }
 
-func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*core.Solution, error) {
+// solveBnB runs the search on a prepared instance. seeded installs the
+// heuristic incumbent before the search starts; SolveStats always seeds, and
+// only the tests turn it off to prove the seed never changes the result.
+func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, seeded bool) (*core.Solution, error) {
 	g, pl, T := inst.Graph, inst.Platform, inst.Period
 	n := g.N()
 	sh := &bnbShared{
@@ -148,13 +152,11 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*
 		maxCoreWork: T * pl.MaxSpeed(),
 		egb:         pl.EnergyPerGB,
 		leakT:       pl.LeakPower * T,
+		syms:        gridSymmetries(pl.P, pl.Q),
 		budget:      s.MaxPlacements,
 	}
 	if s.General {
 		sh.eval = mapping.EvaluateGeneral
-	}
-	if !s.NoSymmetry {
-		sh.syms = gridSymmetries(pl.P, pl.Q)
 	}
 	sh.allSyms = make([]int, len(sh.syms))
 	for i := range sh.allSyms {
@@ -200,7 +202,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats) (*
 	// solver's XY-routed search space and re-evaluated, so its energy upper-
 	// bounds the in-space optimum. The heuristics run concurrently on the
 	// worker budget; their minimum energy is schedule-independent.
-	if !s.NoSeed {
+	if seeded {
 		if e, ok := s.seedEnergy(inst, workers); ok {
 			sh.offer(e, seedUnit)
 			st.Seeded, st.SeedEnergy = true, e

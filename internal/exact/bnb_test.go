@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,7 +80,10 @@ func requireIdentical(t *testing.T, label string, wantSol *core.Solution, wantEr
 // TestBnBMatchesExhaustiveBitIdentical is the tentpole equivalence proof:
 // on every panel instance the branch-and-bound engine returns the exact
 // energy bits and mapping bytes of the exhaustive enumeration, across 1/2/4
-// workers, seeded and unseeded, General and NoSymmetry variants included.
+// workers, seeded and unseeded, General variants included. Both engines
+// reduce placements to orbit representatives; the symmetry reduction itself
+// is diffed against the oracle enumerating every placement by
+// TestOrbitRecoveryFailurePath and the symmetry-pruning tests.
 func TestBnBMatchesExhaustiveBitIdentical(t *testing.T) {
 	type inst struct {
 		name string
@@ -113,42 +117,36 @@ func TestBnBMatchesExhaustiveBitIdentical(t *testing.T) {
 		panel = panel[:5]
 	}
 
+	ctx := context.Background()
 	for _, in := range panel {
 		for _, general := range []bool{false, true} {
-			for _, noSym := range []bool{false, true} {
-				if noSym && (general || testing.Short()) {
-					continue // trim the matrix; NoSymmetry already diffed per instance
-				}
-				base := NewSolver()
-				base.Exhaustive = true
-				base.General = general
-				base.NoSymmetry = noSym
-				ci := core.Instance{Graph: in.g, Platform: in.pl, Period: in.T}
-				wantSol, wantErr := base.Solve(ci)
-				if wantErr != nil && !errors.Is(wantErr, core.ErrNoSolution) {
-					t.Fatalf("%s general=%v: exhaustive baseline failed unexpectedly: %v", in.name, general, wantErr)
-				}
-				for _, workers := range []int{1, 2, 4} {
-					for _, noSeed := range []bool{false, true} {
-						bnb := NewSolver()
-						bnb.General = general
-						bnb.NoSymmetry = noSym
-						bnb.Workers = workers
-						bnb.NoSeed = noSeed
-						gotSol, gotErr := bnb.Solve(ci)
-						label := in.name
-						if general {
-							label += "/general"
-						}
-						if noSym {
-							label += "/nosym"
-						}
-						if noSeed {
-							label += "/noseed"
-						}
-						requireIdentical(t, label, wantSol, wantErr, gotSol, gotErr)
-						_ = workers
+			base := NewSolver()
+			base.General = general
+			ci := core.Instance{Graph: in.g, Platform: in.pl, Period: in.T}
+			wantSol, _, wantErr := base.solveOracle(ctx, ci, true)
+			if wantErr != nil && !errors.Is(wantErr, core.ErrNoSolution) {
+				t.Fatalf("%s general=%v: exhaustive baseline failed unexpectedly: %v", in.name, general, wantErr)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, noSeed := range []bool{false, true} {
+					bnb := NewSolver()
+					bnb.General = general
+					bnb.Workers = workers
+					var gotSol *core.Solution
+					var gotErr error
+					if noSeed {
+						gotSol, _, gotErr = bnb.solveUnseeded(ctx, ci)
+					} else {
+						gotSol, gotErr = bnb.Solve(ci)
 					}
+					label := fmt.Sprintf("%s/workers=%d", in.name, workers)
+					if general {
+						label += "/general"
+					}
+					if noSeed {
+						label += "/noseed"
+					}
+					requireIdentical(t, label, wantSol, wantErr, gotSol, gotErr)
 				}
 			}
 		}
@@ -203,9 +201,7 @@ func TestBnBStatsAndPruning(t *testing.T) {
 	g := randomSPG(77, 8, 0.01, 0.05, 0.0005, 0.002)
 	ci := core.Instance{Graph: g, Platform: platform.XScale(2, 3), Period: 0.08}
 
-	base := NewSolver()
-	base.Exhaustive = true
-	_, baseStats, err := base.SolveStats(context.Background(), ci)
+	_, baseStats, err := NewSolver().solveOracle(context.Background(), ci, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +234,7 @@ func TestBnBBudgetTruncation(t *testing.T) {
 
 	bnb := NewSolver()
 	bnb.MaxPlacements = 3
-	bnb.NoSeed = true
-	_, st, err := bnb.SolveStats(context.Background(), ci)
+	_, st, err := bnb.solveUnseeded(context.Background(), ci)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("B&B with budget 3: want ErrTooLarge, got %v", err)
 	}
@@ -248,9 +243,8 @@ func TestBnBBudgetTruncation(t *testing.T) {
 	}
 
 	base := NewSolver()
-	base.Exhaustive = true
 	base.MaxPlacements = 50
-	sol, st2, err := base.SolveStats(context.Background(), ci)
+	sol, st2, err := base.solveOracle(context.Background(), ci, true)
 	if err != nil {
 		t.Fatalf("exhaustive best-effort: %v", err)
 	}
@@ -262,49 +256,90 @@ func TestBnBBudgetTruncation(t *testing.T) {
 	}
 }
 
-// TestSolveContextCancellation covers the ctxflow satellite: both engines
-// poll the context and return its error promptly. The instance and solver
-// configuration are chosen so each engine runs well past the deadline when
-// left alone (the General+NoSymmetry+NoSeed search takes >100ms single-
-// threaded; the exhaustive engine runs for seconds), making the mid-flight
-// assertions deterministic.
+// pollDeadline is a context whose Err reports DeadlineExceeded from its
+// (after+1)-th call on, so a search sees its deadline pass at a fixed poll
+// whatever the machine's speed.
+type pollDeadline struct {
+	context.Context
+	polls atomic.Int64
+	after int64
+}
+
+func (c *pollDeadline) Err() error {
+	if c.polls.Add(1) > c.after {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestSolveContextCancellation: both engines poll the context and return
+// its error promptly. A pre-cancelled context stops either before any
+// search. Mid-flight, the exhaustive engine (which runs for seconds on this
+// instance) must notice a 20ms deadline; the branch-and-bound search
+// finishes this instance in tens of milliseconds, so it is given a deadline
+// that passes at its first poll inside the search and must stop with fewer
+// placements than an uncancelled run evaluates.
 func TestSolveContextCancellation(t *testing.T) {
 	ci := frontier4x3Instance(t)
+	s := NewSolver()
+	s.General = true
+	s.Workers = 1
 
 	for _, exhaustive := range []bool{false, true} {
-		s := NewSolver()
-		s.Exhaustive = exhaustive
-		s.NoSeed = true
-		s.General = true
-		s.NoSymmetry = true
-		s.Workers = 1
+		solve := func(ctx context.Context) (Stats, error) {
+			if exhaustive {
+				_, st, err := s.solveOracle(ctx, ci, false)
+				return st, err
+			}
+			_, st, err := s.solveUnseeded(ctx, ci)
+			return st, err
+		}
 
 		// Pre-cancelled: no search at all.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := s.SolveContext(ctx, ci); !errors.Is(err, context.Canceled) {
+		if _, err := solve(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("exhaustive=%v pre-cancelled: want context.Canceled, got %v", exhaustive, err)
+		}
+		if _, err := s.SolveContext(ctx, ci); !errors.Is(err, context.Canceled) {
+			t.Fatalf("SolveContext pre-cancelled: want context.Canceled, got %v", err)
+		}
+
+		if !exhaustive {
+			// The first poll is the entry check; the second is the search's.
+			full, err := solve(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := solve(&pollDeadline{Context: context.Background(), after: 1})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("B&B mid-flight: want DeadlineExceeded, got %v", err)
+			}
+			if st.Placements >= full.Placements {
+				t.Fatalf("B&B mid-flight: %d placements, as many as the uncancelled run's %d", st.Placements, full.Placements)
+			}
+			continue
 		}
 
 		// Mid-flight: the enumeration loops must notice within the polling
 		// cadence, far under the headroom asserted here.
 		ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		start := time.Now()
-		_, err := s.SolveContext(ctx2, ci)
+		_, err := solve(ctx2)
 		elapsed := time.Since(start)
 		cancel2()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("exhaustive=%v mid-flight: want DeadlineExceeded, got %v (after %v)", exhaustive, err, elapsed)
+			t.Fatalf("exhaustive mid-flight: want DeadlineExceeded, got %v (after %v)", err, elapsed)
 		}
 		if elapsed > 5*time.Second {
-			t.Fatalf("exhaustive=%v: cancellation took %v", exhaustive, elapsed)
+			t.Fatalf("exhaustive: cancellation took %v", elapsed)
 		}
 	}
 }
 
-// frontierInstance is the 3x3 demonstration row: big enough that the
-// exhaustive engine burns its whole default budget, small enough that the
-// bounded search proves optimality in well under a second.
+// frontierInstance is the 3x3 demonstration row: the bounded search proves
+// optimality in 16 placements, while the exhaustive engine needs about 4.7M
+// (about 9 s) to finish it.
 func frontierInstance(t testing.TB) core.Instance {
 	t.Helper()
 	g, err := randspg.Generate(randspg.Params{N: 10, Elevation: 4, Seed: 9, CCR: 10})
@@ -318,6 +353,9 @@ func frontierInstance(t testing.TB) core.Instance {
 	return core.Instance{Graph: g, Platform: platform.XScale(3, 3), Period: 0.20 * w}
 }
 
+// frontier4x3Instance is the 4x3 demonstration row: big enough that the
+// exhaustive engine burns its whole 30M-placement default budget, small
+// enough that the bounded search proves optimality in about 50 placements.
 func frontier4x3Instance(t testing.TB) core.Instance {
 	t.Helper()
 	g, err := randspg.Generate(randspg.Params{N: 11, Elevation: 4, Seed: 2, CCR: 10})
@@ -333,10 +371,11 @@ func frontier4x3Instance(t testing.TB) core.Instance {
 
 // TestBnBGridFrontier demonstrates the new frontier: 3x3 and 4x3 instances
 // solved to proven optimality inside the default budget. The exhaustive
-// engine, capped at a small slice of its default budget here to keep the
-// test fast, cannot even get through that slice's worth of placements — the
-// env-gated TestBnBFrontierExhaustiveDefaultBudget run in CI shows the full
-// default budget is insufficient too.
+// engine, capped at a 500k-placement slice of its default budget here to
+// keep the test fast, cannot get through either instance in that slice. It
+// does finish the 3x3 row given about 4.7M placements; the env-gated
+// TestBnBFrontierExhaustiveDefaultBudget run in CI shows that even the full
+// 30M default budget is insufficient on the 4x3 row.
 func TestBnBGridFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier demonstration skipped in -short")
@@ -361,9 +400,8 @@ func TestBnBGridFrontier(t *testing.T) {
 		// The exhaustive engine truncates a 500k-placement slice without
 		// reaching the optimum's neighbourhood being provably explored.
 		base := NewSolver()
-		base.Exhaustive = true
 		base.MaxPlacements = 500_000
-		bSol, bSt, bErr := base.SolveStats(context.Background(), tc.ci)
+		bSol, bSt, bErr := base.solveOracle(context.Background(), tc.ci, true)
 		if bErr == nil {
 			if !bSt.Truncated {
 				t.Fatalf("%s: exhaustive finished a 500k slice — instance too easy for the frontier claim", tc.name)
@@ -379,21 +417,20 @@ func TestBnBGridFrontier(t *testing.T) {
 }
 
 // TestBnBFrontierExhaustiveDefaultBudget is the CI-only proof that the
-// exhaustive engine cannot finish the 3x3 frontier instance inside its full
-// default budget (30M placements); it runs for minutes, so it is gated on
-// SPGCMP_EXACT_FRONTIER=1 and exercised by the bench-exact job.
+// exhaustive engine cannot finish the 4x3 frontier instance inside its full
+// default budget (30M placements), which branch-and-bound proves in about
+// 50. It runs for about a minute, so it is gated on SPGCMP_EXACT_FRONTIER=1
+// and exercised by the bench-exact job.
 func TestBnBFrontierExhaustiveDefaultBudget(t *testing.T) {
 	if os.Getenv("SPGCMP_EXACT_FRONTIER") == "" {
 		t.Skip("set SPGCMP_EXACT_FRONTIER=1 to run the default-budget exhaustive frontier proof")
 	}
-	ci := frontierInstance(t)
+	ci := frontier4x3Instance(t)
 	sol, st, err := NewSolver().SolveStats(context.Background(), ci)
 	if err != nil || st.Truncated {
 		t.Fatalf("B&B frontier solve failed: err=%v truncated=%v", err, st.Truncated)
 	}
-	base := NewSolver()
-	base.Exhaustive = true
-	bSol, bSt, bErr := base.SolveStats(context.Background(), ci)
+	bSol, bSt, bErr := NewSolver().solveOracle(context.Background(), ci, true)
 	if bErr == nil && !bSt.Truncated {
 		t.Fatalf("exhaustive finished inside the default budget — frontier claim void")
 	}
@@ -409,7 +446,8 @@ func TestBnBFrontierExhaustiveDefaultBudget(t *testing.T) {
 // winning orbit routes over a saturated link and is invalid, while a
 // reflected twin fits. The sweep below provably hits that corner (the test
 // fails if it stops doing so), and the symmetry-pruned solver must still
-// match the NoSymmetry baseline bit for bit on every instance.
+// match the oracle enumerating every placement bit for bit on every
+// instance.
 func TestOrbitRecoveryFailurePath(t *testing.T) {
 	pl := platform.XScale(2, 2)
 	syms := gridSymmetries(2, 2)
@@ -418,9 +456,7 @@ func TestOrbitRecoveryFailurePath(t *testing.T) {
 		g := randomSPG(7000+seed, 6, 0.005, 0.02, 0.3, 0.95)
 		ci := core.Instance{Graph: g, Platform: pl, Period: 0.05}
 
-		full := NewSolver()
-		full.NoSymmetry = true
-		fullSol, errF := full.Solve(ci)
+		fullSol, _, errF := NewSolver().solveOracle(context.Background(), ci, false)
 		prunedSol, errP := NewSolver().Solve(ci)
 		requireIdentical(t, "orbit-recovery", fullSol, errF, prunedSol, errP)
 		if errF != nil {

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -320,8 +321,8 @@ func TestGridSymmetries(t *testing.T) {
 	}
 }
 
-// TestSymmetryPruningEquivalence: the symmetry-reduced enumeration must
-// agree with the unpruned one on solvability and on the optimal energy, for
+// TestSymmetryPruningEquivalence: the symmetry-reduced search must agree
+// with the exhaustive oracle enumerating every placement on solvability and on the optimal energy, for
 // both DAG-partition and general mappings. Orbit members are equal-energy in
 // exact arithmetic but their float sums can differ in the last ulps (core
 // energies accumulate in a permuted order), so energies are compared within
@@ -352,9 +353,8 @@ func TestSymmetryPruningEquivalence(t *testing.T) {
 				pruned.General = general
 				full := NewSolver()
 				full.General = general
-				full.NoSymmetry = true
 				sp, errP := pruned.Solve(inst)
-				sf, errF := full.Solve(inst)
+				sf, _, errF := full.solveOracle(context.Background(), inst, false)
 				if (errP == nil) != (errF == nil) {
 					t.Fatalf("%dx%d seed %d general=%v: pruned err %v, full err %v",
 						grid.p, grid.q, seed, general, errP, errF)
@@ -396,9 +396,7 @@ func TestSymmetryPruningTightCapacity(t *testing.T) {
 		spg.RandomizeVolumes(g, rng, 0.3, 0.95)
 		inst := core.Instance{Graph: g, Platform: pl, Period: 0.05}
 		pruned, errP := NewSolver().Solve(inst)
-		full := NewSolver()
-		full.NoSymmetry = true
-		fullSol, errF := full.Solve(inst)
+		fullSol, _, errF := NewSolver().solveOracle(context.Background(), inst, false)
 		if (errP == nil) != (errF == nil) {
 			t.Fatalf("seed %d: pruned err %v, full err %v", seed, errP, errF)
 		}

@@ -2,21 +2,47 @@ package exact
 
 import (
 	"context"
-	"fmt"
 
 	"spgcmp/internal/core"
 	"spgcmp/internal/mapping"
-	"spgcmp/internal/platform"
-	"spgcmp/internal/spg"
 )
 
-// solveExhaustive is the plain enumeration engine: every DAG-partition by
-// restricted growth strings, every injective placement (symmetry-reduced
-// unless NoSymmetry), no lower bounds. MaxPlacements is a global best-effort
-// budget: when it runs out the best mapping found so far is returned, or
-// ErrTooLarge when there is none. It is the baseline the branch-and-bound
-// engine is proven bit-identical against.
-func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *Stats) (*core.Solution, error) {
+// The exhaustive enumeration is the oracle the branch-and-bound engine is
+// diffed against; the helpers below enter either engine through the same
+// validation as SolveStats.
+
+// solveOracle runs the exhaustive enumeration, with or without the
+// grid-symmetry placement reduction.
+func (s *Solver) solveOracle(ctx context.Context, inst core.Instance, symmetry bool) (*core.Solution, Stats, error) {
+	var st Stats
+	inst, err := s.prepare(ctx, inst)
+	if err != nil {
+		return nil, st, err
+	}
+	sol, err := s.solveExhaustive(ctx, inst, &st, symmetry)
+	return sol, st, err
+}
+
+// solveUnseeded is SolveStats without the heuristic incumbent seeding pass,
+// so the search prunes against its own incumbents only.
+func (s *Solver) solveUnseeded(ctx context.Context, inst core.Instance) (*core.Solution, Stats, error) {
+	var st Stats
+	inst, err := s.prepare(ctx, inst)
+	if err != nil {
+		return nil, st, err
+	}
+	sol, err := s.solveBnB(ctx, inst, &st, false)
+	return sol, st, err
+}
+
+// solveExhaustive is the plain enumeration oracle: every DAG-partition by
+// restricted growth strings, every injective placement (reduced to orbit
+// representatives when symmetry is set), no lower bounds, no seeding, one
+// goroutine. s.MaxPlacements is a global best-effort budget: when it runs out
+// the best mapping found so far is returned, or ErrTooLarge when there is
+// none. It is the baseline the branch-and-bound engine is proven
+// bit-identical against.
+func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *Stats, symmetry bool) (*core.Solution, error) {
 	g, pl, T := inst.Graph, inst.Platform, inst.Period
 	n := g.N()
 
@@ -47,7 +73,7 @@ func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *St
 	maxCoreWork := T * pl.MaxSpeed()
 
 	var syms [][]int
-	if !s.NoSymmetry {
+	if symmetry {
 		syms = gridSymmetries(pl.P, pl.Q)
 	}
 	imgBuf := make([]int, n)
@@ -214,101 +240,3 @@ func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *St
 // check runs every mask+1 visits, keeping cancellation latency far below any
 // service deadline at negligible cost.
 const ctxCheckMask = 1023
-
-// quotientAcyclic checks the DAG-partition rule for a candidate partition.
-func quotientAcyclic(g *spg.Graph, part []int, k int) bool {
-	adj := make([][]bool, k)
-	for i := range adj {
-		adj[i] = make([]bool, k)
-	}
-	indeg := make([]int, k)
-	for _, e := range g.Edges {
-		a, b := part[e.Src], part[e.Dst]
-		if a != b && !adj[a][b] {
-			adj[a][b] = true
-			indeg[b]++
-		}
-	}
-	var queue []int
-	for i := 0; i < k; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
-		for w := 0; w < k; w++ {
-			if adj[v][w] {
-				indeg[w]--
-				if indeg[w] == 0 {
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return seen == k
-}
-
-// gridSymmetries returns the non-identity automorphisms of the p x q grid as
-// core-index permutations: the axis flips (horizontal, vertical, both) and —
-// on square grids — their compositions with the transpose, the full dihedral
-// group of order 8. The enumeration prunes placements that are not the
-// lexicographically minimal member of their orbit under these permutations,
-// cutting the placement work by up to the group order (~1/8 on square grids,
-// ~1/4 on rectangular ones): cores are homogeneous and hop counts are
-// Manhattan distances, so every orbit member reaches the same energy.
-// Degenerate permutations (a flip of a single-row grid is the identity) are
-// deduplicated away.
-func gridSymmetries(p, q int) [][]int {
-	type xform func(u, v int) (int, int)
-	var xfs []xform
-	flips := []xform{
-		func(u, v int) (int, int) { return u, v },
-		func(u, v int) (int, int) { return p - 1 - u, v },
-		func(u, v int) (int, int) { return u, q - 1 - v },
-		func(u, v int) (int, int) { return p - 1 - u, q - 1 - v },
-	}
-	xfs = append(xfs, flips[1:]...)
-	if p == q {
-		for _, f := range flips {
-			f := f
-			xfs = append(xfs, func(u, v int) (int, int) { return f(v, u) })
-		}
-	}
-	var perms [][]int
-	seen := make(map[string]bool)
-	id := make([]int, p*q)
-	for i := range id {
-		id[i] = i
-	}
-	seen[fmt.Sprint(id)] = true // never include the identity
-	for _, f := range xfs {
-		perm := make([]int, p*q)
-		for u := 0; u < p; u++ {
-			for v := 0; v < q; v++ {
-				nu, nv := f(u, v)
-				perm[u*q+v] = nu*q + nv
-			}
-		}
-		if key := fmt.Sprint(perm); !seen[key] {
-			seen[key] = true
-			perms = append(perms, perm)
-		}
-	}
-	return perms
-}
-
-func buildMapping(g *spg.Graph, pl *platform.Platform, T float64, part, place []int) *mapping.Mapping {
-	m := mapping.New(g.N(), pl)
-	for i := range g.Stages {
-		coreIdx := place[part[i]]
-		m.Alloc[i] = platform.Core{U: coreIdx / pl.Q, V: coreIdx % pl.Q}
-	}
-	if !m.DowngradeSpeeds(g, pl, T) {
-		return nil
-	}
-	return m
-}

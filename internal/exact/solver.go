@@ -1,12 +1,12 @@
 // Package exact provides an optimality baseline for MinEnergy(T) on small
 // instances, playing the role of the Section 4.4 integer linear program that
-// the paper solved with CPLEX (on platforms up to 2x2). Three artifacts are
+// the paper solved with CPLEX (on platforms up to 2x2). Two artifacts are
 // provided: a branch-and-bound solver over DAG-partitions, placements and
 // speeds (bnb.go) with admissible energy lower bounds, heuristic incumbent
-// seeding and parallel subtree search; the plain exhaustive enumeration it
-// grew out of (brute.go), kept as the equivalence baseline and escape hatch;
-// and an emitter that writes the paper's exact ILP in CPLEX LP format
-// (ilp.go) for any external solver.
+// seeding and parallel subtree search; and an emitter that writes the paper's
+// exact ILP in CPLEX LP format (ilp.go) for any external solver. A plain
+// exhaustive enumeration of the same space is kept in the tests, as the
+// oracle the search is proven bit-identical against.
 package exact
 
 import (
@@ -24,44 +24,28 @@ var ErrTooLarge = errors.New("exact: instance too large for exhaustive search")
 // Solver finds the minimum-energy valid mapping among every DAG-partition of
 // the SPG (set partitions with an acyclic cluster quotient), every injective
 // placement of the clusters onto cores, and the slowest feasible speed per
-// core; communications follow XY routing. The default engine is a
-// branch-and-bound search (bnb.go) that prunes on admissible energy lower
-// bounds, seeds its incumbent from the cheap heuristics, and fans partition
-// prefixes across a worker pool; it returns results bit-identical to the
-// exhaustive enumeration at any worker count.
+// core; communications follow XY routing. The search is branch-and-bound
+// (bnb.go): it prunes on admissible energy lower bounds, seeds its incumbent
+// from the cheap heuristics, and fans partition prefixes across a worker
+// pool; it returns results bit-identical to the exhaustive enumeration at
+// any worker count.
 type Solver struct {
 	// MaxStages bounds the graph size (Bell numbers grow fast).
 	MaxStages int
 	// MaxPlacements bounds the number of complete (partition, placement)
-	// pairs evaluated. The exhaustive engine treats it as a global budget
-	// and returns its best-so-far when exhausted; branch-and-bound applies
-	// it per search unit and returns ErrTooLarge whenever any unit
-	// truncates, so it never passes off an unproven mapping as optimal.
+	// pairs evaluated in each search unit. When any unit runs out the solve
+	// returns ErrTooLarge, so it never passes off an unproven mapping as
+	// optimal.
 	MaxPlacements int
 	// General drops the DAG-partition rule and searches over arbitrary
 	// partitions (cyclic cluster quotients allowed), implementing the
 	// paper's future-work comparison between general and DAG-partition
 	// mappings. General solutions assume software-pipelined execution.
 	General bool
-	// NoSymmetry disables the grid-symmetry placement reduction (see
-	// gridSymmetries) and enumerates every injective placement, as the
-	// solver originally did. The equivalence tests diff the two paths; it is
-	// also an escape hatch should a future platform break the homogeneity
-	// assumptions the reduction relies on.
-	NoSymmetry bool
-	// Exhaustive disables branch-and-bound and runs the plain enumeration:
-	// no lower bounds, no incumbent seeding, single-threaded. It is the
-	// baseline the equivalence tests and benchmarks diff the default engine
-	// against.
-	Exhaustive bool
 	// Workers is the branch-and-bound worker-pool size, and the number of
 	// seeding heuristics run at once; 0 uses GOMAXPROCS. Results are
 	// bit-identical at any setting.
 	Workers int
-	// NoSeed disables the heuristic incumbent seeding pass. Seeding only
-	// strengthens pruning — the seed mapping is never returned — so this is
-	// purely a diagnostics/benchmarking knob.
-	NoSeed bool
 	// Seed drives the Random heuristic inside the seeding pass (0 means 1).
 	// It affects pruning strength only, never the result.
 	Seed int64
@@ -93,8 +77,7 @@ type Stats struct {
 	// PrunedPlacements counts placement-tree nodes cut by the prefix energy
 	// bound.
 	PrunedPlacements int64
-	// Units and Workers describe the parallel decomposition (1/0 for the
-	// exhaustive engine).
+	// Units and Workers describe the parallel decomposition.
 	Units, Workers int
 	// Seeded reports whether a heuristic incumbent was installed; SeedEnergy
 	// is its energy.
@@ -122,25 +105,28 @@ func (s *Solver) SolveContext(ctx context.Context, inst core.Instance) (*core.So
 // SolveStats is SolveContext, additionally reporting search statistics.
 func (s *Solver) SolveStats(ctx context.Context, inst core.Instance) (*core.Solution, Stats, error) {
 	var st Stats
-	// Reuse the caller's analysis cache when one is attached (a period sweep
-	// built with core.NewInstance/WithPeriod then validates the graph only
-	// once across the sweep); otherwise attach a private one for this call.
+	inst, err := s.prepare(ctx, inst)
+	if err != nil {
+		return nil, st, err
+	}
+	sol, err := s.solveBnB(ctx, inst, &st, true)
+	return sol, st, err
+}
+
+// prepare validates inst against the solver's limits and returns it with an
+// analysis attached. It reuses the caller's analysis cache when one is
+// attached (a period sweep built with core.NewInstance/WithPeriod then
+// validates the graph only once across the sweep); otherwise it attaches a
+// private one for this call.
+func (s *Solver) prepare(ctx context.Context, inst core.Instance) (core.Instance, error) {
 	inst = inst.Analyzed()
 	if err := inst.Validate(); err != nil {
-		return nil, st, err
+		return inst, err
 	}
 	if n := inst.Graph.N(); n > s.MaxStages {
-		return nil, st, fmt.Errorf("%w: %d stages > %d", ErrTooLarge, n, s.MaxStages)
+		return inst, fmt.Errorf("%w: %d stages > %d", ErrTooLarge, n, s.MaxStages)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	if s.Exhaustive {
-		sol, err := s.solveExhaustive(ctx, inst, &st)
-		return sol, st, err
-	}
-	sol, err := s.solveBnB(ctx, inst, &st)
-	return sol, st, err
+	return inst, ctx.Err()
 }
 
 var _ core.Heuristic = (*Solver)(nil)

@@ -19,10 +19,9 @@ import (
 // StreamIt (app x CCR) cell on the 4x4 grid plus a seeded random panel,
 // float64s encoded in hex so a single-ulp drift fails. The golden file was
 // generated by the map-keyed kernels that predate the flattened (bitset
-// downsets, run-indexed tables, scratch arenas, parallel sweeps) rewrite, so
-// this test is the old-vs-new bit-identity proof: every execution regime —
-// cold, warm cache, serial pool, parallel intra-cell sweeps — must reproduce
-// the recorded outputs exactly.
+// downsets, run-indexed tables, scratch arenas) rewrite, so this test is the
+// old-vs-new bit-identity proof: every execution regime — cold, warm cache,
+// serial pool — must reproduce the recorded outputs exactly.
 //
 // Regenerate (only when the kernel's outputs are *supposed* to change, which
 // per the determinism guarantee should essentially never happen) with:
@@ -196,16 +195,5 @@ func TestKernelGolden(t *testing.T) {
 	})
 	t.Run("SerialPool", func(t *testing.T) {
 		compareGolden(t, "serial-pool", runKernelCells(t, cells, &engine.PoolExecutor{Workers: 1}, nil), want)
-	})
-	t.Run("ParallelSweeps", func(t *testing.T) {
-		// Intra-cell parallelism: the same cells with the DPA2D-family band
-		// sweeps fanned across 4 goroutines must still match the serial golden
-		// bit for bit (Options.SweepParallelism's documented contract).
-		par := make([]engine.Cell, len(cells))
-		for i, c := range cells {
-			c.Spec.Opts.SweepParallelism = 4
-			par[i] = c
-		}
-		compareGolden(t, "parallel-sweeps", runKernelCells(t, par, nil, nil), want)
 	})
 }

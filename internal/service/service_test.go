@@ -487,16 +487,18 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct{ name, body string }{
-		{"malformed", `{"cells":`},
-		{"empty", `{"cells":[]}`},
-		{"no workload", `{"cells":[{"key":"k","p":2,"q":2}]}`},
-		{"bad grid", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":0,"q":2}]}`},
-		{"huge grid", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":64,"q":64}]}`},
+	for _, tc := range []struct{ name, body, names string }{
+		{"malformed", `{"cells":`, ""},
+		{"empty", `{"cells":[]}`, ""},
+		{"no workload", `{"cells":[{"key":"k","p":2,"q":2}]}`, ""},
+		{"bad grid", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":0,"q":2}]}`, ""},
+		{"huge grid", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":64,"q":64}]}`, ""},
+		// Unknown options are rejected by name, not silently ignored.
+		{"unknown option", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"sweep_parallelism":4}}]}`, "sweep_parallelism"},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, data)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {
+			t.Errorf("%s: status %d, want 400 naming %q (%s)", tc.name, resp.StatusCode, tc.names, data)
 		}
 	}
 }
