@@ -658,7 +658,7 @@ func BenchmarkDispatcherSteal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := &engine.Dispatcher{
-			Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, slow.URL, fast.URL),
+			Registry:   engine.NewWorkerRegistry(0, slow.URL, fast.URL),
 			ChunkCells: 1,
 		}
 		results, err := engine.Run(context.Background(), d, engine.Campaign{

@@ -242,7 +242,7 @@ curl localhost:8080/v1/workers
 	}
 	cache := engine.NewAnalysisCacheBytes(*cacheSize, *cacheMB<<20)
 	store := engine.NewResultStore(*resultEntries, storeBytes)
-	registry := engine.NewWorkerRegistry(engine.RegistryConfig{ProbeInterval: *probeInterval}, workerURLs...)
+	registry := engine.NewWorkerRegistry(*probeInterval, workerURLs...)
 	registry.Start()
 	defer registry.Stop()
 	srv := service.New(service.Config{
@@ -261,7 +261,6 @@ curl localhost:8080/v1/workers
 		MaxActiveMaps:    *maxMaps,
 		MaxQueuedMaps:    *maxQueuedMaps,
 		MaxActiveBatches: *maxBatches,
-		MaxQueuedBatches: *maxBatches,
 		MaxBatchCells:    *maxBatchCells,
 		JobTTL:           *jobTTL,
 		MaxFinishedJobs:  *maxJobs,

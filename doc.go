@@ -124,8 +124,8 @@
 // outcomes themselves, keyed by content: every CellSpec has a
 // canonical content key (CellSpec.ContentKey) — a versioned hash over the
 // workload identity, grid, and each solver option that can steer the
-// outcome, excluding campaign-local addressing and the parallelism knob,
-// which provably cannot — and engine.Run consults the store before
+// outcome, excluding campaign-local addressing (Key and CacheKey), which
+// cannot — and engine.Run consults the store before
 // dispatching a cell, so a spec solved once anywhere (a /v1/map request, a
 // batch item, a campaign cell, a worker's dispatched range) never solves again
 // while it stays resident. Each entry is the outcome's encoded answer
@@ -225,8 +225,8 @@
 // internal/engine turns any campaign into deterministic, individually
 // addressable cells — one (workload identity, CCR, grid, period divisions,
 // solver options) point each, declared by a JSON-serializable CellSpec from
-// which a workload registry (StreamIt name / random-SPG parameters / inline
-// SPG / custom kinds) rebuilds the seeded instance — executed through a
+// which WorkloadSpec.Build (StreamIt name / random-SPG parameters / inline
+// SPG) rebuilds the seeded instance — executed through a
 // pluggable Executor with the campaign cache threaded through, and folded
 // by order-independent reducers over the indexed results. RunStreamIt,
 // RunRandom and SelectPeriod are thin adapters over it (cell enumeration
@@ -254,10 +254,9 @@
 // steal-on-idle overriding affinity so no worker starves (gated on expected
 // benefit: an idle worker leaves a chunk with its healthy owner when the
 // owner's backlog times its EWMA chunk service time is below
-// StealMinBenefit, so brief idleness no longer breaks cache affinity) — and
-// a chunk
-// whose dispatch fails or times out is re-dispatched to a different healthy
-// worker, falling back to the local pool only when no healthy worker
+// engine.DefaultStealMinBenefit, 20 ms, so brief idleness does not break
+// cache affinity) — and a chunk whose dispatch fails or times out is
+// re-dispatched to a different healthy worker, falling back to the local pool only when no healthy worker
 // remains that hasn't already failed it. Because cells are pure functions
 // of their specs, every re-placement is free: the dispatcher-equivalence
 // suites prove campaign results bit-identical to the
@@ -298,8 +297,9 @@
 // (deadline_ms / the X-SPG-Deadline header) propagate from /v1/map and
 // /v1/campaign through the dispatcher into every worker request — each
 // dispatch advertises its remaining budget, and workers refuse ranges they
-// cannot plausibly finish — while failed chunks re-dispatch under seeded
-// exponential backoff bounded by a per-campaign retry budget (surfaced in
+// cannot plausibly finish — while failed chunks re-dispatch under jittered
+// exponential backoff (the jitter a pure hash of chunk and attempt) bounded
+// by a per-campaign retry budget (surfaced in
 // the campaign status and /v1/healthz). Dispatch outcomes and probes drive a
 // per-worker circuit breaker (closed / open / half-open, visible in
 // /v1/workers), and SIGTERM starts a graceful drain: the worker announces

@@ -15,7 +15,7 @@ import (
 // budget and the dispatcher's per-request timeout — and the worker rebuilds
 // an equivalent deadline on its own solve context. A worker that cannot
 // finish inside the advertised budget rejects the range up front instead of
-// burning it (see the service's MinRangeBudget), and a worker mid-solve stops
+// burning it (see the service's minRangeBudget), and a worker mid-solve stops
 // at the deadline rather than completing work nobody is waiting for.
 //
 // The value is a relative budget, not an absolute timestamp, so propagation

@@ -15,11 +15,12 @@ import (
 // workload family per request.
 const DefaultChunkCells = 4
 
-// Retry-discipline defaults: a failed chunk waits a seeded, jittered
-// exponential backoff before its next dispatch attempt instead of hammering
-// the next worker immediately, and a campaign stops retrying altogether once
-// it has spent its retry budget (DefaultRetryBudgetPerChunk attempts per
-// chunk by default), degrading to the local pool rather than retrying
+// Retry discipline: a failed chunk waits a jittered exponential backoff
+// (DefaultRetryBaseDelay doubling per attempt, capped at
+// DefaultRetryMaxDelay) before its next dispatch attempt instead of
+// hammering the next worker immediately, and a campaign stops retrying
+// altogether once it has spent its retry budget (DefaultRetryBudgetPerChunk
+// attempts per chunk), degrading to the local pool rather than retrying
 // forever.
 const (
 	DefaultRetryBaseDelay      = 50 * time.Millisecond
@@ -27,21 +28,20 @@ const (
 	DefaultRetryBudgetPerChunk = 4
 )
 
-// DefaultStealMinBenefit is the steal-benefit gate's default threshold
-// (Dispatcher.StealMinBenefit): a steal must save at least this much
-// expected owner-queue wait to be worth breaking cache affinity. Sized at a
-// few times a warm-cache chunk's service time, so affinity survives
-// transient idleness but real backlogs still spread.
+// DefaultStealMinBenefit is the steal-benefit gate's threshold: a steal
+// must save at least this much expected owner-queue wait to be worth
+// breaking cache affinity. Sized at a few times a warm-cache chunk's service time, so
+// affinity survives transient idleness but real backlogs still spread.
 const DefaultStealMinBenefit = 20 * time.Millisecond
 
 // retryDelay computes the backoff before retry number attempt (1-based) of
 // the chunk starting at cell index start: base doubled per prior attempt,
-// jittered into [0.5, 1.5) of itself by a pure FNV hash of (seed, start,
-// attempt), clamped to max. The jitter decorrelates chunks that failed
-// together (one dead worker fails many chunks at once) without math/rand:
-// the same (seed, chunk, attempt) always backs off identically, so a chaos
-// schedule replays exactly.
-func retryDelay(seed int64, start, attempt int, base, max time.Duration) time.Duration {
+// jittered into [0.5, 1.5) of itself by a pure FNV hash of (start, attempt),
+// clamped to max; base and max <= 0 select DefaultRetryBaseDelay and
+// DefaultRetryMaxDelay. The jitter decorrelates chunks that failed together (one dead worker fails
+// many chunks at once) without math/rand: the same (chunk, attempt) always
+// backs off identically, so a chaos schedule replays exactly.
+func retryDelay(start, attempt int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		base = DefaultRetryBaseDelay
 	}
@@ -56,8 +56,9 @@ func retryDelay(seed int64, start, attempt int, base, max time.Duration) time.Du
 		d = max
 	}
 	h := fnv.New64a()
+	// The first word stays zero: it held a jitter seed that every shipped
+	// caller left at 0, so the backoff schedule is unchanged.
 	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(start))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(attempt))
 	h.Write(buf[:])
@@ -106,11 +107,9 @@ type chunk struct {
 	// lastErr is the most recent dispatch failure, reported if the chunk
 	// falls back to local execution.
 	lastErr error
-	// stealable marks a requeued chunk immediately eligible for stealing
-	// regardless of StealDelay — it already waited its turn once.
+	// stealable marks a requeued chunk: it already failed somewhere, so it
+	// bypasses the steal-benefit gate.
 	stealable bool
-	// pendingSince feeds the StealDelay grace period.
-	pendingSince time.Time
 	// attempts counts failed dispatches of this chunk; it is the exponent of
 	// the next backoff.
 	attempts int
@@ -205,8 +204,7 @@ type DispatcherStats struct {
 	WorkerChunks map[string]int64 `json:"worker_chunks,omitempty"`
 	// WorkerEWMAMillis is the per-worker exponentially-weighted moving
 	// average of remote chunk service times, in milliseconds — the estimate
-	// the steal-benefit gate (Dispatcher.StealMinBenefit) weighs backlogs
-	// with.
+	// the steal-benefit gate (DefaultStealMinBenefit) weighs backlogs with.
 	WorkerEWMAMillis map[string]float64 `json:"worker_ewma_millis,omitempty"`
 }
 
@@ -318,19 +316,20 @@ func (t *DispatcherTotals) Stats() DispatcherStats {
 // Placement is cache-affine: each chunk's workload family has a
 // rendezvous-hash owner among the currently-healthy workers
 // (rendezvousOwner), and a worker prefers chunks it owns, so one family's
-// analyses warm one worker's AnalysisCache; an idle worker steals foreign
-// chunks (after StealDelay, immediately by default) so affinity never
-// starves anyone. A chunk whose dispatch fails or times out is re-dispatched
-// to a different worker after a seeded exponential backoff (retryDelay; a
-// campaign-wide RetryBudget bounds the total attempts) — falling back to the
-// local pool when every live (non-dead, non-draining) worker has already
-// failed it or the budget is spent — and the registry is told
-// about every outcome, so a flapping worker leaves and rejoins the rotation
-// between chunks: suspect workers keep pulling (a success instantly heals
-// them, DeadAfter failures retire them), which is also how per-request
-// registries without a probe loop recover from transient errors. Cells are
-// deterministic, so every re-placement is bit-identical to the pool run
-// (see the dispatcher equivalence tests).
+// analyses warm one worker's AnalysisCache; an idle worker steals a foreign
+// chunk when the owner's expected wait clears DefaultStealMinBenefit, so
+// affinity never starves anyone. A chunk whose dispatch fails or times out
+// (DefaultRequestTimeout per request) is re-dispatched to a different
+// worker after a jittered exponential backoff (retryDelay; a campaign-wide
+// budget of DefaultRetryBudgetPerChunk retries per chunk bounds the total)
+// — falling back to the local pool when every live (non-dead,
+// non-draining) worker has already failed it or the budget is spent — and
+// the registry is told about every outcome, so a flapping worker leaves and
+// rejoins the rotation between chunks: suspect workers keep pulling (a
+// success instantly heals them, repeated failures retire them), which is
+// also how per-request registries without a probe loop recover from
+// transient errors. Cells are deterministic, so every re-placement is
+// bit-identical to the pool run (see the dispatcher equivalence tests).
 type Dispatcher struct {
 	// Registry names and health-tracks the workers. nil or empty runs every
 	// campaign on the local pool.
@@ -340,41 +339,6 @@ type Dispatcher struct {
 	ChunkCells int
 	// Client issues the worker requests; nil selects http.DefaultClient.
 	Client *http.Client
-	// RequestTimeout bounds one chunk request (default
-	// DefaultRequestTimeout); a deadline already on the campaign context
-	// tightens it further, and the effective budget is advertised to the
-	// worker via DeadlineHeader. On expiry the chunk is re-dispatched
-	// elsewhere.
-	RequestTimeout time.Duration
-	// Seed drives the deterministic retry jitter (retryDelay). Any fixed
-	// seed yields a replayable backoff schedule; results never depend on it.
-	Seed int64
-	// RetryBaseDelay is the backoff before a chunk's first retry (default
-	// DefaultRetryBaseDelay), doubling per subsequent attempt.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps a single backoff (default DefaultRetryMaxDelay).
-	RetryMaxDelay time.Duration
-	// RetryBudget caps the campaign's total remote retries; once spent,
-	// failed chunks go straight to the local pool. 0 selects
-	// DefaultRetryBudgetPerChunk times the campaign's chunk count; negative
-	// disables retries entirely (every failure falls back).
-	RetryBudget int
-	// StealDelay is how long a pending chunk is reserved for its healthy
-	// affinity owner before an idle worker may steal it. 0 steals
-	// immediately; chunks whose owner is unhealthy (or that already failed
-	// somewhere) are always taken immediately.
-	StealDelay time.Duration
-	// StealMinBenefit gates steal-on-idle on expected wait: an idle worker
-	// may steal a chunk from its healthy affinity owner only when the
-	// owner's estimated time to reach it — its pending backlog times the
-	// EWMA of its recent chunk service times — is at least this long.
-	// Short queues on fast owners thus keep their cache affinity (the steal
-	// would save less than the warm-cache analysis it throws away), while a
-	// backlog behind a slow owner is stolen as before. 0 selects
-	// DefaultStealMinBenefit; negative disables the gate (always steal, the
-	// legacy policy). Chunks that already failed somewhere, or whose owner
-	// has no service-time sample yet, bypass the gate.
-	StealMinBenefit time.Duration
 	// LocalFallback configures the in-process pool executing local-fallback
 	// chunks and campaigns without workers; its zero value runs at
 	// GOMAXPROCS.
@@ -386,10 +350,16 @@ type Dispatcher struct {
 	// into a process-lifetime aggregate.
 	Totals *DispatcherTotals
 
+	// Test seams; zero selects the constant named on each.
+	requestTimeout  time.Duration // DefaultRequestTimeout
+	retryBaseDelay  time.Duration // DefaultRetryBaseDelay
+	retryMaxDelay   time.Duration // DefaultRetryMaxDelay
+	retryBudget     int           // DefaultRetryBudgetPerChunk times the chunk count
+	stealMinBenefit time.Duration // DefaultStealMinBenefit
+
 	counters dispatchCounters
 	// resolvedBudget is the concrete retry allowance of the most recent
-	// campaign (RetryBudget, or the per-chunk default times its chunk
-	// count), surfaced through Stats.
+	// campaign, surfaced through Stats.
 	resolvedBudget atomic.Int64
 }
 
@@ -405,19 +375,12 @@ func (d *Dispatcher) Stats() DispatcherStats {
 // registry and totals) and fresh per-campaign counters.
 func (d *Dispatcher) Clone() *Dispatcher {
 	return &Dispatcher{
-		Registry:        d.Registry,
-		ChunkCells:      d.ChunkCells,
-		Client:          d.Client,
-		RequestTimeout:  d.RequestTimeout,
-		Seed:            d.Seed,
-		RetryBaseDelay:  d.RetryBaseDelay,
-		RetryMaxDelay:   d.RetryMaxDelay,
-		RetryBudget:     d.RetryBudget,
-		StealDelay:      d.StealDelay,
-		StealMinBenefit: d.StealMinBenefit,
-		LocalFallback:   d.LocalFallback,
-		OnFallback:      d.OnFallback,
-		Totals:          d.Totals,
+		Registry:      d.Registry,
+		ChunkCells:    d.ChunkCells,
+		Client:        d.Client,
+		LocalFallback: d.LocalFallback,
+		OnFallback:    d.OnFallback,
+		Totals:        d.Totals,
 	}
 }
 
@@ -429,8 +392,8 @@ func (d *Dispatcher) Execute(ctx context.Context, n int, run func(i int)) error 
 }
 
 // schedulerPoll is how often idle scheduling loops re-check registry state
-// (worker rejoins, steal-delay expiry, late registrations); queue changes
-// wake them immediately.
+// (worker rejoins, backoff expiry, late registrations); queue changes wake
+// them immediately.
 const schedulerPoll = 15 * time.Millisecond
 
 // ExecuteCampaign runs the campaign's cells: chunk, dispatch pull-based with
@@ -455,18 +418,10 @@ func (d *Dispatcher) ExecuteCampaign(ctx context.Context, cells []Cell, solve fu
 		loops:  make(map[string]bool),
 	}
 	run.pending = chunkCampaign(cells, d.ChunkCells)
-	now := time.Now()
-	for _, c := range run.pending {
-		c.pendingSince = now
-	}
 	run.remaining = len(run.pending)
-	switch {
-	case d.RetryBudget > 0:
-		run.budget = d.RetryBudget
-	case d.RetryBudget == 0:
+	run.budget = d.retryBudget
+	if run.budget <= 0 {
 		run.budget = DefaultRetryBudgetPerChunk * len(run.pending)
-	default:
-		run.budget = 0
 	}
 	d.resolvedBudget.Store(int64(run.budget))
 	run.supervise()
@@ -544,7 +499,7 @@ func (r *dispatchRun) supervise() {
 // availableWorkers returns the workers the scheduler may still try: every
 // registered worker not yet dead (open breaker) and not draining. Suspect
 // workers count — they keep pulling chunks (one success heals them,
-// DeadAfter failures finish them), so a transient failure or a momentary
+// three failures finish them), so a transient failure or a momentary
 // all-suspect blip never drains a campaign to local execution. Draining
 // workers do not: they announced they will stop serving, so giving them new
 // chunks only manufactures failures.
@@ -634,7 +589,7 @@ func (r *dispatchRun) workerLoop(worker string) {
 			specs[i] = r.cells[c.start+i].Spec
 		}
 		reqStart := time.Now()
-		results, err := postCellRange(r.ctx, r.d.Client, worker, specs, r.d.RequestTimeout)
+		results, err := postCellRange(r.ctx, r.d.Client, worker, specs, r.d.requestTimeout)
 		elapsed := time.Since(reqStart)
 		if err == nil {
 			r.d.Registry.ReportSuccess(worker)
@@ -667,14 +622,14 @@ func (r *dispatchRun) workerLoop(worker string) {
 		c.attempts++
 		r.mu.Lock()
 		if r.retries < r.budget {
-			// Spend one retry: the chunk re-enters the queue after a seeded
+			// Spend one retry: the chunk re-enters the queue after a jittered
 			// backoff instead of hitting the next worker immediately.
 			r.retries++
 			r.d.counters.retried()
 			if r.d.Totals != nil {
 				r.d.Totals.retried()
 			}
-			c.notBefore = time.Now().Add(retryDelay(r.d.Seed, c.start, c.attempts, r.d.RetryBaseDelay, r.d.RetryMaxDelay))
+			c.notBefore = time.Now().Add(retryDelay(c.start, c.attempts, r.d.retryBaseDelay, r.d.retryMaxDelay))
 		} else {
 			// Budget spent: retire the chunk from remote dispatch — the
 			// supervisor routes exhausted chunks to the local pool.
@@ -727,11 +682,10 @@ func (r *dispatchRun) next(worker string) (*chunk, bool) {
 }
 
 // takeLocked picks this worker's next chunk under mu: first a chunk it owns
-// (or that owns nobody), then — once the owner's StealDelay grace expired,
-// or immediately for requeued/ownerless chunks — a steal worth its cost:
-// the steal-benefit gate (StealMinBenefit) skips chunks whose healthy owner
-// would reach them quickly anyway, judged by the owner's pending backlog
-// times the EWMA of its recent chunk service times. Ownership is recomputed
+// (or that owns nobody), then a steal worth its cost: the steal-benefit gate
+// (DefaultStealMinBenefit) skips chunks whose healthy owner would reach them
+// quickly anyway, judged by the owner's pending backlog times the EWMA of
+// its recent chunk service times. Ownership is recomputed
 // against the current healthy set on every take (a suspect worker owns
 // nothing, so its takes are steals), which is what re-routes an unhealthy
 // worker's families to their rendezvous successor and hands them back on
@@ -767,13 +721,10 @@ func (r *dispatchRun) takeLocked(worker string, healthy []string) (*chunk, bool)
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
 			return c, false
 		}
-		if steal < 0 && (c.stealable || r.d.StealDelay <= 0 || time.Since(c.pendingSince) >= r.d.StealDelay) {
-			// Requeued chunks already failed somewhere and bypass the
-			// benefit gate — waiting on a flaky owner is never the cheap
-			// option.
-			if c.stealable || r.stealWorth(owner, ownerBacklog(owner)) {
-				steal = i
-			}
+		// Requeued chunks already failed somewhere and bypass the benefit
+		// gate — waiting on a flaky owner is never the cheap option.
+		if steal < 0 && (c.stealable || r.stealWorth(owner, ownerBacklog(owner))) {
+			steal = i
 		}
 	}
 	if steal >= 0 {
@@ -786,15 +737,12 @@ func (r *dispatchRun) takeLocked(worker string, healthy []string) (*chunk, bool)
 
 // stealWorth is the steal-benefit predicate: stealing from owner is worth it
 // when the owner's expected time to drain its backlog (queue depth times its
-// EWMA chunk service time) meets StealMinBenefit. With no service-time
+// EWMA chunk service time) meets DefaultStealMinBenefit. With no service-time
 // sample yet the gate allows the steal — the legacy policy — since there is
 // no evidence the owner is fast.
 func (r *dispatchRun) stealWorth(owner string, backlog int) bool {
-	minBenefit := r.d.StealMinBenefit
-	if minBenefit < 0 {
-		return true
-	}
-	if minBenefit == 0 {
+	minBenefit := r.d.stealMinBenefit
+	if minBenefit <= 0 {
 		minBenefit = DefaultStealMinBenefit
 	}
 	ewma, ok := r.d.counters.serviceEWMA(owner)

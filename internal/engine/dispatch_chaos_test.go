@@ -11,14 +11,15 @@ import (
 	"spgcmp/internal/chaos"
 )
 
-// TestRetryDelayDeterministic: the backoff is a pure function of (seed,
-// chunk, attempt) — replayable, jittered within [0.5, 1.5) of the exponential
-// curve, and clamped.
+// TestRetryDelayDeterministic: the backoff is a pure function of (chunk,
+// attempt) — replayable, jittered within [0.5, 1.5) of the exponential
+// curve, and clamped — and the jitter differs between chunks, so chunks that
+// failed together do not retry in lockstep.
 func TestRetryDelayDeterministic(t *testing.T) {
 	base, max := 10*time.Millisecond, 200*time.Millisecond
 	for attempt := 1; attempt <= 8; attempt++ {
-		d1 := retryDelay(42, 3, attempt, base, max)
-		d2 := retryDelay(42, 3, attempt, base, max)
+		d1 := retryDelay(3, attempt, base, max)
+		d2 := retryDelay(3, attempt, base, max)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: retryDelay not deterministic: %v vs %v", attempt, d1, d2)
 		}
@@ -31,13 +32,15 @@ func TestRetryDelayDeterministic(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d1, lo, hi)
 		}
 	}
-	if d := retryDelay(7, 0, 1, 0, 0); d < DefaultRetryBaseDelay/2 || d > DefaultRetryMaxDelay {
+	if d := retryDelay(0, 1, 0, 0); d < DefaultRetryBaseDelay/2 || d > DefaultRetryMaxDelay {
 		t.Fatalf("zero-config delay %v outside defaults", d)
 	}
-	if retryDelay(1, 5, 2, base, max) == retryDelay(2, 5, 2, base, max) &&
-		retryDelay(1, 6, 2, base, max) == retryDelay(2, 6, 2, base, max) &&
-		retryDelay(1, 7, 2, base, max) == retryDelay(2, 7, 2, base, max) {
-		t.Fatal("jitter ignores the seed")
+	seen := make(map[time.Duration]bool)
+	for start := 0; start < 8; start++ {
+		seen[retryDelay(start, 2, base, max)] = true
+	}
+	if len(seen) < 2 {
+		t.Fatal("jitter ignores the chunk: eight chunks share one backoff")
 	}
 }
 
@@ -87,13 +90,12 @@ func TestDispatcherChaosEquivalence(t *testing.T) {
 			w2 := newClusterWorker(t, cache)
 			faults := &chaos.Transport{Seed: 11, Rules: tc.rules}
 			d := &Dispatcher{
-				Registry:       NewWorkerRegistry(RegistryConfig{}, w1.URL(), w2.URL()),
+				Registry:       NewWorkerRegistry(0, w1.URL(), w2.URL()),
 				ChunkCells:     1,
 				Client:         &http.Client{Transport: faults},
-				RequestTimeout: tc.timeout,
-				Seed:           11,
-				RetryBaseDelay: time.Millisecond,
-				RetryMaxDelay:  20 * time.Millisecond,
+				requestTimeout: tc.timeout,
+				retryBaseDelay: time.Millisecond,
+				retryMaxDelay:  20 * time.Millisecond,
 			}
 			got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
 			if err != nil {
@@ -132,12 +134,12 @@ func TestDispatcherRetryBudgetExhaustion(t *testing.T) {
 	// exhausts its chunk.
 	faults := &chaos.Transport{Rules: []chaos.Rule{{Fault: chaos.Drop, Path: "/v1/cells/execute", Every: 1}}}
 	d := &Dispatcher{
-		Registry:       NewWorkerRegistry(RegistryConfig{DeadAfter: 100}, w.URL()),
+		Registry:       newTestRegistry(100, w.URL()),
 		ChunkCells:     1,
 		Client:         &http.Client{Transport: faults},
-		RetryBudget:    2,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  5 * time.Millisecond,
+		retryBudget:    2,
+		retryBaseDelay: time.Millisecond,
+		retryMaxDelay:  5 * time.Millisecond,
 	}
 	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
 	if err != nil {
@@ -168,13 +170,13 @@ func TestDispatcherChaosBreaker(t *testing.T) {
 	cache := NewAnalysisCache(16)
 	w := newClusterWorker(t, cache)
 	faults := &chaos.Transport{Rules: []chaos.Rule{{Fault: chaos.Status, Code: 502, Path: "/v1/cells/execute", Every: 1, Count: 3}}}
-	reg := NewWorkerRegistry(RegistryConfig{DeadAfter: 3, ProbeTimeout: time.Second}, w.URL())
+	reg := NewWorkerRegistry(0, w.URL())
 	d := &Dispatcher{
 		Registry:       reg,
 		ChunkCells:     1,
 		Client:         &http.Client{Transport: faults},
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  5 * time.Millisecond,
+		retryBaseDelay: time.Millisecond,
+		retryMaxDelay:  5 * time.Millisecond,
 	}
 	if _, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache}); err != nil {
 		t.Fatal(err)
@@ -203,7 +205,7 @@ func TestDispatcherSkipsDrainingWorker(t *testing.T) {
 	}
 	draining := newClusterWorker(t, cache)
 	steady := newClusterWorker(t, cache)
-	reg := NewWorkerRegistry(RegistryConfig{}, draining.URL(), steady.URL())
+	reg := NewWorkerRegistry(0, draining.URL(), steady.URL())
 	if !reg.MarkDraining(draining.URL(), true) {
 		t.Fatal("MarkDraining failed")
 	}
@@ -253,9 +255,9 @@ func TestDispatcherDeadlineHeader(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	d := &Dispatcher{
-		Registry:       NewWorkerRegistry(RegistryConfig{}, proxy.URL),
+		Registry:       NewWorkerRegistry(0, proxy.URL),
 		ChunkCells:     1,
-		RequestTimeout: 5 * time.Second,
+		requestTimeout: 5 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()

@@ -230,7 +230,7 @@ func TestDispatcherMatchesPool(t *testing.T) {
 				urls[i] = workers[i].URL()
 			}
 			d := &Dispatcher{
-				Registry:   NewWorkerRegistry(RegistryConfig{}, urls...),
+				Registry:   NewWorkerRegistry(0, urls...),
 				ChunkCells: chunkSize,
 			}
 			got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
@@ -249,9 +249,10 @@ func TestDispatcherMatchesPool(t *testing.T) {
 	}
 }
 
-// TestDispatcherAffinity: with stealing effectively disabled, every workload
-// family's cells land exclusively on its rendezvous owner — each worker's
-// AnalysisCache holds exactly its assigned families and nothing else.
+// TestDispatcherAffinity: with stealing effectively disabled (an hour-long
+// steal-benefit gate over known-fast owners), every workload family's cells
+// land exclusively on its rendezvous owner — each worker's AnalysisCache
+// holds exactly its assigned families and nothing else.
 func TestDispatcherAffinity(t *testing.T) {
 	cells := bigTestCells(t)
 	refCache := NewAnalysisCache(16)
@@ -262,10 +263,11 @@ func TestDispatcherAffinity(t *testing.T) {
 	w1 := newClusterWorker(t, nil)
 	w2 := newClusterWorker(t, nil)
 	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{}, w1.URL(), w2.URL()),
-		ChunkCells: 2,
-		StealDelay: time.Hour, // healthy owners keep their chunks
+		Registry:        NewWorkerRegistry(0, w1.URL(), w2.URL()),
+		ChunkCells:      2,
+		stealMinBenefit: time.Hour, // healthy owners keep their chunks
 	}
+	d.counters.ewma = map[string]float64{w1.URL(): 1, w2.URL(): 1}
 	got, err := Run(context.Background(), d, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +329,7 @@ func TestDispatcherRedispatch(t *testing.T) {
 		{"wrong-keys", wrongKeys.URL},
 	} {
 		d := &Dispatcher{
-			Registry:   NewWorkerRegistry(RegistryConfig{DeadAfter: 2}, good.URL(), tc.broken),
+			Registry:   newTestRegistry(2, good.URL(), tc.broken),
 			ChunkCells: 1,
 		}
 		got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
@@ -369,7 +371,7 @@ func TestDispatcherAllWorkersDead(t *testing.T) {
 
 	var fellBack int
 	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{DeadAfter: 1}, erroring.URL, dead.URL),
+		Registry:   newTestRegistry(1, erroring.URL, dead.URL),
 		ChunkCells: 2,
 		OnFallback: func(start, end int, err error) {
 			if err == nil {
@@ -407,7 +409,7 @@ func TestDispatcherSteal(t *testing.T) {
 	fast := newClusterWorker(t, cache)
 
 	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{}, slow.URL(), fast.URL()),
+		Registry:   NewWorkerRegistry(0, slow.URL(), fast.URL()),
 		ChunkCells: 1,
 	}
 	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
@@ -445,12 +447,12 @@ func TestDispatcherStealEWMAGate(t *testing.T) {
 		a := newClusterWorker(t, cache)
 		b := newClusterWorker(t, cache)
 		d := &Dispatcher{
-			Registry:   NewWorkerRegistry(RegistryConfig{}, a.URL(), b.URL()),
+			Registry:   NewWorkerRegistry(0, a.URL(), b.URL()),
 			ChunkCells: 1,
 			// An hour of required benefit: with any owner EWMA on record, no
 			// realistic backlog clears the bar, so the gate must block every
 			// steal outright.
-			StealMinBenefit: time.Hour,
+			stealMinBenefit: time.Hour,
 		}
 		d.counters.mu.Lock()
 		d.counters.ewma = map[string]float64{a.URL(): 1, b.URL(): 1}
@@ -482,12 +484,12 @@ func TestDispatcherStealEWMAGate(t *testing.T) {
 		slow.setDelay(400 * time.Millisecond)
 		fast := newClusterWorker(t, cache)
 		d := &Dispatcher{
-			Registry:   NewWorkerRegistry(RegistryConfig{}, slow.URL(), fast.URL()),
+			Registry:   NewWorkerRegistry(0, slow.URL(), fast.URL()),
 			ChunkCells: 1,
 			// Default-sized gate, with the slow owner's sluggishness already
 			// on record: backlog x 500ms clears 20ms immediately, so the
 			// idle fast worker must still steal.
-			StealMinBenefit: DefaultStealMinBenefit,
+			stealMinBenefit: DefaultStealMinBenefit,
 		}
 		d.counters.mu.Lock()
 		d.counters.ewma = map[string]float64{slow.URL(): 500}
@@ -531,7 +533,7 @@ func TestDispatcherSuspectRecovers(t *testing.T) {
 	t.Cleanup(transient.Close)
 
 	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{}, transient.URL), // never Started: no probes
+		Registry:   NewWorkerRegistry(0, transient.URL), // never Started: no probes
 		ChunkCells: 1,
 	}
 	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
@@ -569,11 +571,8 @@ func TestDispatcherRejoin(t *testing.T) {
 	steady := newClusterWorker(t, cache)
 	steady.setDelay(40 * time.Millisecond) // slow enough that rejoining matters
 
-	reg := NewWorkerRegistry(RegistryConfig{
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		DeadAfter:     2,
-	}, flaky.URL(), steady.URL())
+	reg := NewWorkerRegistry(10*time.Millisecond, flaky.URL(), steady.URL())
+	reg.deadAfter = 2
 	reg.Start()
 	t.Cleanup(reg.Stop)
 
@@ -634,7 +633,7 @@ func TestDispatcherLateRegistration(t *testing.T) {
 	slow.setDelay(50 * time.Millisecond)
 	late := newClusterWorker(t, cache)
 
-	reg := NewWorkerRegistry(RegistryConfig{}, slow.URL())
+	reg := NewWorkerRegistry(0, slow.URL())
 	go func() {
 		time.Sleep(120 * time.Millisecond)
 		_ = reg.Register(late.URL())
@@ -658,7 +657,7 @@ func TestDispatcherLocalPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noWorkers := &Dispatcher{Registry: NewWorkerRegistry(RegistryConfig{})}
+	noWorkers := &Dispatcher{Registry: NewWorkerRegistry(0)}
 	got, err := Run(context.Background(), noWorkers, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -706,7 +705,7 @@ func TestDispatcherCancellation(t *testing.T) {
 	t.Cleanup(func() { close(release); hung.Close() })
 
 	d := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{}, hung.URL),
+		Registry:   NewWorkerRegistry(0, hung.URL),
 		ChunkCells: 1,
 	}
 	_, err := Run(ctx, d, Campaign{Cells: cells})
@@ -726,7 +725,7 @@ func TestDispatcherTotals(t *testing.T) {
 	w := newClusterWorker(t, cache)
 	totals := &DispatcherTotals{}
 	proto := &Dispatcher{
-		Registry:   NewWorkerRegistry(RegistryConfig{}, w.URL()),
+		Registry:   NewWorkerRegistry(0, w.URL()),
 		ChunkCells: 1,
 		Totals:     totals,
 	}

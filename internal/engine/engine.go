@@ -9,8 +9,8 @@
 // all five heuristics at the period it selects, so every (app, CCR,
 // heuristic) outcome of the paper's figures is addressable as (cell key,
 // heuristic) in the cell's result. A cell is its declarative,
-// JSON-serializable CellSpec, from which the workload registry regenerates
-// the seeded instance — which is what lets an executor place cells anywhere:
+// JSON-serializable CellSpec, from which WorkloadSpec.Build regenerates the
+// seeded instance — which is what lets an executor place cells anywhere:
 // the in-process PoolExecutor, or the Dispatcher, which ships family-aligned
 // spec chunks to remote worker processes over HTTP/JSON and reassembles
 // their wire results, bit-identical to a local run at any worker count
@@ -36,12 +36,11 @@ import (
 
 // Cell is one deterministic, individually-addressable unit of campaign work:
 // its declarative CellSpec. The spec describes the work — workload identity,
-// CCR, grid, period divisions, heuristic options — and the workload registry
+// CCR, grid, period divisions, heuristic options — and WorkloadSpec.Build
 // rebuilds the seeded instance from it, so a cell can be re-executed
 // anywhere (any process, any number of times) with bit-identical results;
 // that is the property the Dispatcher relies on to ship cells over the wire.
-// Workloads without a generative identity travel as the inline kind, and
-// custom kinds register with RegisterWorkload.
+// Workloads without a generative identity travel as inline graphs.
 type Cell struct {
 	// Spec is the cell's declarative identity and wire form.
 	Spec CellSpec

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -18,8 +17,8 @@ import (
 // testCells builds a small StreamIt-backed campaign without importing the
 // experiments adapters (which sit above this package): two applications,
 // two CCR variants each, on a 2x2 grid. The cells are purely declarative
-// (wire-codable specs resolved through the workload registry), so shard
-// tests can reuse them.
+// (wire-codable specs rebuilt by WorkloadSpec.Build), so dispatcher tests can
+// reuse them.
 func testCells(t *testing.T) []Cell {
 	t.Helper()
 	var cells []Cell
@@ -97,21 +96,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// countingBuilds counts builds of the "test-counting" workload kind, a
-// fixed two-stage chain whose params only distinguish cells.
-var countingBuilds atomic.Int64
-
-func init() {
-	RegisterWorkload("test-counting", func(json.RawMessage) (*spg.Analysis, error) {
-		countingBuilds.Add(1)
-		g, err := spg.Chain([]float64{0.01, 0.01}, []float64{0.01})
-		if err != nil {
-			return nil, err
-		}
-		return spg.NewAnalysis(g), nil
-	})
-}
-
 // TestRunSharesFamilyBasesWithoutCache: with the campaign layer disabled,
 // cells sharing a CacheKey must still resolve one base per family within the
 // run (the legacy loops' intrinsic sharing), while uniquely-keyed cells are
@@ -121,17 +105,27 @@ func TestRunSharesFamilyBasesWithoutCache(t *testing.T) {
 		return CellSpec{
 			Key:      key + "/" + cell,
 			CacheKey: key,
-			Workload: WorkloadSpec{Kind: "test-counting", Params: json.RawMessage(`"` + key + `"`)},
+			Workload: WorkloadSpec{StreamIt: "DCT"},
 			P:        2, Q: 2,
 		}.Cell()
 	}
 	cells := []Cell{mk("fam", "cell1"), mk("fam", "cell2"), mk("solo", "cell1")}
-	countingBuilds.Store(0)
-	if _, err := Run(context.Background(), &PoolExecutor{Workers: 1}, Campaign{Cells: cells}); err != nil {
-		t.Fatal(err)
+	resolve := newResolver(cells, nil)
+	an := make([]*spg.Analysis, len(cells))
+	for i, c := range cells {
+		var err error
+		if an[i], err = resolve(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := countingBuilds.Load(); got != 2 {
-		t.Errorf("disabled-cache run built %d analyses, want 2 (one shared family + one unique)", got)
+	if an[0] != an[1] {
+		t.Error("the two family cells resolved distinct analyses, want one shared base")
+	}
+	if an[2] == an[0] {
+		t.Error("the uniquely-keyed cell reused the family base, want a fresh build")
+	}
+	if again, err := resolve(cells[2]); err != nil || again == an[2] {
+		t.Errorf("the uniquely-keyed cell was retained (err %v), want a fresh build per resolve", err)
 	}
 }
 

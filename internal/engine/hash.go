@@ -22,7 +22,8 @@ const contentKeyVersion = "spgcell/v1"
 // equivalence suites), which is what makes the key safe to address the
 // ResultStore with.
 //
-// Hashed: the workload's (kind, params) lowering, ScaleCCR, CCR, the grid,
+// Hashed: the workload's (kind, params) lowering (the variant's kind and its
+// JSON parameters), ScaleCCR, CCR, the grid,
 // the resolved division cap, and the result-affecting Options fields (Seed,
 // RandomTrials, DPA1DMaxStates, DPA1DMaxTransitions, KeepMappings).
 //
@@ -37,8 +38,8 @@ const contentKeyVersion = "spgcell/v1"
 // deliberately — they describe the same work).
 //
 // The error is a malformed workload spec (zero or several variants set, or
-// an unregistered kind); such a cell cannot be addressed and must bypass the
-// store.
+// an inline graph with no JSON form); such a cell cannot be addressed and
+// must bypass the store.
 func (s CellSpec) ContentKey() (string, error) {
 	kind, params, err := s.Workload.kindParams()
 	if err != nil {

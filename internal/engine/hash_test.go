@@ -5,7 +5,21 @@ import (
 	"testing"
 
 	"spgcmp/internal/core"
+	"spgcmp/internal/spg"
 )
+
+// goldenInline is the inline graph the golden digests pin: a three-stage
+// chain whose source name needs JSON escaping, so the pins also cover the
+// exact bytes the inline variant hashes.
+func goldenInline(t testing.TB) *spg.Graph {
+	t.Helper()
+	g, err := spg.Chain([]float64{0.02, 0.03, 0.04}, []float64{0.5, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Stages[0].Name = "src<&>"
+	return g
+}
 
 // TestContentKeyGolden pins the canonical CellSpec content hash. These
 // digests are the result store's address space: if any of them changes, the
@@ -33,6 +47,11 @@ func TestContentKeyGolden(t *testing.T) {
 			spec: CellSpec{Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 2, P: 4, Q: 4, MaxDivisions: 9, Opts: core.Options{DPA1DMaxStates: 100, DPA1DMaxTransitions: 200}},
 			want: "v1-2f5e1ad2f1d71241ca76b182c2c473b7",
 		},
+		{
+			name: "inline",
+			spec: CellSpec{Workload: WorkloadSpec{Inline: goldenInline(t)}, P: 1, Q: 2, Opts: core.Options{Seed: 1}},
+			want: "v1-3944c41e6790ff4f7d154740230a7620",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,6 +63,30 @@ func TestContentKeyGolden(t *testing.T) {
 				t.Fatalf("ContentKey drifted: got %q, want %q — if this change is deliberate, bump contentKeyVersion and repin", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFamilyKeyGolden pins the analysis-cache family identity of each
+// workload variant. A drifted key would split (or alias) the family entries
+// that every worker and campaign share.
+func TestFamilyKeyGolden(t *testing.T) {
+	cases := []struct {
+		name     string
+		workload WorkloadSpec
+		want     string
+	}{
+		{"streamit", WorkloadSpec{StreamIt: "DCT"}, "streamit/DCT/n=8/y=1/x=8"},
+		{"random", WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1}}, "randspg/n=12/y=3/seed=7/ccr=0x1p+00"},
+		{"inline", WorkloadSpec{Inline: goldenInline(t)}, "spec/inline/604c213db748aed5c125b6d647b29fc8"},
+	}
+	for _, tc := range cases {
+		got, err := tc.workload.FamilyKey()
+		if err != nil {
+			t.Fatalf("%s: FamilyKey: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: FamilyKey drifted: got %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -126,14 +169,14 @@ func TestContentKeyCoversOptions(t *testing.T) {
 }
 
 // TestContentKeyMalformed: a workload that cannot be lowered onto the
-// registry plane cannot be content-addressed.
+// (kind, params) plane cannot be content-addressed.
 func TestContentKeyMalformed(t *testing.T) {
 	s := CellSpec{P: 2, Q: 2} // no workload variant set
 	if _, err := s.ContentKey(); err == nil {
 		t.Fatal("expected an error for a spec without a workload")
 	}
-	s.Workload = WorkloadSpec{Kind: "no-such-kind"}
+	s.Workload = WorkloadSpec{StreamIt: "FFT", Random: &RandomWorkload{N: 5, Elevation: 1}}
 	if _, err := s.ContentKey(); err == nil {
-		t.Fatal("expected an error for an unregistered kind")
+		t.Fatal("expected an error for a spec with two variants")
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // WorkerState is a worker's place in the registry's health machine:
 //
-//	healthy --failure--> suspect --DeadAfter consecutive failures--> dead
-//	   ^                    |                                          |
-//	   +---- any success ---+------------------------------------------+
+//	healthy --failure--> suspect --three consecutive failures--> dead
+//	   ^                    |                                      |
+//	   +---- any success ---+--------------------------------------+
 //
 // Healthy workers receive new chunks and own cache-affinity families.
 // Suspect workers lose their affinity ownership but may still pull chunks —
@@ -70,7 +70,7 @@ func (s *WorkerState) UnmarshalText(b []byte) error {
 //
 //	closed    the circuit passes traffic: the worker (healthy or suspect)
 //	          may receive chunks
-//	open      the circuit is tripped: DeadAfter consecutive failures retired
+//	open      the circuit is tripped: three consecutive failures retired
 //	          the worker from dispatch; only probes reach it
 //	half-open an open breaker's trial probe is in flight — one success closes
 //	          the circuit (full readmission), one failure re-opens it
@@ -131,26 +131,21 @@ type WorkerInfo struct {
 	// or deregisters.
 	Draining bool `json:"draining,omitempty"`
 	// ConsecutiveFailures counts probe/dispatch failures since the last
-	// success; DeadAfter of them turn a suspect worker dead.
+	// success; three of them turn a suspect worker dead.
 	ConsecutiveFailures int `json:"consecutive_failures,omitempty"`
 	// LastError is the most recent probe or dispatch failure, cleared on
 	// recovery.
 	LastError string `json:"last_error,omitempty"`
 }
 
-// RegistryConfig parameterizes a WorkerRegistry; the zero value selects the
-// defaults documented on each field.
-type RegistryConfig struct {
-	// ProbeInterval spaces the background health sweeps (default 5 s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one GET /v1/healthz probe (default 2 s).
-	ProbeTimeout time.Duration
-	// DeadAfter is how many consecutive failures turn a worker dead
-	// (default 3). The first failure always turns a healthy worker suspect.
-	DeadAfter int
-	// Client issues the probes; nil selects http.DefaultClient.
-	Client *http.Client
-}
+// Registry health timing: the default probe-sweep spacing, the bound on one
+// GET /v1/healthz probe, and how many consecutive failures turn a worker
+// dead (the first failure always turns a healthy worker suspect).
+const (
+	defaultProbeInterval = 5 * time.Second
+	probeTimeout         = 2 * time.Second
+	defaultDeadAfter     = 3
+)
 
 // WorkerRegistry tracks the worker processes of a mapping cluster: which
 // exist (static seeds from -worker flags plus runtime self-registrations via
@@ -161,7 +156,9 @@ type RegistryConfig struct {
 // the rotation within one failed request and rejoin within one probe
 // interval of recovering.
 type WorkerRegistry struct {
-	cfg RegistryConfig
+	probeInterval time.Duration
+	// deadAfter is defaultDeadAfter; tests change it before first use.
+	deadAfter int
 
 	mu      sync.Mutex
 	workers map[string]*workerEntry // guarded by mu
@@ -195,24 +192,16 @@ func (e *workerEntry) breaker() BreakerState {
 
 // NewWorkerRegistry returns a registry holding the given seed workers, all
 // initially healthy (they were configured deliberately; the probe loop
-// demotes unreachable ones within DeadAfter sweeps). Probing does not start
+// demotes unreachable ones within three sweeps), whose probe loop sweeps
+// every probeInterval (<= 0 selects 5 s). Probing does not start
 // until Start is called — a registry without a probe loop still tracks
 // dispatch-reported failures, which is how per-request ephemeral clusters
 // use it.
-func NewWorkerRegistry(cfg RegistryConfig, seeds ...string) *WorkerRegistry {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 5 * time.Second
+func NewWorkerRegistry(probeInterval time.Duration, seeds ...string) *WorkerRegistry {
+	if probeInterval <= 0 {
+		probeInterval = defaultProbeInterval
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
-	r := &WorkerRegistry{cfg: cfg, workers: make(map[string]*workerEntry)}
+	r := &WorkerRegistry{probeInterval: probeInterval, deadAfter: defaultDeadAfter, workers: make(map[string]*workerEntry)}
 	for _, u := range seeds {
 		_ = r.Register(u)
 	}
@@ -400,7 +389,7 @@ func (r *WorkerRegistry) ReportSuccess(url string) {
 }
 
 // ReportFailure records a failed probe or chunk dispatch: a healthy worker
-// turns suspect immediately, and DeadAfter consecutive failures turn it
+// turns suspect immediately, and three consecutive failures turn it
 // dead. Both still get probed, so recovery is always one success away.
 func (r *WorkerRegistry) ReportFailure(url string, err error) {
 	r.mu.Lock()
@@ -416,13 +405,13 @@ func (r *WorkerRegistry) ReportFailure(url string, err error) {
 	if e.state == WorkerHealthy {
 		e.state = WorkerSuspect
 	}
-	if e.failures >= r.cfg.DeadAfter {
+	if e.failures >= r.deadAfter {
 		e.state = WorkerDead
 	}
 }
 
 // Probe runs one health sweep: every registered worker's /v1/healthz is
-// fetched concurrently under ProbeTimeout and the outcome reported. While a
+// fetched concurrently under a 2 s timeout and the outcome reported. While a
 // dead worker's probe is in flight its breaker reads half-open — the trial
 // request that decides between readmission (success closes the breaker) and
 // staying retired (failure re-opens it). Exported so tests (and operators
@@ -458,13 +447,13 @@ func (r *WorkerRegistry) setProbing(url string, probing bool) {
 }
 
 func (r *WorkerRegistry) probeOne(ctx context.Context, worker string) error {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, worker+"/v1/healthz", nil)
 	if err != nil {
 		return err
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -475,7 +464,8 @@ func (r *WorkerRegistry) probeOne(ctx context.Context, worker string) error {
 	return nil
 }
 
-// Start launches the background probe loop (one sweep every ProbeInterval).
+// Start launches the background probe loop (one sweep every probe
+// interval).
 // Idempotent; stop it with Stop. Registries that are never started still
 // work — they just learn about failures only from dispatch outcomes.
 func (r *WorkerRegistry) Start() {
@@ -488,7 +478,7 @@ func (r *WorkerRegistry) Start() {
 	r.stop = stop
 	r.mu.Unlock()
 	go func() {
-		ticker := time.NewTicker(r.cfg.ProbeInterval)
+		ticker := time.NewTicker(r.probeInterval)
 		defer ticker.Stop()
 		for {
 			select {

@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// newTestRegistry is an unprobed registry whose workers die after deadAfter
+// consecutive failures instead of the default three.
+func newTestRegistry(deadAfter int, seeds ...string) *WorkerRegistry {
+	r := NewWorkerRegistry(0, seeds...)
+	r.deadAfter = deadAfter
+	return r
+}
+
 // flappableHealthz is a worker stand-in whose /v1/healthz can be switched
 // off and on, for driving the registry's state machine deterministically.
 func flappableHealthz(t *testing.T) (*httptest.Server, *atomic.Bool) {
@@ -42,7 +50,7 @@ func workerState(t *testing.T, r *WorkerRegistry, url string) WorkerState {
 // consecutive failures -> healthy again on the first success (rejoin).
 func TestWorkerRegistryStates(t *testing.T) {
 	srv, down := flappableHealthz(t)
-	r := NewWorkerRegistry(RegistryConfig{DeadAfter: 2, ProbeTimeout: time.Second}, srv.URL)
+	r := newTestRegistry(2, srv.URL)
 	ctx := context.Background()
 
 	if got := workerState(t, r, srv.URL); got != WorkerHealthy {
@@ -83,7 +91,7 @@ func TestWorkerRegistryStates(t *testing.T) {
 // TestWorkerRegistryDispatchReports: ReportFailure/ReportSuccess drive the
 // same machine without probes (the per-request ephemeral registry path).
 func TestWorkerRegistryDispatchReports(t *testing.T) {
-	r := NewWorkerRegistry(RegistryConfig{DeadAfter: 3}, "http://w1:1", "http://w2:1")
+	r := newTestRegistry(3, "http://w1:1", "http://w2:1")
 	boom := errors.New("connection refused")
 	r.ReportFailure("http://w1:1", boom)
 	if got := workerState(t, r, "http://w1:1"); got != WorkerSuspect {
@@ -112,7 +120,7 @@ func TestWorkerRegistryDispatchReports(t *testing.T) {
 // re-registration revives dead workers but leaves suspect ones for the probe
 // loop; deregistration removes.
 func TestWorkerRegistryRegistration(t *testing.T) {
-	r := NewWorkerRegistry(RegistryConfig{DeadAfter: 1})
+	r := newTestRegistry(1)
 	if err := r.Register("http://w:8080/"); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +144,7 @@ func TestWorkerRegistryRegistration(t *testing.T) {
 		t.Fatalf("re-registration left dead worker %v", got)
 	}
 
-	r2 := NewWorkerRegistry(RegistryConfig{DeadAfter: 2}, "http://w:1")
+	r2 := newTestRegistry(2, "http://w:1")
 	r2.ReportFailure("http://w:1", errors.New("x"))
 	if err := r2.Register("http://w:1"); err != nil {
 		t.Fatal(err)
@@ -169,11 +177,8 @@ func TestWorkerRegistryRegistration(t *testing.T) {
 // idempotent.
 func TestWorkerRegistryProbeLoop(t *testing.T) {
 	srv, down := flappableHealthz(t)
-	r := NewWorkerRegistry(RegistryConfig{
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		DeadAfter:     2,
-	}, srv.URL)
+	r := NewWorkerRegistry(10*time.Millisecond, srv.URL)
+	r.deadAfter = 2
 	r.Start()
 	r.Start() // idempotent
 	defer r.Stop()
@@ -276,7 +281,7 @@ func TestWorkerBreakerTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, down := flappableHealthz(t)
-			r := NewWorkerRegistry(RegistryConfig{DeadAfter: 2, ProbeTimeout: time.Second}, srv.URL)
+			r := newTestRegistry(2, srv.URL)
 			ctx := context.Background()
 
 			if got := breakerOf(t, r, srv.URL); got != BreakerClosed {
@@ -338,7 +343,7 @@ func TestWorkerBreakerHalfOpenWindow(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	r := NewWorkerRegistry(RegistryConfig{DeadAfter: 1, ProbeTimeout: time.Second}, srv.URL)
+	r := newTestRegistry(1, srv.URL)
 	regHolder.Store(r)
 	ctx := context.Background()
 
@@ -362,7 +367,7 @@ func TestWorkerBreakerHalfOpenWindow(t *testing.T) {
 // visibility but leaves the dispatchable set, and re-registration (the worker
 // coming back) clears the flag.
 func TestWorkerRegistryDraining(t *testing.T) {
-	r := NewWorkerRegistry(RegistryConfig{DeadAfter: 3}, "http://w1:1", "http://w2:1")
+	r := newTestRegistry(3, "http://w1:1", "http://w2:1")
 	if !r.MarkDraining("http://w1:1/", true) { // normalized like Register
 		t.Fatal("MarkDraining of registered worker reported false")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"spgcmp/internal/core"
 	"spgcmp/internal/randspg"
@@ -27,8 +26,8 @@ type CellSpec struct {
 	// AnalysisCache — the base (pre-CCR-scaling) analysis shared by every
 	// cell of the family. Empty opts the cell out of analysis sharing.
 	CacheKey string `json:"cache_key,omitempty"`
-	// Workload identifies the workload; the registry rebuilds the seeded
-	// instance from it.
+	// Workload identifies the workload; Build rebuilds the seeded instance
+	// from it.
 	Workload WorkloadSpec `json:"workload"`
 	// ScaleCCR derives this cell's analysis as the CCR scale-family member
 	// of the base; false solves the base as-is (random-SPG cells bake their
@@ -46,13 +45,13 @@ type CellSpec struct {
 	Opts core.Options `json:"opts"`
 }
 
-// Validate checks that the spec is well-formed and its workload kind is
-// registered, without building anything.
+// Validate checks that the spec is well-formed — a grid and exactly one
+// workload variant — without building anything.
 func (s CellSpec) Validate() error {
 	if s.P < 1 || s.Q < 1 {
 		return fmt.Errorf("engine: cell %q has invalid grid %dx%d", s.Key, s.P, s.Q)
 	}
-	if _, _, err := s.Workload.kindParams(); err != nil {
+	if err := s.Workload.check(); err != nil {
 		return fmt.Errorf("engine: cell %q: %w", s.Key, err)
 	}
 	return nil
@@ -70,10 +69,8 @@ func (s CellSpec) maxDivisions() int {
 
 // WorkloadSpec declaratively identifies one workload. Exactly one variant
 // must be set: a StreamIt application name (Table 1), random-SPG generation
-// parameters, an inline SPG graph, or a custom registered kind with raw
-// parameters. The built-in variants resolve through the same registry as
-// custom kinds, so every workload a cell can name is rebuildable from its
-// JSON form alone.
+// parameters, or an inline SPG graph. Every variant rebuilds from its JSON
+// form alone.
 type WorkloadSpec struct {
 	// StreamIt names a Table 1 application; the cell solves its base
 	// (pre-CCR-scaling) synthesis, with the CCR variant derived via
@@ -84,10 +81,6 @@ type WorkloadSpec struct {
 	// Inline carries the SPG itself (the spg JSON graph form) for workloads
 	// that have no generative identity.
 	Inline *spg.Graph `json:"inline,omitempty"`
-	// Kind/Params name a custom workload kind registered with
-	// RegisterWorkload.
-	Kind   string          `json:"kind,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
 }
 
 // RandomWorkload are the randspg generation parameters of one random SPG;
@@ -101,10 +94,8 @@ type RandomWorkload struct {
 	WeightMax float64 `json:"weight_max,omitempty"`
 }
 
-// kindParams lowers the spec onto the registry's (kind, params) plane. The
-// built-in variants marshal their typed parameters; a custom kind passes
-// Kind/Params through verbatim.
-func (w WorkloadSpec) kindParams() (string, json.RawMessage, error) {
+// check reports whether exactly one variant is set.
+func (w WorkloadSpec) check() error {
 	set := 0
 	if w.StreamIt != "" {
 		set++
@@ -115,11 +106,25 @@ func (w WorkloadSpec) kindParams() (string, json.RawMessage, error) {
 	if w.Inline != nil {
 		set++
 	}
-	if w.Kind != "" {
-		set++
-	}
 	if set != 1 {
-		return "", nil, fmt.Errorf("engine: workload spec must set exactly one variant, has %d", set)
+		return fmt.Errorf("engine: workload spec must set exactly one variant, has %d", set)
+	}
+	return nil
+}
+
+// Workload kinds: the names ContentKey hashes ahead of each variant's
+// parameters.
+const (
+	kindStreamIt = "streamit"
+	kindRandom   = "random"
+	kindInline   = "inline"
+)
+
+// kindParams lowers the spec onto the (kind, params) plane ContentKey
+// hashes: the variant's kind and the JSON encoding of its parameters.
+func (w WorkloadSpec) kindParams() (string, []byte, error) {
+	if err := w.check(); err != nil {
+		return "", nil, err
 	}
 	var (
 		kind string
@@ -127,16 +132,11 @@ func (w WorkloadSpec) kindParams() (string, json.RawMessage, error) {
 	)
 	switch {
 	case w.StreamIt != "":
-		kind, v = KindStreamIt, w.StreamIt
+		kind, v = kindStreamIt, w.StreamIt
 	case w.Random != nil:
-		kind, v = KindRandom, w.Random
-	case w.Inline != nil:
-		kind, v = KindInline, w.Inline
+		kind, v = kindRandom, w.Random
 	default:
-		if lookupWorkload(w.Kind) == nil {
-			return "", nil, fmt.Errorf("engine: unknown workload kind %q", w.Kind)
-		}
-		return w.Kind, w.Params, nil
+		kind, v = kindInline, w.Inline
 	}
 	params, err := json.Marshal(v)
 	if err != nil {
@@ -155,26 +155,18 @@ func (w WorkloadSpec) kindParams() (string, json.RawMessage, error) {
 // enumerators delegate here, so a process serving both campaign traffic and
 // dispatched ranges warms exactly one cache entry per family.
 func (w WorkloadSpec) FamilyKey() (string, error) {
-	kind, params, err := w.kindParams()
-	if err != nil {
+	if err := w.check(); err != nil {
 		return "", err
 	}
-	switch kind {
-	case KindStreamIt:
-		var name string
-		if err := json.Unmarshal(params, &name); err != nil {
-			return "", err
-		}
-		a, err := streamit.ByName(name)
+	switch {
+	case w.StreamIt != "":
+		a, err := streamit.ByName(w.StreamIt)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("streamit/%s/n=%d/y=%d/x=%d", a.Name, a.N, a.YMax, a.XMax), nil
-	case KindRandom:
-		var rw RandomWorkload
-		if err := json.Unmarshal(params, &rw); err != nil {
-			return "", err
-		}
+	case w.Random != nil:
+		rw := w.Random
 		key := fmt.Sprintf("randspg/n=%d/y=%d/seed=%d/ccr=%x", rw.N, rw.Elevation, rw.Seed, rw.CCR)
 		// Non-default weight bounds change the generated graph, so they are
 		// part of the identity; the default keeps the legacy key unchanged.
@@ -183,74 +175,34 @@ func (w WorkloadSpec) FamilyKey() (string, error) {
 		}
 		return key, nil
 	default:
+		params, err := json.Marshal(w.Inline)
+		if err != nil {
+			return "", err
+		}
 		sum := sha256.Sum256(params)
-		return "spec/" + kind + "/" + hex.EncodeToString(sum[:16]), nil
+		return "spec/" + kindInline + "/" + hex.EncodeToString(sum[:16]), nil
 	}
 }
 
-// Build deterministically synthesizes the workload's family-base analysis by
-// resolving the spec through the workload registry.
+// Build deterministically synthesizes the workload's family-base analysis.
+// Builds are pure: the same spec always produces a bit-identical graph,
+// because a spec may be rebuilt on any worker of a dispatched run, several
+// times (retries after worker failures).
 func (w WorkloadSpec) Build() (*spg.Analysis, error) {
-	kind, params, err := w.kindParams()
-	if err != nil {
+	if err := w.check(); err != nil {
 		return nil, err
 	}
-	b := lookupWorkload(kind)
-	if b == nil {
-		return nil, fmt.Errorf("engine: unknown workload kind %q", kind)
+	switch {
+	case w.StreamIt != "":
+		return buildStreamIt(w.StreamIt)
+	case w.Random != nil:
+		return buildRandom(w.Random)
+	default:
+		return buildInline(w.Inline)
 	}
-	return b(params)
 }
 
-// Built-in workload kinds.
-const (
-	KindStreamIt = "streamit"
-	KindRandom   = "random"
-	KindInline   = "inline"
-)
-
-// WorkloadBuilder synthesizes the family-base analysis of one workload kind
-// from its JSON parameters. Builders must be pure: the same parameters must
-// always produce a bit-identical graph, because a spec may be rebuilt on any
-// worker of a dispatched run, several times (retries after worker failures).
-type WorkloadBuilder func(params json.RawMessage) (*spg.Analysis, error)
-
-var workloadRegistry = struct {
-	mu sync.RWMutex
-	m  map[string]WorkloadBuilder
-}{m: map[string]WorkloadBuilder{
-	KindStreamIt: buildStreamIt,
-	KindRandom:   buildRandom,
-	KindInline:   buildInline,
-}}
-
-// RegisterWorkload adds a custom workload kind to the registry, so cells can
-// name it. Registering an empty kind, a nil builder or a duplicate kind
-// panics — kinds are program wiring, not data. For a kind to work across a
-// cluster every worker process must register it too.
-func RegisterWorkload(kind string, b WorkloadBuilder) {
-	if kind == "" || b == nil {
-		panic("engine: RegisterWorkload with empty kind or nil builder")
-	}
-	workloadRegistry.mu.Lock()
-	defer workloadRegistry.mu.Unlock()
-	if _, dup := workloadRegistry.m[kind]; dup {
-		panic(fmt.Sprintf("engine: workload kind %q registered twice", kind))
-	}
-	workloadRegistry.m[kind] = b
-}
-
-func lookupWorkload(kind string) WorkloadBuilder {
-	workloadRegistry.mu.RLock()
-	defer workloadRegistry.mu.RUnlock()
-	return workloadRegistry.m[kind]
-}
-
-func buildStreamIt(params json.RawMessage) (*spg.Analysis, error) {
-	var name string
-	if err := json.Unmarshal(params, &name); err != nil {
-		return nil, fmt.Errorf("engine: streamit workload: %w", err)
-	}
+func buildStreamIt(name string) (*spg.Analysis, error) {
 	a, err := streamit.ByName(name)
 	if err != nil {
 		return nil, err
@@ -262,11 +214,7 @@ func buildStreamIt(params json.RawMessage) (*spg.Analysis, error) {
 	return spg.NewAnalysis(g), nil
 }
 
-func buildRandom(params json.RawMessage) (*spg.Analysis, error) {
-	var rw RandomWorkload
-	if err := json.Unmarshal(params, &rw); err != nil {
-		return nil, fmt.Errorf("engine: random workload: %w", err)
-	}
+func buildRandom(rw *RandomWorkload) (*spg.Analysis, error) {
 	g, err := randspg.Generate(randspg.Params{
 		N:         rw.N,
 		Elevation: rw.Elevation,
@@ -281,9 +229,16 @@ func buildRandom(params json.RawMessage) (*spg.Analysis, error) {
 	return spg.NewAnalysis(g), nil
 }
 
-func buildInline(params json.RawMessage) (*spg.Analysis, error) {
+// buildInline analyses a private copy of the graph, taken through its JSON
+// form: the caller's graph is never shared with the cache, and a graph the
+// wire could not carry (non-finite values) fails here as it would there.
+func buildInline(in *spg.Graph) (*spg.Analysis, error) {
+	data, err := json.Marshal(in)
+	if err != nil {
+		return nil, fmt.Errorf("engine: inline workload: %w", err)
+	}
 	var g spg.Graph
-	if err := json.Unmarshal(params, &g); err != nil {
+	if err := json.Unmarshal(data, &g); err != nil {
 		return nil, fmt.Errorf("engine: inline workload: %w", err)
 	}
 	an := spg.NewAnalysis(&g)

@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -84,7 +84,6 @@ func TestSpecValidate(t *testing.T) {
 	bad := []CellSpec{
 		{Key: "no-workload", P: 2, Q: 2},
 		{Key: "two-variants", Workload: WorkloadSpec{StreamIt: "FFT", Random: &RandomWorkload{N: 5, Elevation: 1}}, P: 2, Q: 2},
-		{Key: "unknown-kind", Workload: WorkloadSpec{Kind: "no-such-kind"}, P: 2, Q: 2},
 		{Key: "bad-grid", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 0, Q: 2},
 	}
 	for _, s := range bad {
@@ -95,50 +94,6 @@ func TestSpecValidate(t *testing.T) {
 	if _, err := (WorkloadSpec{StreamIt: "NoSuchApp"}).Build(); err == nil {
 		t.Error("unknown StreamIt app built")
 	}
-}
-
-// TestRegisterWorkload: custom kinds resolve through the registry, so their
-// specs validate and solve; re-registration panics.
-func TestRegisterWorkload(t *testing.T) {
-	RegisterWorkload("test-chain", func(params json.RawMessage) (*spg.Analysis, error) {
-		var n int
-		if err := json.Unmarshal(params, &n); err != nil {
-			return nil, err
-		}
-		w := make([]float64, n)
-		v := make([]float64, n-1)
-		rng := rand.New(rand.NewSource(99))
-		for i := range w {
-			w[i] = 0.01 + 0.09*rng.Float64()
-		}
-		for i := range v {
-			v[i] = 0.5 + rng.Float64()
-		}
-		g, err := spg.Chain(w, v)
-		if err != nil {
-			return nil, err
-		}
-		return spg.NewAnalysis(g), nil
-	})
-	cell := CellSpec{
-		Key:      "custom/chain4",
-		Workload: WorkloadSpec{Kind: "test-chain", Params: json.RawMessage(`4`)},
-		P:        2, Q: 2,
-		Opts: core.Options{Seed: 3},
-	}.Cell()
-	if err := cell.Spec.Validate(); err != nil {
-		t.Fatalf("custom-kind spec invalid: %v", err)
-	}
-	res := Solve(cell, nil)
-	if res.Err != nil || !res.Feasible {
-		t.Fatalf("custom-kind cell failed: %+v", res)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterWorkload did not panic")
-		}
-	}()
-	RegisterWorkload("test-chain", func(json.RawMessage) (*spg.Analysis, error) { return nil, nil })
 }
 
 // TestSpecMaxDivisions: the period-division cap is part of the declarative
@@ -290,4 +245,64 @@ func TestExecuteSpecsSanitizesCacheKeys(t *testing.T) {
 	if err != nil || k3 == k1 {
 		t.Fatalf("distinct workloads share key %q (%v)", k3, err)
 	}
+}
+
+// decodeSpec decodes one cell spec the way the worker endpoint does:
+// unknown fields are errors.
+func decodeSpec(data []byte) (CellSpec, error) {
+	var s CellSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
+}
+
+// FuzzCellSpec fuzzes the cell-spec wire form. On any body the strict
+// decoder accepts, decode→encode→decode is the identity (the second decode
+// re-encodes to the same bytes), ContentKey and FamilyKey survive the round
+// trip unchanged, and Validate, ContentKey and FamilyKey never panic.
+func FuzzCellSpec(f *testing.F) {
+	for _, s := range []CellSpec{
+		{Key: "s", CacheKey: "streamit/FFT", Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 1, P: 2, Q: 2, Opts: core.Options{Seed: 42, DPA1DMaxStates: 60_000}},
+		{Key: "r", CacheKey: "c", Workload: WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1, WeightMin: 0.5, WeightMax: 2}}, P: 3, Q: 3, MaxDivisions: 3, Opts: core.Options{Seed: 1, RandomTrials: 5, KeepMappings: true}},
+		{Key: "i", Workload: WorkloadSpec{Inline: goldenInline(f)}, P: 1, Q: 2, Opts: core.Options{Seed: 1}},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"key":"k","workload":{"streamit":"DCT","random":{"n":5,"elevation":1}},"p":2,"q":2}`))
+	f.Add([]byte(`{"key":"k","workload":{"inline":{"stages":[{"weight":-0,"x":1,"y":1,"name":"é\ud800"}],"edges":[]}},"p":0}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeSpec(data)
+		if err != nil {
+			return
+		}
+		validErr := s.Validate()
+		key, keyErr := s.ContentKey()
+		fam, famErr := s.Workload.FamilyKey()
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not re-encode: %v", err)
+		}
+		back, err := decodeSpec(enc)
+		if err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", enc, err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("round trip drifted (err %v):\n got %s\nwant %s", err, again, enc)
+		}
+		if err := back.Validate(); (err == nil) != (validErr == nil) {
+			t.Fatalf("Validate changed across the round trip: %v vs %v", validErr, err)
+		}
+		if k, err := back.ContentKey(); k != key || (err == nil) != (keyErr == nil) {
+			t.Fatalf("ContentKey changed across the round trip: %q (%v) vs %q (%v)", key, keyErr, k, err)
+		}
+		if k, err := back.Workload.FamilyKey(); k != fam || (err == nil) != (famErr == nil) {
+			t.Fatalf("FamilyKey changed across the round trip: %q (%v) vs %q (%v)", fam, famErr, k, err)
+		}
+	})
 }

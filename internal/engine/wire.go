@@ -94,12 +94,12 @@ func ExecuteSpecs(ctx context.Context, ex Executor, specs []CellSpec, cache *Ana
 	return wire, nil
 }
 
-// DefaultRequestTimeout bounds one /v1/cells/execute range request when the
-// sender configured no explicit RequestTimeout (a range is many full
-// period-selection solves, so the default is generous). It is the sender's
-// own patience, not the campaign's: when the caller propagated a tighter
-// deadline through ctx, context.WithTimeout below keeps the earlier of the
-// two, so the effective budget is min(campaign deadline, request timeout).
+// DefaultRequestTimeout bounds one /v1/cells/execute range request (a range
+// is many full period-selection solves, so the bound is generous). It is
+// the sender's own patience, not the campaign's: when the caller propagated
+// a tighter deadline through ctx, context.WithTimeout below keeps the
+// earlier of the two, so the effective budget is min(campaign deadline,
+// request timeout).
 const DefaultRequestTimeout = 10 * time.Minute
 
 // postCellRange ships one spec range to a worker's /v1/cells/execute and

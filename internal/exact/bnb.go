@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -249,7 +250,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 		return nil, ctx.Err()
 	}
 	if st.Truncated {
-		return nil, ErrTooLarge
+		return nil, fmt.Errorf("%w: a search unit spent its %d-placement budget", ErrTooLarge, s.MaxPlacements)
 	}
 	// Deterministic reduction: ascending unit order, strict improvement —
 	// the exhaustive engine's first-found-wins order, reconstructed.

@@ -17,9 +17,11 @@ import (
 	"spgcmp/internal/core"
 )
 
-// ErrTooLarge is returned when the instance exceeds the search budget (the
-// paper's ILP hit the same wall beyond 2x2 CMPs).
-var ErrTooLarge = errors.New("exact: instance too large for exhaustive search")
+// ErrTooLarge is returned when the instance exceeds the search budget: more
+// stages than MaxStages, or a search unit that spent its MaxPlacements
+// placements before the optimum was proven (the paper's ILP hit the same
+// wall beyond 2x2 CMPs).
+var ErrTooLarge = errors.New("exact: instance exceeds the search budget")
 
 // Solver finds the minimum-energy valid mapping among every DAG-partition of
 // the SPG (set partitions with an acyclic cluster quotient), every injective

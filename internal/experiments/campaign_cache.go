@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"spgcmp/internal/engine"
 	"spgcmp/internal/streamit"
 )
@@ -17,13 +15,6 @@ type AnalysisCache = engine.AnalysisCache
 // build.
 func NewAnalysisCache(capacity int) *AnalysisCache {
 	return engine.NewAnalysisCache(capacity)
-}
-
-// NewAnalysisCacheBytes additionally bounds the retained
-// spg.Analysis.MemoryFootprint bytes (downset lattices dominate); see
-// engine.NewAnalysisCacheBytes.
-func NewAnalysisCacheBytes(capacity int, maxBytes int64) *AnalysisCache {
-	return engine.NewAnalysisCacheBytes(capacity, maxBytes)
 }
 
 // defaultCache is the process-wide campaign cache consulted by RunStreamIt
@@ -51,13 +42,11 @@ func streamItKey(a streamit.App) string {
 
 // randomKey identifies one generated random SPG. Every generation parameter
 // participates: the same key always regenerates the identical graph. Like
-// streamItKey, it is the engine's canonical FamilyKey.
+// streamItKey, it is the engine's canonical FamilyKey, which cannot fail
+// for a random workload.
 func randomKey(n, elevation int, seed int64, ccr float64) string {
-	key, err := (engine.WorkloadSpec{Random: &engine.RandomWorkload{
+	key, _ := (engine.WorkloadSpec{Random: &engine.RandomWorkload{
 		N: n, Elevation: elevation, Seed: seed, CCR: ccr,
 	}}).FamilyKey()
-	if err != nil {
-		return fmt.Sprintf("randspg/n=%d/y=%d/seed=%d/ccr=%x", n, elevation, seed, ccr)
-	}
 	return key
 }

@@ -134,7 +134,7 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 				urls[i] = pool[i].srv.URL
 			}
 			check(fmt.Sprintf("%dworkers/chunk=%d", nw, chunk), &engine.Dispatcher{
-				Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, urls...),
+				Registry:   engine.NewWorkerRegistry(0, urls...),
 				ChunkCells: chunk,
 			}, false)
 		}
@@ -145,7 +145,7 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 	deadSrv.Close()
 	healthy := newDispatchWorker(t, cache)
 	deadD := &engine.Dispatcher{
-		Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, healthy.srv.URL, deadSrv.URL),
+		Registry:   engine.NewWorkerRegistry(0, healthy.srv.URL, deadSrv.URL),
 		ChunkCells: 1,
 	}
 	check("dead-worker", deadD, false)
@@ -160,7 +160,7 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 	slow.mu.Unlock()
 	fast := newDispatchWorker(t, cache)
 	slowD := &engine.Dispatcher{
-		Registry:   engine.NewWorkerRegistry(engine.RegistryConfig{}, slow.srv.URL, fast.srv.URL),
+		Registry:   engine.NewWorkerRegistry(0, slow.srv.URL, fast.srv.URL),
 		ChunkCells: 1,
 	}
 	check("slow-worker", slowD, false)
@@ -176,11 +176,7 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 	steady.mu.Lock()
 	steady.delay = 25 * time.Millisecond
 	steady.mu.Unlock()
-	reg := engine.NewWorkerRegistry(engine.RegistryConfig{
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		DeadAfter:     2,
-	}, flaky.srv.URL, steady.srv.URL)
+	reg := engine.NewWorkerRegistry(10*time.Millisecond, flaky.srv.URL, steady.srv.URL)
 	reg.Start()
 	t.Cleanup(reg.Stop)
 	stop := make(chan struct{})
@@ -241,7 +237,7 @@ func TestDispatcherEquivalenceRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker := newDispatchWorker(t, cache)
-	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(engine.RegistryConfig{}, worker.srv.URL)}
+	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(0, worker.srv.URL)}
 	results, err = engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +279,7 @@ func TestDispatcherBuildErrorPropagation(t *testing.T) {
 		t.Fatal("expected a build failure for the unsatisfiable cell")
 	}
 	worker := newDispatchWorker(t, cache)
-	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(engine.RegistryConfig{}, worker.srv.URL)}
+	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(0, worker.srv.URL)}
 	got, err := engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
 	if err != nil {
 		t.Fatal(err)

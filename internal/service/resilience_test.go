@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"spgcmp/internal/engine"
 	"spgcmp/internal/experiments"
@@ -69,9 +68,12 @@ func TestRetryAfterOnShedding(t *testing.T) {
 
 	t.Run("campaign", func(t *testing.T) {
 		gate := &gatedExecutor{release: make(chan struct{})}
-		srv := New(Config{Cache: engine.NewAnalysisCache(8), Executor: gate, MaxActiveCampaigns: 1})
+		srv := New(Config{Cache: engine.NewAnalysisCache(8), Executor: gate})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
+		// Occupy all but one campaign slot directly, so the first submission
+		// takes the last one.
+		fillGate(srv.campaigns, 1)
 		body := `{"streamit":{"p":2,"q":2,"apps":["DCT"],"seed":1}}`
 		if resp, data := postJSON(t, ts.URL+"/v1/campaign", body); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("first submit: %d (%s)", resp.StatusCode, data)
@@ -201,10 +203,10 @@ func TestCampaignDeadline(t *testing.T) {
 }
 
 // TestCellsExecuteBudgetFloor: a range advertising less remaining budget than
-// MinRangeBudget is refused with 503 before any work starts — the worker half
+// minRangeBudget is refused with 503 before any work starts — the worker half
 // of deadline propagation.
 func TestCellsExecuteBudgetFloor(t *testing.T) {
-	srv := New(Config{Cache: engine.NewAnalysisCache(8), MinRangeBudget: 20 * time.Millisecond})
+	srv := New(Config{Cache: engine.NewAnalysisCache(8)})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	a, err := streamit.ByName("DCT")

@@ -87,14 +87,10 @@ type Config struct {
 	// MaxCampaignCells rejects campaign submissions larger than this
 	// (default 10000 cells).
 	MaxCampaignCells int
-	// MaxActiveCampaigns bounds concurrently executing campaign jobs
-	// (default 4); submissions beyond it answer 429 so a submission loop
-	// cannot oversubscribe the executor or pile up result state.
-	MaxActiveCampaigns int
 	// MaxActiveRanges bounds concurrently executing /v1/cells/execute
 	// ranges (default 4); requests beyond it answer 429, which the sending
 	// coordinator treats as a worker failure and re-dispatches — the
-	// worker-side counterpart of MaxActiveCampaigns, so a busy coordinator
+	// worker-side counterpart of the campaign bound, so a busy coordinator
 	// cannot oversubscribe a worker.
 	MaxActiveRanges int
 	// MaxActiveMaps bounds concurrently executing /v1/map solves (default
@@ -109,11 +105,10 @@ type Config struct {
 	// bouncing; beyond active+queued, 429 + Retry-After still sheds.
 	MaxQueuedMaps int
 	// MaxActiveBatches bounds concurrently executing /v1/map/batch campaigns
-	// (default 2) and MaxQueuedBatches its wait queue (default 2); beyond
-	// both, 429 + Retry-After. A batch is a whole campaign, so its slots are
+	// (default 2), fronted by a wait queue of the same depth; beyond both,
+	// 429 + Retry-After. A batch is a whole campaign, so its slots are
 	// scarcer than single-map slots.
 	MaxActiveBatches int
-	MaxQueuedBatches int
 	// MaxBatchCells rejects /v1/map/batch requests larger than this
 	// (default 256 requests).
 	MaxBatchCells int
@@ -121,12 +116,6 @@ type Config struct {
 	// and batch paths before any solve and by campaigns before dispatch; nil
 	// disables the layer (every request solves).
 	Store *engine.ResultStore
-	// MinRangeBudget is the admission floor for propagated deadlines on
-	// /v1/cells/execute (default 20 ms): a range advertising less remaining
-	// budget than this is rejected up front with 503 — the worker cannot
-	// plausibly finish it, so burning the pool on work the sender will have
-	// abandoned helps nobody.
-	MinRangeBudget time.Duration
 	// JobTTL bounds how long finished campaign jobs stay pollable (default
 	// 1 h; negative disables the time bound). Expired jobs are pruned on
 	// the next campaign request.
@@ -134,10 +123,18 @@ type Config struct {
 	// MaxFinishedJobs bounds retained finished jobs, oldest-finished evicted
 	// first (default 64; negative disables the count bound).
 	MaxFinishedJobs int
-	// Now is the clock consulted by job retention; nil selects time.Now.
-	// Tests inject a fake to exercise TTL expiry without sleeping.
-	Now func() time.Time
 }
+
+// maxActiveCampaigns bounds concurrently executing campaign jobs;
+// submissions beyond it answer 429 so a submission loop cannot
+// oversubscribe the executor or pile up result state.
+const maxActiveCampaigns = 4
+
+// minRangeBudget is the admission floor for propagated deadlines on
+// /v1/cells/execute: a range advertising less remaining budget than this is
+// rejected up front with 503 — the worker cannot plausibly finish it, so
+// burning the pool on work the sender will have abandoned helps nobody.
+const minRangeBudget = 20 * time.Millisecond
 
 // Server implements the mapping service over a shared engine and cache.
 type Server struct {
@@ -149,22 +146,22 @@ type Server struct {
 	ranges      *admitGate               // bounds concurrent /v1/cells/execute ranges
 	maps        *admitGate               // bounds concurrent /v1/map solves
 	batches     *admitGate               // bounds concurrent /v1/map/batch campaigns
+	campaigns   *admitGate               // bounds concurrent campaign jobs
 	store       *engine.ResultStore      // content-addressed outcome store; nil-safe when absent
 	flights     *coalescer               // in-flight /v1/map singleflight table
-	minBudget   time.Duration            // admission floor for propagated range deadlines
 	draining    atomic.Bool              // graceful drain: refuse new work, stay probe-alive
 	maxGrid     int
 	maxCells    int
 	maxBatch    int
-	maxActive   int
 	jobTTL      time.Duration
 	maxFinished int
-	now         func() time.Time
+	// now is the clock consulted by job retention (time.Now); tests swap in
+	// a fake before serving to exercise TTL expiry without sleeping.
+	now func() time.Time
 
-	mu      sync.Mutex
-	jobs    map[string]*job // guarded by mu
-	running int             // guarded by mu
-	nextID  int             // guarded by mu
+	mu     sync.Mutex
+	jobs   map[string]*job // guarded by mu
+	nextID int             // guarded by mu
 }
 
 // job tracks one asynchronous campaign from submission to completion.
@@ -201,9 +198,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxCampaignCells <= 0 {
 		cfg.MaxCampaignCells = 10_000
 	}
-	if cfg.MaxActiveCampaigns <= 0 {
-		cfg.MaxActiveCampaigns = 4
-	}
 	if cfg.MaxActiveRanges <= 0 {
 		cfg.MaxActiveRanges = 4
 	}
@@ -216,16 +210,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxActiveBatches <= 0 {
 		cfg.MaxActiveBatches = 2
 	}
-	if cfg.MaxQueuedBatches < 0 {
-		cfg.MaxQueuedBatches = 0
-	} else if cfg.MaxQueuedBatches == 0 {
-		cfg.MaxQueuedBatches = 2
-	}
 	if cfg.MaxBatchCells <= 0 {
 		cfg.MaxBatchCells = 256
-	}
-	if cfg.MinRangeBudget <= 0 {
-		cfg.MinRangeBudget = 20 * time.Millisecond
 	}
 	if cfg.JobTTL == 0 {
 		cfg.JobTTL = time.Hour
@@ -233,11 +219,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxFinishedJobs == 0 {
 		cfg.MaxFinishedJobs = 64
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Registry == nil {
-		cfg.Registry = engine.NewWorkerRegistry(engine.RegistryConfig{})
+		cfg.Registry = engine.NewWorkerRegistry(0)
 	}
 	// The dispatcher's local fallback keeps the operator's pool worker count,
 	// so no path silently escalates to GOMAXPROCS.
@@ -261,17 +244,16 @@ func New(cfg Config) *Server {
 		dispTotals:  totals,
 		ranges:      newAdmitGate(cfg.MaxActiveRanges, 0),
 		maps:        newAdmitGate(cfg.MaxActiveMaps, cfg.MaxQueuedMaps),
-		batches:     newAdmitGate(cfg.MaxActiveBatches, cfg.MaxQueuedBatches),
+		batches:     newAdmitGate(cfg.MaxActiveBatches, cfg.MaxActiveBatches),
+		campaigns:   newAdmitGate(maxActiveCampaigns, 0),
 		store:       cfg.Store,
 		flights:     newCoalescer(),
-		minBudget:   cfg.MinRangeBudget,
 		maxGrid:     cfg.MaxGrid,
 		maxCells:    cfg.MaxCampaignCells,
 		maxBatch:    cfg.MaxBatchCells,
-		maxActive:   cfg.MaxActiveCampaigns,
 		jobTTL:      cfg.JobTTL,
 		maxFinished: cfg.MaxFinishedJobs,
-		now:         cfg.Now,
+		now:         time.Now,
 		jobs:        make(map[string]*job),
 	}
 }
@@ -590,7 +572,7 @@ const maxSpecBytes = 1 << 10
 // rejected whole (the coordinator re-dispatches it) rather than
 // half-executed. A propagated DeadlineHeader budget is honored
 // two ways: a range that cannot plausibly finish (budget below
-// MinRangeBudget) is refused outright with 503, and an admitted range solves
+// minRangeBudget) is refused outright with 503, and an admitted range solves
 // under a context bounded by the budget so an overrun stops at the deadline
 // instead of burning the pool on an answer the sender has abandoned.
 func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
@@ -603,8 +585,8 @@ func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if hasBudget && budget < s.minBudget {
-		writeShedError(w, http.StatusServiceUnavailable, 1, "remaining budget %v below the %v admission floor", budget, s.minBudget)
+	if hasBudget && budget < minRangeBudget {
+		writeShedError(w, http.StatusServiceUnavailable, 1, "remaining budget %v below the %v admission floor", budget, minRangeBudget)
 		return
 	}
 	var req engine.ExecuteCellsRequest
@@ -758,7 +740,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	case len(req.Workers) > 0:
 		// An explicit worker list runs on an ephemeral registry: no probing,
 		// health learned from dispatch outcomes alone, discarded with the job.
-		reg := engine.NewWorkerRegistry(engine.RegistryConfig{})
+		reg := engine.NewWorkerRegistry(0)
 		for _, u := range req.Workers {
 			if err := reg.Register(u); err != nil {
 				writeError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -780,13 +762,13 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		ex = disp
 	}
 
-	s.mu.Lock()
-	s.pruneJobsLocked()
-	if s.running >= s.maxActive {
-		s.mu.Unlock()
-		writeShedError(w, http.StatusTooManyRequests, 1, "%d campaigns already running, limit %d; retry later", s.maxActive, s.maxActive)
+	if err := s.campaigns.acquire(nil); err != nil {
+		n := s.campaigns.capacity()
+		writeShedError(w, http.StatusTooManyRequests, 1, "%d campaigns already running, limit %d; retry later", n, n)
 		return
 	}
+	s.mu.Lock()
+	s.pruneJobsLocked()
 	//spglint:ignore ctxflow async campaign outlives its submitting request; cancelled via DELETE /v1/campaign/{id}
 	ctx, cancel := context.WithCancel(context.Background())
 	if hasBudget {
@@ -798,7 +780,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		base := cancel
 		ctx, cancel = dctx, func() { dcancel(); base() }
 	}
-	s.running++
 	s.nextID++
 	j := &job{id: fmt.Sprintf("c%d", s.nextID), seq: s.nextID, kind: kind, total: len(cells), status: "running", cancel: cancel, disp: disp}
 	s.jobs[j.id] = j
@@ -827,8 +808,8 @@ func (s *Server) runCampaign(ctx context.Context, ex engine.Executor, j *job, ce
 	// Release the active-campaign slot before the job turns visible as
 	// finished, so a poller that observes "done" can immediately submit the
 	// next campaign without racing a 429.
+	s.campaigns.release()
 	s.mu.Lock()
-	s.running--
 	j.finishedAt = s.now()
 	s.mu.Unlock()
 	j.cancel() // release the context now that the run is over

@@ -360,17 +360,27 @@ func (g *gatedExecutor) Execute(ctx context.Context, n int, run func(i int)) err
 	return g.inner.Execute(ctx, n, run)
 }
 
-// TestCampaignActiveLimit: submissions beyond MaxActiveCampaigns answer 429
+// fillGate occupies all but free of the gate's active slots, as concurrent
+// holders would.
+func fillGate(g *admitGate, free int) {
+	for i := free; i < g.capacity(); i++ {
+		g.active <- struct{}{}
+	}
+}
+
+// TestCampaignActiveLimit: submissions beyond maxActiveCampaigns answer 429
 // until a running campaign finishes.
 func TestCampaignActiveLimit(t *testing.T) {
 	gate := &gatedExecutor{release: make(chan struct{})}
 	srv := New(Config{
-		Cache:              engine.NewAnalysisCache(8),
-		Executor:           gate,
-		MaxActiveCampaigns: 1,
+		Cache:    engine.NewAnalysisCache(8),
+		Executor: gate,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	// Occupy all but one campaign slot directly: one running campaign then
+	// saturates the gate.
+	fillGate(srv.campaigns, 1)
 
 	body := `{"streamit":{"p":2,"q":2,"apps":["DCT"],"seed":1}}`
 	resp, data := postJSON(t, ts.URL+"/v1/campaign", body)
@@ -495,6 +505,8 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		{"huge grid", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":64,"q":64}]}`, ""},
 		// Unknown options are rejected by name, not silently ignored.
 		{"unknown option", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"sweep_parallelism":4}}]}`, "sweep_parallelism"},
+		// Workloads are StreamIt, random or inline; there are no custom kinds.
+		{"custom kind", `{"cells":[{"key":"k","workload":{"kind":"x","params":1},"p":2,"q":2}]}`, `unknown field \"kind\"`},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {
@@ -896,8 +908,8 @@ func TestJobRetention(t *testing.T) {
 		Cache:           engine.NewAnalysisCache(8),
 		JobTTL:          time.Hour,
 		MaxFinishedJobs: 1,
-		Now:             func() time.Time { return clock.Load().(time.Time) },
 	})
+	srv.now = func() time.Time { return clock.Load().(time.Time) }
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

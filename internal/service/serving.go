@@ -318,8 +318,8 @@ type batchMapResponse struct {
 // occurrence anywhere is an O(1) hit). The
 // whole batch is validated before anything executes — a malformed item
 // rejects the batch with 400, so partial execution never happens. Admission
-// mirrors /v1/map with its own gate (MaxActiveBatches / MaxQueuedBatches):
-// beyond it, 429 + Retry-After.
+// mirrors /v1/map with its own gate (MaxActiveBatches active, as many
+// queued): beyond it, 429 + Retry-After.
 func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeShedError(w, http.StatusServiceUnavailable, 1, "draining: not accepting new work")
