@@ -198,7 +198,14 @@
 // before any cluster is placed — and charges each placed pair its
 // Manhattan-distance hop excess; both terms are invariant under grid
 // automorphisms, so pruning composes soundly with the orbit canonicity
-// check. The incumbent is seeded from the cheap heuristics (pinned paths
+// check. Each placement node picks its candidate cores with bitmasks: for
+// every placed peer it finds the smallest hop excess h at which that pair's
+// term alone lifts the prefix bound past the incumbent, and keeps only the
+// free cores within Manhattan distance h of the peer (a per-solve table of
+// hop-radius balls, one 64-bit word per 64 cores, so any grid size works).
+// A masked-out core would have failed the bound test, so the search visits
+// the same nodes and leaves in the same order, without scanning the cores
+// one by one. The incumbent is seeded from the cheap heuristics (pinned paths
 // stripped, so the seed is re-evaluated inside the solver's own XY search
 // space) and only ever strengthens pruning — the seed mapping is never
 // returned. Search fans out over lexicographic partition prefixes on a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -96,6 +97,9 @@ type bnbShared struct {
 	leakT     float64
 	baseBound float64
 
+	// Placement-side candidate masks (see place).
+	balls coreBalls
+
 	units   [][]int
 	results []*core.Solution
 	budget  int // per-unit placement budget
@@ -185,6 +189,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 		base += fl
 	}
 	sh.baseBound = base
+	sh.balls = newCoreBalls(sh.cores, sh.hops)
 	sh.lowerAdj = make([][]stageVol, n)
 	for _, e := range g.Edges {
 		i, j := e.Src, e.Dst
@@ -380,11 +385,15 @@ type bnbWorker struct {
 
 	placeBuf []int
 	imgBuf   []int
-	used     []int
+	// free is the bitmask of cores no placed cluster occupies; cand holds
+	// one row per placement depth, the cores left to try at that depth.
+	free []uint64
+	cand []uint64
 	// activeBuf rows hold the surviving-symmetry lists per placement depth,
 	// same discipline as the exhaustive engine.
 	activeBuf [][]int
 	account   *mapping.PrefixAccount
+	qbuf      *quotientBuf
 
 	localBest   *core.Solution
 	unit        int64
@@ -406,16 +415,16 @@ func newBnbWorker(sh *bnbShared, sc *core.Scratch) *bnbWorker {
 	w.clFloor = sc.F64(n)
 	w.placeBuf = sc.Ints(cores)[:0]
 	w.imgBuf = sc.Ints(cores)
-	w.used = sc.Ints(cores)
 	w.activeBuf = sc.IntRows(cores+1, len(sh.syms))
-	maxK := n
-	if cores < maxK {
-		maxK = cores
-	}
+	maxK := min(n, cores)
 	w.account = mapping.NewPrefixAccount(maxK, sh.hops)
-	for i := range w.used {
-		w.used[i] = 0
+	w.qbuf = newQuotientBuf(maxK)
+	words := sh.balls.words
+	w.free = make([]uint64, words)
+	for c := 0; c < cores; c++ {
+		w.free[c>>6] |= 1 << (c & 63)
 	}
+	w.cand = make([]uint64, maxK*words)
 	return w
 }
 
@@ -564,7 +573,7 @@ func (w *bnbWorker) evaluate(k int) {
 	if k > sh.cores {
 		return
 	}
-	if !sh.general() && !quotientAcyclic(sh.g, w.part, k) {
+	if !sh.general() && !quotientAcyclic(sh.g, w.part, k, w.qbuf) {
 		return
 	}
 	if !w.account.Reset(sh.g, sh.pl, sh.T, w.part, k) {
@@ -618,41 +627,65 @@ func (w *bnbWorker) place(c, k int, active []int, extra float64) {
 		return
 	}
 	thr := sh.threshold()
-	for coreIdx := 0; coreIdx < sh.cores; coreIdx++ {
-		if w.used[coreIdx] != 0 {
-			continue
-		}
-		nonCanonical := false
-		child := w.activeBuf[c+1][:0]
-		for _, si := range active {
-			img := sh.syms[si][coreIdx]
-			if img < coreIdx {
-				nonCanonical = true
-				break
+	// Candidate cores: the free ones, cut to the hop radius each placed peer
+	// still allows. A peer d with pair volume v charges a core at hop excess
+	// H the term (v*H)*egb, which is at least (v*h)*egb for every h <= H
+	// (rounding is monotone) and at most the float sum PlaceExtra returns
+	// (its terms are non-negative). So once (Floor+extra) + (v*h)*egb
+	// exceeds thr, every core at excess h or more from d fails the bound
+	// test below; the rest lie within Manhattan distance h of d. Every core
+	// the test could pass survives, and survivors are walked in ascending
+	// index order, so the visited nodes and leaves are unchanged.
+	words := sh.balls.words
+	cand := w.cand[c*words : (c+1)*words]
+	copy(cand, w.free)
+	base := w.account.Floor + extra
+	for _, d := range w.account.Peers(c) {
+		if h := sh.balls.radius(base, w.account.Volume(int(d), c), sh.egb, thr); h > 0 {
+			for i, m := range sh.balls.ball(h, w.placeBuf[d]) {
+				cand[i] &= m
 			}
-			if img == coreIdx {
-				child = append(child, si)
+		}
+	}
+	for i, f := range w.free {
+		w.prunedPlace += int64(bits.OnesCount64(f &^ cand[i]))
+	}
+	for i := range cand {
+		for m := cand[i]; m != 0; m &= m - 1 {
+			coreIdx := i<<6 | bits.TrailingZeros64(m)
+			nonCanonical := false
+			child := w.activeBuf[c+1][:0]
+			for _, si := range active {
+				img := sh.syms[si][coreIdx]
+				if img < coreIdx {
+					nonCanonical = true
+					break
+				}
+				if img == coreIdx {
+					child = append(child, si)
+				}
 			}
-		}
-		if nonCanonical {
-			continue
-		}
-		// Prefix energy bound: partition floor + hop excess of the placed
-		// pairs. PlaceExtra depends only on pairwise Manhattan distances, so
-		// the bound is identical across a prefix's whole symmetry orbit and
-		// pruning composes exactly with the canonicity reduction above.
-		d := w.account.PlaceExtra(sh.pl, c, coreIdx, w.placeBuf)
-		if w.account.Floor+extra+d > thr {
-			w.prunedPlace++
-			continue
-		}
-		w.used[coreIdx] = 1
-		w.placeBuf = append(w.placeBuf, coreIdx)
-		w.place(c+1, k, child, extra+d)
-		w.placeBuf = w.placeBuf[:len(w.placeBuf)-1]
-		w.used[coreIdx] = 0
-		if w.unitTrunc {
-			return
+			if nonCanonical {
+				continue
+			}
+			// Prefix energy bound: partition floor + hop excess of the placed
+			// pairs. PlaceExtra depends only on pairwise Manhattan distances,
+			// so the bound is identical across a prefix's whole symmetry orbit
+			// and pruning composes exactly with the canonicity reduction above.
+			d := w.account.PlaceExtra(sh.pl, c, coreIdx, w.placeBuf)
+			if w.account.Floor+extra+d > thr {
+				w.prunedPlace++
+				continue
+			}
+			bit := uint64(1) << (coreIdx & 63)
+			w.free[i] &^= bit
+			w.placeBuf = append(w.placeBuf, coreIdx)
+			w.place(c+1, k, child, extra+d)
+			w.placeBuf = w.placeBuf[:len(w.placeBuf)-1]
+			w.free[i] |= bit
+			if w.unitTrunc {
+				return
+			}
 		}
 	}
 }
@@ -672,4 +705,55 @@ func (w *bnbWorker) consider(pb []int, k int) bool {
 	}
 	sh.offer(res.Energy, w.unit)
 	return true
+}
+
+// coreBalls is the per-solve table of hop-radius core masks. ball(h, x) is
+// the set of cores within Manhattan distance h of core x, for 1 <= h <=
+// maxH, as words 64-bit words (bit b of word i is core 64*i+b). maxH is the
+// grid's largest hop excess, its diameter less one: a radius at the
+// diameter would remove no core.
+type coreBalls struct {
+	cores, words, maxH int
+	bits               []uint64
+}
+
+// newCoreBalls builds the table from hops, the platform's
+// mapping.HopExcess table: core y lies within distance h of x exactly when
+// its hop excess from x is below h.
+func newCoreBalls(cores int, hops []float64) coreBalls {
+	b := coreBalls{cores: cores, words: (cores + 63) >> 6}
+	for _, e := range hops {
+		b.maxH = max(b.maxH, int(e))
+	}
+	b.bits = make([]uint64, b.maxH*cores*b.words)
+	for h := 1; h <= b.maxH; h++ {
+		for x := 0; x < cores; x++ {
+			row := b.ball(h, x)
+			for y := 0; y < cores; y++ {
+				if hops[x*cores+y] < float64(h) {
+					row[y>>6] |= 1 << (y & 63)
+				}
+			}
+		}
+	}
+	return b
+}
+
+func (b *coreBalls) ball(h, x int) []uint64 {
+	at := ((h-1)*b.cores + x) * b.words
+	return b.bits[at : at+b.words]
+}
+
+// radius returns the smallest hop excess h >= 1 at which a peer of pair
+// volume v alone lifts the prefix bound base past thr, or 0 when no core of
+// the grid is that far. The product is rounded on its own, so no fused
+// multiply-add can make the mask stricter than the bound test, whose sum is
+// never below any of its rounded terms.
+func (b *coreBalls) radius(base, v, egb, thr float64) int {
+	for h := 1; h <= b.maxH; h++ {
+		if base+float64(v*float64(h)*egb) > thr {
+			return h
+		}
+	}
+	return 0
 }

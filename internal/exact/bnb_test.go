@@ -112,6 +112,9 @@ func TestBnBMatchesExhaustiveBitIdentical(t *testing.T) {
 		inst{"rand-4x1", randomSPG(311, 7, 0.01, 0.05, 0.0001, 0.001), platform.XScale(4, 1), 0.08},
 		// Capacity-tight rows exercise the orbit-recovery path under bounds.
 		inst{"tight-2x2", randomSPG(320, 6, 0.005, 0.02, 0.3, 0.95), platform.XScale(2, 2), 0.05},
+		// 72 cores: every placement node's candidate masks span two words.
+		inst{"rand-9x8", randomSPG(500, 3, 0.01, 0.05, 0.0001, 0.001), platform.XScale(9, 8), 0.06},
+		inst{"rand-9x8", randomSPG(501, 3, 0.01, 0.05, 0.0001, 0.001), platform.XScale(9, 8), 0.06},
 	)
 	if testing.Short() {
 		panel = panel[:5]

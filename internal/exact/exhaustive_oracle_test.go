@@ -77,6 +77,7 @@ func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *St
 		syms = gridSymmetries(pl.P, pl.Q)
 	}
 	imgBuf := make([]int, n)
+	qbuf := newQuotientBuf(min(n, pl.NumCores()))
 	allSyms := make([]int, len(syms))
 	for i := range allSyms {
 		allSyms[i] = i
@@ -103,7 +104,7 @@ func (s *Solver) solveExhaustive(ctx context.Context, inst core.Instance, st *St
 		if k > pl.NumCores() {
 			return
 		}
-		if !s.General && !quotientAcyclic(g, part, k) {
+		if !s.General && !quotientAcyclic(g, part, k, qbuf) {
 			return
 		}
 		// consider evaluates one concrete placement and keeps the best valid

@@ -76,8 +76,12 @@ type Stats struct {
 	// PrunedPartitions counts partition-tree nodes cut by the partition-side
 	// lower bound (each cuts its whole subtree).
 	PrunedPartitions int64
-	// PrunedPlacements counts placement-tree nodes cut by the prefix energy
-	// bound.
+	// PrunedPlacements counts placement-tree children cut by the prefix
+	// energy bound: the free cores each node's hop-radius masks remove
+	// without visiting them, plus the visited cores whose bound test fails.
+	// A masked core is counted even when the orbit canonicity check would
+	// have skipped it, so the count is at least the number of canonical
+	// children the bound rejects.
 	PrunedPlacements int64
 	// Units and Workers describe the parallel decomposition.
 	Units, Workers int

@@ -13,33 +13,46 @@ import (
 	"spgcmp/internal/spg"
 )
 
-// quotientAcyclic checks the DAG-partition rule for a candidate partition.
-func quotientAcyclic(g *spg.Graph, part []int, k int) bool {
-	adj := make([][]bool, k)
-	for i := range adj {
-		adj[i] = make([]bool, k)
+// quotientBuf is quotientAcyclic's working storage for partitions of at
+// most maxK clusters. Each caller owns one for its whole search, so the
+// check runs once per complete partition without allocating.
+type quotientBuf struct {
+	adj   []bool // adj[a*k+b]: some edge runs from cluster a to cluster b
+	indeg []int
+	queue []int
+}
+
+func newQuotientBuf(maxK int) *quotientBuf {
+	return &quotientBuf{
+		adj:   make([]bool, maxK*maxK),
+		indeg: make([]int, maxK),
+		queue: make([]int, 0, maxK),
 	}
-	indeg := make([]int, k)
+}
+
+// quotientAcyclic checks the DAG-partition rule for a candidate partition
+// of k clusters, k at most the maxK buf was sized for.
+func quotientAcyclic(g *spg.Graph, part []int, k int, buf *quotientBuf) bool {
+	adj, indeg := buf.adj[:k*k], buf.indeg[:k]
+	clear(adj)
+	clear(indeg)
 	for _, e := range g.Edges {
 		a, b := part[e.Src], part[e.Dst]
-		if a != b && !adj[a][b] {
-			adj[a][b] = true
+		if a != b && !adj[a*k+b] {
+			adj[a*k+b] = true
 			indeg[b]++
 		}
 	}
-	var queue []int
+	queue := buf.queue[:0]
 	for i := 0; i < k; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for w := 0; w < k; w++ {
-			if adj[v][w] {
+			if adj[v*k+w] {
 				indeg[w]--
 				if indeg[w] == 0 {
 					queue = append(queue, w)
@@ -47,7 +60,7 @@ func quotientAcyclic(g *spg.Graph, part []int, k int) bool {
 			}
 		}
 	}
-	return seen == k
+	return len(queue) == k
 }
 
 // gridSymmetries returns the non-identity automorphisms of the p x q grid as

@@ -147,5 +147,14 @@ func (a *PrefixAccount) PlaceExtra(pl *platform.Platform, c, coreIdx int, placed
 	return extra
 }
 
+// Peers returns the clusters d < c that exchange volume with cluster c, in
+// the order PlaceExtra prices them. The slice is the account's own: read it,
+// never write it.
+func (a *PrefixAccount) Peers(c int) []int32 { return a.peers[c] }
+
+// Volume returns the total volume between clusters d < c, both directions
+// aggregated: the factor PlaceExtra multiplies the pair's hop excess by.
+func (a *PrefixAccount) Volume(d, c int) float64 { return a.vol[d*a.k+c] }
+
 // Work returns cluster c's total work under the current partition.
 func (a *PrefixAccount) Work(c int) float64 { return a.works[c] }

@@ -284,6 +284,12 @@ func (g *Graph) Validate() error {
 	if g.N() < 2 {
 		return errors.New("spg: graph needs at least two stages")
 	}
+	// Endpoints first: TopoOrder indexes adjacency by them.
+	for e, edge := range g.Edges {
+		if edge.Src < 0 || edge.Src >= g.N() || edge.Dst < 0 || edge.Dst >= g.N() {
+			return fmt.Errorf("spg: edge %d endpoints out of range", e)
+		}
+	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
@@ -320,9 +326,6 @@ func (g *Graph) Validate() error {
 		seen[s.Label] = i
 	}
 	for e, edge := range g.Edges {
-		if edge.Src < 0 || edge.Src >= g.N() || edge.Dst < 0 || edge.Dst >= g.N() {
-			return fmt.Errorf("spg: edge %d endpoints out of range", e)
-		}
 		if edge.Volume < 0 {
 			return fmt.Errorf("spg: edge %d has negative volume", e)
 		}

@@ -259,6 +259,18 @@ func TestValidateRejectsCycle(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsOutOfRangeEndpoint(t *testing.T) {
+	for _, e := range []Edge{{Src: 0, Dst: 5}, {Src: 5, Dst: 1}, {Src: -1, Dst: 1}, {Src: 0, Dst: -2}} {
+		g := &Graph{
+			Stages: []Stage{{Label: Label{1, 1}}, {Label: Label{2, 1}}},
+			Edges:  []Edge{e},
+		}
+		if err := g.Validate(); err == nil {
+			t.Errorf("edge %d->%d accepted", e.Src, e.Dst)
+		}
+	}
+}
+
 func TestValidateRejectsDuplicateLabels(t *testing.T) {
 	g := Primitive(1, 1, 1)
 	g.Stages[1].Label = Label{1, 1}
