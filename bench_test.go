@@ -344,16 +344,16 @@ func BenchmarkAnalysisReachabilityCached(b *testing.B) {
 
 // BenchmarkDownsetExpansionsFresh builds the full downset space of a 30-stage
 // chain from scratch every iteration; ...Warmed re-enumerates on a shared
-// space (one budget epoch per iteration), the DPA1D-across-periods pattern.
+// space (one run per iteration), the DPA1D-across-periods pattern.
 func BenchmarkDownsetExpansionsFresh(b *testing.B) {
 	inst := chainInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, err := spg.NewDownsetSpace(inst.Graph, 150_000)
+		ds, err := spg.NewAnalysis(inst.Graph).DownsetSpace(150_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ds.Expansions(ds.EmptyID(), inst.Period*inst.Platform.MaxSpeed()); err != nil {
+		if err := expandEmptyDownset(ds, inst.Period*inst.Platform.MaxSpeed()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,17 +361,27 @@ func BenchmarkDownsetExpansionsFresh(b *testing.B) {
 
 func BenchmarkDownsetExpansionsWarmed(b *testing.B) {
 	inst := chainInstance(b)
-	ds, err := spg.NewDownsetSpace(inst.Graph, 150_000)
+	ds, err := spg.NewAnalysis(inst.Graph).DownsetSpace(150_000)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds.BeginRun()
-		if _, err := ds.Expansions(ds.EmptyID(), inst.Period*inst.Platform.MaxSpeed()); err != nil {
+		if err := expandEmptyDownset(ds, inst.Period*inst.Platform.MaxSpeed()); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// expandEmptyDownset opens a run on ds and expands the empty downset (run
+// index 0) at maxWork, as DPA1D's first layer does.
+func expandEmptyDownset(ds *spg.DownsetSpace, maxWork float64) error {
+	run := ds.NewRun()
+	defer run.Close()
+	_, _, err := run.Expand(0, maxWork, func(n int) ([]int32, []float64) {
+		return make([]int32, n), make([]float64, n)
+	})
+	return err
 }
 
 // --- Per-heuristic micro-benchmarks on representative instances ---
@@ -578,12 +588,6 @@ func BenchmarkILPEmission(b *testing.B) {
 type devnull struct{}
 
 func (devnull) Write(p []byte) (int, error) { return len(p), nil }
-
-// BenchmarkAblationDPA2DTranspose compares the paper's orientation with the
-// transposed one on a representative workload.
-func BenchmarkAblationDPA2DTranspose(b *testing.B) {
-	benchHeuristic(b, &core.DPA2D{Transpose: true}, fmRadioInstance(b))
-}
 
 // --- Campaign engine: cells through the pool executor and the dispatcher ---
 

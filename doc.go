@@ -56,7 +56,7 @@
 // tables (the minimal period at which each ladder speed can process each
 // DPA2D rectangle, monotone in T and computed once for all period
 // divisions) with per-period rectangle-energy snapshots shared between
-// DPA2D, DPA2D-T and DPA2D1D, and a DPA1D run-outcome memo.
+// DPA2D and DPA2D1D, and a DPA1D run-outcome memo.
 // The memo replays recorded state-explosion verdicts and — keyed
 // additionally by the core count and the platform's energy fingerprint,
 // which steer the DP's argmin — successful chunk decompositions

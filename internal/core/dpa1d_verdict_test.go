@@ -462,7 +462,7 @@ func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 
 	// The heavy member's run, traced directly: it rejects states on their
 	// cut before the budget runs out.
-	ds, err := spg.NewDownsetSpace(g, h.MaxStates)
+	ds, err := spg.NewAnalysis(g).DownsetSpace(h.MaxStates)
 	if err != nil {
 		t.Fatal(err)
 	}

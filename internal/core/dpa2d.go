@@ -20,25 +20,13 @@ import (
 // The outer DP carries, for each state, the outgoing-communication
 // distribution D of its best solution only (the paper's greedy choice), so
 // DPA2D is a heuristic even though both nested programs are exact given D.
-//
-// Transpose is an ablation knob beyond the paper: it swaps the roles of rows
-// and columns (bands occupy grid rows, row groups occupy columns, routes are
-// YX instead of XY), which can help on non-square grids or when the label
-// grid is much taller than it is deep.
-type DPA2D struct {
-	Transpose bool
-}
+type DPA2D struct{}
 
-// NewDPA2D returns the paper's orientation.
+// NewDPA2D returns the DPA2D heuristic.
 func NewDPA2D() *DPA2D { return &DPA2D{} }
 
 // Name implements Heuristic.
-func (h *DPA2D) Name() string {
-	if h.Transpose {
-		return "DPA2D-T"
-	}
-	return "DPA2D"
-}
+func (h *DPA2D) Name() string { return "DPA2D" }
 
 // Solve implements Heuristic.
 func (h *DPA2D) Solve(inst Instance) (*Solution, error) {
@@ -46,51 +34,15 @@ func (h *DPA2D) Solve(inst Instance) (*Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	pl := inst.Platform
-	if h.Transpose {
-		pl = &platform.Platform{
-			P: inst.Platform.Q, Q: inst.Platform.P,
-			Speeds: inst.Platform.Speeds, DynPower: inst.Platform.DynPower,
-			LeakPower: inst.Platform.LeakPower, CommLeakPower: inst.Platform.CommLeakPower,
-			BW: inst.Platform.BW, EnergyPerGB: inst.Platform.EnergyPerGB,
-		}
-	}
-	plan, err := solve2D(inst.Analysis, pl, inst.Period, inst.Scratch)
+	plan, err := solve2D(inst.Analysis, inst.Platform, inst.Period, inst.Scratch)
 	if err != nil {
 		return nil, err
 	}
-	m := plan.buildMapping(inst.Graph, pl, inst.Period)
+	m := plan.buildMapping(inst.Graph, inst.Platform, inst.Period)
 	if m == nil {
 		return nil, ErrNoSolution
 	}
-	if h.Transpose {
-		m = transposeMapping(inst.Graph, inst.Platform, m)
-	}
 	return finish(h.Name(), inst, m)
-}
-
-// transposeMapping reflects a mapping computed on the transposed grid back
-// onto the real platform, pinning YX routes (the mirror of the DP's XY
-// accounting, so loads transfer link for link).
-func transposeMapping(g *spg.Graph, pl *platform.Platform, m *mapping.Mapping) *mapping.Mapping {
-	out := mapping.New(g.N(), pl)
-	for i, c := range m.Alloc {
-		out.Alloc[i] = platform.Core{U: c.V, V: c.U}
-	}
-	for u := 0; u < pl.P; u++ {
-		for v := 0; v < pl.Q; v++ {
-			// Transposed core (v, u) maps to real core (u, v).
-			out.SpeedIdx[u*pl.Q+v] = m.SpeedIdx[v*pl.P+u]
-		}
-	}
-	out.Paths = make(map[int][]platform.Link, len(g.Edges))
-	for e, edge := range g.Edges {
-		a, b := out.Alloc[edge.Src], out.Alloc[edge.Dst]
-		if a != b {
-			out.Paths[e] = pl.YXPath(a, b)
-		}
-	}
-	return out
 }
 
 // distEntry is one element of the distribution D of Section 5.3: a

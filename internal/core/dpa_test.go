@@ -223,62 +223,3 @@ func TestSolutionsAlwaysWithinPeriod(t *testing.T) {
 		}
 	}
 }
-
-// TestDPA2DTransposeValidAndSymmetric: the transposed variant produces valid
-// mappings; on a square platform with a symmetric workload family it is a
-// genuine alternative (sometimes better, sometimes worse, never invalid).
-func TestDPA2DTransposeValid(t *testing.T) {
-	pl := platform.XScale(4, 4)
-	solvedBoth := 0
-	for seed := int64(0); seed < 8; seed++ {
-		g := testRandomSPG(t, seed, 30, 1)
-		inst := Instance{Graph: g, Platform: pl, Period: 0.3}
-		normal, errN := NewDPA2D().Solve(inst)
-		transposed, errT := (&DPA2D{Transpose: true}).Solve(inst)
-		if errT == nil {
-			if _, err := mapping.Evaluate(g, pl, transposed.Mapping, inst.Period); err != nil {
-				t.Fatalf("seed %d: transposed mapping invalid: %v", seed, err)
-			}
-			if transposed.Heuristic != "DPA2D-T" {
-				t.Fatalf("transposed name = %q", transposed.Heuristic)
-			}
-		}
-		if errN == nil && errT == nil {
-			solvedBoth++
-			_ = normal
-		}
-	}
-	if solvedBoth == 0 {
-		t.Skip("no instance solved by both orientations")
-	}
-}
-
-// TestDPA2DTransposeOnWideFlatPlatform: the paper's DPA2D maps label rows
-// onto grid rows, so on a 2x8 grid a fork-join of 6 heavy parallel stages
-// (one x level) can split over at most 2 cores and fails. The transposed
-// variant sees an 8x2 virtual grid, spreads the fork level across its 8
-// virtual rows, and succeeds — the orientation ablation in action.
-func TestDPA2DTransposeOnWideFlatPlatform(t *testing.T) {
-	mid := make([]float64, 6)
-	vol := make([]float64, 6)
-	for i := range mid {
-		mid[i] = 0.09 // needs a dedicated core at T=0.1
-		vol[i] = 0.0001
-	}
-	g, err := spg.ForkJoin(0.01, 0.01, mid, vol, vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := platform.XScale(2, 8)
-	inst := Instance{Graph: g, Platform: pl, Period: 0.1}
-	if _, err := NewDPA2D().Solve(inst); err == nil {
-		t.Error("DPA2D solved a 6-way fork on 2 grid rows, expected failure")
-	}
-	trp, err := (&DPA2D{Transpose: true}).Solve(inst)
-	if err != nil {
-		t.Fatalf("transposed DPA2D failed on 2x8: %v", err)
-	}
-	if trp.Result.ActiveCores < 6 {
-		t.Errorf("transposed enrolled %d cores, want >= 6", trp.Result.ActiveCores)
-	}
-}

@@ -9,34 +9,17 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/platform"
 	"spgcmp/internal/spg"
 )
 
-// StrictAnalysisEnv is the environment variable enabling strict analysis
-// checking: when set to anything but the empty string or "0", an Instance
-// whose Analysis wraps a different graph than Instance.Graph makes Validate
-// fail loudly instead of being silently replaced by a private cache. The
-// silent default keeps accidental mismatches safe (the mismatched cache is
-// never consulted); the strict mode exists to catch them during development
-// and in CI, where a mismatch almost always means a caller rebuilt a graph
-// but kept an old cache — quietly forfeiting every reuse benefit.
-const StrictAnalysisEnv = "SPGCMP_STRICT_ANALYSIS"
-
-// ErrAnalysisMismatch is the strict-mode validation failure: the instance
-// carries an analysis cache built for a different graph.
+// ErrAnalysisMismatch is the validation failure of an instance that carries
+// an analysis cache built for a different graph. Such a mismatch almost
+// always means a caller rebuilt a graph but kept an old cache, so it fails
+// loudly instead of being repaired with a private cache.
 var ErrAnalysisMismatch = errors.New("core: Instance.Analysis wraps a different graph than Instance.Graph")
-
-// strictAnalysis reports whether strict analysis checking is on. The
-// environment is consulted per call so tests can toggle it with t.Setenv;
-// the lookup is trivial next to any Solve.
-func strictAnalysis() bool {
-	v := os.Getenv(StrictAnalysisEnv)
-	return v != "" && v != "0"
-}
 
 // ErrNoSolution is returned when a heuristic cannot produce any valid mapping
 // for the instance: the paper records these events as failures (Tables 2
@@ -55,7 +38,7 @@ type Instance struct {
 	// cache with NewInstance (or Analyzed) lets every heuristic — and every
 	// period division of the selection protocol — reuse the same
 	// precomputed structures. The cache must wrap the same Graph; a
-	// mismatched cache is ignored.
+	// mismatched cache fails validation with ErrAnalysisMismatch.
 	Analysis *spg.Analysis
 
 	// Scratch optionally supplies the arena the DP kernels carve their
@@ -81,17 +64,13 @@ func (inst Instance) WithPeriod(T float64) Instance {
 	return inst
 }
 
-// Analyzed returns a copy of the instance guaranteed to carry an analysis
-// cache for its graph. Heuristics call it once at the top of Solve so that
-// all internal stages share one cache even when the caller attached none.
-// Under strict analysis checking (StrictAnalysisEnv) a mismatched cache is
-// left in place instead of being replaced, so the Validate that every Solve
-// performs next fails with ErrAnalysisMismatch.
+// Analyzed returns a copy of the instance that carries an analysis cache,
+// attaching a fresh one for its graph when the caller attached none.
+// Heuristics call it once at the top of Solve so that all internal stages
+// share one cache. A mismatched cache is left in place, so the Validate
+// that every Solve performs next fails with ErrAnalysisMismatch.
 func (inst Instance) Analyzed() Instance {
-	if inst.Graph != nil && (inst.Analysis == nil || inst.Analysis.Graph() != inst.Graph) {
-		if inst.Analysis != nil && strictAnalysis() {
-			return inst
-		}
+	if inst.Graph != nil && inst.Analysis == nil {
 		inst.Analysis = spg.NewAnalysis(inst.Graph)
 	}
 	return inst
@@ -99,21 +78,20 @@ func (inst Instance) Analyzed() Instance {
 
 // Validate sanity-checks the instance. With an analysis cache attached the
 // graph validation is memoized, making repeated calls (one per heuristic per
-// period division) effectively free. Under strict analysis checking
-// (StrictAnalysisEnv) a cache wrapping a different graph fails validation
-// with ErrAnalysisMismatch instead of being silently bypassed.
+// period division) effectively free. A cache wrapping a different graph
+// fails validation with ErrAnalysisMismatch.
 func (inst Instance) Validate() error {
 	if inst.Graph == nil || inst.Platform == nil {
 		return errors.New("core: instance missing graph or platform")
 	}
 	var err error
-	if inst.Analysis != nil && inst.Analysis.Graph() == inst.Graph {
-		err = inst.Analysis.Validate()
-	} else {
-		if inst.Analysis != nil && strictAnalysis() {
-			return ErrAnalysisMismatch
-		}
+	switch {
+	case inst.Analysis == nil:
 		err = inst.Graph.Validate()
+	case inst.Analysis.Graph() != inst.Graph:
+		return ErrAnalysisMismatch
+	default:
+		err = inst.Analysis.Validate()
 	}
 	if err != nil {
 		return err
@@ -166,12 +144,8 @@ func finish(name string, inst Instance, m *mapping.Mapping) (*Solution, error) {
 type Options struct {
 	// Seed drives the Random heuristic.
 	Seed int64 `json:"seed,omitempty"`
-	// RandomTrials overrides the number of Random trials (default 10).
-	RandomTrials int `json:"random_trials,omitempty"`
 	// DPA1DMaxStates overrides the DPA1D downset state budget.
 	DPA1DMaxStates int `json:"dpa1d_max_states,omitempty"`
-	// DPA1DMaxTransitions overrides the DPA1D transition budget.
-	DPA1DMaxTransitions int `json:"dpa1d_max_transitions,omitempty"`
 	// KeepMappings attaches each successful heuristic's placement to its
 	// outcome (CellOutcome.Mapping) instead of dropping it after evaluation.
 	// It never changes what is solved or reported — only whether the winning
@@ -193,19 +167,12 @@ func All(seed int64) []Heuristic {
 // that need non-default budgets (the experiment campaigns reduce DPA1D's)
 // delegate here instead of duplicating the list.
 func AllWith(o Options) []Heuristic {
-	random := NewRandom(o.Seed)
-	if o.RandomTrials > 0 {
-		random.Trials = o.RandomTrials
-	}
 	dpa1d := NewDPA1D()
 	if o.DPA1DMaxStates > 0 {
 		dpa1d.MaxStates = o.DPA1DMaxStates
 	}
-	if o.DPA1DMaxTransitions > 0 {
-		dpa1d.MaxTransitions = o.DPA1DMaxTransitions
-	}
 	return []Heuristic{
-		random,
+		NewRandom(o.Seed),
 		NewGreedy(),
 		NewDPA2D(),
 		dpa1d,

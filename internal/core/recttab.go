@@ -21,18 +21,17 @@ import (
 //     each ladder speed becomes feasible is computed once and reused across
 //     every period division of the selection protocol, every CCR variant
 //     (rectangle work is a stage-weight sum, untouched by volume rescaling)
-//     and every heuristic sharing the grid orientation (DPA2D, DPA2D-T,
-//     DPA2D1D all use the same energy ladder). Thresholds reproduce the
-//     platform.MinFeasibleSpeed verdict bit for bit: the feasibility
-//     predicate work <= T*s*(1+1e-12) is monotone in T (IEEE multiplication
-//     by a positive constant is monotone), so the exact float boundary is
-//     well defined and located by ulp refinement.
+//     and every heuristic on the same energy ladder (DPA2D and DPA2D1D).
+//     Thresholds reproduce the platform.MinFeasibleSpeed verdict bit for
+//     bit: the feasibility predicate work <= T*s*(1+1e-12) is monotone in T
+//     (IEEE multiplication by a positive constant is monotone), so the exact
+//     float boundary is well defined and located by ulp refinement.
 //
 //   - Rectangle-energy snapshots (per period). The full ecal entry adds the
 //     T-dependent leakage and dynamic terms, so energies are shared only
-//     between engines probing the same period: DPA2D, DPA2D-T and DPA2D1D
-//     all run at the period SelectPeriod returns and at the division that
-//     fails after it (an intermediate division stops at its first success,
+//     between engines probing the same period: DPA2D and DPA2D1D both run
+//     at the period SelectPeriod returns and at the division that fails
+//     after it (an intermediate division stops at its first success,
 //     cheapest first) and probe overlapping band rectangles. Engines copy
 //     the shared snapshot into a private table (keeping the DP's hot loop
 //     lock-free), and publish their additions back when the solve finishes.
@@ -40,9 +39,9 @@ import (
 //     so merging is conflict-free and bit-identical to local recomputation.
 //
 // Both caches key by the platform's energy signature (speeds, dynamic
-// powers, leakage), not by platform identity: the transposed and uni-line
-// virtual platforms DPA2D-T and DPA2D1D synthesize per call share the real
-// platform's ladder and therefore its tables.
+// powers, leakage), not by platform identity: the uni-line virtual platform
+// DPA2D1D synthesizes per call shares the real platform's ladder and
+// therefore its tables.
 
 // rectCacheKey is the Aux key under which the tables hang off the family's
 // shared analysis.

@@ -70,7 +70,6 @@ func TestSharedRectTablesEquivalence(t *testing.T) {
 		for _, T := range []float64{1, 0.1, 0.01} {
 			for _, mk := range []func() Heuristic{
 				func() Heuristic { return NewDPA2D() },
-				func() Heuristic { return &DPA2D{Transpose: true} },
 				func() Heuristic { return NewDPA2D1D() },
 			} {
 				h := mk()
@@ -95,9 +94,9 @@ func TestSharedRectTablesEquivalence(t *testing.T) {
 	}
 }
 
-// TestStrictAnalysisMode: with SPGCMP_STRICT_ANALYSIS set, an instance whose
-// cache wraps a different graph must fail validation loudly; by default the
-// mismatch is silently repaired with a private cache.
+// TestStrictAnalysisMode: an instance whose cache wraps a different graph
+// fails validation and every heuristic's Solve with ErrAnalysisMismatch;
+// a matching cache and a nil cache are fine.
 func TestStrictAnalysisMode(t *testing.T) {
 	g1, err := randspg.Generate(randspg.Params{N: 12, Elevation: 2, Seed: 1, CCR: 1})
 	if err != nil {
@@ -110,29 +109,21 @@ func TestStrictAnalysisMode(t *testing.T) {
 	pl := platform.XScale(2, 2)
 	mismatched := Instance{Graph: g1, Platform: pl, Period: 1, Analysis: spg.NewAnalysis(g2)}
 
-	if _, err := NewGreedy().Solve(mismatched); err != nil {
-		t.Fatalf("default mode: mismatched cache must be repaired silently, got %v", err)
+	if err := mismatched.Validate(); !errors.Is(err, ErrAnalysisMismatch) {
+		t.Fatalf("Validate error = %v, want ErrAnalysisMismatch", err)
 	}
-
-	t.Setenv(StrictAnalysisEnv, "1")
 	if err := mismatched.Analyzed().Validate(); !errors.Is(err, ErrAnalysisMismatch) {
-		t.Fatalf("strict Validate error = %v, want ErrAnalysisMismatch", err)
+		t.Fatalf("Analyzed().Validate error = %v, want ErrAnalysisMismatch", err)
 	}
 	for _, h := range All(1) {
 		if _, err := h.Solve(mismatched); !errors.Is(err, ErrAnalysisMismatch) {
-			t.Fatalf("strict %s Solve error = %v, want ErrAnalysisMismatch", h.Name(), err)
+			t.Fatalf("%s Solve error = %v, want ErrAnalysisMismatch", h.Name(), err)
 		}
 	}
-	// A matching cache and a nil cache stay fine under strict mode.
 	if _, err := NewGreedy().Solve(NewInstance(g1, pl, 1)); err != nil {
-		t.Fatalf("strict mode rejects a matching cache: %v", err)
+		t.Fatalf("matching cache rejected: %v", err)
 	}
 	if _, err := NewGreedy().Solve(Instance{Graph: g1, Platform: pl, Period: 1}); err != nil {
-		t.Fatalf("strict mode rejects a nil cache: %v", err)
-	}
-
-	t.Setenv(StrictAnalysisEnv, "0")
-	if _, err := NewGreedy().Solve(mismatched); err != nil {
-		t.Fatalf("%s=0 must behave like the default, got %v", StrictAnalysisEnv, err)
+		t.Fatalf("nil cache rejected: %v", err)
 	}
 }

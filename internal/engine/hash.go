@@ -25,7 +25,9 @@ const contentKeyVersion = "spgcell/v1"
 // Hashed: the workload's (kind, params) lowering (the variant's kind and its
 // JSON parameters), ScaleCCR, CCR, the grid,
 // the resolved division cap, and the result-affecting Options fields (Seed,
-// RandomTrials, DPA1DMaxStates, DPA1DMaxTransitions, KeepMappings).
+// DPA1DMaxStates, KeepMappings). Two retired option slots (the Random trial
+// count and the DPA1D transition budget, which no spec can set any more)
+// are still written as the constant 0, so every key stays what it was.
 //
 // Excluded on purpose:
 //   - Key and CacheKey — campaign-local addressing; hashing them would stop
@@ -56,9 +58,9 @@ func (s CellSpec) ContentKey() (string, error) {
 	w.i64(int64(s.Q))
 	w.i64(int64(s.maxDivisions()))
 	w.i64(s.Opts.Seed)
-	w.i64(int64(s.Opts.RandomTrials))
+	w.i64(0) // retired slot: RandomTrials
 	w.i64(int64(s.Opts.DPA1DMaxStates))
-	w.i64(int64(s.Opts.DPA1DMaxTransitions))
+	w.i64(0) // retired slot: DPA1DMaxTransitions
 	w.boolean(s.Opts.KeepMappings)
 	sum := h.Sum(nil)
 	return "v1-" + hex.EncodeToString(sum[:16]), nil

@@ -39,13 +39,13 @@ func TestContentKeyGolden(t *testing.T) {
 		},
 		{
 			name: "random",
-			spec: CellSpec{Workload: WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1}}, P: 3, Q: 3, Opts: core.Options{Seed: 1, RandomTrials: 5, KeepMappings: true}},
-			want: "v1-5befbba41edd23dcf499af6f7d75ee6e",
+			spec: CellSpec{Workload: WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1}}, P: 3, Q: 3, Opts: core.Options{Seed: 1, KeepMappings: true}},
+			want: "v1-70c2d4b3dbe536be2c7c119aa8564d89",
 		},
 		{
 			name: "streamit-budgets",
-			spec: CellSpec{Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 2, P: 4, Q: 4, MaxDivisions: 9, Opts: core.Options{DPA1DMaxStates: 100, DPA1DMaxTransitions: 200}},
-			want: "v1-2f5e1ad2f1d71241ca76b182c2c473b7",
+			spec: CellSpec{Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 2, P: 4, Q: 4, MaxDivisions: 9, Opts: core.Options{DPA1DMaxStates: 100}},
+			want: "v1-ad4e7833c177404b406d549679ece3e1",
 		},
 		{
 			name: "inline",
@@ -124,9 +124,7 @@ func TestContentKeySensitivity(t *testing.T) {
 		"q":             func(s *CellSpec) { s.Q = 3 },
 		"max_divisions": func(s *CellSpec) { s.MaxDivisions = 5 },
 		"seed":          func(s *CellSpec) { s.Opts.Seed = 2 },
-		"random_trials": func(s *CellSpec) { s.Opts.RandomTrials = 3 },
 		"dpa1d_states":  func(s *CellSpec) { s.Opts.DPA1DMaxStates = 10 },
-		"dpa1d_trans":   func(s *CellSpec) { s.Opts.DPA1DMaxTransitions = 10 },
 		"keep_mappings": func(s *CellSpec) { s.Opts.KeepMappings = true },
 	}
 	for name, mutate := range mutations {
@@ -149,11 +147,9 @@ func TestContentKeySensitivity(t *testing.T) {
 // result store.
 func TestContentKeyCoversOptions(t *testing.T) {
 	known := map[string]bool{
-		"Seed":                true, // hashed
-		"RandomTrials":        true, // hashed
-		"DPA1DMaxStates":      true, // hashed
-		"DPA1DMaxTransitions": true, // hashed
-		"KeepMappings":        true, // hashed: changes the result payload
+		"Seed":           true, // hashed
+		"DPA1DMaxStates": true, // hashed
+		"KeepMappings":   true, // hashed: changes the result payload
 	}
 	rt := reflect.TypeOf(core.Options{})
 	for i := 0; i < rt.NumField(); i++ {

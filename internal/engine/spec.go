@@ -90,8 +90,6 @@ type RandomWorkload struct {
 	Elevation int     `json:"elevation"`
 	Seed      int64   `json:"seed"`
 	CCR       float64 `json:"ccr,omitempty"`
-	WeightMin float64 `json:"weight_min,omitempty"`
-	WeightMax float64 `json:"weight_max,omitempty"`
 }
 
 // check reports whether exactly one variant is set.
@@ -167,13 +165,7 @@ func (w WorkloadSpec) FamilyKey() (string, error) {
 		return fmt.Sprintf("streamit/%s/n=%d/y=%d/x=%d", a.Name, a.N, a.YMax, a.XMax), nil
 	case w.Random != nil:
 		rw := w.Random
-		key := fmt.Sprintf("randspg/n=%d/y=%d/seed=%d/ccr=%x", rw.N, rw.Elevation, rw.Seed, rw.CCR)
-		// Non-default weight bounds change the generated graph, so they are
-		// part of the identity; the default keeps the legacy key unchanged.
-		if rw.WeightMin != 0 || rw.WeightMax != 0 {
-			key += fmt.Sprintf("/w=%x-%x", rw.WeightMin, rw.WeightMax)
-		}
-		return key, nil
+		return fmt.Sprintf("randspg/n=%d/y=%d/seed=%d/ccr=%x", rw.N, rw.Elevation, rw.Seed, rw.CCR), nil
 	default:
 		params, err := json.Marshal(w.Inline)
 		if err != nil {
@@ -220,8 +212,6 @@ func buildRandom(rw *RandomWorkload) (*spg.Analysis, error) {
 		Elevation: rw.Elevation,
 		Seed:      rw.Seed,
 		CCR:       rw.CCR,
-		WeightMin: rw.WeightMin,
-		WeightMax: rw.WeightMax,
 	})
 	if err != nil {
 		return nil, err

@@ -264,7 +264,7 @@ func decodeSpec(data []byte) (CellSpec, error) {
 func FuzzCellSpec(f *testing.F) {
 	for _, s := range []CellSpec{
 		{Key: "s", CacheKey: "streamit/FFT", Workload: WorkloadSpec{StreamIt: "FFT"}, ScaleCCR: true, CCR: 1, P: 2, Q: 2, Opts: core.Options{Seed: 42, DPA1DMaxStates: 60_000}},
-		{Key: "r", CacheKey: "c", Workload: WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1, WeightMin: 0.5, WeightMax: 2}}, P: 3, Q: 3, MaxDivisions: 3, Opts: core.Options{Seed: 1, RandomTrials: 5, KeepMappings: true}},
+		{Key: "r", CacheKey: "c", Workload: WorkloadSpec{Random: &RandomWorkload{N: 12, Elevation: 3, Seed: 7, CCR: 1}}, P: 3, Q: 3, MaxDivisions: 3, Opts: core.Options{Seed: 1, KeepMappings: true}},
 		{Key: "i", Workload: WorkloadSpec{Inline: goldenInline(f)}, P: 1, Q: 2, Opts: core.Options{Seed: 1}},
 	} {
 		data, err := json.Marshal(s)
@@ -275,6 +275,7 @@ func FuzzCellSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"key":"k","workload":{"streamit":"DCT","random":{"n":5,"elevation":1}},"p":2,"q":2}`))
 	f.Add([]byte(`{"key":"k","workload":{"inline":{"stages":[{"weight":-0,"x":1,"y":1,"name":"é\ud800"}],"edges":[]}},"p":0}`))
+	f.Add([]byte(`{"key":"k","workload":{"random":{"n":5,"elevation":1,"weight_min":0.5}},"p":2,"q":2,"opts":{"random_trials":3}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeSpec(data)
 		if err != nil {

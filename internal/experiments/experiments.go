@@ -48,13 +48,6 @@ func Heuristics(seed int64) []core.Heuristic {
 	return core.AllWith(campaignOptions(seed))
 }
 
-// Outcome records one heuristic run on one instance.
-type Outcome = engine.Outcome
-
-// InstanceResult is the evaluation of all heuristics on one workload at the
-// period selected by the Section 6.1.3 protocol.
-type InstanceResult = engine.InstanceResult
-
 // SelectPeriod implements the protocol of Section 6.1.3: start at T = 1 s,
 // iteratively divide the period by 10 while at least one heuristic still
 // succeeds, and retain the last period before total failure, together with
@@ -65,7 +58,7 @@ type InstanceResult = engine.InstanceResult
 // and all period divisions: validation, reachability, level and band
 // structures and the interned downset space are computed once instead of
 // once per (heuristic, period) pair.
-func SelectPeriod(g *spg.Graph, pl *platform.Platform, seed int64) (InstanceResult, bool) {
+func SelectPeriod(g *spg.Graph, pl *platform.Platform, seed int64) (engine.InstanceResult, bool) {
 	return SelectPeriodAnalyzed(spg.NewAnalysis(g), pl, seed)
 }
 
@@ -76,7 +69,7 @@ func SelectPeriod(g *spg.Graph, pl *platform.Platform, seed int64) (InstanceResu
 // concurrency-safe accessors, so one analysis may serve several concurrent
 // calls. It is engine.SelectPeriod under the campaign heuristic
 // configuration.
-func SelectPeriodAnalyzed(an *spg.Analysis, pl *platform.Platform, seed int64) (InstanceResult, bool) {
+func SelectPeriodAnalyzed(an *spg.Analysis, pl *platform.Platform, seed int64) (engine.InstanceResult, bool) {
 	return engine.SelectPeriod(an, pl, campaignOptions(seed))
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spgcmp/internal/core"
+	"spgcmp/internal/engine"
 	"spgcmp/internal/platform"
 	"spgcmp/internal/randspg"
 	"spgcmp/internal/streamit"
@@ -14,7 +15,7 @@ import (
 // runAll executes every heuristic on the instance with the campaign
 // configuration. The instance's analysis cache (when attached) is shared by
 // all five heuristics.
-func runAll(inst core.Instance, seed int64) []Outcome {
+func runAll(inst core.Instance, seed int64) []engine.Outcome {
 	return core.SolveCell(inst, campaignOptions(seed))
 }
 
@@ -166,7 +167,7 @@ func TestHeuristicsSetMatchesNames(t *testing.T) {
 }
 
 func TestInstanceResultBestEnergy(t *testing.T) {
-	ir := InstanceResult{Outcomes: []Outcome{
+	ir := engine.InstanceResult{Outcomes: []engine.Outcome{
 		{Heuristic: "A", OK: true, Energy: 5},
 		{Heuristic: "B", OK: false, Energy: 1},
 		{Heuristic: "C", OK: true, Energy: 3},
@@ -174,7 +175,7 @@ func TestInstanceResultBestEnergy(t *testing.T) {
 	if got := ir.BestEnergy(); got != 3 {
 		t.Errorf("BestEnergy = %g, want 3 (failed outcomes ignored)", got)
 	}
-	empty := InstanceResult{Outcomes: []Outcome{{OK: false}}}
+	empty := engine.InstanceResult{Outcomes: []engine.Outcome{{OK: false}}}
 	if !math.IsInf(empty.BestEnergy(), 1) {
 		t.Error("BestEnergy of all-failed must be +Inf")
 	}

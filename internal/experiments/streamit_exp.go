@@ -14,7 +14,7 @@ import (
 type StreamItCell struct {
 	App      streamit.App
 	CCRLabel string
-	Result   InstanceResult
+	Result   engine.InstanceResult
 }
 
 // NormalizedEnergy returns, per heuristic, energy divided by the best energy

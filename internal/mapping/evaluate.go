@@ -309,12 +309,3 @@ func checkDAGPartition(g *spg.Graph, pl *platform.Platform, m *Mapping) error {
 	}
 	return nil
 }
-
-// MustEvaluate is a test helper: it panics when Evaluate fails.
-func MustEvaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64) *Result {
-	res, err := Evaluate(g, pl, m, T)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}

@@ -183,12 +183,6 @@ func (pl *Platform) CoreEnergy(work, T float64, idx int) float64 {
 	return pl.LeakPower*T + work/pl.Speeds[idx]*pl.DynPower[idx]
 }
 
-// CommEnergy returns the dynamic energy for moving volume GB across hops
-// links.
-func (pl *Platform) CommEnergy(volume float64, hops int) float64 {
-	return volume * float64(hops) * pl.EnergyPerGB
-}
-
 // LinkCapacity returns the volume (GB) one directed link can carry within a
 // period T.
 func (pl *Platform) LinkCapacity(T float64) float64 { return pl.BW * T }

@@ -243,7 +243,7 @@ func TestSpeedIndex(t *testing.T) {
 }
 
 // TestYXPathProperties mirrors the XY property test for the transposed
-// routing: minimal, valid, vertical-first.
+// route: minimal, valid, vertical-first.
 func TestYXPathProperties(t *testing.T) {
 	pl := XScale(6, 6)
 	f := func(au, av, bu, bv uint8) bool {

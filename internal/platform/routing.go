@@ -36,8 +36,8 @@ func (pl *Platform) XYPath(a, b Core) []Link {
 
 // YXPath returns the YX route from core a to core b: first along the column
 // of a (vertical links) to the row of b, then along that row (horizontal
-// links) to b. It is the transpose of XYPath and is used by the transposed
-// DPA2D variant, whose bands occupy grid rows instead of columns.
+// links) to b. It is the transpose of XYPath; a mapping may pin YX routes
+// through Mapping.Paths.
 func (pl *Platform) YXPath(a, b Core) []Link {
 	if !pl.InBounds(a) || !pl.InBounds(b) {
 		panic(fmt.Sprintf("platform: YXPath out of bounds: %v -> %v", a, b))

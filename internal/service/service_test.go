@@ -507,6 +507,10 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		{"unknown option", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"sweep_parallelism":4}}]}`, "sweep_parallelism"},
 		// Workloads are StreamIt, random or inline; there are no custom kinds.
 		{"custom kind", `{"cells":[{"key":"k","workload":{"kind":"x","params":1},"p":2,"q":2}]}`, `unknown field \"kind\"`},
+		// Retired options and weight bounds are unknown fields too.
+		{"random trials", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"random_trials":5}}]}`, `unknown field \"random_trials\"`},
+		{"transition budget", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"dpa1d_max_transitions":10}}]}`, `unknown field \"dpa1d_max_transitions\"`},
+		{"weight bounds", `{"cells":[{"key":"k","workload":{"random":{"n":12,"elevation":3,"seed":7,"weight_min":0.5,"weight_max":2}},"p":2,"q":2}]}`, `unknown field \"weight_min\"`},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {

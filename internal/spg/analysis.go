@@ -374,8 +374,8 @@ func (a *Analysis) LabelPrefixSums() (w [][]float64, c [][]int) {
 // period-independent analysis of the band of x levels [m1..m2] used by the
 // DPA2D nested dynamic program. The structural half is shared across the
 // scale family; the crossing volumes are this member's own. Bands are shared
-// between DPA2D, its transposed variant and DPA2D1D, and across all period
-// divisions of the selection protocol.
+// between DPA2D and DPA2D1D, and across all period divisions of the
+// selection protocol.
 func (a *Analysis) Band(m1, m2 int) *Band {
 	depth := a.Depth()
 	key := m1*(depth+1) + m2

@@ -190,7 +190,7 @@ func TestAnalysisConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = ds.Cout(ds.FullID())
+				_ = ds.Cout(ds.core.fullID)
 			}
 		}()
 	}
@@ -224,10 +224,10 @@ func TestAnalysisDownsetSpaceKeying(t *testing.T) {
 // expansionSet flattens an expansion list into a comparable form: the sorted
 // member sets of the reached downsets with their chunk works, independent of
 // id numbering.
-func expansionSet(ds *DownsetSpace, exps []Expansion) map[string]float64 {
+func expansionSet(ds *DownsetSpace, exps []expansion) map[string]float64 {
 	out := make(map[string]float64, len(exps))
 	for _, ex := range exps {
-		out[fmt.Sprint(ds.Members(ex.To))] = ex.ChunkWork
+		out[fmt.Sprint(members(ds, ex.To))] = ex.ChunkWork
 	}
 	return out
 }
@@ -249,25 +249,16 @@ func TestDownsetSpaceRunBudget(t *testing.T) {
 	}
 
 	// Success case: generous budget, two work levels.
-	warm, err := NewDownsetSpace(g, 1<<20)
+	warm := newSpace(t, g, 1<<20)
+	if _, err := expandEmpty(warm, 4); err != nil {
+		t.Fatal(err)
+	}
+	warmExps, err := expandEmpty(warm, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm.BeginRun()
-	if _, err := warm.Expansions(warm.EmptyID(), 4); err != nil {
-		t.Fatal(err)
-	}
-	warm.BeginRun()
-	warmExps, err := warm.Expansions(warm.EmptyID(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewDownsetSpace(g, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.BeginRun()
-	freshExps, err := fresh.Expansions(fresh.EmptyID(), 2)
+	fresh := newSpace(t, g, 1<<20)
+	freshExps, err := expandEmpty(fresh, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,37 +269,14 @@ func TestDownsetSpaceRunBudget(t *testing.T) {
 	// Failure case: tiny state budget must trip in the warmed space exactly
 	// as it does in a fresh one, even though the warmed space was filled by
 	// an earlier (also failing) run.
-	warmTiny, err := NewDownsetSpace(g, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmTiny.BeginRun()
-	_, err1 := warmTiny.Expansions(warmTiny.EmptyID(), 8)
-	warmTiny.BeginRun()
-	_, err2 := warmTiny.Expansions(warmTiny.EmptyID(), 6)
-	freshTiny, err := NewDownsetSpace(g, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshTiny.BeginRun()
-	_, err3 := freshTiny.Expansions(freshTiny.EmptyID(), 6)
+	warmTiny := newSpace(t, g, 40)
+	_, err1 := expandEmpty(warmTiny, 8)
+	_, err2 := expandEmpty(warmTiny, 6)
+	_, err3 := expandEmpty(newSpace(t, g, 40), 6)
 	if !errors.Is(err1, ErrStateLimit) {
 		t.Errorf("first warm run error = %v, want ErrStateLimit", err1)
 	}
 	if !reflect.DeepEqual(err2, err3) {
 		t.Errorf("warmed run error %v differs from fresh run error %v", err2, err3)
-	}
-}
-
-// TestDownsetSpaceLegacyTotalCap: without BeginRun the lifetime is a single
-// run, preserving the historical total-cap semantics.
-func TestDownsetSpaceLegacyTotalCap(t *testing.T) {
-	g := mustChain(t, 6)
-	ds, err := NewDownsetSpace(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.AllDownsets(); !errors.Is(err, ErrStateLimit) {
-		t.Fatalf("AllDownsets error = %v, want ErrStateLimit", err)
 	}
 }

@@ -15,8 +15,8 @@ import "sync"
 // depends on the edge volumes and is recomputed per scale — by the exact
 // arithmetic a fresh build would use, so scaled bands are bit-identical to
 // freshly analyzed ones. Both halves are platform- and period-independent and
-// are shared across DPA2D, its transposed variant, DPA2D1D and every period
-// division (see Analysis.Band). The exported structure is immutable after
+// are shared across DPA2D, DPA2D1D and every period division (see
+// Analysis.Band). The exported structure is immutable after
 // construction; the rectangle-convexity verdicts are memoized inside the
 // shared shape under its own lock.
 type Band struct {

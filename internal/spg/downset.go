@@ -48,9 +48,8 @@ var ErrStateLimit = errors.New("spg: admissible-subgraph state limit exceeded")
 // only the interning and expansion memo, which the core's mutex guards, and
 // replay cached enumerations outside it (Run.Expand writes each run's
 // expansions straight into caller-supplied buffers, never copying the
-// memo). The id-keyed methods (Expansions, AllDownsets) charge a lifetime
-// run instead, restarted by BeginRun; without any BeginRun call the whole
-// lifetime is one run, which matches the historical total-cap semantics.
+// memo). Run cursors are the only budget accounting: every enumeration is
+// charged to the run that asked for it.
 //
 // All methods are safe for concurrent use; a Run belongs to one goroutine.
 type DownsetSpace struct {
@@ -66,8 +65,8 @@ type DownsetSpace struct {
 
 // downsetCore is the scale-independent half of a DownsetSpace: interning
 // and expansion enumeration. Run accounting lives in Run cursors, so views
-// sharing a core run concurrently; Run.Expand and DownsetSpace.Expansions
-// replay the enumerations memoized here.
+// sharing a core run concurrently; Run.Expand replays the enumerations
+// memoized here.
 //
 // States live in flat arenas addressed by id so the enumeration inner loop
 // touches no per-state allocations and no hashed containers: the per-level
@@ -112,9 +111,6 @@ type downsetCore struct {
 	// the old map[string]int and its per-lookup key materialization.
 	table []int32
 
-	// life is the run the id-keyed API charges (restarted by BeginRun).
-	life *Run
-
 	// idle holds closed cursors for reuse, so a run's id-indexed tables are
 	// recycled rather than reallocated per Solve. Guarded by idleMu, so
 	// opening a run never waits on another run's interning.
@@ -138,7 +134,7 @@ type downsetCore struct {
 	// list is packed at its exact length out of dfsBuf, the DFS's reused
 	// working buffer.
 	exp    []expEntry
-	dfsBuf []Expansion
+	dfsBuf []expansion
 
 	// dfsSeen deduplicates states within one expansion DFS (stamped with
 	// dfsEpoch, so clearing between enumerations is a counter bump, not a
@@ -162,7 +158,7 @@ type expEntry struct {
 }
 
 // newExpEntry packs an enumeration at its exact length.
-func newExpEntry(maxWork float64, exps []Expansion) expEntry {
+func newExpEntry(maxWork float64, exps []expansion) expEntry {
 	n := len(exps)
 	packed := make([]uint64, n+(n+1)/2)
 	for j, ex := range exps {
@@ -173,9 +169,9 @@ func newExpEntry(maxWork float64, exps []Expansion) expEntry {
 }
 
 // at unpacks expansion j.
-func (e *expEntry) at(j int) Expansion {
+func (e *expEntry) at(j int) expansion {
 	to := int32(e.packed[int(e.n)+j/2] >> (32 * (j & 1)))
-	return Expansion{To: int(to), ChunkWork: math.Float64frombits(e.packed[j])}
+	return expansion{To: int(to), ChunkWork: math.Float64frombits(e.packed[j])}
 }
 
 // Covering-edge sentinels in downsetCore.succ.
@@ -194,31 +190,18 @@ func normalizeStateBudget(maxStates int) int {
 	return maxStates
 }
 
-// Expansion describes one admissible superset reachable from a downset: the
+// expansion describes one admissible superset reachable from a downset: the
 // added chunk is exactly the stage set that a single additional processor of
 // the uni-directional uni-line CMP would execute.
-type Expansion struct {
+type expansion struct {
 	To        int     // id of the superset downset
 	ChunkWork float64 // total weight of the added stages
 }
 
-// NewDownsetSpace prepares downset enumeration for g. maxStates caps the
-// number of distinct downsets a run may touch; enumeration beyond the cap
-// fails with ErrStateLimit.
-func NewDownsetSpace(g *Graph, maxStates int) (*DownsetSpace, error) {
-	return newDownsetSpace(g, Levels(g), maxStates)
-}
-
-// newDownsetSpace is NewDownsetSpace with the elevation levels supplied by
-// the caller (Analysis passes its memoized copy; the space only reads them).
-func newDownsetSpace(g *Graph, levels [][]int, maxStates int) (*DownsetSpace, error) {
-	core, err := newDownsetCore(g, levels, maxStates)
-	if err != nil {
-		return nil, err
-	}
-	return core.viewFor(g), nil
-}
-
+// newDownsetCore prepares downset enumeration for g over its elevation
+// levels (Analysis passes its memoized copy; the core only reads them).
+// maxStates caps the number of distinct downsets a run may touch;
+// enumeration beyond the cap fails with ErrStateLimit.
 func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, error) {
 	maxStates = normalizeStateBudget(maxStates)
 	if maxStates > math.MaxInt32 {
@@ -240,9 +223,6 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 		table:      newInternTable(1 << 8),
 		maxStates:  maxStates,
 	}
-	// The lifetime run starts here, so the constructor's own visits of the
-	// empty and full sets are charged to it.
-	c.life = &Run{core: c, epoch: 1}
 	c.weights = make([][]float64, len(levels))
 	for y, lv := range levels {
 		c.weights[y] = make([]float64, len(lv))
@@ -255,9 +235,13 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	for i := 0; i < n; i++ {
 		c.preds[i] = g.Predecessors(i)
 	}
+	// The empty and full sets are charged to a construction run, as every
+	// Run's begin charges them again: a budget too small for the two fails
+	// here.
+	boot := &Run{core: c, epoch: 1}
 	empty := make([]uint8, len(levels))
 	var err error
-	c.emptyID, err = c.visit(c.life, empty)
+	c.emptyID, err = c.visit(boot, empty)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +249,7 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	for y, lv := range levels {
 		full[y] = uint8(len(lv))
 	}
-	c.fullID, err = c.visit(c.life, full)
+	c.fullID, err = c.visit(boot, full)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +277,7 @@ func (c *downsetCore) viewFor(g *Graph) *DownsetSpace {
 // behaves exactly like a per-run space for each of them.
 type Run struct {
 	core *downsetCore
-	ds   *DownsetSpace // the view NewRun was called on (nil for the lifetime run)
+	ds   *DownsetSpace // the view NewRun was called on
 
 	epoch   int32
 	ids     []int   // run index -> id, in touch order
@@ -375,11 +359,14 @@ func (r *Run) ID(k int) int { return r.ids[k] }
 // volumes of the view the run was opened on.
 func (r *Run) Cout(k int) float64 { return r.ds.Cout(r.ids[k]) }
 
-// Expand is DownsetSpace.Expansions keyed by run indices, replayed into the
-// caller's memory: k is the run index of the source downset; buf(n) must
-// return two slices of length at least n, where n bounds the number of
-// expansions; and Expand returns their prefixes filled in enumeration order
-// with each superset's run index and chunk work. This is the DPA1D entry
+// Expand enumerates every downset obtainable from the downset with run
+// index k by adding stages whose total weight does not exceed maxWork (at
+// least one stage is added), charging the run's budget for each in
+// enumeration order. The lists are replayed into the caller's memory:
+// buf(n) must return two slices of length at least n, where n bounds the
+// number of expansions; and Expand returns their prefixes filled in
+// enumeration order with each superset's run index and chunk work. This is
+// the DPA1D entry
 // point: run indices are dense and identical between fresh and warmed
 // spaces, so the DP can key its tables by them directly, and buf lets it
 // carve the lists from its scratch arena instead of the heap. The core's
@@ -395,7 +382,7 @@ func (r *Run) Expand(k int, maxWork float64, buf func(n int) ([]int32, []float64
 	}
 	to, work := buf(int(entry.n))
 	n := 0
-	err = r.replay(entry, maxWork, func(ex Expansion) {
+	err = r.replay(entry, maxWork, func(ex expansion) {
 		// Every emitted To was just touched, so its run index is current.
 		to[n], work[n] = r.indexOf[ex.To], ex.ChunkWork
 		n++
@@ -404,36 +391,6 @@ func (r *Run) Expand(k int, maxWork float64, buf func(n int) ([]int32, []float64
 		return nil, nil, err
 	}
 	return to[:n], work[:n], nil
-}
-
-// BeginRun restarts the lifetime run the id-keyed methods (Expansions,
-// AllDownsets) charge: the calls that follow may touch up to maxStates
-// distinct downsets, exactly as on a freshly constructed space.
-func (ds *DownsetSpace) BeginRun() {
-	c := ds.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.life.begin()
-}
-
-// EmptyID returns the id of the empty downset.
-func (ds *DownsetSpace) EmptyID() int { return ds.core.emptyID }
-
-// FullID returns the id of the complete stage set.
-func (ds *DownsetSpace) FullID() int { return ds.core.fullID }
-
-// NumStates returns the number of downsets interned so far.
-func (ds *DownsetSpace) NumStates() int {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return len(ds.core.size)
-}
-
-// Size returns the number of stages in downset id.
-func (ds *DownsetSpace) Size(id int) int {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return int(ds.core.size[id])
 }
 
 // countsOf returns downset id's per-level count vector as a window into the
@@ -550,41 +507,15 @@ func (c *downsetCore) visit(r *Run, counts []uint8) (int, error) {
 	return c.intern(r, counts)
 }
 
-// Contains reports whether stage s belongs to downset id.
-func (ds *DownsetSpace) Contains(id, s int) bool {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return ds.core.contains(id, s)
-}
-
-// contains answers membership from the per-state bitset: one word load
-// instead of the level/position translation.
-func (c *downsetCore) contains(id, s int) bool {
-	return hasStage(c.bits[id*c.words:(id+1)*c.words], s)
-}
-
 // hasStage reports whether stage s is set in one state's bitset.
 func hasStage(bits []uint64, s int) bool {
 	return bits[s>>6]>>(uint(s)&63)&1 != 0
 }
 
-// Members returns the stages of downset id in no particular order.
-func (ds *DownsetSpace) Members(id int) []int {
-	c := ds.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int, 0, c.size[id])
-	for y, cnt := range c.countsOf(id) {
-		for p := 0; p < int(cnt); p++ {
-			out = append(out, c.levels[y][p])
-		}
-	}
-	return out
-}
-
 // Diff returns the stages of downset to that are not in downset from. It is
-// only meaningful when from is a subset of to, which holds for ids produced
-// by Expansions.
+// only meaningful when from is a subset of to, which holds for the ids of a
+// run's downset and its expansions (Run.ID of the indices Run.Expand
+// returns).
 func (ds *DownsetSpace) Diff(from, to int) []int {
 	c := ds.core
 	c.mu.Lock()
@@ -627,32 +558,12 @@ func (ds *DownsetSpace) Cout(id int) float64 {
 	return total
 }
 
-// Expansions enumerates every downset obtainable from id by adding stages
-// whose total weight does not exceed maxWork (at least one stage is added).
-// The lifetime run's budget is charged for id and every returned downset, in
-// enumeration order, so replays and fresh enumerations account identically.
-func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error) {
-	c := ds.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	entry, err := c.ensureExpansionsLocked(c.life, id, maxWork)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Expansion, 0, entry.n)
-	err = c.life.replay(entry, maxWork, func(ex Expansion) { out = append(out, ex) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // replay replays a cached enumeration at a (possibly smaller) work budget:
 // it charges the run's budget for every fitting expansion in enumeration
 // order — the exact accounting a fresh DFS would perform, which is what
 // keeps warmed and fresh spaces bit-identical — and hands each one to emit.
 // Entries are immutable once built, so the replay needs no lock.
-func (r *Run) replay(entry expEntry, maxWork float64, emit func(Expansion)) error {
+func (r *Run) replay(entry expEntry, maxWork float64, emit func(expansion)) error {
 	for j := range int(entry.n) {
 		ex := entry.at(j)
 		if ex.ChunkWork > maxWork {
@@ -749,7 +660,7 @@ func (c *downsetCore) ensureExpansionsLocked(r *Run, id int, maxWork float64) (e
 				return
 			}
 			c.dfsSeen[to] = c.dfsEpoch
-			res = append(res, Expansion{To: int(to), ChunkWork: w})
+			res = append(res, expansion{To: int(to), ChunkWork: w})
 			counts[y]++
 			dfs(int(to), w)
 			counts[y]--
@@ -775,43 +686,4 @@ func (c *downsetCore) predsIncluded(counts []uint8, s int) bool {
 		}
 	}
 	return true
-}
-
-// AllDownsets enumerates every downset of the graph (subject to the state
-// cap). It is primarily used by tests and by the exact solver on small
-// instances.
-func (ds *DownsetSpace) AllDownsets() ([]int, error) {
-	c := ds.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// BFS from the empty downset adding one stage at a time.
-	var queue []int
-	queue = append(queue, c.emptyID)
-	visited := map[int]bool{c.emptyID: true}
-	counts := make([]uint8, c.stride)
-	for qi := 0; qi < len(queue); qi++ {
-		id := queue[qi]
-		copy(counts, c.countsOf(id))
-		for y := range counts {
-			p := int(counts[y])
-			if p >= len(c.levels[y]) {
-				continue
-			}
-			s := c.levels[y][p]
-			if !c.predsIncluded(counts, s) {
-				continue
-			}
-			counts[y]++
-			to, err := c.visit(c.life, counts)
-			counts[y]--
-			if err != nil {
-				return nil, err
-			}
-			if !visited[to] {
-				visited[to] = true
-				queue = append(queue, to)
-			}
-		}
-	}
-	return queue, nil
 }

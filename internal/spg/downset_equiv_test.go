@@ -86,10 +86,10 @@ func sameWalk(t *testing.T, label string, got, want walkResult) {
 // sameInternOrder compares the two spaces' lattices id by id.
 func sameInternOrder(t *testing.T, label string, got, want *spg.DownsetSpace) {
 	t.Helper()
-	if got.NumStates() != want.NumStates() {
-		t.Fatalf("%s: %d states interned, want %d", label, got.NumStates(), want.NumStates())
+	if got.InternedCount() != want.InternedCount() {
+		t.Fatalf("%s: %d states interned, want %d", label, got.InternedCount(), want.InternedCount())
 	}
-	for id := 0; id < want.NumStates(); id++ {
+	for id := 0; id < want.InternedCount(); id++ {
 		if g, w := got.CountsOf(id), want.CountsOf(id); !slices.Equal(g, w) {
 			t.Fatalf("%s: id %d interned as %v, want %v", label, id, g, w)
 		}
@@ -98,7 +98,7 @@ func sameInternOrder(t *testing.T, label string, got, want *spg.DownsetSpace) {
 
 func mustSpace(t *testing.T, g *spg.Graph, maxStates int) *spg.DownsetSpace {
 	t.Helper()
-	ds, err := spg.NewDownsetSpace(g, maxStates)
+	ds, err := spg.NewAnalysis(g).DownsetSpace(maxStates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +292,10 @@ func TestDownsetSpaceRejectsBudgetBeyondInt32(t *testing.T) {
 		t.Fatal(err)
 	}
 	beyond := int64(math.MaxInt32) + 1
-	if _, err := spg.NewDownsetSpace(g, int(beyond)); err == nil {
-		t.Fatal("NewDownsetSpace accepted a state budget beyond the int32 id range")
+	if _, err := spg.NewAnalysis(g).DownsetSpace(int(beyond)); err == nil {
+		t.Fatal("DownsetSpace accepted a state budget beyond the int32 id range")
 	}
-	if _, err := spg.NewDownsetSpace(g, math.MaxInt32); err != nil {
-		t.Fatalf("NewDownsetSpace rejected the largest int32 budget: %v", err)
+	if _, err := spg.NewAnalysis(g).DownsetSpace(math.MaxInt32); err != nil {
+		t.Fatalf("DownsetSpace rejected the largest int32 budget: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ func (r *Run) ReferenceExpand(k int, maxWork float64) ([]int32, []float64, error
 	}
 	var to []int32
 	var work []float64
-	err = r.replay(entry, maxWork, func(ex Expansion) {
+	err = r.replay(entry, maxWork, func(ex expansion) {
 		to = append(to, r.indexOf[ex.To])
 		work = append(work, ex.ChunkWork)
 	})
@@ -27,6 +27,14 @@ func (r *Run) ReferenceExpand(k int, maxWork float64) ([]int32, []float64, error
 		return nil, nil, err
 	}
 	return to, work, nil
+}
+
+// InternedCount returns the number of downsets interned in the space's
+// lattice so far, by every run together.
+func (ds *DownsetSpace) InternedCount() int {
+	ds.core.mu.Lock()
+	defer ds.core.mu.Unlock()
+	return len(ds.core.size)
 }
 
 // CountsOf returns a copy of downset id's per-level count vector: the
@@ -71,7 +79,7 @@ func (c *downsetCore) referenceExpansionsLocked(r *Run, id int, maxWork float64)
 	}
 	c.dfsEpoch++
 	c.dfsSeen[id] = c.dfsEpoch
-	var res []Expansion
+	var res []expansion
 	var err error
 	var dfs func(work float64)
 	dfs = func(work float64) {
@@ -104,7 +112,7 @@ func (c *downsetCore) referenceExpansionsLocked(r *Run, id int, maxWork float64)
 					return
 				}
 				c.dfsSeen[to] = c.dfsEpoch
-				res = append(res, Expansion{To: to, ChunkWork: w})
+				res = append(res, expansion{To: to, ChunkWork: w})
 				dfs(w)
 				if err != nil {
 					counts[y]--

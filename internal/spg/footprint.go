@@ -217,7 +217,7 @@ func (s *bandShape) footprint() int64 {
 }
 
 // footprint estimates the interned lattice: the flat count/bitset arenas,
-// the covering-edge table, the open-addressed intern table, retained run
+// the covering-edge table, the open-addressed intern table, idle run
 // cursors and the memoized expansion enumerations. This is the dominant term on large-elevation workloads (a
 // 150k-state space with its enumerations runs to hundreds of MB), which is
 // exactly why the campaign cache re-estimates footprints as spaces grow.
@@ -230,10 +230,8 @@ func (c *downsetCore) footprint() int64 {
 	// intern table slots.
 	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.succ))*4 + int64(cap(c.table))*4
 	// size and dfsSeen (int32 each), plus the id-indexed tables of the
-	// retained run cursors (the lifetime run and the idle ones kept for
-	// reuse).
+	// idle run cursors kept for reuse.
 	b += states * 2 * 4
-	b += c.life.footprint()
 	c.idleMu.Lock()
 	for _, r := range c.idle {
 		b += r.footprint()

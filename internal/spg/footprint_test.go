@@ -55,8 +55,7 @@ func TestMemoryFootprintGrowsWithStructures(t *testing.T) {
 
 	// Enumeration keeps interning states: the estimate must track growth,
 	// which is why the cache re-estimates on every hit.
-	ds.BeginRun()
-	if _, err := ds.Expansions(ds.EmptyID(), 1e18); err != nil {
+	if _, err := expandEmpty(ds, 1e18); err != nil {
 		t.Fatal(err)
 	}
 	afterEnum := an.MemoryFootprint()
@@ -64,7 +63,7 @@ func TestMemoryFootprintGrowsWithStructures(t *testing.T) {
 		t.Errorf("enumeration did not grow the footprint: %d -> %d", afterSpace, afterEnum)
 	}
 	// Each interned state carries one covering-edge slot per level.
-	if edges := int64(4 * ds.core.stride * ds.NumStates()); afterEnum-afterSpace < edges {
+	if edges := int64(4 * ds.core.stride * ds.InternedCount()); afterEnum-afterSpace < edges {
 		t.Errorf("enumeration grew the footprint by %d, less than its %d bytes of covering edges", afterEnum-afterSpace, edges)
 	}
 }

@@ -56,10 +56,6 @@ type Graph struct {
 	in  [][]int // in[i] = indices into Edges entering stage i
 }
 
-// NewGraph returns an empty graph. Most callers should use Primitive, Chain
-// or the composition functions instead.
-func NewGraph() *Graph { return &Graph{} }
-
 // Primitive returns the smallest SPG: two stages connected by one edge, with
 // the given stage weights and edge volume. The source is labelled (1,1) and
 // the sink (2,1).

@@ -141,27 +141,33 @@ func checkScaledAgreement(t *testing.T, g *Graph, target float64) {
 	if derr1 != nil {
 		return
 	}
+	// Runs on both spaces must list the same run indices and chunk works,
+	// and every touched downset (the full set included) the same members
+	// and cut volume.
 	maxWork := g.TotalWork() / 3
-	ds1.BeginRun()
-	exps1, eerr1 := ds1.Expansions(ds1.EmptyID(), maxWork)
-	ds2.BeginRun()
-	exps2, eerr2 := ds2.Expansions(ds2.EmptyID(), maxWork)
+	run1, run2 := ds1.NewRun(), ds2.NewRun()
+	defer run1.Close()
+	defer run2.Close()
+	buf := func(n int) ([]int32, []float64) { return make([]int32, n), make([]float64, n) }
+	idx1, cw1, eerr1 := run1.Expand(0, maxWork, buf)
+	idx2, cw2, eerr2 := run2.Expand(0, maxWork, buf)
 	if !sameErr(eerr1, eerr2) {
-		t.Fatalf("target %g: Expansions err %v != fresh %v", target, eerr1, eerr2)
+		t.Fatalf("target %g: Expand err %v != fresh %v", target, eerr1, eerr2)
 	}
-	if eerr1 == nil {
-		if !reflect.DeepEqual(expansionSet(ds1, exps1), expansionSet(ds2, exps2)) {
-			t.Fatalf("target %g: expansion sets differ between scaled view and fresh space", target)
-		}
-		for _, ex := range exps1 {
-			if math.Float64bits(ds1.Cout(ex.To)) != math.Float64bits(ds2.Cout(ex.To)) {
-				t.Fatalf("target %g: Cout(%v) %.17g != fresh %.17g",
-					target, ds1.Members(ex.To), ds1.Cout(ex.To), ds2.Cout(ex.To))
-			}
-		}
+	if !reflect.DeepEqual(idx1, idx2) || !reflect.DeepEqual(cw1, cw2) {
+		t.Fatalf("target %g: expansions differ between scaled view and fresh space", target)
 	}
-	if math.Float64bits(ds1.Cout(ds1.FullID())) != math.Float64bits(ds2.Cout(ds2.FullID())) {
-		t.Fatalf("target %g: full-set Cout mismatch", target)
+	if run1.Count() != run2.Count() {
+		t.Fatalf("target %g: runs touched %d and %d downsets", target, run1.Count(), run2.Count())
+	}
+	for k := 0; k < run1.Count(); k++ {
+		m1, m2 := members(ds1, run1.ID(k)), members(ds2, run2.ID(k))
+		if !reflect.DeepEqual(m1, m2) {
+			t.Fatalf("target %g: run index %d holds %v, fresh %v", target, k, m1, m2)
+		}
+		if math.Float64bits(run1.Cout(k)) != math.Float64bits(run2.Cout(k)) {
+			t.Fatalf("target %g: Cout(%v) %.17g != fresh %.17g", target, m1, run1.Cout(k), run2.Cout(k))
+		}
 	}
 }
 
@@ -202,8 +208,7 @@ func TestScaledAnalysisBudgetEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseDS.BeginRun()
-	_, warmErr := baseDS.Expansions(baseDS.EmptyID(), 8)
+	_, warmErr := expandEmpty(baseDS, 8)
 	if !errors.Is(warmErr, ErrStateLimit) {
 		t.Fatalf("warming run error = %v, want ErrStateLimit", warmErr)
 	}
@@ -217,8 +222,7 @@ func TestScaledAnalysisBudgetEpochs(t *testing.T) {
 	if scaledDS == baseDS {
 		t.Fatal("sibling scales must hold distinct views")
 	}
-	scaledDS.BeginRun()
-	_, gotErr := scaledDS.Expansions(scaledDS.EmptyID(), 6)
+	_, gotErr := expandEmpty(scaledDS, 6)
 
 	freshG, fresh := freshScaled(g, 0.5)
 	_ = freshG
@@ -226,8 +230,7 @@ func TestScaledAnalysisBudgetEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshDS.BeginRun()
-	_, wantErr := freshDS.Expansions(freshDS.EmptyID(), 6)
+	_, wantErr := expandEmpty(freshDS, 6)
 	if !sameErr(gotErr, wantErr) {
 		t.Fatalf("warmed sibling run error %v differs from fresh run error %v", gotErr, wantErr)
 	}
@@ -237,16 +240,14 @@ func TestScaledAnalysisBudgetEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigBase.BeginRun()
-	if _, err := bigBase.Expansions(bigBase.EmptyID(), 8); err != nil {
+	if _, err := expandEmpty(bigBase, 8); err != nil {
 		t.Fatal(err)
 	}
 	bigScaled, err := scaled.DownsetSpace(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigScaled.BeginRun()
-	got, err := bigScaled.Expansions(bigScaled.EmptyID(), 4)
+	got, err := expandEmpty(bigScaled, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +255,7 @@ func TestScaledAnalysisBudgetEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshBig.BeginRun()
-	want, err := freshBig.Expansions(freshBig.EmptyID(), 4)
+	want, err := expandEmpty(freshBig, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestScaleToCCREviction(t *testing.T) {
 	if ds2 == ds {
 		t.Fatal("eviction did not drop the view")
 	}
-	if ds2.NumStates() != 2 {
-		t.Fatalf("post-eviction space has %d interned states, want a fresh core with 2", ds2.NumStates())
+	if n := ds2.InternedCount(); n != 2 {
+		t.Fatalf("post-eviction space has %d interned states, want a fresh core with 2", n)
 	}
 }
