@@ -206,7 +206,7 @@ func BenchmarkSelectPeriodSweep(b *testing.B) {
 		base := spg.NewAnalysis(baseG)
 		for ci, ccr := range []float64{a.CCR, 10, 1, 0.1} {
 			an := base.ScaleToCCR(ccr)
-			experiments.SelectPeriodAnalyzed(an, pl, int64(1+ci))
+			experiments.SelectPeriod(an, pl, int64(1+ci))
 		}
 	}
 }
@@ -247,7 +247,7 @@ func BenchmarkSelectPeriod(b *testing.B) {
 	pl := platform.XScale(4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.SelectPeriod(g, pl, 1)
+		experiments.SelectPeriod(spg.NewAnalysis(g), pl, 1)
 	}
 }
 

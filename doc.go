@@ -20,6 +20,8 @@
 //	internal/engine      the campaign engine: deterministic cells, pluggable
 //	                     executors, the campaign-scope AnalysisCache
 //	internal/experiments the Section 6 evaluation campaigns (engine adapters)
+//	                     and the one workload-to-cell lowering
+//	internal/workload    the command-line -workload/-grid text parser
 //	internal/service     the HTTP/JSON mapping service (cmd/spgserve)
 //	internal/chaos       deterministic fault injection for the cluster paths
 //	internal/benchfmt    the spgcmp-bench/v1 schema all BENCH_* CI artifacts carry
@@ -100,8 +102,8 @@
 // alongside it. Verdicts from runs that did reject a state stay with their
 // member.
 //
-// Layer 3 — campaign scope. engine.AnalysisCache (re-exported as
-// experiments.AnalysisCache) is a bounded, workload-identity-keyed LRU
+// Layer 3 — campaign scope. engine.AnalysisCache is a bounded,
+// workload-identity-keyed LRU
 // carrying whole analyses across campaign runs: repeated sweeps over the
 // same suite — the long-running mapping-service pattern the ROADMAP aims at
 // — skip workload synthesis and analysis entirely. Retention is bounded by
@@ -235,11 +237,16 @@
 // which WorkloadSpec.Build (StreamIt name / random-SPG parameters / inline
 // SPG) rebuilds the seeded instance — executed through a
 // pluggable Executor with the campaign cache threaded through, and folded
-// by order-independent reducers over the indexed results. RunStreamIt,
-// RunRandom and SelectPeriod are thin adapters over it (cell enumeration
-// plus a reducer each), and the equivalence suite proves engine-run
-// campaigns bit-identical to the pre-engine loops for every (app, CCR,
-// period, heuristic) cell at any worker count, cached or not.
+// by order-independent reducers over the indexed results. RunStreamIt and
+// RunRandom are thin adapters over it (cell enumeration plus a reducer
+// each), and the equivalence suite proves engine-run campaigns
+// bit-identical to the pre-engine loops for every (app, CCR, period,
+// heuristic) cell at any worker count, cached or not. A workload has one
+// vocabulary: experiments.WorkloadCell lowers a /v1/map workload onto its
+// cell, the command-line tools reach it through workload.Parse and
+// experiments.FlagCell (chain: and file: become inline graphs), and every
+// tool builds its analysis with CellSpec.Analyze, so spgmap, spggen and
+// ilpgen solve the graph a campaign cell and /v1/map solve.
 //
 // Two executors implement the seam. PoolExecutor runs cells on an
 // in-process worker pool, one solver arena per worker. engine.Run hands it

@@ -13,6 +13,7 @@ import (
 
 	"spgcmp/internal/experiments"
 	"spgcmp/internal/platform"
+	"spgcmp/internal/spg"
 	"spgcmp/internal/streamit"
 )
 
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ir, ok := experiments.SelectPeriod(g, pl, int64(app.Index))
+		ir, ok := experiments.SelectPeriod(spg.NewAnalysis(g), pl, int64(app.Index))
 		if !ok {
 			fmt.Printf("%-16s %4d %5d %5d  infeasible at 1 s\n", app.Name, app.N, app.YMax, app.XMax)
 			continue

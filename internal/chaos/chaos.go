@@ -111,15 +111,6 @@ type Transport struct {
 	events  []Event // guarded by mu
 }
 
-// Events returns a copy of every injected fault so far, in injection order.
-func (t *Transport) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
 // Injected returns how many faults have been injected so far.
 func (t *Transport) Injected() int {
 	t.mu.Lock()

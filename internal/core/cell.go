@@ -20,15 +20,6 @@ type CellOutcome struct {
 	Mapping *mapping.WireMapping `json:"mapping,omitempty"`
 }
 
-// SolveCell runs every heuristic of AllWith(o) on the instance and returns
-// one outcome per heuristic, in the paper's presentation order. It is the
-// eager form of CellSolver: an analysis cache attached to inst is reused by
-// all heuristics (callers that solve a workload more than once should attach
-// one with NewInstance or Instance.Analyzed).
-func SolveCell(inst Instance, o Options) []CellOutcome {
-	return NewCellSolver(inst, o).Complete()
-}
-
 // costOrder is the order in which a CellSolver runs the heuristics of
 // AllWith, as indexes into that list: Random, Greedy, DPA2D1D, DPA2D, DPA1D,
 // cheapest first. Every heuristic is a pure function of (instance, options),

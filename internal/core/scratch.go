@@ -218,7 +218,7 @@ func (a *arena[T]) resetClear() {
 }
 
 // scratchPool serves call paths without a dedicated worker arena (direct
-// SolveCell calls, Dispatcher fallbacks): GetScratch borrows an arena,
+// CellSolver calls, Dispatcher fallbacks): GetScratch borrows an arena,
 // PutScratch resets and returns it.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 

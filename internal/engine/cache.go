@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -129,39 +128,6 @@ func (c *AnalysisCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Keys returns the keys of every completed cached workload outside the
-// probation window, sorted — how the affinity tests (and operators)
-// inspect which workload families a worker's cache actually holds.
-func (c *AnalysisCache) Keys() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	var keys []string
-	for k, e := range c.entries {
-		if e.done.Load() {
-			keys = append(keys, k)
-		}
-	}
-	c.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// Purge drops every cached workload.
-func (c *AnalysisCache) Purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
-	c.lru.Init()
-	c.totalBytes = 0
-	c.probation = make(map[string]*cacheEntry)
-	c.window.Init()
 }
 
 // CacheStats is a point-in-time snapshot of the cache, as served by the

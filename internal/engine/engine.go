@@ -240,16 +240,13 @@ func solveCell(i int, cell Cell, resolve func(Cell) (*spg.Analysis, error)) Cell
 // outcomes carry scalars and wire-form copies only).
 func solveCellScratch(i int, cell Cell, resolve func(Cell) (*spg.Analysis, error), sc *core.Scratch) CellResult {
 	r := CellResult{Index: i, Key: cell.Spec.Key}
-	an, err := resolve(cell)
+	base, err := resolve(cell)
 	if err != nil {
 		r.Err = err
 		return r
 	}
-	if cell.Spec.ScaleCCR {
-		an = an.ScaleToCCR(cell.Spec.CCR)
-	}
 	pl := platform.XScale(cell.Spec.P, cell.Spec.Q)
-	r.Result, r.Feasible = selectPeriodDivisionsScratch(an, pl, cell.Spec.Opts, cell.Spec.maxDivisions(), sc)
+	r.Result, r.Feasible = selectPeriodDivisionsScratch(cell.Spec.member(base), pl, cell.Spec.Opts, cell.Spec.maxDivisions(), sc)
 	return r
 }
 

@@ -141,18 +141,6 @@ func (s *ResultStore) Len() int {
 	return len(s.entries)
 }
 
-// Purge drops every stored outcome (counters are retained).
-func (s *ResultStore) Purge() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries = make(map[string]*storeEntry)
-	s.lru.Init()
-	s.totalBytes = 0
-}
-
 // Get returns the answer stored under key, as stored: callers share its
 // immutable bytes. A disabled store always misses without counting.
 func (s *ResultStore) Get(key string) (StoredAnswer, bool) {

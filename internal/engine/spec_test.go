@@ -77,12 +77,17 @@ func stripInline(s CellSpec) CellSpec {
 
 // TestSpecValidate: malformed specs are rejected without building anything.
 func TestSpecValidate(t *testing.T) {
-	ok := CellSpec{Key: "k", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, ok := range []CellSpec{
+		{Key: "k", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2},
+		{Key: "largest-random", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxRandomStages, Elevation: 1}}, P: 2, Q: 2},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("%s: valid spec rejected: %v", ok.Key, err)
+		}
 	}
 	bad := []CellSpec{
 		{Key: "no-workload", P: 2, Q: 2},
+		{Key: "random-over-limit", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxRandomStages + 1, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "two-variants", Workload: WorkloadSpec{StreamIt: "FFT", Random: &RandomWorkload{N: 5, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "bad-grid", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 0, Q: 2},
 	}

@@ -29,8 +29,8 @@ func checkInstanceEquivalence(t *testing.T, name string, shared core.Instance, u
 	t.Helper()
 	pl := shared.Platform
 	for _, T := range []float64{1.0, 0.1, 0.01} {
-		cached := Heuristics(seed)
-		fresh := Heuristics(seed)
+		cached := core.AllWith(campaignOptions(seed))
+		fresh := core.AllWith(campaignOptions(seed))
 		for i, h := range cached {
 			solC, errC := h.Solve(shared.WithPeriod(T))
 			solU, errU := fresh[i].Solve(core.Instance{Graph: uncachedG, Platform: pl, Period: T})

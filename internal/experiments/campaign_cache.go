@@ -5,15 +5,10 @@ import (
 	"spgcmp/internal/streamit"
 )
 
-// AnalysisCache is the campaign-scope analysis cache, now owned by the
-// engine (it is threaded through every executor); the name is kept here
-// because the experiment entry points are where callers meet it.
-type AnalysisCache = engine.AnalysisCache
-
 // NewAnalysisCache returns a cache retaining at most capacity workload
 // analyses. A capacity <= 0 disables caching: Get degenerates to calling
 // build.
-func NewAnalysisCache(capacity int) *AnalysisCache {
+func NewAnalysisCache(capacity int) *engine.AnalysisCache {
 	return engine.NewAnalysisCache(capacity)
 }
 
@@ -24,7 +19,7 @@ func NewAnalysisCache(capacity int) *AnalysisCache {
 var defaultCache = NewAnalysisCache(512)
 
 // DefaultAnalysisCache returns the process-wide campaign cache.
-func DefaultAnalysisCache() *AnalysisCache { return defaultCache }
+func DefaultAnalysisCache() *engine.AnalysisCache { return defaultCache }
 
 // streamItKey identifies a StreamIt workload's base (pre-CCR-scaling)
 // analysis; the CCR variants hang off it as scale-family members. It

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spgcmp/internal/core"
+	"spgcmp/internal/engine"
 	"spgcmp/internal/platform"
 	"spgcmp/internal/spg"
 	"spgcmp/internal/streamit"
@@ -67,7 +68,7 @@ func referenceStreamIt(t *testing.T, p, q int, apps []streamit.App, seed int64) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ir, _ := SelectPeriod(g, platform.XScale(p, q), seed+int64(i))
+		ir, _ := SelectPeriod(spg.NewAnalysis(g), platform.XScale(p, q), seed+int64(i))
 		res.Cells[i] = StreamItCell{App: v.app, CCRLabel: v.label, Result: ir}
 	}
 	return res
@@ -239,7 +240,7 @@ func TestAnalysisCacheBehavior(t *testing.T) {
 	}
 
 	// Disabled modes build every time.
-	for _, dc := range []*AnalysisCache{nil, NewAnalysisCache(0)} {
+	for _, dc := range []*engine.AnalysisCache{nil, NewAnalysisCache(0)} {
 		n := 0
 		for i := 0; i < 3; i++ {
 			if _, err := dc.Get("x", func() (*spg.Analysis, error) { n++; return mk() }); err != nil {

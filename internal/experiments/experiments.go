@@ -7,10 +7,11 @@
 // each campaign is a cell enumeration (StreamItCells, RandomCells) handed to
 // internal/engine for execution plus a deterministic, order-independent
 // reducer (ReduceStreamIt, ReduceRandom) folding the indexed cell results
-// into the paper's tables. The legacy entry points — RunStreamIt, RunRandom,
-// SelectPeriod — keep their exact signatures and bit-identical results; the
-// engine is the seam that also serves the HTTP mapping service and, later,
-// distributed shard runners.
+// into the paper's tables. RunStreamIt and RunRandom keep the results of
+// the pre-engine loops bit for bit. WorkloadCell is the one lowering of a
+// named workload onto its cell, shared by the HTTP mapping service and the
+// command-line tools (FlagCell), so every surface solves the graph the
+// campaigns solve.
 package experiments
 
 import (
@@ -42,34 +43,13 @@ func campaignOptions(seed int64) core.Options {
 	return core.Options{Seed: seed, DPA1DMaxStates: 60_000}
 }
 
-// Heuristics returns the heuristic set used by the experiment campaigns (see
-// campaignOptions).
-func Heuristics(seed int64) []core.Heuristic {
-	return core.AllWith(campaignOptions(seed))
-}
-
-// SelectPeriod implements the protocol of Section 6.1.3: start at T = 1 s,
-// iteratively divide the period by 10 while at least one heuristic still
-// succeeds, and retain the last period before total failure, together with
-// the heuristic outcomes at that period. ok is false when every heuristic
-// already fails at 1 s.
-//
-// One analysis cache is built per workload and shared across all heuristics
-// and all period divisions: validation, reachability, level and band
-// structures and the interned downset space are computed once instead of
-// once per (heuristic, period) pair.
-func SelectPeriod(g *spg.Graph, pl *platform.Platform, seed int64) (engine.InstanceResult, bool) {
-	return SelectPeriodAnalyzed(spg.NewAnalysis(g), pl, seed)
-}
-
-// SelectPeriodAnalyzed is SelectPeriod over a pre-built (possibly shared)
-// analysis: campaigns pass scale-family members and campaign-cache hits here
-// so the protocol starts from whatever structures earlier runs on the same
-// workload family already built. The analysis is only read through its
-// concurrency-safe accessors, so one analysis may serve several concurrent
-// calls. It is engine.SelectPeriod under the campaign heuristic
-// configuration.
-func SelectPeriodAnalyzed(an *spg.Analysis, pl *platform.Platform, seed int64) (engine.InstanceResult, bool) {
+// SelectPeriod implements the protocol of Section 6.1.3 under the campaign
+// heuristic configuration: start at T = 1 s, divide the period by 10 while
+// at least one heuristic still succeeds, and return the last period before
+// total failure with the outcomes there; ok is false when every heuristic
+// already fails at 1 s. The analysis is shared by every heuristic and
+// division, and may serve concurrent calls.
+func SelectPeriod(an *spg.Analysis, pl *platform.Platform, seed int64) (engine.InstanceResult, bool) {
 	return engine.SelectPeriod(an, pl, campaignOptions(seed))
 }
 

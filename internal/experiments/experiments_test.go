@@ -9,6 +9,7 @@ import (
 	"spgcmp/internal/engine"
 	"spgcmp/internal/platform"
 	"spgcmp/internal/randspg"
+	"spgcmp/internal/spg"
 	"spgcmp/internal/streamit"
 )
 
@@ -16,7 +17,7 @@ import (
 // configuration. The instance's analysis cache (when attached) is shared by
 // all five heuristics.
 func runAll(inst core.Instance, seed int64) []engine.Outcome {
-	return core.SolveCell(inst, campaignOptions(seed))
+	return core.NewCellSolver(inst, campaignOptions(seed)).Complete()
 }
 
 // TestSelectPeriodProtocol: the selected period must admit at least one
@@ -27,7 +28,7 @@ func TestSelectPeriodProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := platform.XScale(4, 4)
-	ir, ok := SelectPeriod(g, pl, 1)
+	ir, ok := SelectPeriod(spg.NewAnalysis(g), pl, 1)
 	if !ok {
 		t.Fatal("no heuristic succeeded at T=1s on an easy instance")
 	}
@@ -155,7 +156,7 @@ func TestCCRLabel(t *testing.T) {
 }
 
 func TestHeuristicsSetMatchesNames(t *testing.T) {
-	hs := Heuristics(1)
+	hs := core.AllWith(campaignOptions(1))
 	if len(hs) != len(HeuristicNames) {
 		t.Fatalf("%d heuristics for %d names", len(hs), len(HeuristicNames))
 	}

@@ -18,7 +18,7 @@ func TestSelectPeriodInfeasibleAtOneSecond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, ok := SelectPeriod(g, platform.XScale(4, 4), 1)
+	ir, ok := SelectPeriod(spg.NewAnalysis(g), platform.XScale(4, 4), 1)
 	if ok {
 		t.Fatal("SelectPeriod reported success on an infeasible instance")
 	}
@@ -45,7 +45,7 @@ func TestSelectPeriodMaxDivisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, ok := SelectPeriod(g, platform.XScale(4, 4), 1)
+	ir, ok := SelectPeriod(spg.NewAnalysis(g), platform.XScale(4, 4), 1)
 	if !ok {
 		t.Fatal("SelectPeriod failed on a trivially feasible instance")
 	}

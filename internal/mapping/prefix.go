@@ -155,6 +155,3 @@ func (a *PrefixAccount) Peers(c int) []int32 { return a.peers[c] }
 // Volume returns the total volume between clusters d < c, both directions
 // aggregated: the factor PlaceExtra multiplies the pair's hop excess by.
 func (a *PrefixAccount) Volume(d, c int) float64 { return a.vol[d*a.k+c] }
-
-// Work returns cluster c's total work under the current partition.
-func (a *PrefixAccount) Work(c int) float64 { return a.works[c] }

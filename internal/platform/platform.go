@@ -7,7 +7,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -112,9 +111,6 @@ func (pl *Platform) NumCores() int { return pl.P * pl.Q }
 // MaxSpeed returns the fastest available speed.
 func (pl *Platform) MaxSpeed() float64 { return pl.Speeds[len(pl.Speeds)-1] }
 
-// MinSpeed returns the slowest available speed.
-func (pl *Platform) MinSpeed() float64 { return pl.Speeds[0] }
-
 // InBounds reports whether c is a valid core of the grid.
 func (pl *Platform) InBounds(c Core) bool {
 	return c.U >= 0 && c.U < pl.P && c.V >= 0 && c.V < pl.Q
@@ -127,36 +123,6 @@ func (pl *Platform) Adjacent(a, b Core) bool {
 	}
 	du, dv := a.U-b.U, a.V-b.V
 	return (du == 0 && (dv == 1 || dv == -1)) || (dv == 0 && (du == 1 || du == -1))
-}
-
-// Links enumerates every directed link of the grid.
-func (pl *Platform) Links() []Link {
-	var links []Link
-	for u := 0; u < pl.P; u++ {
-		for v := 0; v < pl.Q; v++ {
-			c := Core{u, v}
-			if u+1 < pl.P {
-				d := Core{u + 1, v}
-				links = append(links, Link{c, d}, Link{d, c})
-			}
-			if v+1 < pl.Q {
-				d := Core{u, v + 1}
-				links = append(links, Link{c, d}, Link{d, c})
-			}
-		}
-	}
-	return links
-}
-
-// SpeedIndex returns the index of speed s in Speeds, or -1 if s is not an
-// available speed (within a small tolerance).
-func (pl *Platform) SpeedIndex(s float64) int {
-	for i, v := range pl.Speeds {
-		if math.Abs(v-s) <= 1e-12*math.Max(1, v) {
-			return i
-		}
-	}
-	return -1
 }
 
 // MinFeasibleSpeed returns the slowest speed able to process the given work

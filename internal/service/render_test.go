@@ -73,13 +73,13 @@ func oracleRender(code int, v any) rendered {
 
 // oracleSolve solves the cell a /v1/map request body names, on its own
 // analysis cache.
-func oracleSolve(t *testing.T, srv *Server, body string, cache *engine.AnalysisCache) engine.CellResult {
+func oracleSolve(t *testing.T, body string, cache *engine.AnalysisCache) engine.CellResult {
 	t.Helper()
 	var req mapRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	cell, err := srv.cellFor(req.Workload, req.P, req.Q, req.Seed)
+	cell, err := req.Workload.cell(req.P, req.Q, req.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMapRenderingMatchesOracle(t *testing.T) {
 	var batch []string
 	var want []oracleMapResponse
 	for _, body := range bodies {
-		res := oracleSolve(t, on, body, oracleCache)
+		res := oracleSolve(t, body, oracleCache)
 		ref := oracleMap(res)
 		requireRendered(t, "cold "+body, serve(hOn, "/v1/map", body), ref)
 		requireRendered(t, "warm "+body, serve(hOn, "/v1/map", body), ref)
@@ -178,7 +178,7 @@ func serveCoalesced(t *testing.T, srv *Server, body string) rendered {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	cell, err := srv.cellFor(req.Workload, req.P, req.Q, req.Seed)
+	cell, err := req.Workload.cell(req.P, req.Q, req.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,21 +325,17 @@ type workersResponse struct {
 // workloadRef names one workload in a /v1/map request: exactly one of
 // StreamIt (a Table 1 application name, optionally rescaled to CCR; 0 keeps
 // the original) or Random (a seeded random SPG). It is the request shape
-// only — resolution lowers it onto an engine.Cell (whose engine.WorkloadSpec
-// is the declarative wire identity used across the cluster).
+// only — experiments.WorkloadCell lowers it onto an engine.Cell, the same
+// lowering the command-line tools use.
 type workloadRef struct {
-	StreamIt string     `json:"streamit,omitempty"`
-	CCR      float64    `json:"ccr,omitempty"`
-	Random   *randomRef `json:"random,omitempty"`
+	StreamIt string                 `json:"streamit,omitempty"`
+	CCR      float64                `json:"ccr,omitempty"`
+	Random   *engine.RandomWorkload `json:"random,omitempty"`
 }
 
-// randomRef identifies one generated random SPG; the same values always
-// regenerate the identical graph.
-type randomRef struct {
-	N         int     `json:"n"`
-	Elevation int     `json:"elevation"`
-	Seed      int64   `json:"seed"`
-	CCR       float64 `json:"ccr"`
+// cell resolves the workload to its engine cell on a p x q grid.
+func (w workloadRef) cell(p, q int, seed int64) (engine.Cell, error) {
+	return experiments.WorkloadCell(engine.WorkloadSpec{StreamIt: w.StreamIt, Random: w.Random}, w.CCR, p, q, seed)
 }
 
 type mapRequest struct {
@@ -524,41 +520,6 @@ func (s *Server) checkGrid(p, q int) error {
 	return nil
 }
 
-// cellFor resolves a workload spec to its engine cell.
-func (s *Server) cellFor(spec workloadRef, p, q int, seed int64) (engine.Cell, error) {
-	switch {
-	case spec.StreamIt != "" && spec.Random != nil:
-		return engine.Cell{}, fmt.Errorf("workload names both streamit and random")
-	case spec.StreamIt != "":
-		a, err := streamit.ByName(spec.StreamIt)
-		if err != nil {
-			return engine.Cell{}, err
-		}
-		ccr := spec.CCR
-		if ccr == 0 {
-			ccr = a.CCR
-		}
-		if ccr < 0 {
-			return engine.Cell{}, fmt.Errorf("ccr %g is negative", ccr)
-		}
-		return experiments.NewStreamItCell(a, ccr, p, q, seed), nil
-	case spec.Random != nil:
-		rw := spec.Random
-		if rw.N < 2 {
-			return engine.Cell{}, fmt.Errorf("random workload needs n >= 2, got %d", rw.N)
-		}
-		if rw.Elevation < 1 {
-			return engine.Cell{}, fmt.Errorf("random workload needs elevation >= 1, got %d", rw.Elevation)
-		}
-		if rw.CCR < 0 {
-			return engine.Cell{}, fmt.Errorf("ccr %g is negative", rw.CCR)
-		}
-		return experiments.NewRandomCell(rw.N, rw.Elevation, rw.Seed, rw.CCR, p, q), nil
-	default:
-		return engine.Cell{}, fmt.Errorf("workload names neither streamit nor random")
-	}
-}
-
 // maxSpecBytes is the per-spec allowance of a /v1/cells/execute body: the
 // body may hold MaxCampaignCells specs of this size. StreamIt and random
 // specs measure under 300 bytes; the bound is on the whole body, so a short
@@ -698,6 +659,10 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if c.N < 2 {
 			writeError(w, http.StatusBadRequest, "bad request: random campaign needs n >= 2, got %d", c.N)
+			return
+		}
+		if c.N > engine.MaxRandomStages {
+			writeError(w, http.StatusBadRequest, "bad request: random campaign needs n <= %d, got %d", engine.MaxRandomStages, c.N)
 			return
 		}
 		cfg := experiments.RandomConfig{

@@ -179,6 +179,7 @@ func TestMapErrors(t *testing.T) {
 		{"bad grid", `{"workload":{"streamit":"DCT"},"p":0,"q":2}`, http.StatusBadRequest},
 		{"huge grid", `{"workload":{"streamit":"DCT"},"p":64,"q":64}`, http.StatusBadRequest},
 		{"bad random n", `{"workload":{"random":{"n":1,"elevation":1}},"p":2,"q":2}`, http.StatusBadRequest},
+		{"random n over limit", `{"workload":{"random":{"n":2001,"elevation":1}},"p":2,"q":2}`, http.StatusBadRequest},
 		// 50 stages of >= 0.01 Gcycles on a single 1 GHz core cannot meet
 		// the 1 s starting period: infeasible, not a request error.
 		{"infeasible", `{"workload":{"random":{"n":50,"elevation":1,"seed":3,"ccr":1}},"p":1,"q":1,"seed":1}`, http.StatusUnprocessableEntity},
@@ -332,6 +333,8 @@ func TestCampaignErrors(t *testing.T) {
 		{"bad grid", `{"streamit":{"p":0,"q":2}}`},
 		{"bad elevation range", `{"random":{"n":10,"p":2,"q":2,"ccr":1,"min_elevation":5,"max_elevation":2}}`},
 		{"too many cells", `{"random":{"n":10,"p":2,"q":2,"ccr":1,"max_elevation":10,"graphs_per_elev":100,"seed":1}}`},
+		{"bad random n", `{"random":{"n":1,"p":2,"q":2,"ccr":1,"max_elevation":1}}`},
+		{"random n over limit", `{"random":{"n":2001,"p":2,"q":2,"ccr":1,"max_elevation":1}}`},
 		// Rejected arithmetically, before any cell is materialized: a
 		// response at all proves the server did not try to allocate 2e11
 		// cells.
@@ -511,6 +514,8 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		{"random trials", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"random_trials":5}}]}`, `unknown field \"random_trials\"`},
 		{"transition budget", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"dpa1d_max_transitions":10}}]}`, `unknown field \"dpa1d_max_transitions\"`},
 		{"weight bounds", `{"cells":[{"key":"k","workload":{"random":{"n":12,"elevation":3,"seed":7,"weight_min":0.5,"weight_max":2}},"p":2,"q":2}]}`, `unknown field \"weight_min\"`},
+		// Generation cannot be cancelled, so the stage count is bounded.
+		{"random n over limit", `{"cells":[{"key":"k","workload":{"random":{"n":2001,"elevation":3,"seed":7}},"p":2,"q":2}]}`, `needs n \u003c= 2000, got 2001`},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {

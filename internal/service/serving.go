@@ -208,7 +208,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	cell, err := s.cellFor(req.Workload, req.P, req.Q, req.Seed)
+	cell, err := req.Workload.cell(req.P, req.Q, req.Seed)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -348,7 +348,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad request: request %d: %v", i, err)
 			return
 		}
-		cell, err := s.cellFor(item.Workload, item.P, item.Q, item.Seed)
+		cell, err := item.Workload.cell(item.P, item.Q, item.Seed)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad request: request %d: %v", i, err)
 			return

@@ -217,6 +217,8 @@ func TestMapBatchValidation(t *testing.T) {
 		{"oversized", `{"requests": [` + servingMapBody + `,` + servingMapBody + `,` + servingMapBody + `]}`},
 		{"bad-item", `{"requests": [{"workload": {"streamit": "NoSuchApp"}, "p": 2, "q": 2}]}`},
 		{"bad-grid", `{"requests": [{"workload": {"streamit": "DCT"}, "p": 0, "q": 2}]}`},
+		{"bad-random-n", `{"requests": [{"workload": {"random": {"n": 1, "elevation": 1}}, "p": 2, "q": 2}]}`},
+		{"random-n-over-limit", `{"requests": [{"workload": {"random": {"n": 2001, "elevation": 1}}, "p": 2, "q": 2}]}`},
 		{"unknown-field", `{"requests": [], "nope": 1}`},
 	}
 	for _, tc := range cases {

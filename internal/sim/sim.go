@@ -33,9 +33,6 @@ type Options struct {
 	Saturated bool
 }
 
-// DefaultOptions simulates 256 data sets with periodic arrivals.
-func DefaultOptions() Options { return Options{DataSets: 256} }
-
 // Report is the outcome of a simulation.
 type Report struct {
 	// MeasuredPeriod is the steady-state inter-departure time at the sink,

@@ -57,12 +57,6 @@ func (r *Reachability) Reaches(i, j int) bool {
 	return r.bits[i*r.words+j/64]&(1<<uint(j%64)) != 0
 }
 
-// Comparable reports whether stages i and j are ordered by a dependence path
-// in either direction.
-func (r *Reachability) Comparable(i, j int) bool {
-	return r.Reaches(i, j) || r.Reaches(j, i)
-}
-
 // Levels groups stage indices by elevation: Levels(g)[y-1] lists the stages
 // with label y, sorted by increasing x. In an SPG, stages of equal elevation
 // are pairwise comparable, so each level is a dependence chain.
@@ -98,36 +92,6 @@ func StageGrid(g *Graph) [][]int {
 		grid[s.Label.X-1][s.Label.Y-1] = i
 	}
 	return grid
-}
-
-// IsConvex reports whether the stage set (given as a membership mask) is
-// convex with respect to dependence paths: for every pair i, j in the set,
-// every stage on a path from i to j is also in the set. Convexity of every
-// cluster is the closure rule stated in Section 3.3 of the paper; it is
-// necessary (though not sufficient on arbitrary DAGs) for the cluster
-// quotient graph to be acyclic.
-func IsConvex(g *Graph, r *Reachability, member []bool) bool {
-	for k := range g.Stages {
-		if member[k] {
-			continue
-		}
-		var hasPredIn, hasSuccIn bool
-		for i := range g.Stages {
-			if !member[i] {
-				continue
-			}
-			if r.Reaches(i, k) {
-				hasPredIn = true
-			}
-			if r.Reaches(k, i) {
-				hasSuccIn = true
-			}
-			if hasPredIn && hasSuccIn {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CCR returns the computation-to-communication ratio of the graph: the sum of

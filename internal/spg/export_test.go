@@ -130,3 +130,39 @@ func (c *downsetCore) referenceExpansionsLocked(r *Run, id int, maxWork float64)
 	c.exp[id] = e
 	return e, nil
 }
+
+// Comparable reports whether stages i and j are ordered by a dependence path
+// in either direction.
+func (r *Reachability) Comparable(i, j int) bool {
+	return r.Reaches(i, j) || r.Reaches(j, i)
+}
+
+// IsConvex reports whether the stage set (given as a membership mask) is
+// convex with respect to dependence paths: for every pair i, j in the set,
+// every stage on a path from i to j is also in the set. Convexity of every
+// cluster is the closure rule stated in Section 3.3 of the paper; it is
+// necessary (though not sufficient on arbitrary DAGs) for the cluster
+// quotient graph to be acyclic.
+func IsConvex(g *Graph, r *Reachability, member []bool) bool {
+	for k := range g.Stages {
+		if member[k] {
+			continue
+		}
+		var hasPredIn, hasSuccIn bool
+		for i := range g.Stages {
+			if !member[i] {
+				continue
+			}
+			if r.Reaches(i, k) {
+				hasPredIn = true
+			}
+			if r.Reaches(k, i) {
+				hasSuccIn = true
+			}
+			if hasPredIn && hasSuccIn {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -1,136 +1,87 @@
-// Package workload resolves textual workload specifications shared by the
+// Package workload parses the textual workload flag shared by the
 // command-line tools:
 //
 //	streamit:<Name>            one of the 12 Table 1 workflows
 //	random:n=50,elev=8,seed=1  a random SPG (randspg)
 //	chain:n=10,seed=1          a linear chain
 //	file:<path>                a JSON graph written by spggen / Graph.WriteJSON
+//
+// It is the text layer only: it builds no graph and opens no file.
+// experiments.FlagCell lowers a parsed Spec onto the engine cell that
+// /v1/map builds for the same workload.
 package workload
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
 	"strconv"
 	"strings"
-
-	"spgcmp/internal/randspg"
-	"spgcmp/internal/spg"
-	"spgcmp/internal/streamit"
 )
 
-// Load resolves a workload spec. ccr > 0 rescales the communication volumes
-// after loading.
-func Load(spec string, ccr float64) (*spg.Graph, error) {
+// Workload kinds, the text before the colon of a spec.
+const (
+	StreamIt = "streamit"
+	Random   = "random"
+	Chain    = "chain"
+	File     = "file"
+)
+
+// Spec is one parsed workload flag. Name is the application (streamit:) or
+// the path (file:); N, Elevation and Seed are the random: and chain:
+// arguments with their defaults applied.
+type Spec struct {
+	Kind      string
+	Name      string
+	N         int
+	Elevation int
+	Seed      int64
+}
+
+// Parse splits a workload spec into its kind and arguments. Argument values
+// are parsed, not range-checked: the lowering applies the same checks a
+// /v1/map request gets.
+func Parse(spec string) (Spec, error) {
 	kind, rest, found := strings.Cut(spec, ":")
 	if !found {
-		return nil, fmt.Errorf("workload: spec %q must look like kind:args (streamit:, random:, chain:, file:)", spec)
+		return Spec{}, fmt.Errorf("workload: spec %q must look like kind:args (streamit:, random:, chain:, file:)", spec)
 	}
-	var g *spg.Graph
-	var err error
+	s := Spec{Kind: kind}
 	switch kind {
-	case "streamit":
-		var app streamit.App
-		app, err = streamit.ByName(rest)
-		if err == nil {
-			g, err = app.Graph()
-		}
-	case "random":
-		g, err = loadRandom(rest)
-	case "chain":
-		g, err = loadChain(rest)
-	case "file":
-		g, err = loadFile(rest)
+	case StreamIt, File:
+		s.Name = rest
+		return s, nil
+	case Random:
+		s.N, s.Elevation, s.Seed = 50, 5, 1
+	case Chain:
+		s.N, s.Seed = 10, 1
 	default:
-		err = fmt.Errorf("workload: unknown kind %q", kind)
+		return Spec{}, fmt.Errorf("workload: unknown kind %q", kind)
 	}
-	if err != nil {
-		return nil, err
+	if rest == "" {
+		return s, nil
 	}
-	if ccr > 0 {
-		spg.ScaleToCCR(g, ccr)
-	}
-	return g, nil
-}
-
-func parseKV(args string) (map[string]string, error) {
-	kv := make(map[string]string)
-	if args == "" {
-		return kv, nil
-	}
-	for _, part := range strings.Split(args, ",") {
+	for _, part := range strings.Split(rest, ",") {
 		k, v, found := strings.Cut(part, "=")
 		if !found {
-			return nil, fmt.Errorf("workload: bad argument %q (want key=value)", part)
+			return Spec{}, fmt.Errorf("workload: bad argument %q (want key=value)", part)
 		}
-		kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
+		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		var err error
+		switch {
+		case k == "n":
+			s.N, err = strconv.Atoi(v)
+		case k == "elev" && kind == Random:
+			s.Elevation, err = strconv.Atoi(v)
+		case k == "seed":
+			s.Seed, err = strconv.ParseInt(v, 10, 64)
+		default:
+			// Unknown keys were always ignored; keep accepting them.
+			continue
+		}
+		if err != nil {
+			return Spec{}, fmt.Errorf("workload: argument %s: %w", k, err)
+		}
 	}
-	return kv, nil
-}
-
-func intArg(kv map[string]string, key string, def int) (int, error) {
-	v, ok := kv[key]
-	if !ok {
-		return def, nil
-	}
-	return strconv.Atoi(v)
-}
-
-func loadRandom(args string) (*spg.Graph, error) {
-	kv, err := parseKV(args)
-	if err != nil {
-		return nil, err
-	}
-	n, err := intArg(kv, "n", 50)
-	if err != nil {
-		return nil, err
-	}
-	elev, err := intArg(kv, "elev", 5)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := intArg(kv, "seed", 1)
-	if err != nil {
-		return nil, err
-	}
-	return randspg.Generate(randspg.Params{N: n, Elevation: elev, Seed: int64(seed)})
-}
-
-func loadChain(args string) (*spg.Graph, error) {
-	kv, err := parseKV(args)
-	if err != nil {
-		return nil, err
-	}
-	n, err := intArg(kv, "n", 10)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := intArg(kv, "seed", 1)
-	if err != nil {
-		return nil, err
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("workload: chain needs n >= 2")
-	}
-	w := make([]float64, n)
-	v := make([]float64, n-1)
-	g, err := spg.Chain(w, v)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	spg.RandomizeWeights(g, rng, 0.01, 0.1)
-	spg.RandomizeVolumes(g, rng, 0.5, 1.5)
-	return g, nil
-}
-
-func loadFile(path string) (*spg.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return spg.ReadJSON(f)
+	return s, nil
 }
 
 // ParseGrid parses "4x4" into (4, 4).
