@@ -107,7 +107,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *exactRun && !strings.EqualFold(*heuristic, "Exact") {
-		hs = append(hs, newExact(*seed, *exactBudg))
+		hs = append(hs, newExact(*exactBudg))
 	}
 	var best *core.Solution
 	for _, h := range hs {
@@ -162,11 +162,10 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// newExact builds the branch-and-bound exact solver with the CLI's seed (it
-// drives the incumbent-seeding pass, never the result) and placement budget.
-func newExact(seed int64, budget int) *exact.Solver {
+// newExact builds the branch-and-bound exact solver with the CLI's
+// placement budget.
+func newExact(budget int) *exact.Solver {
 	s := exact.NewSolver()
-	s.Seed = seed
 	if budget > 0 {
 		s.MaxPlacements = budget
 	}
@@ -178,7 +177,7 @@ func pickHeuristics(name string, seed int64, budget int) ([]core.Heuristic, erro
 		return core.All(seed), nil
 	}
 	if strings.EqualFold(name, "Exact") {
-		return []core.Heuristic{newExact(seed, budget)}, nil
+		return []core.Heuristic{newExact(budget)}, nil
 	}
 	for _, h := range core.All(seed) {
 		if strings.EqualFold(h.Name(), name) {

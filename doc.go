@@ -12,8 +12,8 @@
 //	internal/mapping     DAG-partition mappings, period and energy evaluation
 //	internal/core        the five heuristics: Random, Greedy, DPA2D, DPA1D, DPA2D1D
 //	internal/exact       branch-and-bound optimal solver (admissible energy
-//	                     bounds, heuristic incumbent seeding, parallel subtree
-//	                     search) and the Section 4.4 ILP emitter
+//	                     bounds, an incumbent seeded from DPA1D, parallel
+//	                     subtree search) and the Section 4.4 ILP emitter
 //	internal/sim         steady-state pipeline simulator
 //	internal/streamit    the 12 StreamIt workflows of Table 1
 //	internal/randspg     random SPG generation with exact elevation
@@ -207,10 +207,11 @@
 // hop-radius balls, one 64-bit word per 64 cores, so any grid size works).
 // A masked-out core would have failed the bound test, so the search visits
 // the same nodes and leaves in the same order, without scanning the cores
-// one by one. The incumbent is seeded from the cheap heuristics (pinned paths
-// stripped, so the seed is re-evaluated inside the solver's own XY search
-// space) and only ever strengthens pruning — the seed mapping is never
-// returned. Search fans out over lexicographic partition prefixes on a
+// one by one. Before the search starts, DPA1D runs on the calling goroutine
+// and the energy of its mapping seeds the incumbent (pinned paths stripped,
+// so the seed is re-evaluated inside the solver's own XY search space); when
+// DPA1D finds no valid mapping the search runs unseeded. The seed only ever
+// strengthens pruning — its mapping is never returned. Search fans out over lexicographic partition prefixes on a
 // worker pool (per-worker state on core.Scratch child arenas) with a shared
 // atomic incumbent; bounds prune strictly (with a 1e-12 slack so last-ulp
 // float noise cannot flip a verdict), per-unit winners tie-break by

@@ -35,8 +35,9 @@ type Scratch struct {
 	introws arena[[]int]
 
 	// children are sub-arenas for solvers that fan one instance across
-	// goroutines (the exact solver's search workers and seeding pass): each
-	// goroutine gets its own child so concurrent allocation needs no locks.
+	// goroutines (the exact solver's search workers, whose DPA1D seed runs
+	// on child 0 before they start): each goroutine gets its own child so
+	// concurrent allocation needs no locks.
 	// Children reset with their parent.
 	children []*Scratch
 }

@@ -51,7 +51,7 @@ func (s CellSpec) Validate() error {
 	if s.P < 1 || s.Q < 1 {
 		return fmt.Errorf("engine: cell %q has invalid grid %dx%d", s.Key, s.P, s.Q)
 	}
-	if err := s.Workload.check(); err != nil {
+	if err := s.Workload.Validate(); err != nil {
 		return fmt.Errorf("engine: cell %q: %w", s.Key, err)
 	}
 	return nil
@@ -117,9 +117,11 @@ type RandomWorkload struct {
 // graphs have 150 stages, so the bound leaves more than ten times that.
 const MaxRandomStages = 2000
 
-// check reports whether exactly one variant is set and a random workload's
-// stage count is within MaxRandomStages.
-func (w WorkloadSpec) check() error {
+// Validate reports whether exactly one variant is set and a random
+// workload's parameters are in range: 2 <= n <= MaxRandomStages, elevation
+// >= 1 and a non-negative CCR. Every path that builds or keys a workload
+// runs it, and so does every request path that lowers one onto a cell.
+func (w WorkloadSpec) Validate() error {
 	set := 0
 	if w.StreamIt != "" {
 		set++
@@ -133,8 +135,17 @@ func (w WorkloadSpec) check() error {
 	if set != 1 {
 		return fmt.Errorf("engine: workload spec must set exactly one variant, has %d", set)
 	}
-	if w.Random != nil && w.Random.N > MaxRandomStages {
-		return fmt.Errorf("engine: random workload needs n <= %d, got %d", MaxRandomStages, w.Random.N)
+	if rw := w.Random; rw != nil {
+		switch {
+		case rw.N < 2:
+			return fmt.Errorf("engine: random workload needs n >= 2, got %d", rw.N)
+		case rw.N > MaxRandomStages:
+			return fmt.Errorf("engine: random workload needs n <= %d, got %d", MaxRandomStages, rw.N)
+		case rw.Elevation < 1:
+			return fmt.Errorf("engine: random workload needs elevation >= 1, got %d", rw.Elevation)
+		case rw.CCR < 0:
+			return fmt.Errorf("engine: random workload ccr %g is negative", rw.CCR)
+		}
 	}
 	return nil
 }
@@ -150,7 +161,7 @@ const (
 // kindParams lowers the spec onto the (kind, params) plane ContentKey
 // hashes: the variant's kind and the JSON encoding of its parameters.
 func (w WorkloadSpec) kindParams() (string, []byte, error) {
-	if err := w.check(); err != nil {
+	if err := w.Validate(); err != nil {
 		return "", nil, err
 	}
 	var (
@@ -182,7 +193,7 @@ func (w WorkloadSpec) kindParams() (string, []byte, error) {
 // enumerators delegate here, so a process serving both campaign traffic and
 // dispatched ranges warms exactly one cache entry per family.
 func (w WorkloadSpec) FamilyKey() (string, error) {
-	if err := w.check(); err != nil {
+	if err := w.Validate(); err != nil {
 		return "", err
 	}
 	switch {
@@ -210,7 +221,7 @@ func (w WorkloadSpec) FamilyKey() (string, error) {
 // because a spec may be rebuilt on any worker of a dispatched run, several
 // times (retries after worker failures).
 func (w WorkloadSpec) Build() (*spg.Analysis, error) {
-	if err := w.check(); err != nil {
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	switch {

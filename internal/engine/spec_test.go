@@ -88,6 +88,9 @@ func TestSpecValidate(t *testing.T) {
 	bad := []CellSpec{
 		{Key: "no-workload", P: 2, Q: 2},
 		{Key: "random-over-limit", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxRandomStages + 1, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "random-one-stage", Workload: WorkloadSpec{Random: &RandomWorkload{N: 1, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "random-flat", Workload: WorkloadSpec{Random: &RandomWorkload{N: 5, Elevation: 0}}, P: 2, Q: 2},
+		{Key: "random-negative-ccr", Workload: WorkloadSpec{Random: &RandomWorkload{N: 5, Elevation: 1, CCR: -1}}, P: 2, Q: 2},
 		{Key: "two-variants", Workload: WorkloadSpec{StreamIt: "FFT", Random: &RandomWorkload{N: 5, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "bad-grid", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 0, Q: 2},
 	}

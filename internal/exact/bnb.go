@@ -38,10 +38,11 @@ import (
 //     subtree that could still contain an equal-energy, earlier-unit mapping
 //     is never discarded, and last-ulp float divergence between a bound and
 //     the evaluator's summation order can never prune the true winner.
-//   - The heuristic seed enters the incumbent with unit +inf: it prunes but
-//     can never be selected, and since its (path-stripped) mapping lies in
-//     the search space, its energy is >= the in-space optimum — pruning
-//     against it is sound.
+//   - The DPA1D seed enters the incumbent with unit +inf: it prunes but can
+//     never be selected, and since its (path-stripped) mapping lies in the
+//     search space, its energy is >= the in-space optimum — pruning against
+//     it is sound. It is computed before the search starts, on the calling
+//     goroutine, so it is the same at every worker count.
 //
 // Sound pruning plus total-order selection make the result independent of
 // worker count and goroutine schedule. The one schedule-dependent quantity
@@ -57,8 +58,8 @@ import (
 // orders of magnitude while remaining far below any real energy gap.
 const pruneSlack = 1e-12
 
-// seedUnit is the unit rank of the heuristic seed: it loses every tie, so
-// the seed is never selected, only pruned against.
+// seedUnit is the unit rank of the DPA1D seed: it loses every tie, so the
+// seed is never selected, only pruned against.
 const seedUnit = int64(math.MaxInt64)
 
 type stageVol struct {
@@ -140,7 +141,7 @@ func (sh *bnbShared) threshold() float64 {
 }
 
 // solveBnB runs the search on a prepared instance. seeded installs the
-// heuristic incumbent before the search starts; SolveStats always seeds, and
+// DPA1D incumbent before the search starts; SolveStats always seeds, and
 // only the tests turn it off to prove the seed never changes the result.
 func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, seeded bool) (*core.Solution, error) {
 	g, pl, T := inst.Graph, inst.Platform, inst.Period
@@ -204,12 +205,12 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Incumbent seeding: best heuristic mapping, path-stripped back into the
-	// solver's XY-routed search space and re-evaluated, so its energy upper-
-	// bounds the in-space optimum. The heuristics run concurrently on the
-	// worker budget; their minimum energy is schedule-independent.
+	// Incumbent seeding, on this goroutine before the search workers carve
+	// their child arenas: DPA1D borrows child 0, as worker 0 does after it.
 	if seeded {
-		if e, ok := s.seedEnergy(inst, workers); ok {
+		si := inst
+		si.Scratch = inst.Scratch.Child(0)
+		if e, ok := sh.seedEnergy(si); ok {
 			sh.offer(e, seedUnit)
 			st.Seeded, st.SeedEnergy = true, e
 		}
@@ -274,65 +275,28 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 	return best, nil
 }
 
-// seedEnergy runs the cheap heuristics, at most workers at a time, and
-// returns the least energy whose mapping, stripped of pinned paths, is valid
-// under the solver's own evaluator. Stripping matters for soundness: DPA1D
-// pins snake paths and DPA2D pins YX paths, which lie outside the XY-routed
-// search space; the stripped twin is exactly the mapping the search could
-// itself produce, so its energy can never undercut the in-space optimum.
-// A minimum does not depend on which heuristic finishes first, so the seed
-// is the same at every worker count.
-func (s *Solver) seedEnergy(inst core.Instance, workers int) (float64, bool) {
-	eval := mapping.Evaluate
-	if s.General {
-		eval = mapping.EvaluateGeneral
+// seedEnergy runs DPA1D and returns the energy of its mapping stripped of
+// pinned paths and re-evaluated under the solver's own evaluator; ok is false
+// when DPA1D finds no mapping or the stripped one is invalid there, and the
+// search then runs unseeded. Stripping matters for soundness: DPA1D pins
+// snake paths, which lie outside the XY-routed search space; the stripped
+// twin is exactly the mapping the search could itself produce, so its energy
+// can never undercut the in-space optimum.
+func (sh *bnbShared) seedEnergy(inst core.Instance) (float64, bool) {
+	sol, err := core.NewDPA1D().Solve(inst)
+	if err != nil || sol == nil || sol.Mapping == nil {
+		return 0, false
 	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
+	m := sol.Mapping
+	if len(m.Paths) > 0 {
+		m = m.Clone()
+		m.Paths = nil
 	}
-	hs := core.AllWith(core.Options{Seed: seed})
-	energies := make([]float64, len(hs))
-	workers = min(workers, len(hs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// As for the search workers, child arenas are carved here in the
-		// coordinator, one per goroutine for its whole life.
-		wi := inst
-		wi.Scratch = inst.Scratch.Child(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(hs) {
-					return
-				}
-				energies[i] = math.Inf(1)
-				sol, err := hs[i].Solve(wi)
-				if err != nil || sol == nil || sol.Mapping == nil {
-					continue
-				}
-				m := sol.Mapping
-				if len(m.Paths) > 0 {
-					m = m.Clone()
-					m.Paths = nil
-				}
-				if res, err := eval(wi.Graph, wi.Platform, m, wi.Period); err == nil {
-					energies[i] = res.Energy
-				}
-			}
-		}()
+	res, err := sh.eval(sh.g, sh.pl, m, sh.T)
+	if err != nil {
+		return 0, false
 	}
-	wg.Wait()
-	best := math.Inf(1)
-	for _, e := range energies {
-		if e < best {
-			best = e
-		}
-	}
-	return best, !math.IsInf(best, 1)
+	return res.Energy, true
 }
 
 // buildUnits splits the partition tree into lexicographically ordered units:

@@ -23,7 +23,7 @@ func (s *Solver) solveOracle(ctx context.Context, inst core.Instance, symmetry b
 	return sol, st, err
 }
 
-// solveUnseeded is SolveStats without the heuristic incumbent seeding pass,
+// solveUnseeded is SolveStats without the DPA1D incumbent seed,
 // so the search prunes against its own incumbents only.
 func (s *Solver) solveUnseeded(ctx context.Context, inst core.Instance) (*core.Solution, Stats, error) {
 	var st Stats

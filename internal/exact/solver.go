@@ -2,9 +2,10 @@
 // instances, playing the role of the Section 4.4 integer linear program that
 // the paper solved with CPLEX (on platforms up to 2x2). Two artifacts are
 // provided: a branch-and-bound solver over DAG-partitions, placements and
-// speeds (bnb.go) with admissible energy lower bounds, heuristic incumbent
-// seeding and parallel subtree search; and an emitter that writes the paper's
-// exact ILP in CPLEX LP format (ilp.go) for any external solver. A plain
+// speeds (bnb.go) with admissible energy lower bounds, an incumbent seeded
+// from DPA1D's mapping and parallel subtree search; and an emitter that
+// writes the paper's exact ILP in CPLEX LP format (ilp.go) for any external
+// solver. A plain
 // exhaustive enumeration of the same space is kept in the tests, as the
 // oracle the search is proven bit-identical against.
 package exact
@@ -28,9 +29,10 @@ var ErrTooLarge = errors.New("exact: instance exceeds the search budget")
 // placement of the clusters onto cores, and the slowest feasible speed per
 // core; communications follow XY routing. The search is branch-and-bound
 // (bnb.go): it prunes on admissible energy lower bounds, seeds its incumbent
-// from the cheap heuristics, and fans partition prefixes across a worker
-// pool; it returns results bit-identical to the exhaustive enumeration at
-// any worker count.
+// with the energy of DPA1D's mapping (pinned paths stripped, re-evaluated
+// in the XY-routed search space), and fans partition prefixes across a
+// worker pool; it returns results bit-identical to the exhaustive
+// enumeration at any worker count.
 type Solver struct {
 	// MaxStages bounds the graph size (Bell numbers grow fast).
 	MaxStages int
@@ -44,13 +46,9 @@ type Solver struct {
 	// paper's future-work comparison between general and DAG-partition
 	// mappings. General solutions assume software-pipelined execution.
 	General bool
-	// Workers is the branch-and-bound worker-pool size, and the number of
-	// seeding heuristics run at once; 0 uses GOMAXPROCS. Results are
-	// bit-identical at any setting.
+	// Workers is the branch-and-bound worker-pool size; 0 uses GOMAXPROCS.
+	// Results are bit-identical at any setting.
 	Workers int
-	// Seed drives the Random heuristic inside the seeding pass (0 means 1).
-	// It affects pruning strength only, never the result.
-	Seed int64
 }
 
 // NewSolver returns a solver sized for the paper's exact experiments
@@ -85,8 +83,11 @@ type Stats struct {
 	PrunedPlacements int64
 	// Units and Workers describe the parallel decomposition.
 	Units, Workers int
-	// Seeded reports whether a heuristic incumbent was installed; SeedEnergy
-	// is its energy.
+	// Seeded reports whether the search started from DPA1D's incumbent:
+	// false when DPA1D found no mapping, or its mapping stripped of pinned
+	// paths is invalid under the solver's evaluator. SeedEnergy is the
+	// stripped mapping's energy under that evaluator (0 when unseeded); it
+	// only gates pruning and is never returned as the optimum.
 	Seeded     bool
 	SeedEnergy float64
 	// Truncated reports that the placement budget was exhausted somewhere.

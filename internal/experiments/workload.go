@@ -36,17 +36,10 @@ func WorkloadCell(w engine.WorkloadSpec, ccr float64, p, q int, seed int64) (eng
 		}
 		return NewStreamItCell(a, ccr, p, q, seed), nil
 	case w.Random != nil:
-		rw := w.Random
-		switch {
-		case rw.N < 2:
-			return engine.Cell{}, fmt.Errorf("random workload needs n >= 2, got %d", rw.N)
-		case rw.N > engine.MaxRandomStages:
-			return engine.Cell{}, fmt.Errorf("random workload needs n <= %d, got %d", engine.MaxRandomStages, rw.N)
-		case rw.Elevation < 1:
-			return engine.Cell{}, fmt.Errorf("random workload needs elevation >= 1, got %d", rw.Elevation)
-		case rw.CCR < 0:
-			return engine.Cell{}, fmt.Errorf("ccr %g is negative", rw.CCR)
+		if err := w.Validate(); err != nil {
+			return engine.Cell{}, err
 		}
+		rw := w.Random
 		return NewRandomCell(rw.N, rw.Elevation, rw.Seed, rw.CCR, p, q), nil
 	default:
 		return engine.Cell{}, fmt.Errorf("workload names neither streamit nor random")

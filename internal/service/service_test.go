@@ -516,6 +516,10 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		{"weight bounds", `{"cells":[{"key":"k","workload":{"random":{"n":12,"elevation":3,"seed":7,"weight_min":0.5,"weight_max":2}},"p":2,"q":2}]}`, `unknown field \"weight_min\"`},
 		// Generation cannot be cancelled, so the stage count is bounded.
 		{"random n over limit", `{"cells":[{"key":"k","workload":{"random":{"n":2001,"elevation":3,"seed":7}},"p":2,"q":2}]}`, `needs n \u003c= 2000, got 2001`},
+		// The lower bounds /v1/map applies hold for ranges too.
+		{"random one stage", `{"cells":[{"key":"k","workload":{"random":{"n":1,"elevation":1,"seed":7}},"p":2,"q":2}]}`, `needs n \u003e= 2, got 1`},
+		{"random flat", `{"cells":[{"key":"k","workload":{"random":{"n":5,"elevation":0,"seed":7}},"p":2,"q":2}]}`, `needs elevation \u003e= 1, got 0`},
+		{"random negative ccr", `{"cells":[{"key":"k","workload":{"random":{"n":5,"elevation":1,"seed":7,"ccr":-1}},"p":2,"q":2}]}`, `ccr -1 is negative`},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {

@@ -36,21 +36,24 @@ type Spec struct {
 	Seed      int64
 }
 
-// Parse splits a workload spec into its kind and arguments. Argument values
-// are parsed, not range-checked: the lowering applies the same checks a
-// /v1/map request gets.
+// Parse splits a workload spec into its kind and arguments. An argument key
+// the kind does not take is an error naming the keys it does take. Argument
+// values are parsed, not range-checked: the lowering applies the same checks
+// a /v1/map request gets.
 func Parse(spec string) (Spec, error) {
 	kind, rest, found := strings.Cut(spec, ":")
 	if !found {
 		return Spec{}, fmt.Errorf("workload: spec %q must look like kind:args (streamit:, random:, chain:, file:)", spec)
 	}
 	s := Spec{Kind: kind}
+	keys := "n, seed"
 	switch kind {
 	case StreamIt, File:
 		s.Name = rest
 		return s, nil
 	case Random:
 		s.N, s.Elevation, s.Seed = 50, 5, 1
+		keys = "n, elev, seed"
 	case Chain:
 		s.N, s.Seed = 10, 1
 	default:
@@ -74,8 +77,7 @@ func Parse(spec string) (Spec, error) {
 		case k == "seed":
 			s.Seed, err = strconv.ParseInt(v, 10, 64)
 		default:
-			// Unknown keys were always ignored; keep accepting them.
-			continue
+			return Spec{}, fmt.Errorf("workload: %s: takes no argument %q (keys: %s)", kind, k, keys)
 		}
 		if err != nil {
 			return Spec{}, fmt.Errorf("workload: argument %s: %w", k, err)

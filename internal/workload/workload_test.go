@@ -131,6 +131,9 @@ func TestLoadErrors(t *testing.T) {
 		"random:n=1000000",
 		"chain:n=1",
 		"file:/does/not/exist.json",
+		// Keys a kind does not take: the JSON field name, elev on a chain.
+		"random:n=30,elevation=8,seed=7",
+		"chain:n=7,elev=3",
 	}
 	for _, spec := range cases {
 		if _, err := load(spec, 0); err == nil {
@@ -158,6 +161,14 @@ func TestLoadErrorMentionsSpec(t *testing.T) {
 	_, err := workload.Parse("bogus")
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("error %v does not mention the spec", err)
+	}
+	for spec, keys := range map[string]string{
+		"random:n=30,elevation=8,seed=7": "n, elev, seed",
+		"chain:elev=3":                   "n, seed",
+	} {
+		if _, err := workload.Parse(spec); err == nil || !strings.Contains(err.Error(), keys) {
+			t.Errorf("%s: error %v does not name the keys %q", spec, err, keys)
+		}
 	}
 }
 
