@@ -58,7 +58,8 @@
 // tables (the minimal period at which each ladder speed can process each
 // DPA2D rectangle, monotone in T and computed once for all period
 // divisions) with per-period rectangle-energy snapshots shared between
-// DPA2D and DPA2D1D, and a DPA1D run-outcome memo.
+// DPA2D and DPA2D1D, and a DPA1D run memo, one per scale family (Layer
+// 2), whose entries name the member graph whose run they record.
 // The memo replays recorded state-explosion verdicts and — keyed
 // additionally by the core count and the platform's energy fingerprint,
 // which steer the DP's argmin — successful chunk decompositions
@@ -74,7 +75,8 @@
 // period at least a rounding margin looser than its own, and the period the
 // protocol returns replays the explosion the first all-fail division
 // showed instead of re-running it. A run also reports the largest cut it
-// checked, which Layer 2 uses to share its verdict across the family.
+// checked, which Layer 2 uses to replay its verdict on the member's
+// siblings.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -84,23 +86,25 @@
 // arithmetic a fresh analysis would use. One analysis effectively serves an
 // application's whole Section 6.1 column. This layer applies whenever
 // volume-rescaled variants of one workload are solved: RunStreamIt derives
-// all four CCR cells of an application from one base analysis. DPA1D
-// verdicts reach this scope too. A run reads volumes only through its cut
-// check, so a run whose cut check rejected no state is volume-free: it
-// publishes its verdict to the family with a max-cut certificate, the
-// largest cut it checked and the recorder's edge volumes. A member replays
-// the verdict, at the recorder's period or a looser one, when no cut check
-// of its own can fire on those states at the member's own period: its
-// total edge volume fits that period's link capacity, or the largest cut
-// scaled by ρ, the member's largest per-edge volume ratio to the recorder,
-// still fits it with a rounding margin (the derivation is on core's
-// familyVerdicts). So a heavy CCR variant, whose total volume exceeds BW·T,
-// replays its light sibling's state explosion too, and at the returned
-// period, whose link carries ten times more, even a variant too heavy to
-// replay it at the failing one. Every member waits for a sibling already
-// running the same verdict key instead of repeating its enumeration
-// alongside it. Verdicts from runs that did reject a state stay with their
-// member.
+// all four CCR cells of an application from one base analysis. The DPA1D
+// run memo lives at this scope: one store, under one lock, per family. A
+// lookup first replays the member's own verdicts, with no certificate,
+// since the run they record is the member's own. Only if none replays does
+// it turn to siblings' verdicts. A run reads volumes only through its cut
+// check, so a run whose cut check rejected no state is volume-free, and
+// its verdict carries a max-cut certificate: the largest cut it checked
+// and the recorder's edge volumes. A sibling replays the verdict, at the
+// recorder's period or a looser one, when no cut check of its own can fire
+// on those states at the sibling's own period: its total edge volume fits
+// that period's link capacity, or the largest cut scaled by ρ, the
+// sibling's largest per-edge volume ratio to the recorder, still fits it
+// with a rounding margin (the derivation is on core's runMemo). So a heavy
+// CCR variant, whose total volume exceeds BW·T, replays its light
+// sibling's state explosion too, and at the returned period, whose link
+// carries ten times more, even a variant too heavy to replay it at the
+// failing one. Every member waits for a sibling already running the same
+// verdict key instead of repeating its enumeration alongside it. Verdicts
+// from runs that did reject a state replay on their recorder only.
 //
 // Layer 3 — campaign scope. engine.AnalysisCache is a bounded,
 // workload-identity-keyed LRU

@@ -53,10 +53,10 @@ type verdictKey struct {
 }
 
 // verdictClass is everything a run's exploration sequence — and therefore
-// its budget failure point — depends on besides the period and the graph
-// (and, for member-scoped verdicts, its volumes): both budgets, the
-// bandwidth and the speed ladder (chunk-energy finiteness gates which states
-// later layers expand). A recorded verdict replays only for an exactly equal
+// its budget failure point — depends on besides the period and the member
+// (whose volumes decide the members a verdict replays on, see runMemo):
+// both budgets, the bandwidth and the speed ladder (chunk-energy finiteness
+// gates which states later layers expand). A recorded verdict replays only for an exactly equal
 // class. The core count is not in it: solve1D reads it only as its layer
 // bound, so a run that ran out of budget in layer k runs out identically on
 // every chain of at least k cores (see verdict). Energy magnitudes never
@@ -97,9 +97,9 @@ type verdictClass struct {
 // errors.Is(err, ErrBudget), and campaign outcomes record OK false either
 // way.
 //
-// The margin follows the max-cut certificate's derivation (see
-// familyVerdicts) with the stages in the role of the edges: a chunk sum adds
-// at most n non-negative weights, so two path sums of one chunk are within
+// The margin follows the max-cut certificate's derivation (see runMemo)
+// with the stages in the role of the edges: a chunk sum adds at most n
+// non-negative weights, so two path sums of one chunk are within
 // (1+γ)/(1−γ) of each other, and the chunk caps and T·sumMargin(n) round
 // by a factor 1±u each; the product stays below sumMargin(n) = 1+8(n+4)u.
 // The protocol's tenfold period steps sit far above it.
@@ -120,66 +120,20 @@ func (v *verdict) replaysAt(T float64, cores int) bool {
 	return v.layer <= cores && (T == v.T || T >= v.lifted)
 }
 
-// verdictStore holds recorded verdicts by class.
-type verdictStore struct {
-	mu sync.Mutex
-	m  map[verdictClass][]verdict
-}
-
-// lookup returns the recorded error that answers a run of key on a chain of
-// cores processors, nil if none does. Of several, the one recorded at the
-// largest period answers, whatever order they were recorded in; verdicts
-// recorded at one period by runs of one member are identical.
-func (vs *verdictStore) lookup(key verdictKey, cores int) error {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	list := vs.m[key.verdictClass]
-	var best *verdict
-	for i := range list {
-		if v := &list[i]; v.replaysAt(key.T, cores) && (best == nil || v.T > best.T) {
-			best = v
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return best.err
-}
-
-func (vs *verdictStore) record(key verdictClass, v verdict) {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	if vs.m == nil {
-		vs.m = make(map[verdictClass][]verdict)
-	}
-	vs.m[key] = append(vs.m[key], v)
-}
-
-// MemoryFootprint implements spg.Footprinter with the flat constants the spg
-// estimates use.
-func (vs *verdictStore) MemoryFootprint() int64 {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	const classBytes = int64(unsafe.Sizeof(verdictClass{})) + auxMapEntryBytes + auxSliceHeaderBytes
-	var b int64
-	for k, list := range vs.m {
-		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(verdict{}))
-	}
-	return b
-}
-
 // solutionMemoKey identifies one DPA1D run's optimal chunk sequence. The
-// verdict key pins everything the exploration depends on; the chunk
-// sequence additionally depends on the chain length (the best layer is
-// chosen among the first cores layers) and on the platform's energy model —
-// chunk energies (dynamic powers, leakage) and the communication energy rate
-// steer the DP's argmin even when the explored state set is identical — so
-// both join the key. Two platforms sharing a ladder but not powers therefore
-// never share solutions.
+// verdict key pins everything the exploration depends on besides the
+// member's graph, which joins the key because the cut check reads its
+// volumes; the chunk sequence additionally depends on the chain length (the
+// best layer is chosen among the first cores layers) and on the platform's
+// energy model — chunk energies (dynamic powers, leakage) and the
+// communication energy rate steer the DP's argmin even when the explored
+// state set is identical — so both join the key too. Two platforms sharing a
+// ladder but not powers therefore never share solutions.
 type solutionMemoKey struct {
 	verdictKey
 	cores  int
 	energy string
+	g      *spg.Graph
 }
 
 // dpa1dEnergySig fingerprints every platform quantity the solve1D objective
@@ -195,113 +149,33 @@ func dpa1dEnergySig(pl *platform.Platform) string {
 	return string(b)
 }
 
-// budgetMemo records, per family member, the outcomes of past DPA1D runs:
+// runMemo records, for one scale family, the outcomes of past DPA1D runs:
 // budget-failure verdicts and successful chunk decompositions. A
 // budget-failed run evicts its half-enumerated downset space (see Solve), so
 // without this memo every identical later run — the same CCR cell in a
 // repeated campaign sweep, or on the next larger grid — re-burned the entire
 // enumeration just to fail at the same point; the run is deterministic given
-// the key, so replaying the recorded error is bit-identical and free.
+// the key and the member, so replaying the recorded error is bit-identical
+// and free.
 //
-// Successful runs memoize their chunk sequence (not the Solution): a warm
-// sweep replays the chunks through finishSnake, which rebuilds mapping,
-// routes and evaluation from scratch, so callers never alias mappings while
-// skipping the whole DP. The memo stores a private copy and hands out
-// fresh copies (copy-on-return), keeping the cached sequence immutable even
-// if a caller mutates what it received.
-type budgetMemo struct {
-	// cutBound bounds every downset cut of the member (see cutBound);
-	// immutable after construction.
-	cutBound float64
-
-	verdicts verdictStore
-
-	mu  sync.Mutex
-	sol map[solutionMemoKey][][]int
-}
-
-type budgetMemoAuxKey struct{}
-
-func budgetMemoFor(an *spg.Analysis) *budgetMemo {
-	return an.MemberAux(budgetMemoAuxKey{}, func() any {
-		return &budgetMemo{
-			cutBound: cutBound(an.Graph()),
-			sol:      make(map[solutionMemoKey][][]int),
-		}
-	}).(*budgetMemo)
-}
-
-// cutBound returns g's total edge volume, summed in edge order exactly as
-// DownsetSpace.Cout sums a cut. With every volume >= 0, floating-point
-// addition is monotone and never decreases a partial sum, so no cut — the
-// same sum over a subset of the edges — exceeds it. A negative or NaN
-// volume voids the bound (+Inf).
-func cutBound(g *spg.Graph) float64 {
-	var total float64
-	for _, e := range g.Edges {
-		if !(e.Volume >= 0) {
-			return math.Inf(1)
-		}
-		total += e.Volume
-	}
-	return total
-}
-
-// MemoryFootprint implements spg.Footprinter: verdicts and chunk sequences
-// count toward Analysis.MemoryFootprint and so toward the campaign cache's
-// byte account (chunk sequences are the only entries of real size).
-func (bm *budgetMemo) MemoryFootprint() int64 {
-	b := bm.verdicts.MemoryFootprint()
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	const keyBytes = int64(unsafe.Sizeof(solutionMemoKey{}))
-	for k, chunks := range bm.sol {
-		b += keyBytes + int64(len(k.ladder)+len(k.energy)) + auxMapEntryBytes + auxSliceHeaderBytes
-		for _, c := range chunks {
-			b += auxSliceHeaderBytes + int64(len(c))*8
-		}
-	}
-	return b
-}
-
-// copyChunks deep-copies a chunk sequence; both record and replay copy, so
-// the memoized sequence is never shared with any caller.
-func copyChunks(chunks [][]int) [][]int {
-	out := make([][]int, len(chunks))
-	for i, c := range chunks {
-		out[i] = append([]int(nil), c...)
-	}
-	return out
-}
-
-// solution returns a fresh copy of the memoized chunk sequence for key.
-func (bm *budgetMemo) solution(key solutionMemoKey) ([][]int, bool) {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	chunks, ok := bm.sol[key]
-	if !ok {
-		return nil, false
-	}
-	return copyChunks(chunks), true
-}
-
-// recordSolution memoizes a private copy of a successful run's chunks.
-func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	bm.sol[key] = copyChunks(chunks)
-}
-
-// familyVerdicts holds the budget verdicts a scale family shares. A run
-// reads edge volumes in two places only: the cut check, which skips a state
-// whose cut exceeds the link capacity, and the communication energy, whose
+// Successful runs memoize their chunk sequence (not the Solution) under
+// their member's graph: a warm sweep replays the chunks through finishSnake,
+// which rebuilds mapping, routes and evaluation from scratch, so callers
+// never alias mappings while skipping the whole DP. The memo stores a
+// private copy and hands out fresh copies (copy-on-return), keeping the
+// cached sequence immutable even if a caller mutates what it received.
+//
+// A verdict always replays on the member that recorded it. It replays on a
+// sibling too when the sibling's run would be the recorded one. A run reads
+// edge volumes in two places only: the cut check, which skips a state whose
+// cut exceeds the link capacity, and the communication energy, whose
 // magnitude changes finite DP values but never which states are expanded,
 // the layer's progress or the budget counts. A run whose cut check rejected
 // no state therefore explores exactly what a member would explore if its
-// own cut check rejected none of the same states. Such runs publish their
-// verdicts here, and a member replays one at its own period T′ — the
-// verdict's period or a looser one (see verdict) — when either certificate
-// below shows that its cut check at T′ cannot fire on those states:
+// own cut check rejected none of the same states. A sibling replays such a
+// verdict at its own period T′ — the verdict's period or a looser one (see
+// verdict) — when either certificate below shows that its cut check at T′
+// cannot fire on those states:
 //
 //   - Its cutBound is within the link capacity LinkCapacity(T′): no cut of
 //     the member exceeds it at all (the CCR variants light enough for the
@@ -344,57 +218,77 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 // certifies less, so checking it instead would turn away the heavy members
 // the lift exists for.
 //
-// The store also gates identical runs: a member about to run a key that a
+// The memo also gates identical runs: a member about to run a key that a
 // sibling is already running waits for the sibling's verdict instead of
 // repeating its enumeration alongside it.
-type familyVerdicts struct {
+type runMemo struct {
 	mu       sync.Mutex
-	m        map[verdictClass][]familyVerdict // append-only
+	verdicts map[verdictClass][]memoVerdict // append-only
+	sol      map[solutionMemoKey][][]int
 	running  map[verdictKey]struct{}
 	released sync.Cond // broadcast whenever a running key is released; L is &mu
 }
 
-// familyVerdict is a published verdict with its max-cut certificate: the
-// largest cut the recorded run computed and the recorder's graph, an
-// immutable family member whose edge volumes scale that cut to any other
-// member's.
-type familyVerdict struct {
+// memoVerdict is a recorded verdict with what decides the members it
+// replays on: the recorder's graph, an immutable family member whose edge
+// volumes scale the run's largest cut (maxCut) to any other member's, and
+// whether the run's cut check rejected a state, which confines the verdict
+// to its recorder.
+type memoVerdict struct {
 	verdict
-	maxCut float64
-	rec    *spg.Graph
+	rec         *spg.Graph
+	maxCut      float64
+	cutRejected bool
 }
 
-type familyVerdictsAuxKey struct{}
+type runMemoAuxKey struct{}
 
-func familyVerdictsFor(an *spg.Analysis) *familyVerdicts {
-	return an.Aux(familyVerdictsAuxKey{}, func() any {
-		fv := &familyVerdicts{
-			m:       make(map[verdictClass][]familyVerdict),
-			running: make(map[verdictKey]struct{}),
+func runMemoFor(an *spg.Analysis) *runMemo {
+	return an.Aux(runMemoAuxKey{}, func() any {
+		m := &runMemo{
+			verdicts: make(map[verdictClass][]memoVerdict),
+			sol:      make(map[solutionMemoKey][][]int),
+			running:  make(map[verdictKey]struct{}),
 		}
-		fv.released.L = &fv.mu
-		return fv
-	}).(*familyVerdicts)
+		m.released.L = &m.mu
+		return m
+	}).(*runMemo)
 }
 
 // lookup returns the recorded error that answers a run of key on a chain
-// of cores processors by member g, whose cutBound is bound, at link
-// capacity linkCap — LinkCapacity(key.T), the querying period's — and nil
-// if none does. A verdict answers when it replays at key.T and either
-// certificate (see familyVerdicts) admits g; of several, the one recorded at
-// the largest period answers, whatever order they were recorded in. Two
-// verdicts published at one period come from runs that rejected no state,
-// so both are the run with no cut check, and carry the same error. ρ is
-// computed only for a heavy member that has a verdict to replay.
-func (fv *familyVerdicts) lookup(key verdictKey, cores int, g *spg.Graph, bound, linkCap float64) error {
-	fv.mu.Lock()
-	list := fv.m[key.verdictClass]
-	fv.mu.Unlock()
-	var best *familyVerdict
+// of cores processors by member g at link capacity linkCap —
+// LinkCapacity(key.T), the querying period's — and nil if none does. A
+// verdict g recorded answers whenever it replays at key.T (see verdict).
+// Only if none does, a sibling's verdict answers when its run rejected no
+// state, it replays at key.T and either certificate (see runMemo) admits g.
+// Of several, the one recorded at the largest period answers, whatever
+// order they were recorded in: g's verdicts at one period record one run,
+// and two sibling verdicts published at one period come from runs that
+// rejected no state, so both are the run with no cut check and carry the
+// same error. Either way the replayed error is the one g's own run at that
+// period returns. cutBound(g) and ρ are computed only for a member that
+// has a sibling's verdict to replay.
+func (m *runMemo) lookup(key verdictKey, cores int, g *spg.Graph, linkCap float64) error {
+	m.mu.Lock()
+	list := m.verdicts[key.verdictClass]
+	m.mu.Unlock()
+	var best *memoVerdict
+	for i := range list {
+		if v := &list[i]; v.rec == g && v.replaysAt(key.T, cores) && (best == nil || v.T > best.T) {
+			best = v
+		}
+	}
+	if best != nil {
+		return best.err
+	}
+	bound, bounded := 0.0, false
 	for i := range list {
 		v := &list[i]
-		if !v.replaysAt(key.T, cores) || (best != nil && v.T <= best.T) {
+		if v.rec == g || v.cutRejected || !v.replaysAt(key.T, cores) || (best != nil && v.T <= best.T) {
 			continue
+		}
+		if !bounded {
+			bound, bounded = cutBound(g), true
 		}
 		if bound <= linkCap || cutScale(g, v.rec)*v.maxCut*sumMargin(len(g.Edges)) <= linkCap {
 			best = v
@@ -408,24 +302,77 @@ func (fv *familyVerdicts) lookup(key verdictKey, cores int, g *spg.Graph, bound,
 
 // record appends v to its class's list. Lists are only ever appended to,
 // so lookup iterates the prefix it loaded without holding the lock.
-func (fv *familyVerdicts) record(key verdictClass, v familyVerdict) {
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	fv.m[key] = append(fv.m[key], v)
+func (m *runMemo) record(key verdictClass, v memoVerdict) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.verdicts[key] = append(m.verdicts[key], v)
+}
+
+// solution returns a fresh copy of the memoized chunk sequence for key.
+func (m *runMemo) solution(key solutionMemoKey) ([][]int, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	chunks, ok := m.sol[key]
+	if !ok {
+		return nil, false
+	}
+	return copyChunks(chunks), true
+}
+
+// recordSolution memoizes a private copy of a successful run's chunks.
+func (m *runMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sol[key] = copyChunks(chunks)
+}
+
+// copyChunks deep-copies a chunk sequence; both record and replay copy, so
+// the memoized sequence is never shared with any caller.
+func copyChunks(chunks [][]int) [][]int {
+	out := make([][]int, len(chunks))
+	for i, c := range chunks {
+		out[i] = append([]int(nil), c...)
+	}
+	return out
 }
 
 // MemoryFootprint implements spg.Footprinter with the flat constants the spg
-// estimates use. The recorder's graph belongs to its member analysis and is
-// not counted here.
-func (fv *familyVerdicts) MemoryFootprint() int64 {
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
+// estimates use: verdicts and chunk sequences count toward
+// Analysis.MemoryFootprint and so toward the campaign cache's byte account
+// (chunk sequences are the only entries of real size). The recorders'
+// graphs belong to their member analyses and are not counted here.
+func (m *runMemo) MemoryFootprint() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	const classBytes = int64(unsafe.Sizeof(verdictClass{})) + auxMapEntryBytes + auxSliceHeaderBytes
+	const keyBytes = int64(unsafe.Sizeof(solutionMemoKey{})) + auxMapEntryBytes + auxSliceHeaderBytes
 	var b int64
-	for k, list := range fv.m {
-		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(familyVerdict{}))
+	for k, list := range m.verdicts {
+		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(memoVerdict{}))
+	}
+	for k, chunks := range m.sol {
+		b += keyBytes + int64(len(k.ladder)+len(k.energy))
+		for _, c := range chunks {
+			b += auxSliceHeaderBytes + int64(len(c))*8
+		}
 	}
 	return b
+}
+
+// cutBound returns g's total edge volume, summed in edge order exactly as
+// DownsetSpace.Cout sums a cut. With every volume >= 0, floating-point
+// addition is monotone and never decreases a partial sum, so no cut — the
+// same sum over a subset of the edges — exceeds it. A negative or NaN
+// volume voids the bound (+Inf).
+func cutBound(g *spg.Graph) float64 {
+	var total float64
+	for _, e := range g.Edges {
+		if !(e.Volume >= 0) {
+			return math.Inf(1)
+		}
+		total += e.Volume
+	}
+	return total
 }
 
 // cutScale returns ρ, the largest ratio of member m's edge volume to the
@@ -459,28 +406,28 @@ func sumMargin(terms int) float64 {
 
 // claim registers the caller as running key and reports true, or — when a
 // sibling already runs it — waits until no sibling does and reports false,
-// so the caller looks at the stores again. A true return obliges the caller
+// so the caller looks at the memo again. A true return obliges the caller
 // to release the key.
-func (fv *familyVerdicts) claim(key verdictKey) bool {
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	if _, busy := fv.running[key]; !busy {
-		fv.running[key] = struct{}{}
+func (m *runMemo) claim(key verdictKey) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, busy := m.running[key]; !busy {
+		m.running[key] = struct{}{}
 		return true
 	}
 	for {
-		fv.released.Wait()
-		if _, busy := fv.running[key]; !busy {
+		m.released.Wait()
+		if _, busy := m.running[key]; !busy {
 			return false
 		}
 	}
 }
 
-func (fv *familyVerdicts) release(key verdictKey) {
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	delete(fv.running, key)
-	fv.released.Broadcast()
+func (m *runMemo) release(key verdictKey) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.running, key)
+	m.released.Broadcast()
 }
 
 // dpa1dWork counts the DPA1D runs this process executed — Solves that got
@@ -502,18 +449,15 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	}}
 	cores := pl.NumCores()
 	an := inst.Analysis
-	memo := budgetMemoFor(an)
-	family := familyVerdictsFor(an)
-	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl)}
+	g := an.Graph()
+	memo := runMemoFor(an)
+	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl), g}
 	for {
 		// A budget failure recorded for this configuration, at this period
 		// or a tighter one, replays immediately: the run it summarizes would
 		// burn the whole enumeration again only to fail identically, and a
 		// run at a looser period would fail by the same layer (see verdict).
-		if err := memo.verdicts.lookup(key, cores); err != nil {
-			return nil, err
-		}
-		if err := family.lookup(key, cores, an.Graph(), memo.cutBound, pl.LinkCapacity(T)); err != nil {
+		if err := memo.lookup(key, cores, g, pl.LinkCapacity(T)); err != nil {
 			return nil, err
 		}
 		// A memoized successful run replays its chunk sequence straight
@@ -526,11 +470,11 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		}
 		// A sibling running the same key records its verdict before it
 		// releases the key; wait for it, then look again.
-		if family.claim(key) {
+		if memo.claim(key) {
 			break
 		}
 	}
-	defer family.release(key)
+	defer memo.release(key)
 	ds, err := an.DownsetSpace(h.MaxStates)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
@@ -550,11 +494,10 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 			// like the uncached path — and remember the verdict so the next
 			// identical run skips the burn altogether.
 			an.EvictDownsetSpace(h.MaxStates, ds)
-			v := newVerdict(T, an.Graph().N(), tr.layer, err)
-			memo.verdicts.record(key.verdictClass, v)
-			if !tr.cutRejected {
-				family.record(key.verdictClass, familyVerdict{verdict: v, maxCut: tr.maxCut, rec: an.Graph()})
-			}
+			memo.record(key.verdictClass, memoVerdict{
+				verdict: newVerdict(T, g.N(), tr.layer, err),
+				rec:     g, maxCut: tr.maxCut, cutRejected: tr.cutRejected,
+			})
 		}
 		return nil, err
 	}
@@ -565,7 +508,7 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 // runTrace is what a DPA1D run reports besides its chunks, for its budget
 // verdict: the processor layer it stopped in, whether its cut check
 // rejected any state, and the largest cut it computed (the max-cut
-// certificate's maxCut, see familyVerdicts).
+// certificate's maxCut, see runMemo).
 type runTrace struct {
 	layer       int
 	cutRejected bool

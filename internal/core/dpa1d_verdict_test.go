@@ -116,27 +116,22 @@ func TestDPA1DSharedVerdictsMatchFresh(t *testing.T) {
 										a.Name, bi, grids, order, ccr, n, n, T, got, w)
 								}
 								// A budget failure no verdict of the member's own
-								// answers was answered by a sibling's family verdict.
-								own := budgetMemoFor(an).verdicts.lookup(solveKey(h, pl, T), pl.NumCores()) != nil
-								if got.budget && !own {
+								// answers was answered by a sibling's verdict.
+								if got.budget && !ownReplays(an, solveKey(h, pl, T), pl.NumCores()) {
 									fromFamily++
 								}
 							}
 						}
 					}
-					// Tally what the shared stores held, so the suite proves it
+					// Tally what the family memo held, so the suite proves it
 					// exercised each sharing path.
-					for _, ccr := range ccrs {
-						for _, list := range budgetMemoFor(fam.ScaleToCCR(ccr)).verdicts.m {
-							for _, v := range list {
-								replayable++
-								if v.layer > 4 {
-									refusedOnSmall++
-								}
-							}
+					for _, v := range recordedVerdicts(fam) {
+						replayable++
+						if v.layer > 4 {
+							refusedOnSmall++
 						}
 					}
-					family += len(familyVerdictsAt(fam))
+					family += len(publishedVerdicts(fam))
 				}
 			}
 		}
@@ -183,11 +178,10 @@ func TestDPA1DLayerVerdictNotReplayedOnShorterChain(t *testing.T) {
 	if !ok || v.layer <= 4 || v.layer > 16 {
 		t.Fatalf("recorded verdict %+v (ok %v), want a layer in (4, 16]", v, ok)
 	}
-	memo := budgetMemoFor(an)
-	if memo.verdicts.lookup(key, v.layer-1) != nil {
+	if ownReplays(an, key, v.layer-1) {
 		t.Errorf("verdict of layer %d replays on %d cores", v.layer, v.layer-1)
 	}
-	if memo.verdicts.lookup(key, v.layer) == nil {
+	if !ownReplays(an, key, v.layer) {
 		t.Errorf("verdict of layer %d does not replay on %d cores", v.layer, v.layer)
 	}
 
@@ -244,7 +238,7 @@ func TestDPA1DHeavyMemberSkipsFamilyVerdict(t *testing.T) {
 	if got := solveOutcome(h, Instance{Graph: light.Graph(), Platform: pl, Period: T, Analysis: light}); !got.budget {
 		t.Fatalf("light member: %v, want a budget failure", got)
 	}
-	if len(familyVerdictsAt(fam)) != 1 {
+	if len(publishedVerdicts(fam)) != 1 {
 		t.Fatal("the light member's volume-free verdict was not published")
 	}
 	got := solveOutcome(h, Instance{Graph: g, Platform: pl, Period: T, Analysis: fam})
@@ -263,43 +257,71 @@ func solveKey(h *DPA1D, pl *platform.Platform, T float64) verdictKey {
 		bw: pl.BW, ladder: speedLadderSig(pl)}}
 }
 
-// memberVerdict returns the verdict an's member store recorded for key at
+// classVerdicts lists the verdicts an's family memo holds for key's class,
+// at every period, in recording order.
+func classVerdicts(an *spg.Analysis, key verdictKey) []memoVerdict {
+	m := runMemoFor(an)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]memoVerdict(nil), m.verdicts[key.verdictClass]...)
+}
+
+// ownReplays reports whether a verdict member an recorded itself answers a
+// run of key on a chain of cores processors — what the family memo's lookup
+// consults before any sibling's verdict.
+func ownReplays(an *spg.Analysis, key verdictKey, cores int) bool {
+	for _, v := range classVerdicts(an, key) {
+		if v.rec == an.Graph() && v.replaysAt(key.T, cores) {
+			return true
+		}
+	}
+	return false
+}
+
+// memberVerdict returns the verdict member an recorded itself for key at
 // exactly key.T.
-func memberVerdict(an *spg.Analysis, key verdictKey) (verdict, bool) {
-	vs := &budgetMemoFor(an).verdicts
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	for _, v := range vs.m[key.verdictClass] {
-		if v.T == key.T {
+func memberVerdict(an *spg.Analysis, key verdictKey) (memoVerdict, bool) {
+	for _, v := range classVerdicts(an, key) {
+		if v.rec == an.Graph() && v.T == key.T {
 			return v, true
 		}
 	}
-	return verdict{}, false
+	return memoVerdict{}, false
 }
 
-// publishedVerdict returns the verdict fam's family store holds for key at
-// exactly key.T.
-func publishedVerdict(fam *spg.Analysis, key verdictKey) (familyVerdict, bool) {
-	fv := familyVerdictsFor(fam)
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	for _, v := range fv.m[key.verdictClass] {
-		if v.T == key.T {
+// publishedVerdict returns the verdict fam's family memo holds for key at
+// exactly key.T from a run that rejected no state, the kind a sibling may
+// replay.
+func publishedVerdict(fam *spg.Analysis, key verdictKey) (memoVerdict, bool) {
+	for _, v := range classVerdicts(fam, key) {
+		if !v.cutRejected && v.T == key.T {
 			return v, true
 		}
 	}
-	return familyVerdict{}, false
+	return memoVerdict{}, false
 }
 
-// familyVerdictsAt lists every verdict fam's family store holds, of any
-// class and period.
-func familyVerdictsAt(fam *spg.Analysis) []familyVerdict {
-	fv := familyVerdictsFor(fam)
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	var out []familyVerdict
-	for _, list := range fv.m {
+// recordedVerdicts lists every verdict fam's family memo holds, of any
+// class, period and member.
+func recordedVerdicts(fam *spg.Analysis) []memoVerdict {
+	m := runMemoFor(fam)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []memoVerdict
+	for _, list := range m.verdicts {
 		out = append(out, list...)
+	}
+	return out
+}
+
+// publishedVerdicts lists the verdicts of recordedVerdicts(fam) that a
+// sibling may replay: those of runs whose cut check rejected no state.
+func publishedVerdicts(fam *spg.Analysis) []memoVerdict {
+	var out []memoVerdict
+	for _, v := range recordedVerdicts(fam) {
+		if !v.cutRejected {
+			out = append(out, v)
+		}
 	}
 	return out
 }
@@ -445,7 +467,7 @@ func TestDPA1DZeroRecorderVolumeBlocksReplay(t *testing.T) {
 }
 
 // TestDPA1DCutRejectingRunNotPublished: a run whose cut check rejected a
-// state records its verdict for its own member only; an eligible sibling
+// state records a verdict only its own member replays; an eligible sibling
 // then runs (and matches a fresh solve) instead of replaying it.
 func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 	g := verdictForkJoin(t, func(i int) float64 {
@@ -476,8 +498,11 @@ func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 	if got := solveOutcome(h, inst); !got.budget {
 		t.Fatalf("heavy member: %v, want a budget failure", got)
 	}
-	if n := len(familyVerdictsAt(fam)); n != 0 {
+	if n := len(publishedVerdicts(fam)); n != 0 {
 		t.Fatalf("cut-rejecting run published %d family verdicts", n)
+	}
+	if n := len(recordedVerdicts(fam)); n != 1 {
+		t.Fatalf("cut-rejecting run recorded %d verdicts, want 1", n)
 	}
 	light := fam.ScaleToCCR(10)
 	if cutBound(light.Graph()) > pl.LinkCapacity(T) {
@@ -491,13 +516,85 @@ func TestDPA1DCutRejectingRunNotPublished(t *testing.T) {
 	}
 }
 
+// TestDPA1DOwnVerdictAnswersFirst: a cut-rejecting verdict replays on the
+// member that recorded it and never on a sibling, not even one its cutBound
+// certifies; and where the member's own verdict and a sibling's both
+// replay, the member's own answers, with the error its own run returned,
+// though the sibling's was recorded at a larger period.
+func TestDPA1DOwnVerdictAnswersFirst(t *testing.T) {
+	g := verdictForkJoin(t, func(i int) float64 {
+		if i == 0 {
+			return 100
+		}
+		return 0.1
+	})
+	h := &DPA1D{MaxStates: 100, MaxTransitions: 1 << 30}
+	pl := platform.XScale(4, 4)
+	cores := pl.NumCores()
+	fam := spg.NewAnalysis(g)
+	light := fam.ScaleToCCR(10)
+	memo := runMemoFor(fam)
+	solve := func(an *spg.Analysis, T float64) (outcome1D, bool) {
+		return solveCounted(h, Instance{Graph: an.Graph(), Platform: pl, Period: T, Analysis: an})
+	}
+
+	// The heavy member records a cut-rejecting verdict at T = 1, and replays it.
+	if got, _ := solve(fam, 1); !got.budget {
+		t.Fatalf("premise: heavy member %v, want a budget failure", got)
+	}
+	own, ok := memberVerdict(fam, solveKey(h, pl, 1))
+	if !ok || !own.cutRejected {
+		t.Fatalf("premise: heavy verdict %+v (ok %v), want a cut-rejecting one", own, ok)
+	}
+	if got, ran := solve(fam, 1); ran || got.err != own.err.Error() {
+		t.Errorf("heavy member again: %v (ran %v), want its own verdict %q replayed", got, ran, own.err)
+	}
+
+	// The light sibling, whose cutBound fits the link, never takes it.
+	for _, T := range []float64{1, 2} {
+		if cutBound(light.Graph()) > pl.LinkCapacity(T) {
+			t.Fatalf("premise: light bound %g exceeds the link %g at T %g", cutBound(light.Graph()), pl.LinkCapacity(T), T)
+		}
+		if err := memo.lookup(solveKey(h, pl, T), cores, light.Graph(), pl.LinkCapacity(T)); err != nil {
+			t.Errorf("light sibling at T %g took the cut-rejecting verdict: %v", T, err)
+		}
+	}
+	got, ran := solve(light, 2)
+	if want := freshGraphOutcome(h, light.Graph(), pl, 2); !ran || got != want || !got.budget {
+		t.Fatalf("light sibling at T 2: %v (ran %v), fresh %v; want a run ending in a budget failure", got, ran, want)
+	}
+	sib, ok := publishedVerdict(fam, solveKey(h, pl, 2))
+	if !ok || sib.rec != light.Graph() {
+		t.Fatalf("premise: published verdict %+v (ok %v), want the light sibling's", sib, ok)
+	}
+
+	// At T = 10 both replay on the heavy member — its own lifted from T = 1,
+	// the sibling's lifted from T = 2 and certified by the heavy member's
+	// cutBound — and its own answers.
+	const loose = 10.0
+	if cutBound(g) > pl.LinkCapacity(loose) || !own.replaysAt(loose, cores) || !sib.replaysAt(loose, cores) {
+		t.Fatalf("premise: heavy bound %g, link %g; own replays %v, sibling's replays %v",
+			cutBound(g), pl.LinkCapacity(loose), own.replaysAt(loose, cores), sib.replaysAt(loose, cores))
+	}
+	if err := memo.lookup(solveKey(h, pl, loose), cores, g, pl.LinkCapacity(loose)); err != own.err {
+		t.Errorf("heavy member at T %g: lookup answered %v, want its own verdict's %v", loose, err, own.err)
+	}
+	got, ran = solve(fam, loose)
+	if ran || got.err != own.err.Error() {
+		t.Errorf("heavy member at T %g: %v (ran %v), want its own verdict %q", loose, got, ran, own.err)
+	}
+	if want := freshGraphOutcome(h, g, pl, loose); !sameResult(got, want) {
+		t.Errorf("heavy member at T %g: %v, fresh %v", loose, got, want)
+	}
+}
+
 // TestDPA1DConcurrentFamilyMatchesSerialFresh: the four CCR members of a
 // family solve DPA1D concurrently, two goroutines each, at one period on
 // one shared lattice; every result is bit-identical to a serial fresh solve.
 // The suite includes keys on which heavy and light members all run out of
 // budget, so they race to record, wait for and replay one family verdict.
-// Run under -race, it checks the run cursors, the verdict stores and the
-// claim gate.
+// Run under -race, it checks the run cursors, the family memo and the claim
+// gate.
 func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 	h := &verdictBudgets[1]
 	apps := streamit.Suite()
@@ -557,7 +654,7 @@ func TestDPA1DConcurrentFamilyMatchesSerialFresh(t *testing.T) {
 // lattice, so lifted lookups read the verdict lists while siblings append
 // to them. Every result agrees with a serial fresh solve (sameResult: a
 // lifted replay may carry the tighter run's error text). Run under -race,
-// it checks the unlocked reads of the family store.
+// it checks the unlocked reads of the family memo.
 func TestDPA1DConcurrentLiftMatchesFresh(t *testing.T) {
 	h := &verdictBudgets[1]
 	apps := streamit.Suite()
@@ -619,18 +716,18 @@ func TestDPA1DConcurrentLiftMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestDPA1DFamilyVerdictsFootprint: the family verdict store reports its
-// entries, and the analysis footprint — the campaign cache's byte account —
-// counts them.
+// TestDPA1DFamilyVerdictsFootprint: the family memo reports its verdicts,
+// and the analysis footprint — the campaign cache's byte account — counts
+// them.
 func TestDPA1DFamilyVerdictsFootprint(t *testing.T) {
 	fam := spg.NewAnalysis(verdictChain(t))
-	fv := familyVerdictsFor(fam)
+	memo := runMemoFor(fam)
 	before := fam.MemoryFootprint()
 	pl := platform.XScale(4, 4)
 	key := verdictClass{maxStates: 10, maxTransitions: 10, bw: pl.BW, ladder: speedLadderSig(pl)}
-	fv.record(key, familyVerdict{verdict: newVerdict(1, fam.Graph().N(), 3, ErrBudget), maxCut: 0.5, rec: fam.Graph()})
-	want := int64(unsafe.Sizeof(verdictClass{})+unsafe.Sizeof(familyVerdict{})) + auxMapEntryBytes + auxSliceHeaderBytes + int64(len(key.ladder))
-	if got := fv.MemoryFootprint(); got != want {
+	memo.record(key, memoVerdict{verdict: newVerdict(1, fam.Graph().N(), 3, ErrBudget), maxCut: 0.5, rec: fam.Graph()})
+	want := int64(unsafe.Sizeof(verdictClass{})+unsafe.Sizeof(memoVerdict{})) + auxMapEntryBytes + auxSliceHeaderBytes + int64(len(key.ladder))
+	if got := memo.MemoryFootprint(); got != want {
 		t.Fatalf("store footprint %d, want %d", got, want)
 	}
 	if got := fam.MemoryFootprint() - before; got != want {
@@ -652,8 +749,8 @@ func TestDPA1DSolveAllocs(t *testing.T) {
 	h := NewDPA1D()
 	chain := spg.NewAnalysis(verdictChain(t))
 	inst := Instance{Graph: chain.Graph(), Platform: pl, Period: T, Analysis: chain, Scratch: sc}
-	memo := budgetMemoFor(chain)
-	key := solutionMemoKey{solveKey(h, pl, T), pl.NumCores(), dpa1dEnergySig(pl)}
+	memo := runMemoFor(chain)
+	key := solutionMemoKey{solveKey(h, pl, T), pl.NumCores(), dpa1dEnergySig(pl), chain.Graph()}
 	light := testing.AllocsPerRun(50, func() {
 		delete(memo.sol, key)
 		if _, err := h.Solve(inst); err != nil {
@@ -696,10 +793,10 @@ func sameResult(a, b outcome1D) bool {
 	return (a.err == "") == (b.err == "") && a.energy == b.energy && a.budget == b.budget
 }
 
-// TestDPA1DLiftedMemberVerdictMatchesFresh: a member-scoped verdict — from
-// a run whose cut check rejected a state, so nothing reaches the family
-// store — replays at the lifted period, 2T and 10T on 4x4 and 6x6, and each
-// replay agrees with a fresh solve.
+// TestDPA1DLiftedMemberVerdictMatchesFresh: a verdict only its member
+// replays — from a run whose cut check rejected a state, so no sibling may —
+// replays on that member at the lifted period, 2T and 10T on 4x4 and 6x6,
+// and each replay agrees with a fresh solve.
 func TestDPA1DLiftedMemberVerdictMatchesFresh(t *testing.T) {
 	g := verdictForkJoin(t, func(i int) float64 {
 		if i == 0 {
@@ -714,8 +811,8 @@ func TestDPA1DLiftedMemberVerdictMatchesFresh(t *testing.T) {
 		t.Fatalf("premise: %v, want a budget failure", got)
 	}
 	v, ok := memberVerdict(an, solveKey(h, platform.XScale(4, 4), T))
-	if !ok || v.layer > 16 || len(familyVerdictsAt(an)) != 0 {
-		t.Fatalf("premise: member verdict %+v (ok %v) within 16 layers and no family verdict (%d)", v, ok, len(familyVerdictsAt(an)))
+	if !ok || v.layer > 16 || len(publishedVerdicts(an)) != 0 {
+		t.Fatalf("premise: member verdict %+v (ok %v) within 16 layers and no family verdict (%d)", v, ok, len(publishedVerdicts(an)))
 	}
 	for _, n := range []int{4, 6} {
 		pl := platform.XScale(n, n)
@@ -734,7 +831,7 @@ func TestDPA1DLiftedMemberVerdictMatchesFresh(t *testing.T) {
 // liftChainFamily is verdictChain's scale family with a verdict published
 // from a 4x4 run at T = 1 by the chain itself, which is light (its cut
 // check rejects nothing). It returns the family and the published verdict.
-func liftChainFamily(t *testing.T, h *DPA1D) (*spg.Analysis, familyVerdict) {
+func liftChainFamily(t *testing.T, h *DPA1D) (*spg.Analysis, memoVerdict) {
 	t.Helper()
 	fam := spg.NewAnalysis(verdictChain(t))
 	pl := platform.XScale(4, 4)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -40,18 +41,32 @@ func stampDeadline(req *http.Request) {
 	req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
 }
 
-// ParseDeadlineHeader reads a propagated deadline budget from inbound request
-// headers: (budget, true, nil) when present and valid, (0, false, nil) when
-// absent, and an error for a malformed value — the receiver answers 400
-// rather than guessing whether a garbled budget meant 1ms or 1h.
-func ParseDeadlineHeader(h http.Header) (time.Duration, bool, error) {
+// maxDeadlineMS is the largest millisecond budget a time.Duration holds;
+// a larger one would wrap negative and expire at once.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
+// ParseDeadline reads a request's deadline budget from its two spellings,
+// a JSON body's deadline_ms (bodyMS, 0 when absent) and the DeadlineHeader;
+// the body field wins when both are present. It returns (budget, true, nil)
+// for a valid budget, (0, false, nil) when neither spelling is present, and
+// an error for a negative, malformed or oversized value — the receiver
+// answers 400 rather than guessing whether a garbled budget meant 1ms or 1h.
+func ParseDeadline(h http.Header, bodyMS int64) (time.Duration, bool, error) {
+	switch {
+	case bodyMS < 0:
+		return 0, false, fmt.Errorf("deadline_ms %d is negative", bodyMS)
+	case bodyMS > maxDeadlineMS:
+		return 0, false, fmt.Errorf("deadline_ms %d exceeds the largest budget, %d", bodyMS, maxDeadlineMS)
+	case bodyMS > 0:
+		return time.Duration(bodyMS) * time.Millisecond, true, nil
+	}
 	raw := h.Get(DeadlineHeader)
 	if raw == "" {
 		return 0, false, nil
 	}
 	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, false, fmt.Errorf("malformed %s header %q: want a positive integer millisecond budget", DeadlineHeader, raw)
+	if err != nil || ms <= 0 || ms > maxDeadlineMS {
+		return 0, false, fmt.Errorf("malformed %s header %q: want a positive integer millisecond budget of at most %d", DeadlineHeader, raw, maxDeadlineMS)
 	}
 	return time.Duration(ms) * time.Millisecond, true, nil
 }

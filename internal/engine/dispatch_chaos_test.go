@@ -241,7 +241,7 @@ func TestDispatcherDeadlineHeader(t *testing.T) {
 	var budgets []time.Duration
 	proxy := httptest.NewServer(http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
-			b, ok, err := ParseDeadlineHeader(r.Header)
+			b, ok, err := ParseDeadline(r.Header, 0)
 			if err != nil || !ok {
 				t.Errorf("execute request without a valid deadline header: ok=%v err=%v", ok, err)
 			} else {

@@ -8,15 +8,11 @@ import (
 	"spgcmp/internal/spg"
 )
 
-// Outcome is one heuristic's result on one instance. It is core's cell-level
-// outcome re-exported under the name the experiment tables use.
-type Outcome = core.CellOutcome
-
 // InstanceResult is the evaluation of all heuristics on one workload at the
 // period selected by the Section 6.1.3 protocol.
 type InstanceResult struct {
-	Period   float64   `json:"period"`
-	Outcomes []Outcome `json:"outcomes"`
+	Period   float64            `json:"period"`
+	Outcomes []core.CellOutcome `json:"outcomes"`
 }
 
 // BestEnergy returns the minimum energy over successful heuristics, or +Inf.
@@ -50,22 +46,18 @@ func (ir InstanceResult) BestEnergy() float64 {
 // starts from whatever structures earlier runs on the same workload family
 // already built.
 func SelectPeriod(an *spg.Analysis, pl *platform.Platform, opts core.Options) (InstanceResult, bool) {
-	return SelectPeriodDivisions(an, pl, opts, DefaultMaxDivisions)
+	return selectPeriodDivisionsScratch(an, pl, opts, DefaultMaxDivisions, nil)
 }
 
 // DefaultMaxDivisions is the paper's cap on the period-selection protocol:
 // at most nine divisions by 10 below the 1 s starting period.
 const DefaultMaxDivisions = 9
 
-// SelectPeriodDivisions is SelectPeriod with an explicit cap on the number
-// of period divisions (<= 0 selects DefaultMaxDivisions) — the knob a
-// CellSpec carries so a cell's whole solve is declarative.
-func SelectPeriodDivisions(an *spg.Analysis, pl *platform.Platform, opts core.Options, maxDivisions int) (InstanceResult, bool) {
-	return selectPeriodDivisionsScratch(an, pl, opts, maxDivisions, nil)
-}
-
-// selectPeriodDivisionsScratch is the protocol with a caller-owned solver
-// arena threaded through every period's instance (nil allocates normally).
+// selectPeriodDivisionsScratch is the protocol with an explicit cap on the
+// number of period divisions (<= 0 selects DefaultMaxDivisions) — the knob
+// a CellSpec carries so a cell's whole solve is declarative — and a
+// caller-owned solver arena threaded through every period's instance (nil
+// allocates normally).
 // The arena is reset between periods and before the returned period is
 // completed: outcomes carry only scalars and wire-form copies, so nothing
 // handed to the caller is arena-backed.

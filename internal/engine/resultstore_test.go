@@ -19,7 +19,7 @@ func storedResult(index int, key string, energy float64) CellResult {
 		Feasible: true,
 		Result: InstanceResult{
 			Period:   1,
-			Outcomes: []Outcome{{Heuristic: "H", OK: true, Energy: energy, ActiveCores: 2}},
+			Outcomes: []core.CellOutcome{{Heuristic: "H", OK: true, Energy: energy, ActiveCores: 2}},
 		},
 	}
 }
@@ -79,7 +79,7 @@ func TestResultStoreRoundTrip(t *testing.T) {
 // none.
 func TestAnswerForNamesWinner(t *testing.T) {
 	m1, m2 := &mapping.WireMapping{Alloc: [][2]int{{0, 0}}}, &mapping.WireMapping{Alloc: [][2]int{{0, 1}}}
-	r := CellResult{Feasible: true, Result: InstanceResult{Period: 1, Outcomes: []Outcome{
+	r := CellResult{Feasible: true, Result: InstanceResult{Period: 1, Outcomes: []core.CellOutcome{
 		{Heuristic: "A", OK: true, Energy: 3, Mapping: m1},
 		{Heuristic: "B", OK: false},
 		{Heuristic: "C", OK: true, Energy: 2, Mapping: m2},
@@ -169,7 +169,7 @@ func TestResultStoreOversizedPutKeepsResidents(t *testing.T) {
 	st.Put("b", storedAnswer(2))
 	big := storedResult(0, "", 1)
 	for i := 0; i < 200; i++ {
-		big.Result.Outcomes = append(big.Result.Outcomes, Outcome{Heuristic: fmt.Sprintf("H%d", i), OK: true, Energy: float64(i), ActiveCores: 2})
+		big.Result.Outcomes = append(big.Result.Outcomes, core.CellOutcome{Heuristic: fmt.Sprintf("H%d", i), OK: true, Energy: float64(i), ActiveCores: 2})
 	}
 	oversized, err := EncodeAnswer(big)
 	if err != nil {

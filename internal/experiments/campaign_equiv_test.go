@@ -301,7 +301,7 @@ func TestDefaultAnalysisCacheShared(t *testing.T) {
 	if DefaultAnalysisCache().Len() < before {
 		t.Error("default cache shrank")
 	}
-	key := streamItKey(apps[0])
+	key, _ := streamItKey(apps[0])
 	hit := false
 	if _, err := DefaultAnalysisCache().Get(key, func() (*spg.Analysis, error) {
 		hit = true // build called = miss

@@ -16,7 +16,7 @@ import (
 // runAll executes every heuristic on the instance with the campaign
 // configuration. The instance's analysis cache (when attached) is shared by
 // all five heuristics.
-func runAll(inst core.Instance, seed int64) []engine.Outcome {
+func runAll(inst core.Instance, seed int64) []core.CellOutcome {
 	return core.NewCellSolver(inst, campaignOptions(seed)).Complete()
 }
 
@@ -168,7 +168,7 @@ func TestHeuristicsSetMatchesNames(t *testing.T) {
 }
 
 func TestInstanceResultBestEnergy(t *testing.T) {
-	ir := engine.InstanceResult{Outcomes: []engine.Outcome{
+	ir := engine.InstanceResult{Outcomes: []core.CellOutcome{
 		{Heuristic: "A", OK: true, Energy: 5},
 		{Heuristic: "B", OK: false, Energy: 1},
 		{Heuristic: "C", OK: true, Energy: 3},
@@ -176,7 +176,7 @@ func TestInstanceResultBestEnergy(t *testing.T) {
 	if got := ir.BestEnergy(); got != 3 {
 		t.Errorf("BestEnergy = %g, want 3 (failed outcomes ignored)", got)
 	}
-	empty := engine.InstanceResult{Outcomes: []engine.Outcome{{OK: false}}}
+	empty := engine.InstanceResult{Outcomes: []core.CellOutcome{{OK: false}}}
 	if !math.IsInf(empty.BestEnergy(), 1) {
 		t.Error("BestEnergy of all-failed must be +Inf")
 	}

@@ -37,9 +37,17 @@ func (c RandomConfig) withDefaults() RandomConfig {
 	return c
 }
 
+// validate rejects an empty elevation range and any graph parameters the
+// engine's workload check rejects. Cells differ only in elevation and seed,
+// and the check reads no seed and wants elevation >= 1, so the range's
+// first cell stands for all of them.
 func (c RandomConfig) validate() error {
 	if c.MaxElevation < c.MinElevation {
 		return fmt.Errorf("experiments: bad elevation range [%d, %d]", c.MinElevation, c.MaxElevation)
+	}
+	first := engine.WorkloadSpec{Random: &engine.RandomWorkload{N: c.N, Elevation: c.MinElevation, CCR: c.CCR}}
+	if err := first.Validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
 	}
 	return nil
 }
@@ -69,10 +77,10 @@ type RandomResult struct {
 // The cell is its declarative CellSpec, so a dispatched run can ship it to
 // any worker.
 func NewRandomCell(n, elevation int, seed int64, ccr float64, p, q int) engine.Cell {
-	key := randomKey(n, elevation, seed, ccr)
+	key, cacheKey := randomKey(n, elevation, seed, ccr)
 	return engine.CellSpec{
 		Key:      fmt.Sprintf("%s/%dx%d", key, p, q),
-		CacheKey: key,
+		CacheKey: cacheKey,
 		Workload: engine.WorkloadSpec{Random: &engine.RandomWorkload{
 			N:         n,
 			Elevation: elevation,

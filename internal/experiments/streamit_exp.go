@@ -47,10 +47,10 @@ type StreamItResult struct {
 // heuristic. The cell is its declarative CellSpec, so a dispatched run can
 // ship it to any worker.
 func NewStreamItCell(a streamit.App, ccr float64, p, q int, seed int64) engine.Cell {
-	key := streamItKey(a)
+	key, cacheKey := streamItKey(a)
 	return engine.CellSpec{
 		Key:      fmt.Sprintf("%s/ccr=%s/%dx%d", key, ccrLabel(ccr, ccr == a.CCR), p, q),
-		CacheKey: key,
+		CacheKey: cacheKey,
 		Workload: engine.WorkloadSpec{StreamIt: a.Name},
 		ScaleCCR: true,
 		CCR:      ccr,

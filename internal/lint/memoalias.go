@@ -14,7 +14,7 @@ import (
 //
 // A map expression is memo-like when any identifier in the expression, or
 // the named type of any prefix of the selector chain, mentions "memo" or
-// "cache" (case-insensitive): bm.sol on a *budgetMemo qualifies via the
+// "cache" (case-insensitive): m.sol on a *runMemo qualifies via the
 // receiver's type name. Values are aliasing-prone when their underlying
 // type is (or transitively contains, through struct fields) a slice or map.
 // Pointer-valued caches are exempt: handing out a shared, internally

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spgcmp/internal/core"
 	"spgcmp/internal/engine"
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/streamit"
@@ -210,11 +211,11 @@ func serveCoalesced(t *testing.T, srv *Server, body string) rendered {
 // HTML-significant bytes, U+2028/U+2029 and invalid UTF-8.
 func TestMapAnswerKeyEscaping(t *testing.T) {
 	m := &mapping.WireMapping{P: 2, Q: 2, Alloc: [][2]int{{0, 0}, {0, 1}, {1, 1}}}
-	feasible := engine.CellResult{Feasible: true, Result: engine.InstanceResult{Period: 0.01, Outcomes: []engine.Outcome{
+	feasible := engine.CellResult{Feasible: true, Result: engine.InstanceResult{Period: 0.01, Outcomes: []core.CellOutcome{
 		{Heuristic: "Random", OK: false},
 		{Heuristic: "Greedy", OK: true, Energy: 1.25e-3, ActiveCores: 3, Mapping: m},
 	}}}
-	infeasible := engine.CellResult{Result: engine.InstanceResult{Period: 1, Outcomes: []engine.Outcome{{Heuristic: "Greedy"}}}}
+	infeasible := engine.CellResult{Result: engine.InstanceResult{Period: 1, Outcomes: []core.CellOutcome{{Heuristic: "Greedy"}}}}
 	keys := []string{"", "plain/key", `a"b`, `c\d`, `\\"`, "<script>&amp;", "line\u2028sep\u2029", "tab\tnl\n", "bad\xffutf8", "\u00fcn\u00ef\u20ac\U0001F600"}
 	for _, res := range []engine.CellResult{feasible, infeasible} {
 		a, err := engine.EncodeAnswer(res)

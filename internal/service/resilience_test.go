@@ -165,6 +165,30 @@ func TestMapDeadline(t *testing.T) {
 		`{"workload":{"streamit":"DCT","ccr":1},"p":2,"q":2,"deadline_ms":-5}`); resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline_ms: %d, want 400 (%s)", resp2.StatusCode, data2)
 	}
+
+	// A budget past what a time.Duration holds would wrap negative and
+	// expire at once; both spellings reject it instead, on a store miss.
+	for _, ms := range []string{"9223372036855", "10000000000000", "9223372036854775807"} {
+		const miss = `{"workload":{"random":{"n":12,"elevation":3,"seed":11,"ccr":1}},"p":2,"q":2`
+		if resp, data := postJSON(t, ts.URL+"/v1/map", miss+`,"deadline_ms":`+ms+`}`); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("deadline_ms %s: %d, want 400 (%s)", ms, resp.StatusCode, data)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(miss+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(engine.DeadlineHeader, ms)
+		hresp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, hresp.Body)
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s header %s: %d, want 400", engine.DeadlineHeader, ms, hresp.StatusCode)
+		}
+	}
 }
 
 // TestCampaignDeadline: a campaign that outlives its deadline_ms fails with
@@ -247,6 +271,13 @@ func TestCellsExecuteBudgetFloor(t *testing.T) {
 	}
 	if resp := post("later"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed budget: %d, want 400", resp.StatusCode)
+	}
+	// Past what a time.Duration holds, a budget would wrap negative and be
+	// shed as below the floor; it is a request error instead.
+	for _, ms := range []string{"9223372036855", "10000000000000", "9223372036854775807"} {
+		if resp := post(ms); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s ms budget: %d, want 400", ms, resp.StatusCode)
+		}
 	}
 	if resp := post("60000"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ample budget: %d, want 200", resp.StatusCode)

@@ -439,19 +439,6 @@ func writeShedError(w http.ResponseWriter, code, retryAfterSeconds int, format s
 	writeError(w, code, format, args...)
 }
 
-// resolveDeadline merges the two spellings of a request deadline — the JSON
-// body's deadline_ms and the X-SPG-Deadline header — into one budget; the
-// body field wins when both are present.
-func resolveDeadline(h http.Header, bodyMS int64) (time.Duration, bool, error) {
-	if bodyMS < 0 {
-		return 0, false, fmt.Errorf("deadline_ms %d is negative", bodyMS)
-	}
-	if bodyMS > 0 {
-		return time.Duration(bodyMS) * time.Millisecond, true, nil
-	}
-	return engine.ParseDeadlineHeader(h)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{Status: "ok", Cache: s.cache.Stats(), Coalescing: s.flights.stats()}
 	if s.store.Enabled() {
@@ -541,7 +528,7 @@ func (s *Server) handleCellsExecute(w http.ResponseWriter, r *http.Request) {
 		writeShedError(w, http.StatusServiceUnavailable, 1, "draining: not accepting new ranges")
 		return
 	}
-	budget, hasBudget, err := engine.ParseDeadlineHeader(r.Header)
+	budget, hasBudget, err := engine.ParseDeadline(r.Header, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -611,7 +598,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxMapBodyBytes, &req) {
 		return
 	}
-	budget, hasBudget, err := resolveDeadline(r.Header, req.DeadlineMS)
+	budget, hasBudget, err := engine.ParseDeadline(r.Header, req.DeadlineMS)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -655,14 +642,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		c := req.Random
 		if err := s.checkGrid(c.P, c.Q); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		if c.N < 2 {
-			writeError(w, http.StatusBadRequest, "bad request: random campaign needs n >= 2, got %d", c.N)
-			return
-		}
-		if c.N > engine.MaxRandomStages {
-			writeError(w, http.StatusBadRequest, "bad request: random campaign needs n <= %d, got %d", engine.MaxRandomStages, c.N)
 			return
 		}
 		cfg := experiments.RandomConfig{

@@ -335,6 +335,8 @@ func TestCampaignErrors(t *testing.T) {
 		{"too many cells", `{"random":{"n":10,"p":2,"q":2,"ccr":1,"max_elevation":10,"graphs_per_elev":100,"seed":1}}`},
 		{"bad random n", `{"random":{"n":1,"p":2,"q":2,"ccr":1,"max_elevation":1}}`},
 		{"random n over limit", `{"random":{"n":2001,"p":2,"q":2,"ccr":1,"max_elevation":1}}`},
+		{"bad random elevation", `{"random":{"n":10,"p":2,"q":2,"ccr":1,"min_elevation":-1,"max_elevation":1}}`},
+		{"negative random ccr", `{"random":{"n":10,"p":2,"q":2,"ccr":-1,"max_elevation":1}}`},
 		// Rejected arithmetically, before any cell is materialized: a
 		// response at all proves the server did not try to allocate 2e11
 		// cells.

@@ -203,7 +203,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	budget, hasBudget, err := resolveDeadline(r.Header, req.DeadlineMS)
+	budget, hasBudget, err := engine.ParseDeadline(r.Header, req.DeadlineMS)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -337,7 +337,7 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: batch has %d requests, limit %d", len(req.Requests), s.maxBatch)
 		return
 	}
-	budget, hasBudget, err := resolveDeadline(r.Header, req.DeadlineMS)
+	budget, hasBudget, err := engine.ParseDeadline(r.Header, req.DeadlineMS)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return

@@ -54,9 +54,6 @@ type Analysis struct {
 
 	scaleMu sync.Mutex
 	scaled  map[float64]*Analysis
-
-	auxMu sync.Mutex
-	aux   map[any]*lazySlot[any]
 }
 
 // analysisShared is the structure-and-weight half of an analysis, shared by
@@ -85,8 +82,8 @@ type analysisShared struct {
 	coreMu       sync.Mutex
 	downsetCores map[int]*downsetCoreCell
 
-	// aux lets downstream packages attach their own structure-or-weight
-	// caches (core's cross-period rectangle tables) to the family.
+	// aux lets downstream packages attach their own caches to the family
+	// (core's cross-period rectangle tables and DPA1D run memo).
 	auxMu sync.Mutex
 	aux   map[any]*lazySlot[any]
 }
@@ -202,12 +199,13 @@ func (a *Analysis) ScaleToCCR(target float64) *Analysis {
 }
 
 // Aux returns the memoized auxiliary value for key, building it on first
-// use. It lets downstream packages attach their own caches of structure- or
-// weight-derived data to the analysis — the core package stores its
-// cross-period DPA2D rectangle tables here — with the same sharing scope as
-// the structural caches: one value per scale family, never per volume
-// variant. Keys follow the context.Context convention (unexported types in
-// the owning package). The build function must not depend on edge volumes.
+// use. It lets downstream packages attach their own caches to the analysis
+// — the core package stores its cross-period DPA2D rectangle tables here,
+// and its DPA1D run memo, whose entries name the member graph they belong
+// to — with the same sharing scope as the structural caches: one value per
+// scale family, never per volume variant. Keys follow the context.Context
+// convention (unexported types in the owning package). The build function
+// must not depend on edge volumes.
 func (a *Analysis) Aux(key any, build func() any) any {
 	sh := a.shared
 	sh.auxMu.Lock()
@@ -220,24 +218,6 @@ func (a *Analysis) Aux(key any, build func() any) any {
 		sh.aux[key] = cell
 	}
 	sh.auxMu.Unlock()
-	return cell.get(build)
-}
-
-// MemberAux is Aux at member scope: the value is memoized per family member
-// rather than per family, for downstream caches that depend on this member's
-// edge volumes (core's DPA1D run-outcome memo keys off the member because
-// the run's cut-capacity pruning reads volumes). Same conventions as Aux.
-func (a *Analysis) MemberAux(key any, build func() any) any {
-	a.auxMu.Lock()
-	if a.aux == nil {
-		a.aux = make(map[any]*lazySlot[any])
-	}
-	cell := a.aux[key]
-	if cell == nil {
-		cell = &lazySlot[any]{}
-		a.aux[key] = cell
-	}
-	a.auxMu.Unlock()
 	return cell.get(build)
 }
 

@@ -18,9 +18,9 @@ const (
 	edgeBytes        = 24 // Src + Dst + Volume
 )
 
-// Footprinter lets values attached through Analysis.Aux and
-// Analysis.MemberAux participate in MemoryFootprint: auxiliary caches that
-// implement it (e.g. downstream solver tables) report their retained bytes,
+// Footprinter lets values attached through Analysis.Aux participate in
+// MemoryFootprint: auxiliary caches that implement it (core's rectangle
+// tables and DPA1D run memo) report their retained bytes once per family,
 // all others are counted as zero.
 type Footprinter interface {
 	MemoryFootprint() int64
@@ -83,21 +83,6 @@ func (a *Analysis) memberFootprint() int64 {
 	a.downMu.Unlock()
 	for _, ds := range views {
 		b += ds.viewFootprint()
-	}
-
-	a.auxMu.Lock()
-	auxen := make([]*lazySlot[any], 0, len(a.aux))
-	//spglint:ignore detrange collects map values for a commutative sum; iteration order never reaches the result
-	for _, cell := range a.aux {
-		auxen = append(auxen, cell)
-	}
-	a.auxMu.Unlock()
-	for _, cell := range auxen {
-		if v, ok := cell.value(); ok {
-			if fp, ok := v.(Footprinter); ok {
-				b += fp.MemoryFootprint()
-			}
-		}
 	}
 
 	a.scaleMu.Lock()

@@ -106,15 +106,17 @@ type testAux struct{ bytes int64 }
 
 func (a *testAux) MemoryFootprint() int64 { return a.bytes }
 
-// TestMemoryFootprintAuxParticipation: Aux and MemberAux values implementing
-// Footprinter contribute their own accounting.
+// TestMemoryFootprintAuxParticipation: Aux values implementing Footprinter
+// contribute their own accounting, once per family: a scaled member sees
+// the same value.
 func TestMemoryFootprintAuxParticipation(t *testing.T) {
 	an := NewAnalysis(footprintGraph(t))
+	member := an.ScaleToCCR(2)
 	before := an.MemoryFootprint()
 	an.Aux("fam", func() any { return &testAux{bytes: 1 << 20} })
-	an.MemberAux("mem", func() any { return &testAux{bytes: 1 << 10} })
+	member.Aux("fam", func() any { return &testAux{bytes: 1 << 10} })
 	got := an.MemoryFootprint()
-	want := before + 1<<20 + 1<<10
+	want := before + 1<<20
 	if got != want {
 		t.Errorf("aux-inclusive footprint = %d, want %d", got, want)
 	}
