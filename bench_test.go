@@ -665,9 +665,10 @@ func BenchmarkDispatcherSteal(b *testing.B) {
 			Registry:   engine.NewWorkerRegistry(0, slow.URL, fast.URL),
 			ChunkCells: 1,
 		}
-		results, err := engine.Run(context.Background(), d, engine.Campaign{
-			Cells: experiments.StreamItCells(4, 4, apps, 1),
-			Cache: cache,
+		results, err := engine.Run(context.Background(), nil, engine.Campaign{
+			Cells:      experiments.StreamItCells(4, 4, apps, 1),
+			Cache:      cache,
+			Dispatcher: d,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -17,8 +17,9 @@
 //	internal/sim         steady-state pipeline simulator
 //	internal/streamit    the 12 StreamIt workflows of Table 1
 //	internal/randspg     random SPG generation with exact elevation
-//	internal/engine      the campaign engine: deterministic cells, pluggable
-//	                     executors, the campaign-scope AnalysisCache
+//	internal/engine      the campaign engine: deterministic cells, the arena
+//	                     pool executor, the cluster dispatcher, the
+//	                     campaign-scope AnalysisCache
 //	internal/experiments the Section 6 evaluation campaigns (engine adapters)
 //	                     and the one workload-to-cell lowering
 //	internal/workload    the command-line -workload/-grid text parser
@@ -240,8 +241,8 @@
 // addressable cells — one (workload identity, CCR, grid, period divisions,
 // solver options) point each, declared by a JSON-serializable CellSpec from
 // which WorkloadSpec.Build (StreamIt name / random-SPG parameters / inline
-// SPG) rebuilds the seeded instance — executed through a
-// pluggable Executor with the campaign cache threaded through, and folded
+// SPG) rebuilds the seeded instance — executed on an Executor with the
+// campaign cache threaded through, and folded
 // by order-independent reducers over the indexed results. RunStreamIt and
 // RunRandom are thin adapters over it (cell enumeration plus a reducer
 // each), and the equivalence suite proves engine-run campaigns
@@ -253,15 +254,17 @@
 // tool builds its analysis with CellSpec.Analyze, so spgmap, spggen and
 // ilpgen solve the graph a campaign cell and /v1/map solve.
 //
-// Two executors implement the seam. PoolExecutor runs cells on an
-// in-process worker pool, one solver arena per worker. engine.Run hands it
-// the cells family-interleaved, round-robin across workload families in
-// order of first appearance: concurrent workers then solve different
-// applications instead of CCR siblings that would wait on each other's
-// DPA1D verdicts. Results stay indexed by cell, so the schedule changes no
-// byte. Dispatcher is the cluster scheduler, shipping cell specs to worker
-// processes over HTTP/JSON (POST /v1/cells/execute) and reassembling the
-// wire results at their absolute indexes: a WorkerRegistry tracks cluster
+// A cell runs in-process one way: the Executor's single method,
+// ExecuteScratch, which PoolExecutor implements as a worker pool with one
+// solver arena per worker. engine.Run hands it the cells family-interleaved,
+// round-robin across workload families in order of first appearance:
+// concurrent workers then solve different applications instead of CCR
+// siblings that would wait on each other's DPA1D verdicts. Results stay
+// indexed by cell, so the schedule changes no byte. A campaign may also
+// carry a Dispatcher (Campaign.Dispatcher), the cluster scheduler, which
+// ships cell specs to worker processes over HTTP/JSON
+// (POST /v1/cells/execute) and reassembles the wire results at their
+// absolute indexes: a WorkerRegistry tracks cluster
 // membership (static -worker seeds plus
 // POST /v1/workers self-registrations) and worker health (periodic
 // /v1/healthz probes plus dispatch outcomes drive a
@@ -275,8 +278,10 @@
 // owner's backlog times its EWMA chunk service time is below
 // engine.DefaultStealMinBenefit, 20 ms, so brief idleness does not break
 // cache affinity) — and a chunk whose dispatch fails or times out is
-// re-dispatched to a different healthy worker, falling back to the local pool only when no healthy worker
-// remains that hasn't already failed it. Because cells are pure functions
+// re-dispatched to a different healthy worker, falling back onto the run's
+// Executor — through the same family-interleaved ExecuteScratch call as a
+// campaign without workers — only when no healthy worker remains that
+// hasn't already failed it. Because cells are pure functions
 // of their specs, every re-placement is free: the dispatcher-equivalence
 // suites prove campaign results bit-identical to the
 // PoolExecutor at any worker count, chunk size and failure schedule
@@ -349,6 +354,15 @@
 // exceptions carry a //spglint:ignore annotation with a written reason; see
 // internal/lint/doc.go for the invariant catalog and README.md for how to
 // run the suite locally.
+//
+// Output bytes are the same on every GOARCH. Go may fuse x*y + z into one
+// instruction with a single rounding on arm64 and ppc64le (never on amd64),
+// so every such expression in the solver packages and their test oracles
+// is written float64(x*y) + z: the explicit conversion rounds the product
+// and forbids the fusion. A CI step in the lint job cross-compiles
+// internal/{spg,platform,mapping,core,exact,engine,sim} and their test
+// binaries for arm64 and ppc64le with -gcflags=-S and fails on any fused
+// multiply-add.
 //
 // Executables: cmd/spgmap (map one workload), cmd/experiments (regenerate
 // every table and figure), cmd/spgserve (the HTTP mapping service; see

@@ -443,7 +443,7 @@ func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch) (*
 				for _, d := range prev.dist {
 					vol := e.g.Edges[d.edge].Volume
 					rowLoad[d.row] += vol
-					commE += vol * pl.EnergyPerGB
+					commE += float64(vol * pl.EnergyPerGB)
 				}
 				for r := 0; r < pl.P; r++ {
 					if rowLoad[r] > e.capL*(1+1e-12) {

@@ -169,5 +169,5 @@ func (f *EnergyFloors) StageDynFloor(s int, T float64) (floor float64, ok bool) 
 	if idx < 0 {
 		return 0, false
 	}
-	return f.stageW[s] * f.suffixRatio[idx], true
+	return float64(f.stageW[s] * f.suffixRatio[idx]), true
 }

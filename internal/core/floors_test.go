@@ -62,7 +62,7 @@ func TestEnergyFloorsMinIdxAgreesWithPlatform(t *testing.T) {
 		return -1
 	}
 	for trial := 0; trial < 2000; trial++ {
-		work := rng.Float64() * 0.3
+		work := float64(rng.Float64() * 0.3)
 		T := rng.Float64() * 0.4
 		if got, want := f.MinIdx(work, T), wantIdx(work, T); got != want {
 			t.Fatalf("MinIdx(%g, %g) = %d, platform says %d", work, T, got, want)
@@ -94,8 +94,8 @@ func TestEnergyFloorsAdmissible(t *testing.T) {
 	f := newEnergyFloors(floorsTestGraph(t), pl)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 2000; trial++ {
-		work := rng.Float64() * 0.3
-		T := 0.05 + rng.Float64()*0.3
+		work := float64(rng.Float64() * 0.3)
+		T := 0.05 + float64(rng.Float64()*0.3)
 		floor, ok := f.DynFloor(work, T)
 		idx := f.MinIdx(work, T)
 		if (idx >= 0) != ok {
@@ -116,7 +116,7 @@ func TestEnergyFloorsAdmissible(t *testing.T) {
 		}
 		// Admissible under growth: a bigger cluster can only move its
 		// feasible suffix up, where the suffix minimum is no smaller.
-		grown := work + rng.Float64()*0.1
+		grown := work + float64(rng.Float64()*0.1)
 		if gf, gok := f.DynFloor(grown, T); gok {
 			scaled := floor / work * grown
 			if gf < scaled*(1-1e-12) && work > 0 {

@@ -266,7 +266,7 @@ func TestLoosePeriodSingleCore(t *testing.T) {
 		t.Errorf("active cores = %d, want 1", sol.Result.ActiveCores)
 	}
 	// Energy must be leak + all work at the slowest speed.
-	want := pl.LeakPower*inst.Period + 0.06/pl.Speeds[0]*pl.DynPower[0]
+	want := float64(pl.LeakPower*inst.Period) + float64(0.06/pl.Speeds[0]*pl.DynPower[0])
 	if math.Abs(sol.Energy()-want) > 1e-9 {
 		t.Errorf("energy = %.9g, want %.9g", sol.Energy(), want)
 	}

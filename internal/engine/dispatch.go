@@ -20,7 +20,7 @@ const DefaultChunkCells = 4
 // DefaultRetryMaxDelay) before its next dispatch attempt instead of
 // hammering the next worker immediately, and a campaign stops retrying
 // altogether once it has spent its retry budget (DefaultRetryBudgetPerChunk
-// attempts per chunk), degrading to the local pool rather than retrying
+// attempts per chunk), degrading to the local executor rather than retrying
 // forever.
 const (
 	DefaultRetryBaseDelay      = 50 * time.Millisecond
@@ -62,7 +62,7 @@ func retryDelay(start, attempt int, base, max time.Duration) time.Duration {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(start))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(attempt))
 	h.Write(buf[:])
-	frac := float64(h.Sum64()>>11) / float64(uint64(1)<<53)
+	frac := float64(float64(h.Sum64()>>11) / float64(uint64(1)<<53))
 	jittered := time.Duration((0.5 + frac) * float64(d))
 	if jittered > max {
 		jittered = max
@@ -115,10 +115,10 @@ type chunk struct {
 	attempts int
 	// notBefore is the end of the chunk's current backoff: no worker may
 	// take it earlier. Orphan detection ignores it — a chunk no worker can
-	// serve goes to the local pool immediately, backing off or not.
+	// serve goes to the local executor immediately, backing off or not.
 	notBefore time.Time
 	// exhausted marks a chunk the campaign may no longer retry remotely
-	// (retry budget spent): only the local pool will serve it.
+	// (retry budget spent): only the local executor will serve it.
 	exhausted bool
 }
 
@@ -187,7 +187,7 @@ type DispatcherStats struct {
 	// served by a different worker — the recovery path that used to collapse
 	// straight to local execution.
 	Redispatches int64 `json:"redispatches"`
-	// LocalFallbacks counts chunks executed on the local pool after every
+	// LocalFallbacks counts chunks executed on the local executor after every
 	// healthy worker failed them (or none remained).
 	LocalFallbacks int64 `json:"local_fallbacks"`
 	// Steals counts chunks served by a worker other than their affinity
@@ -198,7 +198,7 @@ type DispatcherStats struct {
 	Retries int64 `json:"retries"`
 	// RetryBudget is the campaign's total retry allowance (0 when the
 	// snapshot aggregates many campaigns, as DispatcherTotals does). Once
-	// Retries reaches it, further failures go straight to the local pool.
+	// Retries reaches it, further failures go straight to the local executor.
 	RetryBudget int64 `json:"retry_budget,omitempty"`
 	// WorkerChunks attributes served chunks to worker URLs.
 	WorkerChunks map[string]int64 `json:"worker_chunks,omitempty"`
@@ -247,7 +247,7 @@ func (c *dispatchCounters) servedRemote(worker string, redispatched, stolen bool
 		c.ewma = make(map[string]float64)
 	}
 	if prev, ok := c.ewma[worker]; ok {
-		c.ewma[worker] = prev + stealEWMAAlpha*(ms-prev)
+		c.ewma[worker] = prev + float64(stealEWMAAlpha*(ms-prev))
 	} else {
 		c.ewma[worker] = ms
 	}
@@ -308,8 +308,8 @@ func (t *DispatcherTotals) Stats() DispatcherStats {
 	return t.stats()
 }
 
-// Dispatcher is the cluster scheduler: a pull-based, work-stealing executor
-// that engine.Run hands whole campaigns (ExecuteCampaign). The cell index
+// Dispatcher is the cluster scheduler, pull-based and work-stealing, that
+// engine.Run hands whole campaigns (Campaign.Dispatcher). The cell index
 // space is split into small family-aligned chunks (chunkCampaign) and
 // workers pull chunks as they free up — a fast worker simply pulls more
 // often, so heterogeneous workers even out without any up-front balancing.
@@ -322,27 +322,23 @@ func (t *DispatcherTotals) Stats() DispatcherStats {
 // (DefaultRequestTimeout per request) is re-dispatched to a different
 // worker after a jittered exponential backoff (retryDelay; a campaign-wide
 // budget of DefaultRetryBudgetPerChunk retries per chunk bounds the total)
-// — falling back to the local pool when every live (non-dead,
+// — falling back to the local executor when every live (non-dead,
 // non-draining) worker has already failed it or the budget is spent — and
 // the registry is told about every outcome, so a flapping worker leaves and
 // rejoins the rotation between chunks: suspect workers keep pulling (a
 // success instantly heals them, repeated failures retire them), which is
 // also how per-request registries without a probe loop recover from
 // transient errors. Cells are deterministic, so every re-placement is
-// bit-identical to the pool run (see the dispatcher equivalence tests).
+// bit-identical to a local run (see the dispatcher equivalence tests).
 type Dispatcher struct {
 	// Registry names and health-tracks the workers. nil or empty runs every
-	// campaign on the local pool.
+	// campaign on the run's Executor.
 	Registry *WorkerRegistry
 	// ChunkCells bounds the cells per chunk (0 selects DefaultChunkCells).
 	// Chunks never straddle workload-family boundaries regardless.
 	ChunkCells int
 	// Client issues the worker requests; nil selects http.DefaultClient.
 	Client *http.Client
-	// LocalFallback configures the in-process pool executing local-fallback
-	// chunks and campaigns without workers; its zero value runs at
-	// GOMAXPROCS.
-	LocalFallback PoolExecutor
 	// OnFallback, when set, observes every chunk that fell back to local
 	// execution (called from the scheduling goroutine).
 	OnFallback func(start, end int, err error)
@@ -375,20 +371,12 @@ func (d *Dispatcher) Stats() DispatcherStats {
 // registry and totals) and fresh per-campaign counters.
 func (d *Dispatcher) Clone() *Dispatcher {
 	return &Dispatcher{
-		Registry:      d.Registry,
-		ChunkCells:    d.ChunkCells,
-		Client:        d.Client,
-		LocalFallback: d.LocalFallback,
-		OnFallback:    d.OnFallback,
-		Totals:        d.Totals,
+		Registry:   d.Registry,
+		ChunkCells: d.ChunkCells,
+		Client:     d.Client,
+		OnFallback: d.OnFallback,
+		Totals:     d.Totals,
 	}
-}
-
-// Execute implements the plain Executor contract on the local pool (without
-// cells there is nothing to ship); engine.Run always hands a Dispatcher the
-// cells via ExecuteCampaign.
-func (d *Dispatcher) Execute(ctx context.Context, n int, run func(i int)) error {
-	return d.LocalFallback.Execute(ctx, n, run)
 }
 
 // schedulerPoll is how often idle scheduling loops re-check registry state
@@ -396,23 +384,21 @@ func (d *Dispatcher) Execute(ctx context.Context, n int, run func(i int)) error 
 // them immediately.
 const schedulerPoll = 15 * time.Millisecond
 
-// ExecuteCampaign runs the campaign's cells: chunk, dispatch pull-based with
-// affinity and stealing, re-dispatch failures, fall back locally only when
-// no healthy worker can take a chunk. solve executes cell i locally and
-// record is the concurrency-safe result sink; exactly one result per started
-// cell is recorded, either record(solve(i)) or a remotely computed
-// CellResult carrying the cell's absolute index. A cancelled context stops
-// further dispatch, and ExecuteCampaign returns its error after draining
-// in-flight work, leaving unstarted cells unrecorded.
-func (d *Dispatcher) ExecuteCampaign(ctx context.Context, cells []Cell, solve func(i int) CellResult, record func(CellResult)) error {
-	if d.Registry.Len() == 0 {
-		return d.LocalFallback.Execute(ctx, len(cells), func(i int) { record(solve(i)) })
-	}
+// executeCampaign runs the campaign's cells on a registry with workers:
+// chunk, dispatch pull-based with affinity and stealing, re-dispatch
+// failures, fall back locally only when no healthy worker can take a chunk.
+// local runs the given cell indexes on the campaign's executor (recording
+// each result itself) and record is the concurrency-safe sink for remote
+// results; exactly one result per started cell is recorded, locally or as a
+// remotely computed CellResult carrying the cell's index. A cancelled
+// context stops further dispatch, and executeCampaign returns its error
+// after draining in-flight work, leaving unstarted cells unrecorded.
+func (d *Dispatcher) executeCampaign(ctx context.Context, cells []Cell, local func(idx []int) error, record func(CellResult)) error {
 	run := &dispatchRun{
 		d:      d,
 		ctx:    ctx,
 		cells:  cells,
-		solve:  solve,
+		local:  local,
 		record: record,
 		wake:   make(chan struct{}),
 		loops:  make(map[string]bool),
@@ -436,7 +422,7 @@ type dispatchRun struct {
 	d      *Dispatcher
 	ctx    context.Context
 	cells  []Cell
-	solve  func(i int) CellResult
+	local  func(idx []int) error
 	record func(CellResult)
 
 	mu        sync.Mutex
@@ -444,7 +430,7 @@ type dispatchRun struct {
 	pending   []*chunk
 	remaining int // chunks not yet completed (pending + in flight)
 	// budget is the total remote retries the campaign may spend — resolved
-	// once in ExecuteCampaign before supervise() starts any loop, immutable
+	// once in executeCampaign before supervise() starts any loop, immutable
 	// afterwards, so reads need no lock.
 	budget  int
 	retries int // guarded by mu; remote retries spent so far
@@ -461,7 +447,7 @@ func (r *dispatchRun) bcastLocked() {
 // supervise is the campaign's scheduling main loop: it keeps one pull loop
 // alive per registered worker (spawning loops for workers that register
 // mid-campaign), drains chunks that no healthy worker can serve onto the
-// local pool, and returns when every chunk is done or the context is
+// local executor, and returns when every chunk is done or the context is
 // cancelled.
 func (r *dispatchRun) supervise() {
 	for {
@@ -541,8 +527,9 @@ func (r *dispatchRun) takeLocalEligibleLocked(available []string) []*chunk {
 	return eligible
 }
 
-// runLocal executes orphaned chunks on the local fallback pool as one batch,
-// so a fully-degraded cluster still runs at the pool's full parallelism.
+// runLocal executes orphaned chunks on the campaign's executor as one batch,
+// family-interleaved like a campaign without workers, so a fully-degraded
+// cluster still runs at the executor's full parallelism.
 func (r *dispatchRun) runLocal(orphans []*chunk) {
 	var idx []int
 	for _, c := range orphans {
@@ -553,7 +540,7 @@ func (r *dispatchRun) runLocal(orphans []*chunk) {
 			idx = append(idx, i)
 		}
 	}
-	_ = r.d.LocalFallback.Execute(r.ctx, len(idx), func(k int) { r.record(r.solve(idx[k])) })
+	_ = r.local(idx)
 	if r.ctx.Err() != nil {
 		return
 	}
@@ -632,7 +619,7 @@ func (r *dispatchRun) workerLoop(worker string) {
 			c.notBefore = time.Now().Add(retryDelay(c.start, c.attempts, r.d.retryBaseDelay, r.d.retryMaxDelay))
 		} else {
 			// Budget spent: retire the chunk from remote dispatch — the
-			// supervisor routes exhausted chunks to the local pool.
+			// supervisor routes exhausted chunks to the local executor.
 			c.exhausted = true
 		}
 		r.pending = append(r.pending, c)

@@ -97,7 +97,7 @@ func TestDispatcherChaosEquivalence(t *testing.T) {
 				retryBaseDelay: time.Millisecond,
 				retryMaxDelay:  20 * time.Millisecond,
 			}
-			got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+			got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestDispatcherRetryBudgetExhaustion(t *testing.T) {
 		retryBaseDelay: time.Millisecond,
 		retryMaxDelay:  5 * time.Millisecond,
 	}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDispatcherChaosBreaker(t *testing.T) {
 		retryBaseDelay: time.Millisecond,
 		retryMaxDelay:  5 * time.Millisecond,
 	}
-	if _, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d}); err != nil {
 		t.Fatal(err)
 	}
 	// Three consecutive injected 502s opened the breaker mid-campaign. (The
@@ -210,7 +210,7 @@ func TestDispatcherSkipsDrainingWorker(t *testing.T) {
 		t.Fatal("MarkDraining failed")
 	}
 	d := &Dispatcher{Registry: reg, ChunkCells: 1}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDispatcherDeadlineHeader(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	if _, err := Run(ctx, d, Campaign{Cells: cells, Cache: cache}); err != nil {
+	if _, err := Run(ctx, nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

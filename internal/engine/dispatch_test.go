@@ -233,7 +233,7 @@ func TestDispatcherMatchesPool(t *testing.T) {
 				Registry:   NewWorkerRegistry(0, urls...),
 				ChunkCells: chunkSize,
 			}
-			got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+			got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -268,7 +268,7 @@ func TestDispatcherAffinity(t *testing.T) {
 		stealMinBenefit: time.Hour, // healthy owners keep their chunks
 	}
 	d.counters.ewma = map[string]float64{w1.URL(): 1, w2.URL(): 1}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestDispatcherRedispatch(t *testing.T) {
 			Registry:   newTestRegistry(2, good.URL(), tc.broken),
 			ChunkCells: 1,
 		}
-		got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+		got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -380,7 +380,7 @@ func TestDispatcherAllWorkersDead(t *testing.T) {
 			fellBack++
 		},
 	}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +391,66 @@ func TestDispatcherAllWorkersDead(t *testing.T) {
 	}
 	if fellBack == 0 {
 		t.Error("OnFallback never observed a chunk")
+	}
+}
+
+// TestDispatcherFallbackOnCampaignExecutor: a dispatched campaign whose
+// only worker fails every range falls back onto the executor handed to Run
+// — it runs exactly the fallen-back cells, each once — LocalFallbacks
+// counts the fallen-back chunks, and the results are bit-identical to a run
+// without a dispatcher.
+func TestDispatcherFallbackOnCampaignExecutor(t *testing.T) {
+	cells := bigTestCells(t)
+	want, err := Run(context.Background(), &PoolExecutor{}, Campaign{Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "worker on fire", http.StatusInternalServerError)
+	}))
+	t.Cleanup(failing.Close)
+
+	var mu sync.Mutex
+	fellBack := make(map[int]int)
+	chunks := 0
+	d := &Dispatcher{
+		Registry:   NewWorkerRegistry(0, failing.URL),
+		ChunkCells: 2,
+		OnFallback: func(start, end int, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			chunks++
+			for i := start; i < end; i++ {
+				fellBack[i]++
+			}
+		},
+	}
+	var ran atomic.Int64
+	recorded := make([]int, len(cells))
+	got, err := Run(context.Background(), &countingExecutor{n: &ran}, Campaign{
+		Cells:      cells,
+		Dispatcher: d,
+		OnCell: func(r CellResult) {
+			mu.Lock()
+			recorded[r.Index]++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "fallback", got, want)
+	for i := range cells {
+		if fellBack[i] != 1 || recorded[i] != 1 {
+			t.Errorf("cell %d: fell back %d times, recorded %d times; want once each", i, fellBack[i], recorded[i])
+		}
+	}
+	if ran.Load() != int64(len(fellBack)) {
+		t.Errorf("executor ran %d cells, %d fell back", ran.Load(), len(fellBack))
+	}
+	st := d.Stats()
+	if st.LocalFallbacks != int64(chunks) || st.RemoteChunks != 0 || st.Chunks != int64(chunks) {
+		t.Errorf("stats %+v, want %d local fallbacks and nothing remote", st, chunks)
 	}
 }
 
@@ -412,7 +472,7 @@ func TestDispatcherSteal(t *testing.T) {
 		Registry:   NewWorkerRegistry(0, slow.URL(), fast.URL()),
 		ChunkCells: 1,
 	}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +517,7 @@ func TestDispatcherStealEWMAGate(t *testing.T) {
 		d.counters.mu.Lock()
 		d.counters.ewma = map[string]float64{a.URL(): 1, b.URL(): 1}
 		d.counters.mu.Unlock()
-		got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+		got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +554,7 @@ func TestDispatcherStealEWMAGate(t *testing.T) {
 		d.counters.mu.Lock()
 		d.counters.ewma = map[string]float64{slow.URL(): 500}
 		d.counters.mu.Unlock()
-		got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+		got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +596,7 @@ func TestDispatcherSuspectRecovers(t *testing.T) {
 		Registry:   NewWorkerRegistry(0, transient.URL), // never Started: no probes
 		ChunkCells: 1,
 	}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +663,7 @@ func TestDispatcherRejoin(t *testing.T) {
 	}()
 
 	d := &Dispatcher{Registry: reg, ChunkCells: 1}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +699,7 @@ func TestDispatcherLateRegistration(t *testing.T) {
 		_ = reg.Register(late.URL())
 	}()
 	d := &Dispatcher{Registry: reg, ChunkCells: 1}
-	got, err := Run(context.Background(), d, Campaign{Cells: cells, Cache: cache})
+	got, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,35 +709,34 @@ func TestDispatcherLateRegistration(t *testing.T) {
 	}
 }
 
-// TestDispatcherLocalPaths: empty and nil registries run the campaign
-// entirely on the local pool, and the plain Execute contract holds.
+// TestDispatcherLocalPaths: a campaign whose dispatcher has an empty or a
+// nil registry runs entirely on the run's executor, every cell exactly
+// once, bit-identical to a run without a dispatcher.
 func TestDispatcherLocalPaths(t *testing.T) {
 	cells := testCells(t)
 	want, err := Run(context.Background(), &PoolExecutor{}, Campaign{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noWorkers := &Dispatcher{Registry: NewWorkerRegistry(0)}
-	got, err := Run(context.Background(), noWorkers, Campaign{Cells: cells})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "empty-registry", got, want)
-
-	nilRegistry := &Dispatcher{}
-	got, err = Run(context.Background(), nilRegistry, Campaign{Cells: cells})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "nil-registry", got, want)
-
-	ran := 0
-	var mu sync.Mutex
-	if err := nilRegistry.Execute(context.Background(), 7, func(i int) { mu.Lock(); ran++; mu.Unlock() }); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 7 {
-		t.Errorf("plain Execute ran %d of 7", ran)
+	for _, tc := range []struct {
+		name string
+		d    *Dispatcher
+	}{
+		{"empty-registry", &Dispatcher{Registry: NewWorkerRegistry(0)}},
+		{"nil-registry", &Dispatcher{}},
+	} {
+		var ran atomic.Int64
+		got, err := Run(context.Background(), &countingExecutor{n: &ran}, Campaign{Cells: cells, Dispatcher: tc.d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, tc.name, got, want)
+		if ran.Load() != int64(len(cells)) {
+			t.Errorf("%s: executor ran %d of %d cells", tc.name, ran.Load(), len(cells))
+		}
+		if st := tc.d.Stats(); st.Chunks != 0 {
+			t.Errorf("%s: dispatcher counted %d chunks, want none", tc.name, st.Chunks)
+		}
 	}
 }
 
@@ -708,7 +767,7 @@ func TestDispatcherCancellation(t *testing.T) {
 		Registry:   NewWorkerRegistry(0, hung.URL),
 		ChunkCells: 1,
 	}
-	_, err := Run(ctx, d, Campaign{Cells: cells})
+	_, err := Run(ctx, nil, Campaign{Cells: cells, Dispatcher: d})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled dispatcher run returned %v", err)
 	}
@@ -730,11 +789,11 @@ func TestDispatcherTotals(t *testing.T) {
 		Totals:     totals,
 	}
 	first := proto.Clone()
-	if _, err := Run(context.Background(), first, Campaign{Cells: cells, Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: first}); err != nil {
 		t.Fatal(err)
 	}
 	second := proto.Clone()
-	if _, err := Run(context.Background(), second, Campaign{Cells: cells, Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), nil, Campaign{Cells: cells, Cache: cache, Dispatcher: second}); err != nil {
 		t.Fatal(err)
 	}
 	if got := first.Stats().Chunks; got != int64(len(cells)) {

@@ -1,8 +1,9 @@
 // Package engine decomposes the paper's evaluation campaigns into
-// deterministic, individually-addressable cells and executes them through a
-// pluggable Executor, folding results with order-independent reducers so an
-// engine-run campaign is bit-identical to the legacy monolithic loops it
-// replaced (see the equivalence tests in internal/experiments).
+// deterministic, individually-addressable cells and executes them on an
+// in-process Executor, optionally through a cluster Dispatcher, folding
+// results with order-independent reducers so an engine-run campaign is
+// bit-identical to the legacy monolithic loops it replaced (see the
+// equivalence tests in internal/experiments).
 //
 // A cell is one (workload identity x CCR x platform x solver options) point:
 // solving it runs the Section 6.1.3 period-selection protocol, which reports
@@ -10,11 +11,14 @@
 // heuristic) outcome of the paper's figures is addressable as (cell key,
 // heuristic) in the cell's result. A cell is its declarative,
 // JSON-serializable CellSpec, from which WorkloadSpec.Build regenerates the
-// seeded instance — which is what lets an executor place cells anywhere:
-// the in-process PoolExecutor, or the Dispatcher, which ships family-aligned
-// spec chunks to remote worker processes over HTTP/JSON and reassembles
-// their wire results, bit-identical to a local run at any worker count
-// (cells are deterministic, so retries after worker failures are safe).
+// seeded instance — which is what lets a run place cells anywhere: on the
+// in-process PoolExecutor, whose workers own their solver arenas, or through
+// the Dispatcher, which ships family-aligned spec chunks to remote worker
+// processes over HTTP/JSON and reassembles their wire results, bit-identical
+// to a local run at any worker count (cells are deterministic, so retries
+// after worker failures are safe). Whatever a Dispatcher does not ship runs
+// on the run's Executor, through the same family-interleaved loop as a
+// campaign without workers.
 //
 // The engine threads the campaign-scope AnalysisCache through the executor:
 // cells sharing a workload family (the CCR variants of one application)
@@ -63,6 +67,10 @@ type Campaign struct {
 	// executor. nil or disabled keeps family sharing within this run only
 	// (see the package comment).
 	Cache *AnalysisCache
+	// Dispatcher, when set with a non-empty registry, ships the cells to
+	// remote workers; chunks no worker can serve fall back onto the run's
+	// Executor. nil, or an empty registry, runs every cell locally.
+	Dispatcher *Dispatcher
 	// OnCell, when set, observes every completed cell (called from executor
 	// goroutines, possibly concurrently; results arrive in completion order,
 	// not index order). Progress reporting for the mapping service.
@@ -75,14 +83,13 @@ type Campaign struct {
 	Store *ResultStore
 }
 
-// Run executes every cell of the campaign through ex (nil selects an
-// in-process PoolExecutor at GOMAXPROCS) and returns the results indexed by
-// cell, so any fold over them is deterministic and order-independent
-// regardless of worker count or completion order. A Dispatcher receives the
-// cells themselves so it can ship their specs to remote workers and
-// schedules them itself; a PoolExecutor runs them with worker-owned solver
-// arenas, and any other Executor receives the index space. Local executors
-// start the cells in family-interleaved order (see familyInterleave). On
+// Run executes every cell of the campaign and returns the results indexed
+// by cell, so any fold over them is deterministic and order-independent
+// regardless of worker count or completion order. Cells run locally on ex
+// (nil selects an in-process PoolExecutor at GOMAXPROCS), started in
+// family-interleaved order (see familyInterleave) with the executor's
+// worker-owned arenas; with a Campaign.Dispatcher that has workers, the
+// dispatcher ships the cells and only its fallen-back chunks reach ex. On
 // context cancellation the indexed slice is returned alongside the context
 // error with the unstarted cells zero-valued (Key empty).
 //
@@ -145,7 +152,6 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 		}
 	}
 	resolve := newResolver(run, c.Cache)
-	solve := func(i int) CellResult { return solveCell(i, run[i], resolve) }
 	rec := record
 	if missIdx != nil {
 		rec = func(r CellResult) {
@@ -160,39 +166,40 @@ func Run(ctx context.Context, ex Executor, c Campaign) ([]CellResult, error) {
 			record(r)
 		}
 	}
-	if d, ok := ex.(*Dispatcher); ok {
-		return results, d.ExecuteCampaign(ctx, run, solve, rec)
-	}
-	order := familyInterleave(run)
-	if p, ok := ex.(*PoolExecutor); ok {
-		// Worker-owned arenas: each pool worker keeps one Scratch for its
-		// lifetime and the executor resets it between cells, so a warmed
-		// worker solves cells without kernel allocations. Results are
-		// identical to the plain path (Scratch's determinism contract).
-		err := p.ExecuteScratch(ctx, len(run), func(i int, sc *core.Scratch) {
-			j := order[i]
+	// local starts the sub-campaign cells idx on ex in family-interleaved
+	// order, each on its worker's arena: a campaign without workers runs
+	// every cell this way, and a Dispatcher runs its fallen-back chunks so.
+	local := func(idx []int) error {
+		order := familyInterleave(run, idx)
+		return ex.ExecuteScratch(ctx, len(order), func(k int, sc *core.Scratch) {
+			j := order[k]
 			rec(solveCellScratch(j, run[j], resolve, sc))
 		})
-		return results, err
 	}
-	err := ex.Execute(ctx, len(run), func(i int) { rec(solve(order[i])) })
-	return results, err
+	if d := c.Dispatcher; d != nil && d.Registry.Len() > 0 {
+		return results, d.executeCampaign(ctx, run, local, rec)
+	}
+	all := make([]int, len(run))
+	for i := range all {
+		all[i] = i
+	}
+	return results, local(all)
 }
 
-// familyInterleave returns the order in which a local executor starts the
-// cells: round-robin across CacheKey groups, taken in order of first
-// appearance, each group's cells in index order; a cell with an empty
-// CacheKey is a group of its own. The CCR siblings of one application share
-// a lattice and its DPA1D verdicts, and a sibling about to repeat a DPA1D
-// run another is executing waits for that run's verdict. Index order would
+// familyInterleave returns the cell indexes idx in the order a local
+// executor starts them: round-robin across CacheKey groups, taken in order
+// of first appearance in idx, each group's cells in idx order; a cell with
+// an empty CacheKey is a group of its own. The CCR siblings of one
+// application share a lattice and its DPA1D verdicts, and a sibling about
+// to repeat a DPA1D run another is executing waits for that run's verdict. Index order would
 // hand concurrent workers siblings of one application, which then idle on
 // each other; interleaving hands them different applications. Every result
 // keeps its cell index, so the order changes no byte.
-func familyInterleave(cells []Cell) []int {
+func familyInterleave(cells []Cell, idx []int) []int {
 	var groups [][]int
 	groupOf := make(map[string]int)
-	for i, c := range cells {
-		key := c.Spec.CacheKey
+	for _, i := range idx {
+		key := cells[i].Spec.CacheKey
 		g, ok := groupOf[key]
 		if !ok || key == "" {
 			g = len(groups)
@@ -201,7 +208,7 @@ func familyInterleave(cells []Cell) []int {
 		}
 		groups[g] = append(groups[g], i)
 	}
-	order := make([]int, 0, len(cells))
+	order := make([]int, 0, len(idx))
 	for len(groups) > 0 {
 		live := groups[:0]
 		for _, g := range groups {
@@ -220,19 +227,15 @@ func familyInterleave(cells []Cell) []int {
 // family base through AnalysisCache.GetSingle, so a family no request has
 // asked for before waits in the cache's probation window and is admitted
 // only when asked for again; campaign runs (Run) admit on first use.
+//
+// Solve borrows its arena from the package scratch pool; it is the engine's
+// only caller that does (Run's cells solve on their executor worker's arena).
 func Solve(cell Cell, cache *AnalysisCache) CellResult {
-	return solveCell(0, cell, func(c Cell) (*spg.Analysis, error) {
-		return cache.GetSingle(c.Spec.CacheKey, c.Spec.Workload.Build)
-	})
-}
-
-// solveCell solves one cell with a borrowed arena from the package scratch
-// pool — the path for executors without worker-owned arenas (the
-// Dispatcher's local fallback, other Executors, single-cell Solve calls).
-func solveCell(i int, cell Cell, resolve func(Cell) (*spg.Analysis, error)) CellResult {
 	sc := core.GetScratch()
 	defer core.PutScratch(sc)
-	return solveCellScratch(i, cell, resolve, sc)
+	return solveCellScratch(0, cell, func(c Cell) (*spg.Analysis, error) {
+		return cache.GetSingle(c.Spec.CacheKey, c.Spec.Workload.Build)
+	}, sc)
 }
 
 // solveCellScratch solves one cell with the caller-owned arena sc; the caller

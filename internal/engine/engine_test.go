@@ -154,7 +154,7 @@ func TestPoolExecutorContract(t *testing.T) {
 		const n = 100
 		var counts [n]atomic.Int64
 		ex := &PoolExecutor{Workers: workers}
-		if err := ex.Execute(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
+		if err := ex.ExecuteScratch(context.Background(), n, func(i int, _ *core.Scratch) { counts[i].Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range counts {
@@ -168,15 +168,25 @@ func TestPoolExecutorContract(t *testing.T) {
 	var ran atomic.Int64
 	var once sync.Once
 	ex := &PoolExecutor{Workers: 2}
-	err := ex.Execute(ctx, 10_000, func(i int) {
+	err := ex.ExecuteScratch(ctx, 10_000, func(i int, _ *core.Scratch) {
 		ran.Add(1)
 		once.Do(cancel)
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Execute returned %v", err)
+		t.Fatalf("cancelled ExecuteScratch returned %v", err)
 	}
 	if got := ran.Load(); got == 0 || got == 10_000 {
 		t.Errorf("cancellation ran %d cells, want some but not all", got)
+	}
+
+	// A context cancelled before the call starts nothing at any worker
+	// count, even though idle workers are ready to take an index.
+	for _, workers := range []int{1, 3} {
+		var started atomic.Int64
+		err := (&PoolExecutor{Workers: workers}).ExecuteScratch(ctx, 1000, func(int, *core.Scratch) { started.Add(1) })
+		if !errors.Is(err, context.Canceled) || started.Load() != 0 {
+			t.Errorf("workers=%d: pre-cancelled run started %d cells, returned %v", workers, started.Load(), err)
+		}
 	}
 }
 

@@ -8,22 +8,28 @@ import (
 	"spgcmp/internal/core"
 )
 
-// Executor schedules the independent cells of a campaign run. Execute must
-// call run(i) exactly once for every index in [0, n) that it starts, from any
-// number of goroutines (run is safe for concurrent use), and returns once
-// every started cell has finished. A cancelled context stops the executor
-// from starting further cells; Execute then returns the context's error after
-// draining the in-flight ones, leaving unstarted cells untouched.
+// Executor runs the in-process cells of a campaign. ExecuteScratch must call
+// run(i, sc) exactly once for every index in [0, n) that it starts, from any
+// number of goroutines (run is safe for concurrent use), with an arena sc
+// owned by the calling goroutine for the duration of the call, and returns
+// once every started cell has finished. run must not let arena-backed memory
+// outlive its return; the executor may reset sc afterwards. A cancelled
+// context stops the executor from starting further cells; ExecuteScratch
+// then returns the context's error after draining the in-flight ones,
+// leaving unstarted cells untouched.
 //
-// engine.Run recognizes its two implementations — the in-process
-// PoolExecutor and the cluster Dispatcher — and hands any other Executor the
-// plain index space; the cells are self-contained specs, so where run(i)
-// executes never affects the result.
+// Every local cell of engine.Run goes through this one call: campaigns
+// without a dispatcher, and a Dispatcher's no-worker path and fallen-back
+// chunks. Scratch placement never affects results — the arenas only move
+// allocations, Scratch's documented determinism contract.
 type Executor interface {
-	Execute(ctx context.Context, n int, run func(i int)) error
+	ExecuteScratch(ctx context.Context, n int, run func(i int, sc *core.Scratch)) error
 }
 
-// PoolExecutor runs cells on an in-process worker pool.
+// PoolExecutor runs cells on an in-process worker pool: every worker
+// goroutine owns one core.Scratch for its lifetime and resets it after every
+// cell, so a warmed worker solves cells without kernel allocations. An arena
+// nobody allocates from stays empty.
 type PoolExecutor struct {
 	// Workers caps the number of concurrent cells; 0 means GOMAXPROCS.
 	// Results are bit-identical at any worker count (see the engine
@@ -31,17 +37,7 @@ type PoolExecutor struct {
 	Workers int
 }
 
-// Execute implements Executor: ExecuteScratch without the arena.
-func (p *PoolExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
-	return p.ExecuteScratch(ctx, n, func(i int, _ *core.Scratch) { run(i) })
-}
-
-// ExecuteScratch is Execute with a per-worker solver arena threaded into
-// each run call: every worker goroutine owns one core.Scratch for its
-// lifetime and resets it after every cell, so run must not let arena-backed
-// memory outlive its return. An arena nobody allocates from stays empty.
-// Scratch placement never affects results — the arenas only move
-// allocations, Scratch's documented determinism contract.
+// ExecuteScratch implements Executor.
 func (p *PoolExecutor) ExecuteScratch(ctx context.Context, n int, run func(i int, sc *core.Scratch)) error {
 	workers := p.Workers
 	if workers <= 0 {
@@ -76,6 +72,11 @@ func (p *PoolExecutor) ExecuteScratch(ctx context.Context, n int, run func(i int
 	}
 feed:
 	for i := 0; i < n; i++ {
+		// A select between a ready worker and a dead context picks either;
+		// the check keeps a cancelled run from starting further cells.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case next <- i:
 		case <-ctx.Done():

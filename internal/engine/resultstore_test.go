@@ -285,16 +285,13 @@ func TestRunWithStore(t *testing.T) {
 	}
 }
 
-// countingExecutor counts the cells the executor actually ran.
+// countingExecutor counts the cells the executor actually ran, on the real
+// pool loop.
 type countingExecutor struct{ n *atomic.Int64 }
 
-func (e *countingExecutor) Execute(ctx context.Context, n int, fn func(int)) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+func (e *countingExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
+	return (&PoolExecutor{Workers: 2}).ExecuteScratch(ctx, n, func(i int, sc *core.Scratch) {
 		e.n.Add(1)
-		fn(i)
-	}
-	return nil
+		run(i, sc)
+	})
 }

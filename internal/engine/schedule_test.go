@@ -12,7 +12,7 @@ import (
 )
 
 // TestFamilyInterleaveOrder: the local schedule is a permutation of the
-// cells that takes one cell per CacheKey group per round, groups in order of
+// given cell indexes that takes one cell per CacheKey group per round, groups in order of
 // first appearance and each group's cells in index order, with every
 // empty-CacheKey cell a group of its own.
 func TestFamilyInterleaveOrder(t *testing.T) {
@@ -32,12 +32,20 @@ func TestFamilyInterleaveOrder(t *testing.T) {
 		{[]string{"a", "a", "", "", "b"}, []int{0, 2, 3, 4, 1}},
 	} {
 		cells := make([]Cell, len(tc.keys))
+		idx := make([]int, len(tc.keys))
 		for i, k := range tc.keys {
 			cells[i] = cell(k)
+			idx[i] = i
 		}
-		if got := familyInterleave(cells); !reflect.DeepEqual(got, tc.want) {
+		if got := familyInterleave(cells, idx); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("keys %q: order %v, want %v", tc.keys, got, tc.want)
 		}
+	}
+	// A subset (a dispatcher's fallen-back chunks) interleaves by its own
+	// order of first appearance and keeps the absolute indexes.
+	cells := []Cell{cell("a"), cell("a"), cell("b"), cell("b"), cell("c"), cell("c")}
+	if got, want := familyInterleave(cells, []int{4, 5, 0, 1}), []int{4, 0, 5, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("subset order %v, want %v", got, want)
 	}
 }
 

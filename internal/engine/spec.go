@@ -111,16 +111,19 @@ type RandomWorkload struct {
 	CCR       float64 `json:"ccr,omitempty"`
 }
 
-// MaxRandomStages bounds RandomWorkload.N. Generation cannot be cancelled
-// and grows with n (20,000 stages take about 73 ms and 43 MB to build and
-// validate, 200,000 about 0.75 s and 262 MB); the paper's largest random
-// graphs have 150 stages, so the bound leaves more than ten times that.
-const MaxRandomStages = 2000
+// MaxStages bounds the stage count of a workload: RandomWorkload.N and an
+// inline graph's N(). Neither generation nor analysis can be cancelled, and
+// both grow with n (20,000 random stages take about 73 ms and 43 MB to
+// build and validate, 200,000 about 0.75 s and 262 MB); the paper's largest
+// random graphs have 150 stages, so the bound leaves more than ten times
+// that.
+const MaxStages = 2000
 
-// Validate reports whether exactly one variant is set and a random
-// workload's parameters are in range: 2 <= n <= MaxRandomStages, elevation
-// >= 1 and a non-negative CCR. Every path that builds or keys a workload
-// runs it, and so does every request path that lowers one onto a cell.
+// Validate reports whether exactly one variant is set, an inline graph has
+// at most MaxStages stages, and a random workload's parameters are in
+// range: 2 <= n <= MaxStages, elevation >= 1 and a non-negative CCR. Every
+// path that builds or keys a workload runs it, and so does every request
+// path that lowers one onto a cell.
 func (w WorkloadSpec) Validate() error {
 	set := 0
 	if w.StreamIt != "" {
@@ -139,13 +142,16 @@ func (w WorkloadSpec) Validate() error {
 		switch {
 		case rw.N < 2:
 			return fmt.Errorf("engine: random workload needs n >= 2, got %d", rw.N)
-		case rw.N > MaxRandomStages:
-			return fmt.Errorf("engine: random workload needs n <= %d, got %d", MaxRandomStages, rw.N)
+		case rw.N > MaxStages:
+			return fmt.Errorf("engine: random workload needs n <= %d, got %d", MaxStages, rw.N)
 		case rw.Elevation < 1:
 			return fmt.Errorf("engine: random workload needs elevation >= 1, got %d", rw.Elevation)
 		case rw.CCR < 0:
 			return fmt.Errorf("engine: random workload ccr %g is negative", rw.CCR)
 		}
+	}
+	if g := w.Inline; g != nil && g.N() > MaxStages {
+		return fmt.Errorf("engine: inline workload needs at most %d stages, has %d", MaxStages, g.N())
 	}
 	return nil
 }

@@ -77,9 +77,17 @@ func stripInline(s CellSpec) CellSpec {
 
 // TestSpecValidate: malformed specs are rejected without building anything.
 func TestSpecValidate(t *testing.T) {
+	chain := func(n int) *spg.Graph {
+		g, err := spg.Chain(make([]float64, n), make([]float64, n-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 	for _, ok := range []CellSpec{
 		{Key: "k", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2},
-		{Key: "largest-random", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxRandomStages, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "largest-random", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxStages, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "largest-inline", Workload: WorkloadSpec{Inline: chain(MaxStages)}, P: 2, Q: 2},
 	} {
 		if err := ok.Validate(); err != nil {
 			t.Fatalf("%s: valid spec rejected: %v", ok.Key, err)
@@ -87,7 +95,8 @@ func TestSpecValidate(t *testing.T) {
 	}
 	bad := []CellSpec{
 		{Key: "no-workload", P: 2, Q: 2},
-		{Key: "random-over-limit", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxRandomStages + 1, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "random-over-limit", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxStages + 1, Elevation: 1}}, P: 2, Q: 2},
+		{Key: "inline-over-limit", Workload: WorkloadSpec{Inline: chain(MaxStages + 1)}, P: 2, Q: 2},
 		{Key: "random-one-stage", Workload: WorkloadSpec{Random: &RandomWorkload{N: 1, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "random-flat", Workload: WorkloadSpec{Random: &RandomWorkload{N: 5, Elevation: 0}}, P: 2, Q: 2},
 		{Key: "random-negative-ccr", Workload: WorkloadSpec{Random: &RandomWorkload{N: 5, Elevation: 1, CCR: -1}}, P: 2, Q: 2},

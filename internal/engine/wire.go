@@ -58,8 +58,8 @@ type ExecuteCellsResponse struct {
 // ExecuteSpecs solves a batch of wire-received cell specs on the local
 // engine — the worker half of the cell-range protocol, called by the
 // service's /v1/cells/execute handler. Results are returned in request
-// order. The executor must be in-process (callers pass their local pool): a
-// Dispatcher would ship the range back onto the cluster.
+// order. The cells run on ex alone: the range never reaches a Dispatcher,
+// so a worker cannot ship it back onto the cluster.
 //
 // Because the specs cross a trust boundary, their CacheKeys are not honored
 // as sent: every caching cell resolves under the canonical FamilyKey derived

@@ -180,7 +180,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 	sh.floors = core.FloorsFor(inst.Analysis, pl)
 	sh.hops = mapping.HopExcess(pl)
 	sh.soloFloor = make([]float64, n)
-	base := pl.CommLeakPower * T
+	base := float64(pl.CommLeakPower * T)
 	for i := 0; i < n; i++ {
 		fl, ok := sh.floors.StageDynFloor(i, T)
 		if !ok {
@@ -476,7 +476,7 @@ func (w *bnbWorker) tryAssign(i, c, k int) (newBound, newWork, newFloor float64,
 	}
 	for _, sv := range sh.lowerAdj[i] {
 		if w.part[sv.j] != c {
-			delta += sv.vol * sh.egb
+			delta += float64(sv.vol * sh.egb)
 		}
 	}
 	return w.bound + delta, newWork, newFloor, true

@@ -39,7 +39,7 @@ func TestExactSolvesTinyChain(t *testing.T) {
 	if sol.Result.ActiveCores != 3 {
 		t.Errorf("active cores = %d, want 3", sol.Result.ActiveCores)
 	}
-	want := 3*(inst.Platform.LeakPower*0.2+0.05/0.4*0.17) + 2*0.001*inst.Platform.EnergyPerGB
+	want := float64(3*(float64(inst.Platform.LeakPower*0.2)+0.05/0.4*0.17)) + float64(2*0.001*inst.Platform.EnergyPerGB)
 	if math.Abs(sol.Energy()-want) > 1e-9 {
 		t.Errorf("energy = %.9g, want %.9g", sol.Energy(), want)
 	}
@@ -78,7 +78,7 @@ func TestDPA1DMatchesExactOnUniLine(t *testing.T) {
 		w := make([]float64, k)
 		v := make([]float64, k-1)
 		for i := range w {
-			w[i] = 0.01 + 0.04*rng.Float64()
+			w[i] = 0.01 + float64(0.04*rng.Float64())
 		}
 		for i := range v {
 			v[i] = 0.001 * rng.Float64()

@@ -108,7 +108,7 @@ func TestDispatcherEquivalenceStreamIt(t *testing.T) {
 	}
 	check := func(name string, d *engine.Dispatcher, wantLocal bool) {
 		t.Helper()
-		results, err := engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
+		results, err := engine.Run(context.Background(), nil, engine.Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -238,7 +238,7 @@ func TestDispatcherEquivalenceRandom(t *testing.T) {
 	}
 	worker := newDispatchWorker(t, cache)
 	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(0, worker.srv.URL)}
-	results, err = engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
+	results, err = engine.Run(context.Background(), nil, engine.Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDispatcherBuildErrorPropagation(t *testing.T) {
 	}
 	worker := newDispatchWorker(t, cache)
 	d := &engine.Dispatcher{Registry: engine.NewWorkerRegistry(0, worker.srv.URL)}
-	got, err := engine.Run(context.Background(), d, engine.Campaign{Cells: cells, Cache: cache})
+	got, err := engine.Run(context.Background(), nil, engine.Campaign{Cells: cells, Cache: cache, Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,8 @@ func FlagCell(s workload.Spec, ccr float64, p, q int, seed int64) (engine.Cell, 
 // chainGraph generates the chain: workload, n stages with weights and
 // volumes drawn from seed over the StreamIt synthesis ranges.
 func chainGraph(n int, seed int64) (*spg.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("workload: chain needs n >= 2")
+	if n < 2 || n > engine.MaxStages {
+		return nil, fmt.Errorf("workload: chain needs 2 <= n <= %d, got %d", engine.MaxStages, n)
 	}
 	g, err := spg.Chain(make([]float64, n), make([]float64, n-1))
 	if err != nil {

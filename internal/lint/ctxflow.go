@@ -6,7 +6,7 @@ import (
 
 // Ctxflow keeps request-path code honest about context propagation: the
 // engine and service layers receive a context.Context at every entry point
-// (HTTP handlers, Executor.Execute, dispatch loops), and cancellation is
+// (HTTP handlers, Executor.ExecuteScratch, dispatch loops), and cancellation is
 // load-bearing — DELETE /v1/campaign reaches into a worker's solver through
 // it. Minting a fresh root context severs that chain, so ctxflow flags:
 //

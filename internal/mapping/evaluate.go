@@ -109,8 +109,8 @@ func evaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64, requir
 		if ct > res.MaxCycleTime {
 			res.MaxCycleTime = ct
 		}
-		res.CompLeakEnergy += pl.LeakPower * T
-		res.CompDynEnergy += w / pl.Speeds[idx] * pl.DynPower[idx]
+		res.CompLeakEnergy += float64(pl.LeakPower * T)
+		res.CompDynEnergy += float64(w / pl.Speeds[idx] * pl.DynPower[idx])
 		res.ActiveCores++
 	}
 
@@ -153,10 +153,10 @@ func evaluate(g *spg.Graph, pl *platform.Platform, m *Mapping, T float64, requir
 		if ct := load / pl.BW; ct > res.MaxCycleTime {
 			res.MaxCycleTime = ct
 		}
-		res.CommDynEnergy += load * pl.EnergyPerGB
+		res.CommDynEnergy += float64(load * pl.EnergyPerGB)
 	}
 
-	res.CommLeakEnergy = pl.CommLeakPower * T
+	res.CommLeakEnergy = float64(pl.CommLeakPower * T)
 	res.Energy = res.CompLeakEnergy + res.CompDynEnergy + res.CommLeakEnergy + res.CommDynEnergy
 	return res, nil
 }

@@ -81,8 +81,8 @@ func oracleEvaluate(g *spg.Graph, pl *platform.Platform, m *mapping.Mapping, T f
 		if ct > res.MaxCycleTime {
 			res.MaxCycleTime = ct
 		}
-		res.CompLeakEnergy += pl.LeakPower * T
-		res.CompDynEnergy += w / pl.Speeds[idx] * pl.DynPower[idx]
+		res.CompLeakEnergy += float64(pl.LeakPower * T)
+		res.CompDynEnergy += float64(w / pl.Speeds[idx] * pl.DynPower[idx])
 	}
 	res.ActiveCores = len(work)
 
@@ -122,10 +122,10 @@ func oracleEvaluate(g *spg.Graph, pl *platform.Platform, m *mapping.Mapping, T f
 		if ct := load / pl.BW; ct > res.MaxCycleTime {
 			res.MaxCycleTime = ct
 		}
-		res.CommDynEnergy += load * pl.EnergyPerGB
+		res.CommDynEnergy += float64(load * pl.EnergyPerGB)
 	}
 
-	res.CommLeakEnergy = pl.CommLeakPower * T
+	res.CommLeakEnergy = float64(pl.CommLeakPower * T)
 	res.Energy = res.CompLeakEnergy + res.CompDynEnergy + res.CommLeakEnergy + res.CommDynEnergy
 	return res, nil
 }

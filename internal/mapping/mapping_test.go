@@ -45,7 +45,7 @@ func TestEvaluateSingleCoreEnergy(t *testing.T) {
 	if math.Abs(res.MaxCycleTime-wantCycle) > 1e-12 {
 		t.Errorf("cycle time %g, want %g", res.MaxCycleTime, wantCycle)
 	}
-	want := pl.LeakPower*1 + 0.3/0.6*pl.DynPower[2]
+	want := float64(pl.LeakPower*1) + float64(0.3/0.6*pl.DynPower[2])
 	if math.Abs(res.Energy-want) > 1e-12 {
 		t.Errorf("energy %g, want %g", res.Energy, want)
 	}
@@ -70,7 +70,7 @@ func TestEvaluateTwoCoreCommunication(t *testing.T) {
 	if res.UsedLinks != 2 {
 		t.Errorf("used links %d, want 2", res.UsedLinks)
 	}
-	wantComm := 2 * 3.0 * pl.EnergyPerGB
+	wantComm := float64(2 * 3.0 * pl.EnergyPerGB)
 	if math.Abs(res.CommDynEnergy-wantComm) > 1e-12 {
 		t.Errorf("comm energy %g, want %g", res.CommDynEnergy, wantComm)
 	}

@@ -124,7 +124,7 @@ func (a *PrefixAccount) Reset(g *spg.Graph, pl *platform.Platform, T float64, pa
 		a.vol[pair] += e.Volume
 	}
 	for _, pair := range a.touch {
-		floor += a.vol[pair] * pl.EnergyPerGB
+		floor += float64(a.vol[pair] * pl.EnergyPerGB)
 	}
 	a.Floor = floor
 	return true
@@ -142,7 +142,7 @@ func (a *PrefixAccount) PlaceExtra(pl *platform.Platform, c, coreIdx int, placed
 	var extra float64
 	for _, d32 := range a.peers[c] {
 		d := int(d32)
-		extra += a.vol[d*a.k+c] * row[placed[d]] * pl.EnergyPerGB
+		extra += float64(a.vol[d*a.k+c] * row[placed[d]] * pl.EnergyPerGB)
 	}
 	return extra
 }

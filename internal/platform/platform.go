@@ -146,7 +146,7 @@ func (pl *Platform) MinFeasibleSpeed(work, T float64) (speed float64, idx int, o
 // the leakage term LeakPower*T plus the dynamic term (work/speed)*DynPower.
 // idx must be a valid speed index.
 func (pl *Platform) CoreEnergy(work, T float64, idx int) float64 {
-	return pl.LeakPower*T + work/pl.Speeds[idx]*pl.DynPower[idx]
+	return float64(pl.LeakPower*T) + float64(work/pl.Speeds[idx]*pl.DynPower[idx])
 }
 
 // LinkCapacity returns the volume (GB) one directed link can carry within a

@@ -19,20 +19,12 @@ type Params struct {
 	// Elevation is the exact maximum elevation y_max (>= 1).
 	Elevation int
 	// Seed drives the structure, weights and volumes deterministically.
+	// Stage weights are uniform in [0.01, 0.1] Gcycles, the StreamIt
+	// synthesis range, and volumes in [0.5, 1.5] GB.
 	Seed int64
-	// WeightMin/WeightMax bound the uniform stage weights (Gcycles).
-	// Defaults: [0.01, 0.1].
-	WeightMin, WeightMax float64
 	// CCR, when positive, rescales communication volumes to the target
 	// computation-to-communication ratio.
 	CCR float64
-}
-
-func (p Params) withDefaults() Params {
-	if p.WeightMin == 0 && p.WeightMax == 0 {
-		p.WeightMin, p.WeightMax = 0.01, 0.1
-	}
-	return p
 }
 
 // minRoot is the smallest stage count of an SPG with elevation e.
@@ -64,7 +56,6 @@ func maxElev(n int) int {
 // Generate builds a random SPG with exactly p.N stages and elevation
 // p.Elevation.
 func Generate(p Params) (*spg.Graph, error) {
-	p = p.withDefaults()
 	if p.Elevation < 1 {
 		return nil, fmt.Errorf("randspg: elevation must be >= 1, got %d", p.Elevation)
 	}
@@ -78,7 +69,7 @@ func Generate(p Params) (*spg.Graph, error) {
 		return nil, fmt.Errorf("randspg: internal error: built (n=%d, e=%d), want (%d, %d)",
 			g.N(), g.Elevation(), p.N, p.Elevation)
 	}
-	spg.RandomizeWeights(g, rng, p.WeightMin, p.WeightMax)
+	spg.RandomizeWeights(g, rng, 0.01, 0.1)
 	spg.RandomizeVolumes(g, rng, 0.5, 1.5)
 	if p.CCR > 0 {
 		spg.ScaleToCCR(g, p.CCR)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"spgcmp/internal/core"
 	"spgcmp/internal/engine"
 	"spgcmp/internal/experiments"
 	"spgcmp/internal/streamit"
@@ -20,13 +21,13 @@ type deadlineGatedExecutor struct {
 	release chan struct{}
 }
 
-func (g *deadlineGatedExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
+func (g *deadlineGatedExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return (&engine.PoolExecutor{}).Execute(ctx, n, run)
+	return (&engine.PoolExecutor{}).ExecuteScratch(ctx, n, run)
 }
 
 // TestRetryAfterOnShedding: every load-shedding rejection — map concurrency,

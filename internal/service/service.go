@@ -58,12 +58,12 @@ type Config struct {
 	// Cache is the campaign-scope analysis cache shared by every request;
 	// nil selects experiments.DefaultAnalysisCache().
 	Cache *engine.AnalysisCache
-	// Executor is the in-process executor running campaign cells and
-	// /v1/cells/execute ranges; nil selects an engine.PoolExecutor at
-	// GOMAXPROCS, whose worker count the dispatcher's local fallback pool
-	// inherits. The worker registry is the only route to the cluster: when
-	// it is non-empty at submission time, campaigns run through a per-job
-	// clone of the cluster dispatcher instead.
+	// Executor is the in-process executor running every local cell:
+	// campaigns and batches without workers, /v1/cells/execute ranges, and
+	// the chunks a dispatched campaign falls back on; nil selects an
+	// engine.PoolExecutor at GOMAXPROCS. The worker registry is the only
+	// route to the cluster: when it is non-empty at submission time,
+	// campaigns run through a per-job clone of the cluster dispatcher.
 	Executor engine.Executor
 	// Registry tracks this process's cluster workers (seeds from -worker
 	// flags plus POST /v1/workers self-registrations). nil creates an empty
@@ -79,7 +79,7 @@ type Config struct {
 	// path can be exercised under deterministic faults.
 	Client *http.Client
 	// OnFallback, when set, observes every dispatched chunk that fell back
-	// to the local pool (cmd/spgserve logs them; counters alone lose the
+	// onto Executor (cmd/spgserve logs them; counters alone lose the
 	// triggering errors).
 	OnFallback func(start, end int, err error)
 	// MaxGrid bounds the accepted CMP dimensions (default 16 per side).
@@ -139,7 +139,7 @@ const minRangeBudget = 20 * time.Millisecond
 // Server implements the mapping service over a shared engine and cache.
 type Server struct {
 	cache       *engine.AnalysisCache
-	exec        engine.Executor // in-process: campaigns without workers and /v1/cells/execute ranges
+	exec        engine.Executor // in-process: every local cell, dispatcher fallbacks included
 	registry    *engine.WorkerRegistry
 	disp        *engine.Dispatcher       // prototype, cloned per registry-scheduled job
 	dispTotals  *engine.DispatcherTotals // process-lifetime scheduling counters
@@ -222,24 +222,17 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry = engine.NewWorkerRegistry(0)
 	}
-	// The dispatcher's local fallback keeps the operator's pool worker count,
-	// so no path silently escalates to GOMAXPROCS.
-	var pool engine.PoolExecutor
-	if p, ok := cfg.Executor.(*engine.PoolExecutor); ok {
-		pool = *p
-	}
 	totals := &engine.DispatcherTotals{}
 	return &Server{
 		cache:    cfg.Cache,
 		exec:     cfg.Executor,
 		registry: cfg.Registry,
 		disp: &engine.Dispatcher{
-			Registry:      cfg.Registry,
-			ChunkCells:    cfg.ChunkCells,
-			Client:        cfg.Client,
-			LocalFallback: pool,
-			OnFallback:    cfg.OnFallback,
-			Totals:        totals,
+			Registry:   cfg.Registry,
+			ChunkCells: cfg.ChunkCells,
+			Client:     cfg.Client,
+			OnFallback: cfg.OnFallback,
+			Totals:     totals,
 		},
 		dispTotals:  totals,
 		ranges:      newAdmitGate(cfg.MaxActiveRanges, 0),
@@ -408,8 +401,8 @@ type campaignStatusResponse struct {
 	// Redispatches counts chunks that failed on one worker and were served
 	// by a different one — recovered inside the cluster, not locally.
 	Redispatches int64 `json:"redispatches,omitempty"`
-	// LocalFallbacks counts chunks re-executed on the coordinator's local
-	// pool after every healthy worker failed them. Bit-identical results
+	// LocalFallbacks counts chunks re-executed on the coordinator's own
+	// executor after every healthy worker failed them. Bit-identical results
 	// either way.
 	LocalFallbacks int64 `json:"local_fallbacks,omitempty"`
 	// Steals counts chunks served by a worker other than their
@@ -678,7 +671,6 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: chunk_cells=%d must not be negative", req.ChunkCells)
 		return
 	}
-	ex := s.exec
 	var disp *engine.Dispatcher
 	switch {
 	case len(req.Workers) > 0:
@@ -699,11 +691,8 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		// keep the process-lifetime view for /v1/healthz.
 		disp = s.disp.Clone()
 	}
-	if disp != nil {
-		if req.ChunkCells > 0 {
-			disp.ChunkCells = req.ChunkCells
-		}
-		ex = disp
+	if disp != nil && req.ChunkCells > 0 {
+		disp.ChunkCells = req.ChunkCells
 	}
 
 	if err := s.campaigns.acquire(nil); err != nil {
@@ -729,7 +718,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 
-	go s.runCampaign(ctx, ex, j, cells, reduce)
+	go s.runCampaign(ctx, j, cells, reduce)
 
 	writeJSON(w, http.StatusAccepted, campaignSubmitResponse{
 		ID:        j.id,
@@ -738,12 +727,13 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) runCampaign(ctx context.Context, ex engine.Executor, j *job, cells []engine.Cell, reduce func([]engine.CellResult) (any, error)) {
-	results, err := engine.Run(ctx, ex, engine.Campaign{
-		Cells:  cells,
-		Cache:  s.cache,
-		Store:  s.store,
-		OnCell: func(engine.CellResult) { j.done.Add(1) },
+func (s *Server) runCampaign(ctx context.Context, j *job, cells []engine.Cell, reduce func([]engine.CellResult) (any, error)) {
+	results, err := engine.Run(ctx, s.exec, engine.Campaign{
+		Cells:      cells,
+		Cache:      s.cache,
+		Dispatcher: j.disp,
+		Store:      s.store,
+		OnCell:     func(engine.CellResult) { j.done.Add(1) },
 	})
 	var result any
 	if err == nil {

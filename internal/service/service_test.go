@@ -15,10 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"spgcmp/internal/core"
 	"spgcmp/internal/engine"
 	"spgcmp/internal/experiments"
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/platform"
+	"spgcmp/internal/spg"
 	"spgcmp/internal/streamit"
 )
 
@@ -353,16 +355,16 @@ func TestCampaignErrors(t *testing.T) {
 	}
 }
 
-// gatedExecutor blocks every Execute until released, so a test can hold a
+// gatedExecutor blocks every run until released, so a test can hold a
 // campaign in the running state deterministically.
 type gatedExecutor struct {
 	release chan struct{}
 	inner   engine.PoolExecutor
 }
 
-func (g *gatedExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
+func (g *gatedExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
 	<-g.release
-	return g.inner.Execute(ctx, n, run)
+	return g.inner.ExecuteScratch(ctx, n, run)
 }
 
 // fillGate occupies all but free of the gate's active slots, as concurrent
@@ -527,6 +529,36 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {
 			t.Errorf("%s: status %d, want 400 naming %q (%s)", tc.name, resp.StatusCode, tc.names, data)
 		}
+	}
+}
+
+// TestCellsExecuteInlineOverLimit: an inline graph past engine.MaxStages
+// answers 400 before any analysis, through the error path of the random n
+// cap, while one at the limit is accepted. It needs the default body cap:
+// a 2,001-stage graph is larger than the 64 KiB newTestServer allows.
+func TestCellsExecuteInlineOverLimit(t *testing.T) {
+	srv := New(Config{Cache: engine.NewAnalysisCache(8), Executor: skipExecutor{}})
+	h := srv.Handler()
+	body := func(n int) string {
+		g, err := spg.Chain(make([]float64, n), make([]float64, n-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(engine.ExecuteCellsRequest{Cells: []engine.CellSpec{
+			{Key: "k", Workload: engine.WorkloadSpec{Inline: g}, P: 2, Q: 2},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if got := serve(h, "/v1/cells/execute", body(engine.MaxStages)); got.code != http.StatusOK {
+		t.Fatalf("inline graph at the limit: %d, want 200 (%s)", got.code, got.body)
+	}
+	got := serve(h, "/v1/cells/execute", body(engine.MaxStages+1))
+	want := fmt.Sprintf("needs at most %d stages, has %d", engine.MaxStages, engine.MaxStages+1)
+	if got.code != http.StatusBadRequest || !strings.Contains(got.body, want) {
+		t.Errorf("inline graph over the limit: %d, want 400 naming %q (%s)", got.code, want, got.body)
 	}
 }
 
@@ -754,19 +786,21 @@ func TestCampaignViaRegistry(t *testing.T) {
 	}
 }
 
-// parkedExecutor announces each run and then parks until its context dies,
-// reporting the error it unblocked with — a worker-side probe that a
+// parkedExecutor announces each run and then parks until its context dies
+// before handing the run to the pool loop (which then starts nothing),
+// reporting the error the loop returned — a worker-side probe that a
 // coordinator's DELETE really cancels in-flight /v1/cells/execute work.
 type parkedExecutor struct {
 	started   chan struct{}
 	unblocked chan error
 }
 
-func (p *parkedExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
+func (p *parkedExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
 	p.started <- struct{}{}
 	<-ctx.Done()
-	p.unblocked <- ctx.Err()
-	return ctx.Err()
+	err := (&engine.PoolExecutor{}).ExecuteScratch(ctx, n, run)
+	p.unblocked <- err
+	return err
 }
 
 // TestCampaignCancelMidDispatch: DELETE on a dispatched campaign propagates
@@ -843,13 +877,14 @@ func TestCampaignCancelMidDispatch(t *testing.T) {
 	}
 }
 
-// blockingExecutor parks until its context is cancelled — a campaign that
-// never finishes on its own, for exercising DELETE.
+// blockingExecutor parks until its context is cancelled and only then hands
+// the run to the pool loop, which starts nothing — a campaign that never
+// finishes on its own, for exercising DELETE.
 type blockingExecutor struct{}
 
-func (blockingExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
+func (blockingExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
 	<-ctx.Done()
-	return ctx.Err()
+	return (&engine.PoolExecutor{}).ExecuteScratch(ctx, n, run)
 }
 
 // TestCampaignCancel: DELETE on a running campaign cancels it through the
@@ -967,10 +1002,10 @@ type signalingExecutor struct {
 	release chan struct{}
 }
 
-func (g *signalingExecutor) Execute(ctx context.Context, n int, run func(i int)) error {
+func (g *signalingExecutor) ExecuteScratch(ctx context.Context, n int, run func(int, *core.Scratch)) error {
 	g.started <- struct{}{}
 	<-g.release
-	return (&engine.PoolExecutor{}).Execute(ctx, n, run)
+	return (&engine.PoolExecutor{}).ExecuteScratch(ctx, n, run)
 }
 
 // TestCellsExecuteRangeLimit: concurrent ranges beyond MaxActiveRanges
@@ -1027,11 +1062,13 @@ func TestCellsExecuteRangeLimit(t *testing.T) {
 	}
 }
 
-// skipExecutor starts no cell, so a test can drive request decoding and
-// validation without solving anything.
+// skipExecutor hands the pool loop an empty index space, so a test can
+// drive request decoding and validation without solving anything.
 type skipExecutor struct{}
 
-func (skipExecutor) Execute(context.Context, int, func(int)) error { return nil }
+func (skipExecutor) ExecuteScratch(ctx context.Context, _ int, run func(int, *core.Scratch)) error {
+	return (&engine.PoolExecutor{}).ExecuteScratch(ctx, 0, run)
+}
 
 // TestCampaignAndRangeBodiesBounded: a /v1/campaign body past 1 MiB and a
 // /v1/cells/execute body past MaxCampaignCells KiB answer 413, while a range

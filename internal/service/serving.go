@@ -371,13 +371,10 @@ func (s *Server) handleMapBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	// One dispatcher campaign for the whole batch: registry-scheduled when
-	// this process coordinates a cluster, the configured executor otherwise.
-	ex := s.exec
-	if s.registry.Len() > 0 {
-		ex = s.disp.Clone()
-	}
-	results, err := engine.Run(ctx, ex, engine.Campaign{Cells: cells, Cache: s.cache, Store: s.store})
+	// One campaign for the whole batch: registry-scheduled when this process
+	// coordinates a cluster (the clone shares its registry), on the
+	// configured executor otherwise.
+	results, err := engine.Run(ctx, s.exec, engine.Campaign{Cells: cells, Cache: s.cache, Dispatcher: s.disp.Clone(), Store: s.store})
 	if errors.Is(err, context.DeadlineExceeded) || (err == nil && errors.Is(ctx.Err(), context.DeadlineExceeded)) {
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the batch finished")
 		return

@@ -106,7 +106,7 @@ func BuildShape(n, ymax, xmax int, rng *rand.Rand) (*Graph, error) {
 // [min, max).
 func RandomizeWeights(g *Graph, rng *rand.Rand, min, max float64) {
 	for i := range g.Stages {
-		g.Stages[i].Weight = min + rng.Float64()*(max-min)
+		g.Stages[i].Weight = min + float64(rng.Float64()*(max-min))
 	}
 }
 
@@ -114,6 +114,6 @@ func RandomizeWeights(g *Graph, rng *rand.Rand, min, max float64) {
 // [min, max).
 func RandomizeVolumes(g *Graph, rng *rand.Rand, min, max float64) {
 	for i := range g.Edges {
-		g.Edges[i].Volume = min + rng.Float64()*(max-min)
+		g.Edges[i].Volume = min + float64(rng.Float64()*(max-min))
 	}
 }

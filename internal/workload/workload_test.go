@@ -130,6 +130,7 @@ func TestLoadErrors(t *testing.T) {
 		"random:elev=0",
 		"random:n=1000000",
 		"chain:n=1",
+		"chain:n=2001",
 		"file:/does/not/exist.json",
 		// Keys a kind does not take: the JSON field name, elev on a chain.
 		"random:n=30,elevation=8,seed=7",
@@ -142,6 +143,24 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := load("streamit:DCT", -1); err == nil {
 		t.Error("negative ccr accepted")
+	}
+	// A file: graph past engine.MaxStages fails in Build's spec check,
+	// before any analysis.
+	big, err := spg.Chain(make([]float64, 2001), make([]float64, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "big.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := load("file:"+path, 0); err == nil || !strings.Contains(err.Error(), "at most 2000 stages") {
+		t.Errorf("over-limit file graph: error %v", err)
 	}
 }
 
