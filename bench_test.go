@@ -268,9 +268,10 @@ func BenchmarkSelectPeriodRandomMiss(b *testing.B) {
 
 // BenchmarkSelectPeriodBudgetFamily times the period protocol on a family
 // whose DPA1D explodes: each op runs FMRadio's four CCR cells on 4x4 through
-// a serial pool on a fresh campaign cache. DPA1D first runs out of budget at
-// the first all-fail division; the returned period's DPA1D and the
-// siblings' replay that verdict instead of exploding again.
+// a serial pool on a fresh campaign cache. The capacity certificate answers
+// the first all-fail division, T = 0.1 s, without a run; the returned
+// period's DPA1D runs out of states in layer 1, and the siblings replay that
+// verdict instead of running again.
 func BenchmarkSelectPeriodBudgetFamily(b *testing.B) {
 	app, err := streamit.ByName("FMRadio")
 	if err != nil {

@@ -1,7 +1,8 @@
-// Command spglint is spgcmp's invariant multichecker: it runs the five
+// Command spglint is spgcmp's invariant multichecker: it runs the six
 // internal/lint analyzers (detrange, wirecodec, memoalias, lockguard,
-// ctxflow) over the named packages and exits nonzero on any unsuppressed
-// finding. CI runs `spglint ./...` as a required job.
+// ctxflow, nofuse) over the named packages, and nofuse also over their
+// _test.go files, and exits nonzero on any unsuppressed finding. CI runs
+// `spglint ./...` as a required job.
 //
 // Usage:
 //
@@ -55,7 +56,7 @@ func main() {
 	for _, pkg := range pkgs {
 		var active []*lint.Analyzer
 		for _, a := range analyzers {
-			if a.AppliesTo(pkg.Path) {
+			if a.Enforced(pkg) {
 				active = append(active, a)
 			}
 		}

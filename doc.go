@@ -54,7 +54,10 @@
 // other period cheapest first — Random, Greedy, DPA2D1D, DPA2D, DPA1D
 // (core.CellSolver) — and stops at the first success, so a structure the
 // costlier heuristics build may first be built at the failing, tighter
-// period. Riding on the analysis, the core package keys two further
+// period. A period whose work exceeds the platform's capacity
+// (core.CapacityInfeasible: a stage heavier than T·s_max, or total work
+// above NumCores·T·s_max) runs no heuristic at all; its five failures are
+// known. Riding on the analysis, the core package keys two further
 // structures to it through its Aux hooks: cross-period speed-threshold
 // tables (the minimal period at which each ladder speed can process each
 // DPA2D rectangle, monotone in T and computed once for all period
@@ -73,11 +76,15 @@
 // admits more chunks and more cuts, so a run there touches at least the
 // failed run's states and transitions, layer by layer, and runs out of
 // budget by the same layer. A verdict therefore also replays at every
-// period at least a rounding margin looser than its own, and the period the
-// protocol returns replays the explosion the first all-fail division
-// showed instead of re-running it. A run also reports the largest cut it
-// checked, which Layer 2 uses to replay its verdict on the member's
-// siblings.
+// period at least a rounding margin looser than its own: an explosion at
+// the first all-fail division answers the period the protocol returns. When
+// the capacity certificate answers that division instead, DPA1D first runs
+// at the returned period, where an exploding lattice runs out of states in
+// the first layer; once the lattice passes 4,096 states its space reserves
+// room for the rest of the budget in one step, sized from the SP-tree count
+// (Analysis.DownsetCount), so that run does not grow its arenas by
+// doubling. A run also reports the largest cut it checked, which Layer 2 uses
+// to replay its verdict on the member's siblings.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -348,9 +355,9 @@
 //
 // Three of the properties above — campaigns are deterministic, results cross
 // the wire losslessly, shared state is lock-disciplined — are invariants the
-// type system cannot see. internal/lint machine-checks them: five custom
-// analyzers (detrange, wirecodec, memoalias, lockguard, ctxflow) compiled
-// into cmd/spglint and run over ./... as a required CI job. Deliberate
+// type system cannot see. internal/lint machine-checks them: six custom
+// analyzers (detrange, wirecodec, memoalias, lockguard, ctxflow, nofuse)
+// compiled into cmd/spglint and run over ./... as a required CI job. Deliberate
 // exceptions carry a //spglint:ignore annotation with a written reason; see
 // internal/lint/doc.go for the invariant catalog and README.md for how to
 // run the suite locally.
@@ -359,10 +366,11 @@
 // instruction with a single rounding on arm64 and ppc64le (never on amd64),
 // so every such expression in the solver packages and their test oracles
 // is written float64(x*y) + z: the explicit conversion rounds the product
-// and forbids the fusion. A CI step in the lint job cross-compiles
-// internal/{spg,platform,mapping,core,exact,engine,sim} and their test
-// binaries for arm64 and ppc64le with -gcflags=-S and fails on any fused
-// multiply-add.
+// and forbids the fusion. spglint's nofuse analyzer flags an unconverted
+// product in those packages and their _test.go files, and a CI step in the
+// lint job cross-compiles internal/{spg,platform,mapping,core,exact,engine,sim}
+// and their test binaries for arm64 and ppc64le with -gcflags=-S and fails
+// on any fused multiply-add.
 //
 // Executables: cmd/spgmap (map one workload), cmd/experiments (regenerate
 // every table and figure), cmd/spgserve (the HTTP mapping service; see

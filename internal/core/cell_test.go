@@ -54,13 +54,19 @@ func TestCellSolverStopsAtFirstSuccess(t *testing.T) {
 }
 
 // TestCellSolverAllFail: when no heuristic succeeds FirstOK has run all of
-// them, so the outcomes are already complete.
+// them, so the outcomes are already complete. The instance is within the
+// platform's capacity (its two stages fit two cores but not one, and the
+// edge between them overflows every link), so the heuristics do run.
 func TestCellSolverAllFail(t *testing.T) {
-	g, err := spg.Chain([]float64{2, 2}, []float64{0.1})
+	g, err := spg.Chain([]float64{0.6, 0.6}, []float64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCellSolver(NewInstance(g, platform.XScale(2, 2), 1), Options{Seed: 1})
+	inst := NewInstance(g, platform.XScale(2, 2), 1)
+	if CapacityInfeasible(inst) {
+		t.Fatal("the capacity certificate answers the instance; the heuristics would not run")
+	}
+	c := NewCellSolver(inst, Options{Seed: 1})
 	if c.FirstOK() {
 		t.Fatal("FirstOK succeeded on an instance infeasible at 1 s")
 	}
@@ -70,6 +76,42 @@ func TestCellSolverAllFail(t *testing.T) {
 	for _, o := range c.Complete() {
 		if o.Heuristic == "" || o.OK {
 			t.Errorf("outcome %+v, want a named failure", o)
+		}
+	}
+}
+
+// panicHeuristic fails the test if a CellSolver runs it.
+type panicHeuristic struct{ name string }
+
+func (h panicHeuristic) Name() string { return h.name }
+
+func (h panicHeuristic) Solve(Instance) (*Solution, error) {
+	panic(h.name + " ran at a period the capacity certificate answers")
+}
+
+// TestCellSolverCertified: on a period the capacity certificate answers,
+// FirstOK reports false and Complete returns the five named failures without
+// running any heuristic.
+func TestCellSolverCertified(t *testing.T) {
+	g, err := spg.Chain([]float64{2, 2}, []float64{0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := NewInstance(g, platform.XScale(2, 2), 1)
+	if !CapacityInfeasible(inst) {
+		t.Fatal("a stage of 2 Gcycles fits a 1 GHz core at T = 1 s")
+	}
+	c := NewCellSolver(inst, Options{Seed: 1})
+	for i, h := range c.hs {
+		c.hs[i] = panicHeuristic{h.Name()}
+	}
+	if c.FirstOK() {
+		t.Fatal("FirstOK succeeded at a certified period")
+	}
+	out := c.Complete()
+	for i, h := range AllWith(Options{}) {
+		if out[i] != (CellOutcome{Heuristic: h.Name()}) {
+			t.Errorf("outcome %d = %+v, want a bare %s failure", i, out[i], h.Name())
 		}
 	}
 }

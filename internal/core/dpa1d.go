@@ -28,11 +28,15 @@ type DPA1D struct {
 	MaxTransitions int
 }
 
+// MaxDPA1DStates is DPA1D's default state budget and the largest one a
+// campaign cell may ask for (engine.CellSpec.Validate).
+const MaxDPA1DStates = 150_000
+
 // NewDPA1D returns the default configuration. The transition budget counts
 // DP relaxations (per processor layer), so it scales with the core count;
 // the state budget is what stops elevation blow-ups early.
 func NewDPA1D() *DPA1D {
-	return &DPA1D{MaxStates: 150_000, MaxTransitions: 24_000_000}
+	return &DPA1D{MaxStates: MaxDPA1DStates, MaxTransitions: 24_000_000}
 }
 
 // Name implements Heuristic.

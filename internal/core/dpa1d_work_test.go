@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"spgcmp/internal/core"
 	"spgcmp/internal/engine"
 	"spgcmp/internal/experiments"
+	"spgcmp/internal/platform"
 	"spgcmp/internal/streamit"
 )
 
@@ -33,25 +36,31 @@ func dpa1dCampaignWork(t *testing.T, apps []streamit.App) (runs, fails int64) {
 }
 
 // TestDPA1DCampaignWorkCount pins how much DPA1D work one Fig 8 + Fig 9
-// pair does on a fresh campaign cache: at most 126 executed runs, at most
-// 6 of them budget failures. Every other Solve replays a verdict or a
-// memoized solution.
+// pair does on a fresh campaign cache: at most 65 executed runs, at most 9
+// of them budget failures. Every other Solve replays a verdict or a
+// memoized solution, and no DPA1D runs at a period the capacity certificate
+// answers. The nine failures are the five exploding apps' layer-1 failures
+// at T = 1 s on 4x4 (T = 0.1 s is certified there), BitonicSort's
+// transition-budget failure, and the explosions of FMRadio, ChannelVocoder
+// and Beamformer on 6x6 at T = 0.1 s, where their work is under capacity.
 func TestDPA1DCampaignWorkCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full Fig 8 + Fig 9 pair")
 	}
 	runs, fails := dpa1dCampaignWork(t, nil)
 	t.Logf("one pair: %d DPA1D runs executed, %d budget failures", runs, fails)
-	if runs > 126 || fails > 6 {
-		t.Fatalf("one pair executed %d DPA1D runs with %d budget failures, want at most 126 and 6", runs, fails)
+	if runs > 65 || fails > 9 {
+		t.Fatalf("one pair executed %d DPA1D runs with %d budget failures, want at most 65 and 9", runs, fails)
 	}
 }
 
 // TestDPA1DFamilyWorkCount is TestDPA1DCampaignWorkCount's short sibling on
-// FMRadio's four CCR cells: its first budget failure, at the first
-// all-fail division on 4x4, answers the returned period's DPA1D on 4x4 and
-// every budget failure on 6x6, so one pair executes at most 6 runs and 1
-// budget failure.
+// FMRadio's four CCR cells. On 4x4 the certificate answers T = 0.1 s, and
+// the returned T = 1 s runs out of states in layer 1; that verdict answers
+// every sibling and 6x6 at 1 s. On 6x6 T = 0.1 s is under capacity: the
+// original CCR explodes there, and CCR 0.1, whose heavy cuts no verdict
+// certifies, runs and finds no mapping. So one pair executes at most 3 runs
+// and 2 budget failures.
 func TestDPA1DFamilyWorkCount(t *testing.T) {
 	app, err := streamit.ByName("FMRadio")
 	if err != nil {
@@ -59,7 +68,38 @@ func TestDPA1DFamilyWorkCount(t *testing.T) {
 	}
 	runs, fails := dpa1dCampaignWork(t, []streamit.App{app})
 	t.Logf("FMRadio pair: %d DPA1D runs executed, %d budget failures", runs, fails)
-	if runs > 6 || fails > 1 {
-		t.Fatalf("FMRadio pair executed %d DPA1D runs with %d budget failures, want at most 6 and 1", runs, fails)
+	if runs > 3 || fails > 2 {
+		t.Fatalf("FMRadio pair executed %d DPA1D runs with %d budget failures, want at most 3 and 2", runs, fails)
+	}
+}
+
+// TestDPA1DLayerOneFailureAllocations bounds what a fresh analysis
+// allocates for FMRadio's DPA1D at T = 1 s on 4x4 under the campaign's
+// 60,000-state budget, a state explosion in layer 1. The downset lattice
+// has 8.0e6 states by its SP-tree count, so once it passes 4,096 states
+// its space reserves room for the whole budget in one step: the run
+// allocates about 16 MB, where growing the arenas by doubling allocated
+// 51 MB.
+func TestDPA1DLayerOneFailureAllocations(t *testing.T) {
+	app, err := streamit.ByName("FMRadio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := app.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewDPA1D()
+	h.MaxStates = 60_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = h.Solve(core.NewInstance(g, platform.XScale(4, 4), 1))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, core.ErrBudget) {
+		t.Fatalf("FMRadio at T = 1 s: %v, want a budget failure", err)
+	}
+	const bound = 24 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("the layer-1 failure allocated %d bytes, want at most %d", got, bound)
 	}
 }

@@ -36,8 +36,11 @@ func (ir InstanceResult) BestEnergy() float64 {
 // asks whether any heuristic succeeds, so the protocol solves it cheapest
 // first and stops at the first success (core.CellSolver), and completes the
 // returned period once the next division has failed or the cap is reached.
-// Heuristics are pure functions of (instance, options), so the result is the
-// one solving every heuristic at every division would give.
+// A division whose work exceeds the platform's capacity fails without
+// running a heuristic (core.CapacityInfeasible). Heuristics are pure
+// functions of (instance, options), and the certificate holds only where
+// every heuristic fails, so the result is the one solving every heuristic at
+// every division would give.
 //
 // opts configures the heuristic set (core.AllWith); opts.Seed drives the
 // Random heuristic. The analysis is only read through its concurrency-safe
@@ -68,7 +71,7 @@ func selectPeriodDivisionsScratch(an *spg.Analysis, pl *platform.Platform, opts 
 	inst := core.Instance{Graph: an.Graph(), Platform: pl, Period: 1.0, Analysis: an, Scratch: sc}
 	cell := core.NewCellSolver(inst, opts)
 	if !cell.FirstOK() {
-		// Every heuristic has run: the outcomes are complete.
+		// Every heuristic has failed: the outcomes are complete.
 		return InstanceResult{Period: inst.Period, Outcomes: cell.Complete()}, false
 	}
 	for i := 0; i < maxDivisions; i++ {

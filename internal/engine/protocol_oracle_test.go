@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,25 +20,38 @@ import (
 // eagerSelectPeriod is the reference protocol: every heuristic of
 // core.AllWith solved at every period division, in the paper's order. The
 // engine's protocol solves intermediate divisions only up to their first
-// success and must return exactly what this loop returns.
-func eagerSelectPeriod(an *spg.Analysis, pl *platform.Platform, opts core.Options, maxDivisions int) (engine.InstanceResult, bool) {
+// success, skips the periods core.CapacityInfeasible certifies, and must
+// return exactly what this loop returns. The loop also reports the
+// periods it solved that the certificate covers, and fails t if a
+// heuristic succeeded at one of them.
+func eagerSelectPeriod(t *testing.T, an *spg.Analysis, pl *platform.Platform, opts core.Options, maxDivisions int) (ir engine.InstanceResult, ok bool, certified []float64) {
 	if maxDivisions <= 0 {
 		maxDivisions = engine.DefaultMaxDivisions
 	}
+	solve := func(inst core.Instance) []core.CellOutcome {
+		out := solveEveryHeuristic(inst, opts)
+		if core.CapacityInfeasible(inst) {
+			certified = append(certified, inst.Period)
+			if core.AnyOK(out) {
+				t.Errorf("the capacity certificate holds at T = %g, where a heuristic succeeds: %+v", inst.Period, out)
+			}
+		}
+		return out
+	}
 	inst := core.Instance{Graph: an.Graph(), Platform: pl, Period: 1.0, Analysis: an}
-	outcomes := solveEveryHeuristic(inst, opts)
+	outcomes := solve(inst)
 	if !core.AnyOK(outcomes) {
-		return engine.InstanceResult{Period: inst.Period, Outcomes: outcomes}, false
+		return engine.InstanceResult{Period: inst.Period, Outcomes: outcomes}, false, certified
 	}
 	for i := 0; i < maxDivisions; i++ {
 		tighter := inst.WithPeriod(inst.Period / 10)
-		next := solveEveryHeuristic(tighter, opts)
+		next := solve(tighter)
 		if !core.AnyOK(next) {
 			break
 		}
 		inst, outcomes = tighter, next
 	}
-	return engine.InstanceResult{Period: inst.Period, Outcomes: outcomes}, true
+	return engine.InstanceResult{Period: inst.Period, Outcomes: outcomes}, true, certified
 }
 
 func solveEveryHeuristic(inst core.Instance, o core.Options) []core.CellOutcome {
@@ -99,20 +113,28 @@ func freshAnalysis(spec engine.CellSpec) (*spg.Analysis, error) {
 	return an, nil
 }
 
-// eagerCell is the reference result of one cell on a fresh analysis.
-func eagerCell(spec engine.CellSpec) (engine.InstanceResult, bool, error) {
+// eagerCell is the reference result of one cell on a fresh analysis, with
+// the periods of its descent the capacity certificate covers.
+func eagerCell(t *testing.T, spec engine.CellSpec) (engine.InstanceResult, bool, []float64, error) {
 	an, err := freshAnalysis(spec)
 	if err != nil {
-		return engine.InstanceResult{}, false, err
+		return engine.InstanceResult{}, false, nil, err
 	}
-	ir, ok := eagerSelectPeriod(an, platform.XScale(spec.P, spec.Q), spec.Opts, spec.MaxDivisions)
-	return ir, ok, nil
+	ir, ok, certified := eagerSelectPeriod(t, an, platform.XScale(spec.P, spec.Q), spec.Opts, spec.MaxDivisions)
+	return ir, ok, certified, nil
 }
+
+// explodingApps are the Table 1 applications whose DPA1D lattice exceeds
+// the campaign's state budget. On 4x4 their total work exceeds the
+// platform's capacity at T = 0.1 s, so the certificate answers that period
+// and the protocol returns T = 1 s without running DPA1D at 0.1 s.
+var explodingApps = map[string]bool{"Beamformer": true, "ChannelVocoder": true, "Filterbank": true, "FMRadio": true, "Vocoder": true}
 
 // TestProtocolMatchesEagerStreamIt covers the 12 StreamIt applications at
 // their four CCRs on 2x2, 4x4 and 6x6: each cell solved on a fresh analysis
 // through the arena-threaded protocol, and every cell of the three grids run
-// as campaigns over one shared cache, must equal the eager reference.
+// as campaigns over one shared cache, must equal the eager reference. On
+// 4x4 the capacity certificate must cover T = 0.1 s of the exploding apps.
 func TestProtocolMatchesEagerStreamIt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves 144 StreamIt cells three times")
@@ -131,6 +153,7 @@ func TestProtocolMatchesEagerStreamIt(t *testing.T) {
 		type pair struct {
 			want, got     engine.InstanceResult
 			wantOK, gotOK bool
+			certified     []float64
 			err           error
 		}
 		fresh := make([]pair, len(cells))
@@ -146,7 +169,7 @@ func TestProtocolMatchesEagerStreamIt(t *testing.T) {
 					r := &fresh[i]
 					an, err := freshAnalysis(spec)
 					if err == nil {
-						r.want, r.wantOK, err = eagerCell(spec)
+						r.want, r.wantOK, r.certified, err = eagerCell(t, spec)
 					}
 					if r.err = err; err != nil {
 						continue
@@ -171,6 +194,9 @@ func TestProtocolMatchesEagerStreamIt(t *testing.T) {
 				t.Fatalf("%s: %v", c.Spec.Key, shared[i].Err)
 			}
 			sameResult(t, c.Spec.Key+" shared cache", shared[i].Result, shared[i].Feasible, r.want, r.wantOK)
+			if grid == [2]int{4, 4} && explodingApps[c.Spec.Workload.StreamIt] && !slices.Contains(r.certified, 0.1) {
+				t.Errorf("%s: the capacity certificate does not cover T = 0.1 s (covers %v)", c.Spec.Key, r.certified)
+			}
 		}
 	}
 }
@@ -178,6 +204,8 @@ func TestProtocolMatchesEagerStreamIt(t *testing.T) {
 // TestProtocolMatchesEagerRandom covers /v1/map misses: 200 never-seen
 // random SPGs of the map-mixed shape (n=20, elevation 3, CCR 1, 4x4,
 // placements kept) through engine.Solve, plus every elevation from 1 to 8.
+// On every map-shape cell the protocol returns T = 0.1 s for, the capacity
+// certificate must answer T = 0.01 s, so a miss runs no heuristic there.
 func TestProtocolMatchesEagerRandom(t *testing.T) {
 	var cells []engine.Cell
 	for seed := int64(1); seed <= 200; seed++ {
@@ -188,9 +216,10 @@ func TestProtocolMatchesEagerRandom(t *testing.T) {
 			cells = append(cells, experiments.NewRandomCell(20, elev, 1000+seed, 1, 4, 4))
 		}
 	}
-	for _, c := range cells {
+	checked := 0
+	for i, c := range cells {
 		c.Spec.Opts.KeepMappings = true
-		want, wantOK, err := eagerCell(c.Spec)
+		want, wantOK, certified, err := eagerCell(t, c.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,6 +228,15 @@ func TestProtocolMatchesEagerRandom(t *testing.T) {
 			t.Fatalf("%s: %v", c.Spec.Key, r.Err)
 		}
 		sameResult(t, c.Spec.Key, r.Result, r.Feasible, want, wantOK)
+		if i < 200 && want.Period == 0.1 {
+			if !slices.Contains(certified, 0.01) {
+				t.Errorf("%s: the capacity certificate does not cover T = 0.01 s (covers %v)", c.Spec.Key, certified)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no map-shape cell returned T = 0.1 s; the certificate went untested")
 	}
 }
 
@@ -235,7 +273,7 @@ func TestProtocolMatchesEagerDivisions(t *testing.T) {
 	sc := core.NewScratch()
 	for name, g := range graphs {
 		for d := 1; d <= 9; d++ {
-			want, wantOK := eagerSelectPeriod(spg.NewAnalysis(g), pl, opts, d)
+			want, wantOK, _ := eagerSelectPeriod(t, spg.NewAnalysis(g), pl, opts, d)
 			got, gotOK := engine.SelectPeriodDivisionsScratch(spg.NewAnalysis(g), pl, opts, d, sc)
 			sc.Reset()
 			sameResult(t, fmt.Sprintf("%s/%d divisions", name, d), got, gotOK, want, wantOK)

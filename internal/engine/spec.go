@@ -45,11 +45,16 @@ type CellSpec struct {
 	Opts core.Options `json:"opts"`
 }
 
-// Validate checks that the spec is well-formed — a grid and exactly one
-// workload variant — without building anything.
+// Validate checks that the spec is well-formed — a grid, exactly one
+// workload variant and a DPA1D state budget within 0..core.MaxDPA1DStates —
+// without building anything. The budget bound keeps a wire request from
+// making DPA1D intern (and reserve room for) billions of states.
 func (s CellSpec) Validate() error {
 	if s.P < 1 || s.Q < 1 {
 		return fmt.Errorf("engine: cell %q has invalid grid %dx%d", s.Key, s.P, s.Q)
+	}
+	if m := s.Opts.DPA1DMaxStates; m < 0 || m > core.MaxDPA1DStates {
+		return fmt.Errorf("engine: cell %q: dpa1d_max_states %d is outside 0..%d", s.Key, m, core.MaxDPA1DStates)
 	}
 	if err := s.Workload.Validate(); err != nil {
 		return fmt.Errorf("engine: cell %q: %w", s.Key, err)

@@ -88,6 +88,7 @@ func TestSpecValidate(t *testing.T) {
 		{Key: "k", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2},
 		{Key: "largest-random", Workload: WorkloadSpec{Random: &RandomWorkload{N: MaxStages, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "largest-inline", Workload: WorkloadSpec{Inline: chain(MaxStages)}, P: 2, Q: 2},
+		{Key: "largest-budget", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2, Opts: core.Options{DPA1DMaxStates: core.MaxDPA1DStates}},
 	} {
 		if err := ok.Validate(); err != nil {
 			t.Fatalf("%s: valid spec rejected: %v", ok.Key, err)
@@ -102,6 +103,9 @@ func TestSpecValidate(t *testing.T) {
 		{Key: "random-negative-ccr", Workload: WorkloadSpec{Random: &RandomWorkload{N: 5, Elevation: 1, CCR: -1}}, P: 2, Q: 2},
 		{Key: "two-variants", Workload: WorkloadSpec{StreamIt: "FFT", Random: &RandomWorkload{N: 5, Elevation: 1}}, P: 2, Q: 2},
 		{Key: "bad-grid", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 0, Q: 2},
+		{Key: "budget-over-limit", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2, Opts: core.Options{DPA1DMaxStates: core.MaxDPA1DStates + 1}},
+		{Key: "budget-int32", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2, Opts: core.Options{DPA1DMaxStates: 1<<31 - 1}},
+		{Key: "budget-negative", Workload: WorkloadSpec{StreamIt: "FFT"}, P: 2, Q: 2, Opts: core.Options{DPA1DMaxStates: -1}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

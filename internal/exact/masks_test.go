@@ -216,3 +216,35 @@ func TestQuotientAcyclicAllocatesNothing(t *testing.T) {
 		t.Fatalf("quotientAcyclic allocates %v times per call", allocs)
 	}
 }
+
+// TestCapacityCertificateSound: on every pinned row, at its own period and
+// tightened towards and past the row's capacity period
+// Σw/(NumCores·s_max), core.CapacityInfeasible never holds where the exact
+// solver finds a mapping; the sweep meets both verdicts.
+func TestCapacityCertificateSound(t *testing.T) {
+	var certified, solved int
+	for _, r := range pinnedRows {
+		inst := r.instance(t)
+		pl := inst.Platform
+		capacity := inst.Graph.TotalWork() / (float64(pl.NumCores()) * pl.MaxSpeed())
+		for _, T := range []float64{inst.Period, inst.Period / 2, capacity * 1.1, capacity, capacity * 0.99} {
+			inst := inst.WithPeriod(T)
+			s := NewSolver()
+			s.Workers = 1
+			_, _, err := s.SolveStats(context.Background(), inst)
+			c := core.CapacityInfeasible(inst)
+			if c {
+				certified++
+			}
+			if err == nil {
+				solved++
+				if c {
+					t.Errorf("%s: the capacity certificate holds at T = %g, where the exact solver finds a mapping", r, T)
+				}
+			}
+		}
+	}
+	if certified == 0 || solved == 0 {
+		t.Fatalf("the sweep met %d certified periods and %d solved ones; it must meet both", certified, solved)
+	}
+}

@@ -12,6 +12,7 @@ func TestWirecodec(t *testing.T) { linttest.Run(t, "wirecodec", lint.Wirecodec) 
 func TestMemoalias(t *testing.T) { linttest.Run(t, "memoalias", lint.Memoalias) }
 func TestLockguard(t *testing.T) { linttest.Run(t, "lockguard", lint.Lockguard) }
 func TestCtxflow(t *testing.T)   { linttest.Run(t, "ctxflow", lint.Ctxflow) }
+func TestNofuse(t *testing.T)    { linttest.Run(t, "nofuse", lint.Nofuse) }
 
 // TestScratchArena runs the aliasing and determinism analyzers over a
 // fixture distilled from the scratch-arena kernels (core.Scratch plus the

@@ -1,11 +1,11 @@
-// Package lint is spgcmp's static-analysis suite: five custom analyzers
+// Package lint is spgcmp's static-analysis suite: six custom analyzers
 // that machine-check the invariants every scaling PR has leaned on —
 // deterministic iteration order, wire-codable structs, copy-on-return
-// memos, mutex discipline, and context propagation. They are compiled into
-// the cmd/spglint multichecker and run over ./... in CI; an unsuppressed
-// finding fails the build.
+// memos, mutex discipline, context propagation, and float arithmetic no
+// compiler may fuse. They are compiled into the cmd/spglint multichecker
+// and run over ./... in CI; an unsuppressed finding fails the build.
 //
-// The five analyzers:
+// The six analyzers:
 //
 //   - detrange: flags `for range` over maps in internal/core, internal/spg
 //     and internal/engine when the (nondeterministic) iteration order can
@@ -43,6 +43,14 @@
 //     Deliberately detached lifecycles (probe loops, async campaign jobs)
 //     carry suppression annotations explaining why.
 //
+//   - nofuse: in the solver packages (spg, platform, mapping, core, exact,
+//     engine, sim) and their _test.go oracles, a float product that is an
+//     operand of +, -, += or -= must be wrapped in an explicit conversion,
+//     float64(x*y) + z. Without one a compiler may fuse the two into a
+//     multiply-add that rounds once (arm64 and ppc64le do, amd64 does not),
+//     and output bytes would depend on the host's architecture. It is the
+//     only analyzer that also checks test files.
+//
 // # Suppression
 //
 // A finding is suppressed by a directive comment on the flagged line or the
@@ -60,7 +68,8 @@
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) and its analysistest golden-fixture harness
 // (internal/lint/linttest), but is built on the standard library alone:
-// packages are loaded with `go list -export -deps -json` and type-checked
-// against compiler export data via go/importer, so the suite needs no
-// dependencies beyond the Go toolchain that builds the repo.
+// packages and their test variants are loaded with
+// `go list -test -export -deps -json` and type-checked against compiler
+// export data via go/importer, so the suite needs no dependencies beyond
+// the Go toolchain that builds the repo.
 package lint

@@ -22,8 +22,20 @@ type Analyzer struct {
 	// means every package. The linttest harness bypasses this gate (fixture
 	// packages have synthetic paths).
 	Packages []string
+	// Tests extends the analyzer to the _test.go files of its packages
+	// (their test variants, see Package.ForTest).
+	Tests bool
 	// Run reports findings on one package through pass.Reportf.
 	Run func(*Pass) error
+}
+
+// Enforced reports whether the analyzer runs on pkg: on the packages
+// AppliesTo names and, with Tests, on their test variants.
+func (a *Analyzer) Enforced(pkg *Package) bool {
+	if pkg.ForTest != "" {
+		return a.Tests && a.AppliesTo(pkg.ForTest)
+	}
+	return a.AppliesTo(pkg.Path)
 }
 
 // AppliesTo reports whether the analyzer is enforced on the package with
@@ -194,5 +206,5 @@ func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full spglint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Detrange, Wirecodec, Memoalias, Lockguard, Ctxflow}
+	return []*Analyzer{Detrange, Wirecodec, Memoalias, Lockguard, Ctxflow, Nofuse}
 }

@@ -68,6 +68,16 @@ func TestAppliesTo(t *testing.T) {
 	if !all.AppliesTo("anything") {
 		t.Error("empty Packages means every package")
 	}
+	variant := &lint.Package{Path: "spgcmp/internal/core [spgcmp/internal/core.test]", ForTest: "spgcmp/internal/core"}
+	if lint.Detrange.Enforced(variant) || all.Enforced(variant) {
+		t.Error("an analyzer without Tests must skip test variants")
+	}
+	if !lint.Nofuse.Enforced(variant) {
+		t.Error("nofuse must check internal/core's _test.go files")
+	}
+	if lint.Nofuse.Enforced(&lint.Package{Path: "spgcmp/internal/service_test [spgcmp/internal/service.test]", ForTest: "spgcmp/internal/service"}) {
+		t.Error("nofuse is not enforced on internal/service's tests")
+	}
 }
 
 // TestRepoIsLintClean runs the full suite over the real module: the tree
@@ -82,14 +92,17 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	analyzers := lint.All()
-	if len(analyzers) != 5 {
-		t.Fatalf("the suite must ship five analyzers, got %d", len(analyzers))
+	if len(analyzers) != 6 {
+		t.Fatalf("the suite must ship six analyzers, got %d", len(analyzers))
 	}
 	checked := 0
 	for _, pkg := range pkgs {
+		if len(pkg.Files) == 0 {
+			t.Errorf("%s: loaded with no files to check", pkg.Path)
+		}
 		var active []*lint.Analyzer
 		for _, a := range analyzers {
-			if a.AppliesTo(pkg.Path) {
+			if a.Enforced(pkg) {
 				active = append(active, a)
 			}
 		}

@@ -15,12 +15,20 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Package is one loaded, type-checked package: what a Pass sees.
 type Package struct {
-	Path  string
-	Fset  *token.FileSet
+	Path string
+	// ForTest is, for a test variant, the import path of the package whose
+	// _test.go files it holds (Path is then the bracketed test-variant
+	// path); it is empty for a package's own files.
+	ForTest string
+	Fset    *token.FileSet
+	// Files are the files a Pass checks: every file of a package, or only
+	// the _test.go files of a test variant, whose other files are the
+	// package's own and were type-checked with them.
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -28,13 +36,17 @@ type Package struct {
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	Error      *struct{ Err string }
+	ImportPath  string
+	Name        string
+	Dir         string
+	Export      string
+	GoFiles     []string
+	TestGoFiles []string
+	ForTest     string
+	ImportMap   map[string]string
+	DepOnly     bool
+	Standard    bool
+	Error       *struct{ Err string }
 }
 
 // goList runs `go list -export -deps -json args...` in dir and returns the
@@ -66,11 +78,16 @@ func goList(dir string, args ...string) ([]listPkg, error) {
 }
 
 // exportImporter returns a go/importer that resolves import paths through
-// the export-data files recorded by `go list -export`. One importer (and
-// one FileSet) must be shared across every type-check that should agree on
-// package identity.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// the export-data files recorded by `go list -export`, after renaming them
+// through importMap (a test variant's map from an import path to the
+// variant of that package compiled for the test; nil for none). One
+// importer (and one FileSet) must be shared across every type-check that
+// should agree on package identity.
+func exportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if p, ok := importMap[path]; ok {
+			path = p
+		}
 		file, ok := exports[path]
 		if !ok || file == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -90,7 +107,10 @@ func newInfo() *types.Info {
 }
 
 // Load type-checks the packages matching patterns (e.g. "./...") in the
-// module rooted at moduleDir and returns them sorted by import path.
+// module rooted at moduleDir, and their test variants, and returns them
+// sorted by import path. A package with in-package _test.go files yields a
+// variant whose Files are those files; one with an external test package
+// yields that package as a variant too (see Package.ForTest).
 // Dependencies are imported from compiler export data, so targets can be
 // checked independently of one another and nothing is fetched from the
 // network.
@@ -98,7 +118,7 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(moduleDir, patterns...)
+	listed, err := goList(moduleDir, append([]string{"-test"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -108,27 +128,50 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && len(p.GoFiles) > 0 {
+		// Skip dependencies and the generated test mains.
+		if !p.DepOnly && len(p.GoFiles) > 0 && !(p.ForTest == "" && p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test")) {
 			targets = append(targets, p)
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
+	shared := exportImporter(fset, exports, nil)
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
 		files := make([]string, len(t.GoFiles))
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
+		imp := shared
+		if t.ForTest != "" {
+			// A variant resolves its imports to the packages compiled for
+			// its test, so it needs an importer of its own.
+			imp = exportImporter(fset, exports, t.ImportMap)
+		}
 		pkg, err := typeCheck(fset, imp, t.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
+		pkg.ForTest = t.ForTest
+		if t.ForTest != "" && len(t.TestGoFiles) > 0 {
+			// The in-package variant: its other files are the package's own.
+			pkg.Files = testFiles(fset, pkg.Files)
+		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// testFiles returns the _test.go files of files.
+func testFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
+	var out []*ast.File
+	for _, f := range files {
+		if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // LoadDir parses and type-checks the single package in dir (used by the
@@ -184,7 +227,7 @@ func LoadDir(moduleDir, dir string) (*Package, error) {
 			}
 		}
 	}
-	return typeCheckFiles(fset, exportImporter(fset, exports), filepath.Base(dir), files)
+	return typeCheckFiles(fset, exportImporter(fset, exports, nil), filepath.Base(dir), files)
 }
 
 func typeCheck(fset *token.FileSet, imp types.Importer, path string, filenames []string) (*Package, error) {

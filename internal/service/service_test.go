@@ -524,6 +524,10 @@ func TestCellsExecuteEndpoint(t *testing.T) {
 		{"random one stage", `{"cells":[{"key":"k","workload":{"random":{"n":1,"elevation":1,"seed":7}},"p":2,"q":2}]}`, `needs n \u003e= 2, got 1`},
 		{"random flat", `{"cells":[{"key":"k","workload":{"random":{"n":5,"elevation":0,"seed":7}},"p":2,"q":2}]}`, `needs elevation \u003e= 1, got 0`},
 		{"random negative ccr", `{"cells":[{"key":"k","workload":{"random":{"n":5,"elevation":1,"seed":7,"ccr":-1}},"p":2,"q":2}]}`, `ccr -1 is negative`},
+		// The DPA1D state budget is bounded before any state is interned.
+		{"state budget over limit", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"dpa1d_max_states":150001}}]}`, `dpa1d_max_states 150001 is outside 0..150000`},
+		{"state budget int32", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"dpa1d_max_states":2147483647}}]}`, `dpa1d_max_states 2147483647 is outside 0..150000`},
+		{"negative state budget", `{"cells":[{"key":"k","workload":{"streamit":"DCT"},"p":2,"q":2,"opts":{"dpa1d_max_states":-1}}]}`, `dpa1d_max_states -1 is outside 0..150000`},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/cells/execute", tc.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.names) {

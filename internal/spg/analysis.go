@@ -69,6 +69,7 @@ type analysisShared struct {
 	dims     lazySlot[dimsMemo]
 	preds    lazySlot[[]int]
 	prefix   lazySlot[prefixMemo]
+	lattice  lazySlot[uint64]
 
 	// bandShapes[m1*(depth+1)+m2] memoizes the structural band analysis; a
 	// dense slice because the DPA2D outer DP probes bands in tight loops
@@ -290,6 +291,62 @@ func (a *Analysis) CCR() float64 {
 	return a.ccr.get(func() float64 { return CCR(a.g) })
 }
 
+// DownsetCount returns the number of downsets of the graph — the states of
+// DPA1D's lattice, the empty and the full set included — counted from its SP
+// decomposition tree: the root's count (see DecompNode.downsets) plus the
+// empty and the full set. It saturates at math.MaxUint64 and is 0 when the
+// graph does not decompose. The count reads no volume, so it is held once per
+// scale family.
+func (a *Analysis) DownsetCount() uint64 {
+	return a.shared.downsetCount()
+}
+
+func (sh *analysisShared) downsetCount() uint64 {
+	return sh.lattice.get(func() uint64 {
+		root, err := Decompose(sh.g)
+		if err != nil {
+			return 0
+		}
+		return satAdd(root.downsets(), 2)
+	})
+}
+
+// Lattice pre-sizing bounds. A downset is identified by how many stages of
+// each elevation level it holds, so Π(|level|+1) bounds the lattice. A
+// lattice core grows its arenas on demand up to smallLattice states and then
+// reserves its whole capacity at once (downsetCore.reserve), so a lattice
+// whose bound is at most smallLattice never needs a capacity, and is not
+// counted: the exact solver's and the /v1/map miss path's graphs all fall
+// below it and never decompose. presizedStates caps the capacity at
+// DPA1D's default state budget.
+const (
+	smallLattice   = 1 << 12
+	presizedStates = 150_000
+)
+
+// downsetCapacity is the number of states a new lattice core under a budget
+// of maxStates reserves room for: min(count, maxStates, presizedStates)+1,
+// or 0 (grow on demand) for a small lattice or one the SP tree cannot count.
+// A run touches at most maxStates states and the lattice holds count, so
+// the arenas rarely grow past it; when several runs intern different
+// states they grow on demand as before.
+func (sh *analysisShared) downsetCapacity(maxStates int, levels [][]int) int {
+	bound := uint64(1)
+	for _, lv := range levels {
+		if bound *= uint64(len(lv) + 1); bound > smallLattice {
+			break
+		}
+	}
+	if bound <= smallLattice {
+		return 0
+	}
+	count := sh.downsetCount()
+	if count == 0 {
+		return 0
+	}
+	return int(min(count, uint64(maxStates), presizedStates)) + 1
+}
+
 // PredCounts returns, per stage, the number of distinct predecessors — the
 // initial in-degree vector the list-scheduling heuristics start from. The
 // returned slice is shared; copy before decrementing.
@@ -442,7 +499,7 @@ func (sh *analysisShared) downsetCore(maxStates int, levels [][]int) (*downsetCo
 	cell.mu.Lock()
 	defer cell.mu.Unlock()
 	if !cell.built {
-		cell.core, cell.err = newDownsetCore(sh.g, levels, maxStates)
+		cell.core, cell.err = newDownsetCore(sh.g, levels, maxStates, sh.downsetCapacity(maxStates, levels))
 		cell.built = true
 	}
 	return cell.core, cell.err

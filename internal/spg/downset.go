@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -143,8 +144,13 @@ type downsetCore struct {
 	dfsEpoch int32
 
 	maxStates int
-	emptyID   int
-	fullID    int
+	// capacity is the number of states the core reserves room for once it
+	// interns state id smallLattice (0: grown on demand); reserved records
+	// that it has, for NewRun, which sizes new cursors to match.
+	capacity int
+	reserved atomic.Bool
+	emptyID  int
+	fullID   int
 }
 
 type expEntry struct {
@@ -201,8 +207,10 @@ type expansion struct {
 // newDownsetCore prepares downset enumeration for g over its elevation
 // levels (Analysis passes its memoized copy; the core only reads them).
 // maxStates caps the number of distinct downsets a run may touch;
-// enumeration beyond the cap fails with ErrStateLimit.
-func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, error) {
+// enumeration beyond the cap fails with ErrStateLimit. capacity, when
+// positive, is the number of states the core reserves room for once the
+// lattice proves large (see reserve); it changes no id, order or answer.
+func newDownsetCore(g *Graph, levels [][]int, maxStates, capacity int) (*downsetCore, error) {
 	maxStates = normalizeStateBudget(maxStates)
 	if maxStates > math.MaxInt32 {
 		return nil, fmt.Errorf("spg: state budget %d exceeds the int32 id range", maxStates)
@@ -222,6 +230,7 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 		words:      (n + 63) / 64,
 		table:      newInternTable(1 << 8),
 		maxStates:  maxStates,
+		capacity:   capacity,
 	}
 	c.weights = make([][]float64, len(levels))
 	for y, lv := range levels {
@@ -330,6 +339,8 @@ func (ds *DownsetSpace) NewRun() *Run {
 	var r *Run
 	if n := len(c.idle); n > 0 {
 		r, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else if c.reserved.Load() {
+		r = &Run{core: c, ids: make([]int, 0, c.capacity), seen: make([]int32, c.capacity), indexOf: make([]int32, c.capacity)}
 	} else {
 		r = &Run{core: c}
 	}
@@ -434,10 +445,11 @@ func (c *downsetCore) lookup(counts []uint8) (int, bool) {
 	}
 }
 
-// growTable doubles the intern index and re-inserts every id (hashes are
-// recomputed from the counts arena; ids never move). Callers hold c.mu.
-func (c *downsetCore) growTable() {
-	nt := newInternTable(2 * len(c.table))
+// growTable rebuilds the intern index at a larger power-of-two size and
+// re-inserts every id (hashes are recomputed from the counts arena; ids
+// never move). Callers hold c.mu.
+func (c *downsetCore) growTable(size int) {
+	nt := newInternTable(size)
 	mask := uint64(len(nt) - 1)
 	for id := 0; id < len(c.size); id++ {
 		i := hashCounts(c.countsOf(id)) & mask
@@ -460,9 +472,12 @@ func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
 	if len(r.ids) >= c.maxStates || id == math.MaxInt32 {
 		return -1, ErrStateLimit
 	}
+	if id == smallLattice && c.capacity > id {
+		c.reserve(r)
+	}
 	// Keep the open-addressed table below 75% load.
 	if (id+1)*4 > len(c.table)*3 {
-		c.growTable()
+		c.growTable(2 * len(c.table))
 	}
 	mask := uint64(len(c.table) - 1)
 	i := hashCounts(counts) & mask
@@ -477,8 +492,7 @@ func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
 		c.bits = append(c.bits, 0)
 	}
 	if cap(c.bits) != oldCap {
-		arena := c.bits[:cap(c.bits)]
-		c.published.Store(&arena)
+		c.publishBits()
 	}
 	var sz int32
 	for y, cnt := range counts {
@@ -495,6 +509,41 @@ func (c *downsetCore) intern(r *Run, counts []uint8) (int, error) {
 	c.exp = append(c.exp, expEntry{})
 	c.dfsSeen = append(c.dfsSeen, 0)
 	return id, r.touch(id)
+}
+
+// reserve grows the id-indexed arenas, the intern table and the tables of
+// r, the run interning, to hold c.capacity states, so interning up to there
+// appends without growing them again, and marks the core reserved so new
+// run cursors are sized to match. It runs once, when the core interns
+// state id smallLattice: a lattice that has grown that far is one a budget
+// failure or a long enumeration fills, while a run that touches fewer
+// states pays nothing for the reservation, nor does a core retained after
+// such a run. Callers hold c.mu.
+func (c *downsetCore) reserve(r *Run) {
+	more := c.capacity - len(c.size)
+	r.ids = slices.Grow(r.ids, c.capacity-len(r.ids))
+	r.seen = append(r.seen, make([]int32, c.capacity-len(r.seen))...)
+	r.indexOf = append(r.indexOf, make([]int32, c.capacity-len(r.indexOf))...)
+	c.counts = slices.Grow(c.counts, more*c.stride)
+	c.bits = slices.Grow(c.bits, more*c.words)
+	c.publishBits()
+	c.size = slices.Grow(c.size, more)
+	c.succ = slices.Grow(c.succ, more*c.stride)
+	c.exp = slices.Grow(c.exp, more)
+	c.dfsSeen = slices.Grow(c.dfsSeen, more)
+	size := len(c.table)
+	for size*3 < c.capacity*4 { // below 75% load at capacity
+		size *= 2
+	}
+	c.growTable(size)
+	c.reserved.Store(true)
+}
+
+// publishBits hands the bits arena, resliced to its capacity, to lock-free
+// readers (see published). Callers hold c.mu.
+func (c *downsetCore) publishBits() {
+	arena := c.bits[:cap(c.bits)]
+	c.published.Store(&arena)
 }
 
 // visit returns the id of the downset with the given counts, interning it if

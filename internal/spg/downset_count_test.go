@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,47 +12,9 @@ import (
 	"spgcmp/internal/streamit"
 )
 
-// An independent oracle for the downset lattice's size, from the SP
-// decomposition tree alone: no reachability, no interning, no walk.
-
-// subDownsets counts the downsets of the sub-SPG under d that hold its
-// source and not its sink. A leaf edge has one, {source}. A series node
-// adds its children's counts, split by whether the middle terminal is in;
-// a parallel node multiplies them, since the two interiors are independent.
-// Counts saturate at math.MaxUint64.
-func subDownsets(d *spg.DecompNode) uint64 {
-	switch d.Kind {
-	case spg.DecompLeaf:
-		return 1
-	case spg.DecompSeries:
-		return satAdd(subDownsets(d.Left), subDownsets(d.Right))
-	default:
-		hi, lo := bits.Mul64(subDownsets(d.Left), subDownsets(d.Right))
-		if hi != 0 {
-			return math.MaxUint64
-		}
-		return lo
-	}
-}
-
-func satAdd(a, b uint64) uint64 {
-	s, carry := bits.Add64(a, b, 0)
-	if carry != 0 {
-		return math.MaxUint64
-	}
-	return s
-}
-
-// treeDownsets is the oracle: the root's count plus the empty and the full
-// set.
-func treeDownsets(t *testing.T, g *spg.Graph) uint64 {
-	t.Helper()
-	root, err := spg.Decompose(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return satAdd(subDownsets(root), 2)
-}
+// Analysis.DownsetCount counts the downset lattice from the SP
+// decomposition tree alone: no reachability, no interning, no walk. These
+// tests hold it against the full Run enumeration.
 
 // enumeratedDownsets counts g's downsets by the full Run enumeration: the
 // empty set plus every expansion of it at an unbounded work budget. It
@@ -78,13 +39,13 @@ func enumeratedDownsets(t *testing.T, g *spg.Graph, maxStates int) (uint64, bool
 	return uint64(1 + len(to)), true
 }
 
-// checkDownsetCount compares the oracle with the enumeration under a cap of
-// maxStates: a lattice the SP tree counts within the cap must enumerate to
-// exactly that count, and a larger one must run out of states. It reports
-// whether the lattice fit.
+// checkDownsetCount compares the SP-tree count with the enumeration under a
+// cap of maxStates: a lattice the SP tree counts within the cap must
+// enumerate to exactly that count, and a larger one must run out of states.
+// It reports whether the lattice fit.
 func checkDownsetCount(t *testing.T, name string, g *spg.Graph, maxStates int) bool {
 	t.Helper()
-	want := treeDownsets(t, g)
+	want := spg.NewAnalysis(g).DownsetCount()
 	got, ok := enumeratedDownsets(t, g, maxStates)
 	switch {
 	case ok != (want <= uint64(maxStates)):

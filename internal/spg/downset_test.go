@@ -265,13 +265,6 @@ func TestDownsetSpaceChargesExtremes(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestWarmedReplayHitsStateLimit: a run that replays a memoized list must
 // charge each listed downset, so it runs out of budget exactly where a run
 // on a fresh space runs out inside the enumeration. The first run expands

@@ -203,20 +203,22 @@ func (s *bandShape) footprint() int64 {
 
 // footprint estimates the interned lattice: the flat count/bitset arenas,
 // the covering-edge table, the open-addressed intern table, idle run
-// cursors and the memoized expansion enumerations. This is the dominant term on large-elevation workloads (a
-// 150k-state space with its enumerations runs to hundreds of MB), which is
-// exactly why the campaign cache re-estimates footprints as spaces grow.
+// cursors and the memoized expansion enumerations. This is the dominant
+// term on large-elevation workloads (a 150k-state space with its
+// enumerations runs to hundreds of MB), which is exactly why the campaign
+// cache re-estimates footprints as spaces grow. Every id-indexed table is
+// counted at its capacity, so a core is charged for its whole reservation
+// (downsetCore.reserve) as soon as it makes it.
 func (c *downsetCore) footprint() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	states := int64(len(c.size))
 	var b int64
 	// Flat arenas: counts bytes, membership bitset words, covering edges,
 	// intern table slots.
 	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.succ))*4 + int64(cap(c.table))*4
 	// size and dfsSeen (int32 each), plus the id-indexed tables of the
 	// idle run cursors kept for reuse.
-	b += states * 2 * 4
+	b += int64(cap(c.size)+cap(c.dfsSeen)) * 4
 	c.idleMu.Lock()
 	for _, r := range c.idle {
 		b += r.footprint()
@@ -224,7 +226,7 @@ func (c *downsetCore) footprint() int64 {
 	c.idleMu.Unlock()
 	// Expansion memo: one fixed entry per state plus the cached enumerations
 	// (packed at their exact length) and the DFS's reused working buffer.
-	b += states * (sliceHeaderBytes + 16)
+	b += int64(cap(c.exp)) * (sliceHeaderBytes + 16)
 	for i := range c.exp {
 		b += int64(len(c.exp[i].packed)) * 8
 	}

@@ -3,6 +3,8 @@ package spg
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // DecompKind identifies the constructor of a node of an SP decomposition
@@ -52,6 +54,34 @@ func (d *DecompNode) Leaves() int {
 		return 1
 	}
 	return d.Left.Leaves() + d.Right.Leaves()
+}
+
+// downsets counts the downsets of the sub-SPG under d that hold its source
+// and not its sink. A leaf edge has one, {source}. A series node adds its
+// children's counts, split by whether the middle terminal is in; a parallel
+// node multiplies them, since the two interiors are independent. Counts
+// saturate at math.MaxUint64.
+func (d *DecompNode) downsets() uint64 {
+	switch d.Kind {
+	case DecompLeaf:
+		return 1
+	case DecompSeries:
+		return satAdd(d.Left.downsets(), d.Right.downsets())
+	default:
+		hi, lo := bits.Mul64(d.Left.downsets(), d.Right.downsets())
+		if hi != 0 {
+			return math.MaxUint64
+		}
+		return lo
+	}
+}
+
+func satAdd(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return s
 }
 
 // ErrNotSeriesParallel is returned by Decompose when the input DAG cannot be
