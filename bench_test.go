@@ -439,8 +439,9 @@ func BenchmarkHeuristicDPA1DChain30(b *testing.B) {
 }
 
 // The ...Shared variants attach one analysis cache outside the loop, so each
-// iteration reuses the precomputed graph structures — the per-heuristic view
-// of the SelectPeriod speedup.
+// iteration reuses the precomputed graph structures (bands, the downset
+// space) and times the DP itself — the per-heuristic view of what the
+// shared analysis saves SelectPeriod.
 func BenchmarkHeuristicDPA2DFMRadioShared(b *testing.B) {
 	benchHeuristic(b, core.NewDPA2D(), fmRadioInstance(b).Analyzed())
 }
@@ -456,10 +457,11 @@ func BenchmarkHeuristicDPA2D1DChain30(b *testing.B) {
 // --- Single-cell kernel benchmarks (flattened DP kernels) ---
 
 // benchCellKernel times one heuristic in a pool worker's steady state: warm
-// analysis (every shared cache populated) and a worker-owned scratch arena
-// reset between solves. This isolates the DP kernels themselves — the target
-// of the bitset-downset / run-indexed-table / arena flattening — from
-// workload synthesis and cache warm-up.
+// analysis (bands and the downset space built) and a worker-owned scratch
+// arena reset between solves. This isolates the DP kernels themselves — the
+// target of the bitset-downset / run-indexed-table / arena flattening — from
+// workload synthesis and cache warm-up; every case, DPA1D's included, runs
+// its whole DP each iteration.
 func benchCellKernel(b *testing.B, h core.Heuristic, inst core.Instance) {
 	b.Helper()
 	inst = inst.Analyzed()

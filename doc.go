@@ -57,19 +57,16 @@
 // period. A period whose work exceeds the platform's capacity
 // (core.CapacityInfeasible: a stage heavier than T·s_max, or total work
 // above NumCores·T·s_max) runs no heuristic at all; its five failures are
-// known. Riding on the analysis, the core package keys two further
-// structures to it through its Aux hooks: cross-period speed-threshold
-// tables (the minimal period at which each ladder speed can process each
-// DPA2D rectangle, monotone in T and computed once for all period
-// divisions) with per-period rectangle-energy snapshots shared between
-// DPA2D and DPA2D1D, and a DPA1D run memo, one per scale family (Layer
-// 2), whose entries name the member graph whose run they record.
-// The memo replays recorded state-explosion verdicts and — keyed
-// additionally by the core count and the platform's energy fingerprint,
-// which steer the DP's argmin — successful chunk decompositions
-// (copy-on-return through a fresh mapping build, so callers never alias
-// solutions), instead of re-running enumerations whose outcome is already
-// determined. A verdict is keyed by the run's decisions, not by the grid: it
+// known. Each solver computes the per-period quantities it reads: DPA2D and
+// DPA2D1D price a rectangle with platform.MinFeasibleSpeed (at most one
+// compare per ladder speed) into a private arena table, and the exact
+// solver builds its energy floors once per solve. Riding on the analysis,
+// the core package keys one further structure to it through its Aux hook:
+// a DPA1D run memo, one per scale family (Layer 2), whose entries name the
+// member graph whose run they record. The memo replays recorded
+// state-explosion verdicts instead of re-running enumerations whose outcome
+// is already determined; a successful run records nothing and runs its DP
+// again. A verdict is keyed by the run's decisions, not by the grid: it
 // records the processor layer the budget ran out in and replays on every
 // chain of at least that many cores, so the 6x6 campaign replays the 4x4
 // campaign's failures. Nor is it pinned to its period: a looser period only
@@ -182,17 +179,15 @@
 // allocation), so the arenas are an optimization, never an API obligation.
 // Buffers come back dirty; kernels fully initialize what they use. Nothing
 // arena-backed escapes a cell: outcomes carry scalars and wire-form copies,
-// and shared per-period tables are seeded into arena memory by copying
-// (snapshotInto) and published back by copying (publish), an idiom pinned by
-// the memoalias golden fixture. One DPA2D solve runs on one goroutine:
+// and anything shared reaches arena memory only by copying, an idiom pinned
+// by the memoalias golden fixture. One DPA2D solve runs on one goroutine:
 // campaigns already keep every core busy with whole cells, so fanning a
 // cell's band sweeps out would only shorten a lone solve. The kernel golden
 // suite replays every StreamIt cell and a seeded random panel against
 // pre-refactor outputs in cold, warm and serial variants; BenchmarkCellKernel
-// measures the result (DPA2D single cell ~1.6x with ~79x fewer allocations,
-// DPA1D ~1.8x, full engine campaign ~1.35x), with testing.AllocsPerRun tests
-// bounding steady-state allocation counts and a benchstat old-vs-new
-// comparison in the bench CI job.
+// times each heuristic's solve in a pool worker's steady state, with
+// testing.AllocsPerRun tests bounding steady-state allocation counts and a
+// benchstat old-vs-new comparison in the bench CI job.
 //
 // # The exact-solver layer
 //

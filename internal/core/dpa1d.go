@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -48,9 +49,8 @@ var ErrBudget = errors.New("state budget exhausted")
 
 // verdictKey identifies one DPA1D run: the period, which scales the chunk
 // cap and the link capacity, and the verdictClass the run shares with runs
-// at other periods. solutionMemoKey and the family's claim gate pin it
-// exactly; a budget verdict replays at its own period and at every looser
-// one (see verdict).
+// at other periods. The family's claim gate pins it exactly; a budget
+// verdict replays at its own period and at every looser one (see verdict).
 type verdictKey struct {
 	T float64
 	verdictClass
@@ -124,50 +124,30 @@ func (v *verdict) replaysAt(T float64, cores int) bool {
 	return v.layer <= cores && (T == v.T || T >= v.lifted)
 }
 
-// solutionMemoKey identifies one DPA1D run's optimal chunk sequence. The
-// verdict key pins everything the exploration depends on besides the
-// member's graph, which joins the key because the cut check reads its
-// volumes; the chunk sequence additionally depends on the chain length (the
-// best layer is chosen among the first cores layers) and on the platform's
-// energy model — chunk energies (dynamic powers, leakage) and the
-// communication energy rate steer the DP's argmin even when the explored
-// state set is identical — so both join the key too. Two platforms sharing a
-// ladder but not powers therefore never share solutions.
-type solutionMemoKey struct {
-	verdictKey
-	cores  int
-	energy string
-	g      *spg.Graph
-}
-
-// dpa1dEnergySig fingerprints every platform quantity the solve1D objective
-// reads beyond the key's explicit fields: the speed/power ladder with
-// leakage (energySig, shared with the rectangle tables) plus the per-GB link
-// energy charged on chunk cuts. CommLeakPower stays out: it is a
-// mapping-independent constant added by the final evaluation, so it never
-// influences which chunk sequence wins.
-func dpa1dEnergySig(pl *platform.Platform) string {
-	b := []byte(energySig(pl))
-	b = append(b, ';')
-	b = appendHexFloat(b, pl.EnergyPerGB)
+// speedLadderSig fingerprints the platform's speed ladder for verdictClass.
+func speedLadderSig(pl *platform.Platform) string {
+	var b []byte
+	for _, s := range pl.Speeds {
+		b = appendHexFloat(b, s)
+		b = append(b, ',')
+	}
 	return string(b)
 }
 
-// runMemo records, for one scale family, the outcomes of past DPA1D runs:
-// budget-failure verdicts and successful chunk decompositions. A
-// budget-failed run evicts its half-enumerated downset space (see Solve), so
-// without this memo every identical later run — the same CCR cell in a
-// repeated campaign sweep, or on the next larger grid — re-burned the entire
-// enumeration just to fail at the same point; the run is deterministic given
-// the key and the member, so replaying the recorded error is bit-identical
-// and free.
-//
-// Successful runs memoize their chunk sequence (not the Solution) under
-// their member's graph: a warm sweep replays the chunks through finishSnake,
-// which rebuilds mapping, routes and evaluation from scratch, so callers
-// never alias mappings while skipping the whole DP. The memo stores a
-// private copy and hands out fresh copies (copy-on-return), keeping the
-// cached sequence immutable even if a caller mutates what it received.
+// appendHexFloat appends f's exact hexadecimal form, a collision-free float
+// encoding.
+func appendHexFloat(b []byte, f float64) []byte {
+	return strconv.AppendFloat(b, f, 'x', -1, 64)
+}
+
+// runMemo records, for one scale family, the budget-failure verdicts of past
+// DPA1D runs. A budget-failed run evicts its half-enumerated downset space
+// (see Solve), so without this memo every identical later run — the same
+// CCR cell in a repeated campaign sweep, or on the next larger grid —
+// re-burned the entire enumeration just to fail at the same point; the run
+// is deterministic given the key and the member, so replaying the recorded
+// error is bit-identical and free. Successful runs record nothing: they run
+// their DP again.
 //
 // A verdict always replays on the member that recorded it. It replays on a
 // sibling too when the sibling's run would be the recorded one. A run reads
@@ -228,7 +208,6 @@ func dpa1dEnergySig(pl *platform.Platform) string {
 type runMemo struct {
 	mu       sync.Mutex
 	verdicts map[verdictClass][]memoVerdict // append-only
-	sol      map[solutionMemoKey][][]int
 	running  map[verdictKey]struct{}
 	released sync.Cond // broadcast whenever a running key is released; L is &mu
 }
@@ -251,7 +230,6 @@ func runMemoFor(an *spg.Analysis) *runMemo {
 	return an.Aux(runMemoAuxKey{}, func() any {
 		m := &runMemo{
 			verdicts: make(map[verdictClass][]memoVerdict),
-			sol:      make(map[solutionMemoKey][][]int),
 			running:  make(map[verdictKey]struct{}),
 		}
 		m.released.L = &m.mu
@@ -312,56 +290,26 @@ func (m *runMemo) record(key verdictClass, v memoVerdict) {
 	m.verdicts[key] = append(m.verdicts[key], v)
 }
 
-// solution returns a fresh copy of the memoized chunk sequence for key.
-func (m *runMemo) solution(key solutionMemoKey) ([][]int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	chunks, ok := m.sol[key]
-	if !ok {
-		return nil, false
-	}
-	return copyChunks(chunks), true
-}
-
-// recordSolution memoizes a private copy of a successful run's chunks.
-func (m *runMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sol[key] = copyChunks(chunks)
-}
-
-// copyChunks deep-copies a chunk sequence; both record and replay copy, so
-// the memoized sequence is never shared with any caller.
-func copyChunks(chunks [][]int) [][]int {
-	out := make([][]int, len(chunks))
-	for i, c := range chunks {
-		out[i] = append([]int(nil), c...)
-	}
-	return out
-}
-
 // MemoryFootprint implements spg.Footprinter with the flat constants the spg
-// estimates use: verdicts and chunk sequences count toward
-// Analysis.MemoryFootprint and so toward the campaign cache's byte account
-// (chunk sequences are the only entries of real size). The recorders'
-// graphs belong to their member analyses and are not counted here.
+// estimates use, so verdicts count toward Analysis.MemoryFootprint and so
+// toward the campaign cache's byte account. The recorders' graphs belong to
+// their member analyses and are not counted here.
 func (m *runMemo) MemoryFootprint() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	const classBytes = int64(unsafe.Sizeof(verdictClass{})) + auxMapEntryBytes + auxSliceHeaderBytes
-	const keyBytes = int64(unsafe.Sizeof(solutionMemoKey{})) + auxMapEntryBytes + auxSliceHeaderBytes
 	var b int64
 	for k, list := range m.verdicts {
 		b += classBytes + int64(len(k.ladder)) + int64(len(list))*int64(unsafe.Sizeof(memoVerdict{}))
 	}
-	for k, chunks := range m.sol {
-		b += keyBytes + int64(len(k.ladder)+len(k.energy))
-		for _, c := range chunks {
-			b += auxSliceHeaderBytes + int64(len(c))*8
-		}
-	}
 	return b
 }
+
+// Flat approximations matching the spg footprint constants.
+const (
+	auxSliceHeaderBytes = 24
+	auxMapEntryBytes    = 48
+)
 
 // cutBound returns g's total edge volume, summed in edge order exactly as
 // DownsetSpace.Cout sums a cut. With every volume >= 0, floating-point
@@ -455,7 +403,6 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	an := inst.Analysis
 	g := an.Graph()
 	memo := runMemoFor(an)
-	solKey := solutionMemoKey{key, cores, dpa1dEnergySig(pl), g}
 	for {
 		// A budget failure recorded for this configuration, at this period
 		// or a tighter one, replays immediately: the run it summarizes would
@@ -463,14 +410,6 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		// run at a looser period would fail by the same layer (see verdict).
 		if err := memo.lookup(key, cores, g, pl.LinkCapacity(T)); err != nil {
 			return nil, err
-		}
-		// A memoized successful run replays its chunk sequence straight
-		// through finishSnake: the DP is deterministic given the key, the
-		// member's graph and the platform's energy model (all in solKey), so
-		// the rebuilt mapping and its evaluation are bit-identical to
-		// re-running it — and warm sweeps skip the enumeration entirely.
-		if chunks, ok := memo.solution(solKey); ok {
-			return finishSnake(h.Name(), inst, chunks)
 		}
 		// A sibling running the same key records its verdict before it
 		// releases the key; wait for it, then look again.
@@ -505,7 +444,6 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		}
 		return nil, err
 	}
-	memo.recordSolution(solKey, chunks)
 	return finishSnake(h.Name(), inst, chunks)
 }
 

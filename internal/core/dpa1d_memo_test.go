@@ -20,9 +20,14 @@ func memoGraph(t *testing.T) *spg.Graph {
 	return g
 }
 
+// The tests in this file pin that DPA1D solves sharing one analysis (its
+// run memo and downset space) stay independent: a repeated solve is
+// bit-identical, never aliases an earlier caller's mapping, and never
+// carries an answer across energy models or periods.
+
 // TestDPA1DSolutionMemoReplay: a repeated solve on the same shared analysis
-// replays the memoized chunk sequence — bit-identical energy and allocation,
-// but a freshly built mapping each time (no aliasing between callers).
+// returns bit-identical energy and allocation, but a freshly built mapping
+// each time (no aliasing between callers).
 func TestDPA1DSolutionMemoReplay(t *testing.T) {
 	g := memoGraph(t)
 	pl := platform.XScale(2, 2)
@@ -49,26 +54,25 @@ func TestDPA1DSolutionMemoReplay(t *testing.T) {
 		}
 	}
 
-	// Copy-on-return: corrupting a returned solution must not poison later
-	// replays.
+	// Corrupting a returned solution must not poison later solves.
 	second.Mapping.Alloc[0] = platform.Core{U: 1, V: 1}
 	third, err := h.Solve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if third.Mapping.Alloc[0] != first.Mapping.Alloc[0] {
-		t.Error("mutating a returned mapping leaked into the memo")
+		t.Error("mutating a returned mapping leaked into a later solve")
 	}
 	if math.Float64bits(third.Energy()) != math.Float64bits(first.Energy()) {
-		t.Error("post-mutation replay drifted")
+		t.Error("post-mutation solve drifted")
 	}
 }
 
 // TestDPA1DSolutionMemoKeysEnergyModel: two platforms sharing a speed ladder
-// but differing in powers must not share memoized solutions — the chunk
-// argmin depends on the energy model even when the explored states are
-// identical. The shared analysis carries one memo for both, so a missing
-// energy fingerprint would replay platform A's chunks for platform B.
+// but differing in powers must not share solutions — the chunk argmin
+// depends on the energy model even when the explored states are identical.
+// The shared analysis carries one run memo and one downset space for both,
+// so neither may carry platform A's answer over to platform B.
 func TestDPA1DSolutionMemoKeysEnergyModel(t *testing.T) {
 	g := memoGraph(t)
 	h := NewDPA1D()
@@ -84,7 +88,7 @@ func TestDPA1DSolutionMemoKeysEnergyModel(t *testing.T) {
 	instA := Instance{Graph: g, Platform: plA, Period: 0.2, Analysis: shared}
 	instB := Instance{Graph: g, Platform: plB, Period: 0.2, Analysis: shared}
 
-	solA, err := h.Solve(instA) // warms the memo under plA's energy model
+	solA, err := h.Solve(instA) // warms the shared analysis under plA
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestDPA1DSolutionMemoKeysEnergyModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Float64bits(gotB.Energy()) != math.Float64bits(wantB.Energy()) {
-		t.Fatalf("memo crossed energy models: %g != fresh %g (plA gave %g)",
+		t.Fatalf("shared analysis crossed energy models: %g != fresh %g (plA gave %g)",
 			gotB.Energy(), wantB.Energy(), solA.Energy())
 	}
 	for i := range wantB.Mapping.Alloc {
@@ -107,7 +111,8 @@ func TestDPA1DSolutionMemoKeysEnergyModel(t *testing.T) {
 	}
 }
 
-// TestDPA1DSolutionMemoKeysPeriod: different periods never share solutions.
+// TestDPA1DSolutionMemoKeysPeriod: solves at different periods on one shared
+// analysis never share solutions.
 func TestDPA1DSolutionMemoKeysPeriod(t *testing.T) {
 	g := memoGraph(t)
 	pl := platform.XScale(2, 2)
@@ -126,6 +131,6 @@ func TestDPA1DSolutionMemoKeysPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Float64bits(tight.Energy()) != math.Float64bits(fresh.Energy()) {
-		t.Fatalf("cross-period replay: %g != fresh %g", tight.Energy(), fresh.Energy())
+		t.Fatalf("cross-period solve: %g != fresh %g", tight.Energy(), fresh.Energy())
 	}
 }

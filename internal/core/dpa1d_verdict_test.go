@@ -744,15 +744,11 @@ func TestDPA1DSolveAllocs(t *testing.T) {
 	const T = 1.0
 	sc := NewScratch()
 
-	// A light member whose run succeeds; clearing the solution memo before
-	// every Solve makes each one run the DP.
+	// A light member whose run succeeds, and so runs the DP every Solve.
 	h := NewDPA1D()
 	chain := spg.NewAnalysis(verdictChain(t))
 	inst := Instance{Graph: chain.Graph(), Platform: pl, Period: T, Analysis: chain, Scratch: sc}
-	memo := runMemoFor(chain)
-	key := solutionMemoKey{solveKey(h, pl, T), pl.NumCores(), dpa1dEnergySig(pl), chain.Graph()}
 	light := testing.AllocsPerRun(50, func() {
-		delete(memo.sol, key)
 		if _, err := h.Solve(inst); err != nil {
 			t.Fatal(err)
 		}

@@ -98,11 +98,8 @@ func rowCore(cuts []int, y int) int {
 
 // engine2D holds the state shared by the outer and inner dynamic programs.
 // The period-independent graph analysis (prefix sums, topological order,
-// band contexts) comes from the shared spg.Analysis; the cross-period speed
-// thresholds and the per-period rectangle-energy snapshots come from the
-// family-wide tables of recttab.go. The engine owns only the capacities and
-// its private working copies of the energy tables, which it publishes back
-// on exit so the next engine at this period starts warm.
+// band contexts) comes from the shared spg.Analysis; the engine owns only
+// the capacities and its private rectangle-energy tables.
 type engine2D struct {
 	g  *spg.Graph
 	an *spg.Analysis
@@ -119,41 +116,21 @@ type engine2D struct {
 
 	// ecal caches, per band key m1*(xmax+1)+m2, the per-rectangle core
 	// energy: index r1*(ymax+2)+r2 for label rows [r1..r2]; NaN marks an
-	// uncomputed entry, +Inf an infeasible or non-convex rectangle. Tables
-	// are seeded from — and published back to — the shared per-period store,
-	// so the DP's hot loop stays lock-free while completed entries carry
-	// across heuristics and solver calls.
+	// uncomputed entry, +Inf an infeasible or non-convex rectangle.
 	ecal [][]float64
-
-	st *sigTables    // cross-period speed thresholds (shared, family-wide)
-	pt *periodTables // rectangle-energy snapshots at this period (shared)
 }
 
 func newEngine2D(an *spg.Analysis, pl *platform.Platform, T float64) *engine2D {
-	g := an.Graph()
 	xmax, ymax := an.Depth(), an.Elevation()
-	st := rectTablesFor(an, pl)
 	e := &engine2D{
-		g: g, an: an, pl: pl, T: T,
+		g: an.Graph(), an: an, pl: pl, T: T,
 		xmax: xmax, ymax: ymax,
 		capL:    pl.LinkCapacity(T),
 		maxWork: T * pl.MaxSpeed(),
 		ecal:    make([][]float64, (xmax+1)*(xmax+1)),
-		st:      st,
-		pt:      st.period(T),
 	}
 	e.wPrefix, e.cPrefix = an.LabelPrefixSums()
 	return e
-}
-
-// publishEcal pushes every band table the engine touched back into the
-// shared per-period store.
-func (e *engine2D) publishEcal() {
-	for key, tab := range e.ecal {
-		if tab != nil {
-			e.pt.publish(key, tab)
-		}
-	}
 }
 
 // rectWork returns the total weight of the stages with m1 <= x <= m2 and
@@ -172,17 +149,17 @@ func (e *engine2D) band(m1, m2 int) *spg.Band {
 	return e.an.Band(m1, m2)
 }
 
-// bandEcal returns the engine's rectangle-energy cache for band b, seeding
-// it on first use from the shared per-period snapshot (warm after any
-// earlier engine at this period probed the band). The table may live in sc:
-// publishEcal copies entries out on exit, so nothing shared outlives the
-// arena.
+// bandEcal returns the engine's rectangle-energy cache for band b, carved
+// from sc and NaN-filled on first use.
 func (e *engine2D) bandEcal(b *spg.Band, sc *Scratch) []float64 {
 	key := b.M1*(e.xmax+1) + b.M2
 	if ec := e.ecal[key]; ec != nil {
 		return ec
 	}
-	ec := e.pt.snapshotInto(key, sc.F64((e.ymax+2)*(e.ymax+2)))
+	ec := sc.F64((e.ymax + 2) * (e.ymax + 2))
+	for i := range ec {
+		ec[i] = math.NaN()
+	}
 	e.ecal[key] = ec
 	return ec
 }
@@ -207,13 +184,8 @@ func (e *engine2D) computeEcal(b *spg.Band, r1, r2 int) float64 {
 		return 0
 	}
 	work := e.rectWork(b.M1, b.M2, r1, r2)
-	// The speed index comes from the cross-period threshold table — the
-	// bit-exact MinFeasibleSpeed verdict, computed once per rectangle for
-	// every period division and CCR variant.
-	bandKey := b.M1*(e.xmax+1) + b.M2
-	rects := (e.ymax + 2) * (e.ymax + 2)
-	sIdx := e.st.speedIdx(bandKey, r1*(e.ymax+2)+r2, rects, work, e.T, e.pl)
-	if sIdx < 0 {
+	_, sIdx, ok := e.pl.MinFeasibleSpeed(work, e.T)
+	if !ok {
 		return math.Inf(1)
 	}
 	// Convexity is graph-only, so the verdict is memoized in the shared band
@@ -370,7 +342,6 @@ func (e *engine2D) outDistribution(b *spg.Band, arrivals []distEntry, cuts []int
 // from sc (nil allocates normally).
 func solve2D(an *spg.Analysis, pl *platform.Platform, T float64, sc *Scratch) (*plan2D, error) {
 	e := newEngine2D(an, pl, T)
-	defer e.publishEcal()
 	xmax := e.xmax
 	vmax := pl.Q
 	if xmax < vmax {

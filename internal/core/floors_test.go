@@ -26,7 +26,7 @@ func floorsTestGraph(t *testing.T) *spg.Graph {
 // exists to survive.
 func TestEnergyFloorsSuffixRatio(t *testing.T) {
 	pl := platform.XScale(3, 3)
-	f := newEnergyFloors(floorsTestGraph(t), pl)
+	f := NewEnergyFloors(floorsTestGraph(t), pl)
 	dipped := false
 	for i := range pl.Speeds {
 		want := math.Inf(1)
@@ -47,41 +47,119 @@ func TestEnergyFloorsSuffixRatio(t *testing.T) {
 	}
 }
 
-// TestEnergyFloorsMinIdxAgreesWithPlatform: MinIdx and StageMinIdx must
-// reproduce platform.MinFeasibleSpeed's verdict index for index, including
-// at randomly probed periods around the feasibility boundaries.
+// TestEnergyFloorsMinIdxAgreesWithPlatform: MinIdx and StageDynFloor must
+// reproduce platform.MinFeasibleSpeed's verdict index for index, at random
+// periods and one ulp to either side of every speed's feasibility boundary.
 func TestEnergyFloorsMinIdxAgreesWithPlatform(t *testing.T) {
-	pl := platform.XScale(3, 3)
-	g := floorsTestGraph(t)
-	f := newEnergyFloors(g, pl)
-	rng := rand.New(rand.NewSource(31))
+	pl := platform.XScale(4, 4)
+	rng := rand.New(rand.NewSource(11))
 	wantIdx := func(work, T float64) int {
 		if _, idx, ok := pl.MinFeasibleSpeed(work, T); ok {
 			return idx
 		}
 		return -1
 	}
-	for trial := 0; trial < 2000; trial++ {
-		work := float64(rng.Float64() * 0.3)
-		T := rng.Float64() * 0.4
-		if got, want := f.MinIdx(work, T), wantIdx(work, T); got != want {
-			t.Fatalf("MinIdx(%g, %g) = %d, platform says %d", work, T, got, want)
+	// Stage weights spanning twenty binades, plus a zero-weight stage.
+	weights := make([]float64, 200)
+	for i := 1; i < len(weights); i++ {
+		weights[i] = math.Ldexp(rng.Float64(), rng.Intn(20)-10)
+	}
+	g, err := spg.Chain(weights, make([]float64, len(weights)-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewEnergyFloors(g, pl)
+	check := func(s int, T float64) {
+		t.Helper()
+		w := weights[s]
+		want := wantIdx(w, T)
+		if got := f.MinIdx(w, T); got != want {
+			t.Fatalf("MinIdx(%.17g, %.17g) = %d, platform says %d", w, T, got, want)
+		}
+		floor, ok := f.StageDynFloor(s, T)
+		if ok != (want >= 0) {
+			t.Fatalf("StageDynFloor(%d, %.17g) ok = %v, platform idx %d", s, T, ok, want)
+		}
+		if ok && floor != float64(w*f.suffixRatio[want]) {
+			t.Fatalf("StageDynFloor(%d, %.17g) = %g, want %g at idx %d", s, T, floor, float64(w*f.suffixRatio[want]), want)
 		}
 	}
-	for s := range g.Stages {
-		for trial := 0; trial < 200; trial++ {
-			T := rng.Float64() * 0.4
-			if got, want := f.StageMinIdx(s, T), wantIdx(g.Stages[s].Weight, T); got != want {
-				t.Fatalf("StageMinIdx(%d, %g) = %d, platform says %d", s, T, got, want)
-			}
+	for s := range weights {
+		for trial := 0; trial < 100; trial++ {
+			check(s, math.Ldexp(rng.Float64(), rng.Intn(20)-10))
 		}
-		// Exactly at each threshold the speed must be feasible.
-		for i, tmin := range f.stageThr[s] {
-			if got := f.StageMinIdx(s, tmin); got > i {
-				t.Fatalf("stage %d at its own threshold for speed %d: MinIdx %d", s, i, got)
+		for _, sp := range pl.Speeds {
+			tb := feasibleBoundary(weights[s], sp)
+			if tb <= 0 {
+				continue
 			}
+			check(s, tb)
+			check(s, math.Nextafter(tb, 0))
+			check(s, math.Nextafter(tb, math.Inf(1)))
 		}
 	}
+	check(0, 1)
+	if got := f.MinIdx(-1, 1); got != -1 {
+		t.Fatalf("MinIdx of negative work = %d, want -1", got)
+	}
+	if got := f.MinIdx(0.1, 0); got != -1 {
+		t.Fatalf("MinIdx at T = 0 = %d, want -1", got)
+	}
+}
+
+// TestMinFeasiblePeriodBoundary: MinIdx must reproduce the MinFeasibleSpeed
+// verdict exactly for arbitrary work, including one ulp to either side of
+// every ladder speed's feasibility boundary.
+func TestMinFeasiblePeriodBoundary(t *testing.T) {
+	pl := platform.XScale(4, 4)
+	f := NewEnergyFloors(floorsTestGraph(t), pl)
+	rng := rand.New(rand.NewSource(11))
+	check := func(work, T float64) {
+		t.Helper()
+		want := -1
+		if _, idx, ok := pl.MinFeasibleSpeed(work, T); ok {
+			want = idx
+		}
+		if got := f.MinIdx(work, T); got != want {
+			t.Fatalf("work=%.17g T=%.17g: MinIdx %d, MinFeasibleSpeed idx %d", work, T, got, want)
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		work := math.Ldexp(rng.Float64(), rng.Intn(20)-10)
+		T := math.Ldexp(rng.Float64(), rng.Intn(20)-10)
+		if T <= 0 {
+			continue
+		}
+		check(work, T)
+		for _, s := range pl.Speeds {
+			tb := feasibleBoundary(work, s)
+			if tb <= 0 {
+				continue
+			}
+			check(work, tb)
+			check(work, math.Nextafter(tb, 0))
+			check(work, math.Nextafter(tb, math.Inf(1)))
+		}
+	}
+	check(0, 1)
+}
+
+// feasibleBoundary returns the smallest positive period at which speed s
+// can process work under platform.MinFeasibleSpeed's predicate, located by
+// ulp refinement around the real-arithmetic estimate; 0 for work <= 0.
+func feasibleBoundary(work, s float64) float64 {
+	feasible := func(T float64) bool { return work <= T*s*(1+1e-12) }
+	if work <= 0 {
+		return 0
+	}
+	t := work / (s * (1 + 1e-12))
+	for !feasible(t) {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	for t2 := math.Nextafter(t, 0); t2 > 0 && feasible(t2); t2 = math.Nextafter(t, 0) {
+		t = t2
+	}
+	return t
 }
 
 // TestEnergyFloorsAdmissible: DynFloor must never exceed the dynamic energy
@@ -91,7 +169,7 @@ func TestEnergyFloorsMinIdxAgreesWithPlatform(t *testing.T) {
 // floor priced earlier).
 func TestEnergyFloorsAdmissible(t *testing.T) {
 	pl := platform.XScale(3, 3)
-	f := newEnergyFloors(floorsTestGraph(t), pl)
+	f := NewEnergyFloors(floorsTestGraph(t), pl)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 2000; trial++ {
 		work := float64(rng.Float64() * 0.3)
@@ -122,31 +200,6 @@ func TestEnergyFloorsAdmissible(t *testing.T) {
 			if gf < scaled*(1-1e-12) && work > 0 {
 				t.Fatalf("growth lowered the per-work floor: %g/%g -> %g/%g", floor, work, gf, grown)
 			}
-		}
-	}
-}
-
-// TestEnergyFloorsSharedAcrossCCR: the tables hang off the scale family's
-// shared analysis, so every CCR variant of a family and repeated calls
-// return the same instance per energy signature, and distinct signatures
-// get distinct tables.
-func TestEnergyFloorsSharedAcrossCCR(t *testing.T) {
-	g := floorsTestGraph(t)
-	an := spg.NewAnalysis(g)
-	pl := platform.XScale(3, 3)
-	f1 := FloorsFor(an, pl)
-	if f2 := FloorsFor(an, pl); f2 != f1 {
-		t.Error("repeated FloorsFor rebuilt the tables")
-	}
-	variant := an.ScaleToCCR(2.5)
-	if f3 := FloorsFor(variant, pl); f3 != f1 {
-		t.Error("CCR variant did not share the family's floor tables")
-	}
-	if f4 := FloorsFor(an, platform.XScale(2, 2)); f4 != f1 {
-		// Same energy signature regardless of grid shape is fine; only a
-		// changed signature must key a fresh table.
-		if energySig(platform.XScale(2, 2)) != energySig(pl) {
-			t.Error("distinct energy signatures shared one table")
 		}
 	}
 }

@@ -172,8 +172,8 @@ func TestScratchChildren(t *testing.T) {
 }
 
 // scratchAllocInstance is the warm instance the steady-state allocation tests
-// share: a mid-size random SPG with an attached analysis, solved once so all
-// shared caches (bands, thresholds, downsets, solution memos) are populated.
+// share: a mid-size random SPG with an attached analysis, solved once so its
+// shared structures (bands, downsets) are populated.
 func scratchAllocInstance(t *testing.T) Instance {
 	t.Helper()
 	g := testRandomSPG(t, 7, 40, 1)
@@ -218,8 +218,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		testSolveSteadyAllocs(t, NewDPA2D1D(), inst, 250)
 	})
 	t.Run("DPA1D", func(t *testing.T) {
-		// Warm DPA1D replays its memoized chunk sequence through finishSnake;
-		// the bound covers the replay (mapping, routes, evaluation), not the DP.
+		// Warm DPA1D runs its DP on the populated downset space, then builds
+		// the mapping, routes and evaluation (90 allocations, go1.24 on
+		// amd64).
 		testSolveSteadyAllocs(t, NewDPA1D(), inst, 250)
 	})
 }

@@ -177,7 +177,7 @@ func (s *Solver) solveBnB(ctx context.Context, inst core.Instance, st *Stats, se
 	// at the fastest speed dooms every partition: report infeasibility
 	// exactly as the exhaustive engine does (its generator can never place
 	// the stage).
-	sh.floors = core.FloorsFor(inst.Analysis, pl)
+	sh.floors = core.NewEnergyFloors(g, pl)
 	sh.hops = mapping.HopExcess(pl)
 	sh.soloFloor = make([]float64, n)
 	base := float64(pl.CommLeakPower * T)

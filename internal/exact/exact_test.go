@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"spgcmp/internal/core"
 	"spgcmp/internal/platform"
@@ -42,6 +43,35 @@ func TestExactSolvesTinyChain(t *testing.T) {
 	want := float64(3*(float64(inst.Platform.LeakPower*0.2)+0.05/0.4*0.17)) + float64(2*0.001*inst.Platform.EnergyPerGB)
 	if math.Abs(sol.Energy()-want) > 1e-9 {
 		t.Errorf("energy = %.9g, want %.9g", sol.Energy(), want)
+	}
+}
+
+// TestNaNGraphFailsFast: a NaN stage weight or edge volume fails every
+// heuristic and the exact solver at validation, instead of reaching a
+// speed search that never converges on it. Each solve runs under a
+// deadline, so a solver that spins fails the test rather than hanging it.
+func TestNaNGraphFailsFast(t *testing.T) {
+	pl := platform.XScale(2, 2)
+	nan := math.NaN()
+	for _, g := range []*spg.Graph{
+		chain(t, []float64{0.05, nan, 0.05}, []float64{0.001, 0.001}),
+		chain(t, []float64{0.05, 0.05, 0.05}, []float64{nan, 0.001}),
+	} {
+		for _, h := range append(core.All(1), NewSolver()) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := h.Solve(core.Instance{Graph: g, Platform: pl, Period: 1})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "NaN") {
+					t.Errorf("%s: error %v, want a NaN validation error", h.Name(), err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: no answer within 5 s on a NaN graph", h.Name())
+			}
+		}
 	}
 }
 

@@ -15,9 +15,10 @@ func TestCtxflow(t *testing.T)   { linttest.Run(t, "ctxflow", lint.Ctxflow) }
 func TestNofuse(t *testing.T)    { linttest.Run(t, "nofuse", lint.Nofuse) }
 
 // TestScratchArena runs the aliasing and determinism analyzers over a
-// fixture distilled from the scratch-arena kernels (core.Scratch plus the
-// recttab snapshotInto/publish pair): the blessed copy-through-caller-memory
-// shapes must stay silent, the uncopied cache returns must stay findings.
+// fixture distilled from the scratch-arena kernels (core.Scratch plus a
+// shared table seeded into and published out of arena memory by copying):
+// the blessed copy-through-caller-memory shapes must stay silent, the
+// uncopied cache returns must stay findings.
 func TestScratchArena(t *testing.T) {
 	linttest.Run(t, "scratcharena", lint.Memoalias, lint.Detrange)
 }

@@ -84,7 +84,7 @@ type analysisShared struct {
 	downsetCores map[int]*downsetCoreCell
 
 	// aux lets downstream packages attach their own caches to the family
-	// (core's cross-period rectangle tables and DPA1D run memo).
+	// (core's DPA1D run memo).
 	auxMu sync.Mutex
 	aux   map[any]*lazySlot[any]
 }
@@ -201,9 +201,8 @@ func (a *Analysis) ScaleToCCR(target float64) *Analysis {
 
 // Aux returns the memoized auxiliary value for key, building it on first
 // use. It lets downstream packages attach their own caches to the analysis
-// — the core package stores its cross-period DPA2D rectangle tables here,
-// and its DPA1D run memo, whose entries name the member graph they belong
-// to — with the same sharing scope as the structural caches: one value per
+// — the core package stores its DPA1D run memo here, whose entries name the
+// member graph they belong to — with the same sharing scope as the structural caches: one value per
 // scale family, never per volume variant. Keys follow the context.Context
 // convention (unexported types in the owning package). The build function
 // must not depend on edge volumes.

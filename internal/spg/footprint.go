@@ -19,9 +19,9 @@ const (
 )
 
 // Footprinter lets values attached through Analysis.Aux participate in
-// MemoryFootprint: auxiliary caches that implement it (core's rectangle
-// tables and DPA1D run memo) report their retained bytes once per family,
-// all others are counted as zero.
+// MemoryFootprint: auxiliary caches that implement it (core's DPA1D run
+// memo) report their retained bytes once per family, all others are counted
+// as zero.
 type Footprinter interface {
 	MemoryFootprint() int64
 }

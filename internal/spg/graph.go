@@ -313,6 +313,9 @@ func (g *Graph) Validate() error {
 		if s.Weight < 0 {
 			return fmt.Errorf("spg: stage %d has negative weight", i)
 		}
+		if !(s.Weight >= 0) {
+			return fmt.Errorf("spg: stage %d has NaN weight", i)
+		}
 		if s.Label.X < 1 || s.Label.Y < 1 {
 			return fmt.Errorf("spg: stage %d has invalid label %v", i, s.Label)
 		}
@@ -324,6 +327,9 @@ func (g *Graph) Validate() error {
 	for e, edge := range g.Edges {
 		if edge.Volume < 0 {
 			return fmt.Errorf("spg: edge %d has negative volume", e)
+		}
+		if !(edge.Volume >= 0) {
+			return fmt.Errorf("spg: edge %d has NaN volume", e)
 		}
 		if g.Stages[edge.Src].Label.X >= g.Stages[edge.Dst].Label.X {
 			return fmt.Errorf("spg: edge %d (%d->%d) does not increase x", e, edge.Src, edge.Dst)

@@ -1,7 +1,9 @@
 package spg
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -284,6 +286,27 @@ func TestValidateRejectsNonMonotoneX(t *testing.T) {
 	g.Stages[1].Label = Label{1, 2}
 	if err := g.Validate(); err == nil {
 		t.Error("edge with non-increasing x accepted")
+	}
+}
+
+// TestValidateRejectsNaN: a NaN stage weight or edge volume is rejected
+// (no solver can price it), and negative values keep their own message.
+func TestValidateRejectsNaN(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(g *Graph)
+		want string
+	}{
+		{"NaN weight", func(g *Graph) { g.Stages[1].Weight = math.NaN() }, "stage 1 has NaN weight"},
+		{"NaN volume", func(g *Graph) { g.Edges[0].Volume = math.NaN() }, "edge 0 has NaN volume"},
+		{"negative weight", func(g *Graph) { g.Stages[1].Weight = -1 }, "stage 1 has negative weight"},
+		{"negative volume", func(g *Graph) { g.Edges[0].Volume = -1 }, "edge 0 has negative volume"},
+	} {
+		g := Primitive(1, 1, 1)
+		tc.edit(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package spg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -119,5 +120,64 @@ func TestDecompKindString(t *testing.T) {
 	}
 	if DecompKind(9).String() == "" {
 		t.Error("unknown kind has empty string")
+	}
+}
+
+// renderTree writes d in prefix form, naming leaves by edge index.
+func renderTree(d *DecompNode) string {
+	if d.Kind == DecompLeaf {
+		return fmt.Sprintf("e%d", d.Edge)
+	}
+	return fmt.Sprintf("%s(%s,%s)", d.Kind, renderTree(d.Left), renderTree(d.Right))
+}
+
+// TestDecomposeDeterministic: repeated Decompose calls return identical
+// trees, down to the child order of every parallel node.
+func TestDecomposeDeterministic(t *testing.T) {
+	fj, err := ForkJoin(0, 0, []float64{1, 1, 1, 1}, []float64{1, 1, 1, 1}, []float64{1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaped, err := BuildShape(60, 8, 12, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{fj, shaped, randomSPG(rand.New(rand.NewSource(5)), 40)} {
+		first, err := Decompose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderTree(first)
+		for i := 0; i < 50; i++ {
+			tree, err := Decompose(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderTree(tree); got != want {
+				t.Fatalf("call %d: tree %s, first call %s", i, got, want)
+			}
+		}
+	}
+}
+
+// TestDecomposeAllocs bounds Decompose's allocations on a 2,000-stage
+// elevation-20 SPG: its slabs and lists are sized up front, so the count
+// does not grow with the graph (16,228 allocations with per-vertex maps).
+func TestDecomposeAllocs(t *testing.T) {
+	g, err := BuildShape(2000, 20, 200, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompose(g); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Decompose(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", got)
+	if got > 20 {
+		t.Errorf("Decompose: %.0f allocations, want at most 20", got)
 	}
 }
